@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt lint staticcheck bench bench-json bench-gate bench-baseline bench-large memprofile trace chaos chaos-service fuzz serve-smoke cluster-smoke load-gate cover ci tidy-check
+.PHONY: all build test race vet fmt lint staticcheck bench bench-json bench-gate bench-baseline bench-large memprofile trace chaos chaos-service fuzz serve-smoke cluster-smoke load-gate perfbench-check cover ci tidy-check
 
 all: build
 
@@ -76,15 +76,14 @@ bench-baseline:
 	$(GO) test -bench '$(BENCH_PATTERN)' -benchmem -benchtime 50ms -count 5 -run '^$$' ./... | tee bench-raw.txt
 	$(GO) run ./cmd/benchdiff -parse bench-raw.txt -o BENCH_BASELINE.json
 
-# bench-large runs the opt-in large-n measurements that are far too
-# slow for CI: the n=10000 reference scan (minutes) and the n=100000
-# NN-chain headline (tens of minutes, ~20 GB float32 condensed
-# matrix). Both skip unless HMEANS_BENCH_LARGE is set, so they never
-# fire from `make bench` or the gate; record wall-clock results in
-# EXPERIMENTS.md ("Large-n campaign"), not in BENCH_BASELINE.json.
+# bench-large runs the opt-in large-n measurement that is far too slow
+# for CI: the n=10000 reference scan (minutes). It skips unless
+# HMEANS_BENCH_LARGE is set, so it never fires from `make bench` or the
+# gate; record wall-clock results in EXPERIMENTS.md ("Large-n
+# campaign"), not in BENCH_BASELINE.json.
 bench-large:
 	HMEANS_BENCH_LARGE=1 $(GO) test ./internal/cluster \
-		-bench '^(BenchmarkNewDendrogramScanLarge|BenchmarkNewDendrogramHundredK)$$' \
+		-bench '^BenchmarkNewDendrogramScanLarge$$' \
 		-benchmem -benchtime 1x -count 1 -run '^$$' -timeout 120m | tee bench-large.txt
 
 # memprofile captures heap profiles of the hot-kernel benchmarks for
@@ -126,6 +125,13 @@ load-gate:
 	$(GO) run ./cmd/hmeansload -scores speedups.csv -chars sar.csv \
 		-n 240 -rps 30 -dist pareto -seed 2007 \
 		-o load-report.json -check slo.json
+
+# perfbench-check mirrors the CI perfbench-check job. perfbench/ (the
+# repo's benchmark) is a nested module, so the root build, vet, lint
+# and test targets never compile it; vet and test it in place so an
+# internal API change cannot silently break `bash perfbench/run.sh`.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test -count=1 .
 
 # cover fails when total line coverage drops below the committed
 # baseline (the seed repo's figure; ratchet it up, never down).
@@ -169,4 +175,4 @@ fuzz:
 	$(GO) test -fuzz FuzzLoadDendrogram -fuzztime $(FUZZTIME) ./internal/cluster
 	$(GO) test -fuzz FuzzRestoreSnapshot -fuzztime $(FUZZTIME) ./internal/service
 
-ci: build lint tidy-check test race chaos chaos-service fuzz bench trace bench-gate serve-smoke cluster-smoke load-gate cover
+ci: build lint tidy-check test race chaos chaos-service fuzz bench trace bench-gate serve-smoke cluster-smoke load-gate perfbench-check cover

@@ -180,7 +180,7 @@ func BenchmarkAblationLinkage(b *testing.B) {
 		b.Run(l.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := cluster.NewDendrogram(p.Positions, vecmath.Euclidean, l); err != nil {
+				if _, err := cluster.NewDendrogramOpts(p.Positions, vecmath.Euclidean, l, cluster.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -210,7 +210,7 @@ func BenchmarkAblationReduction(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := cluster.NewDendrogram(m.Placements(vectors), vecmath.Euclidean, cluster.Complete); err != nil {
+			if _, err := cluster.NewDendrogramOpts(m.Placements(vectors), vecmath.Euclidean, cluster.Complete, cluster.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -226,7 +226,7 @@ func BenchmarkAblationReduction(b *testing.B) {
 			for j, sc := range scores {
 				pts[j] = sc
 			}
-			if _, err := cluster.NewDendrogram(pts, vecmath.Euclidean, cluster.Complete); err != nil {
+			if _, err := cluster.NewDendrogramOpts(pts, vecmath.Euclidean, cluster.Complete, cluster.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -234,7 +234,7 @@ func BenchmarkAblationReduction(b *testing.B) {
 	b.Run("raw", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := cluster.NewDendrogram(vectors, vecmath.Euclidean, cluster.Complete); err != nil {
+			if _, err := cluster.NewDendrogramOpts(vectors, vecmath.Euclidean, cluster.Complete, cluster.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}

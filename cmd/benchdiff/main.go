@@ -88,7 +88,7 @@ func run(args []string, stdout io.Writer) error {
 		current    = fs.String("current", "", "current JSON record to compare")
 		maxRegress = fs.Float64("max-regress", 20, "fail when ns/op regresses by more than this percentage (allocs/op always gates at zero tolerance)")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := cliutil.Parse(fs, args); err != nil {
 		return err
 	}
 	switch {

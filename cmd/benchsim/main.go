@@ -43,7 +43,7 @@ func run(args []string, stdout io.Writer) error {
 	)
 	timeout := cliutil.RegisterTimeout(fs)
 	obsFlags := obs.RegisterFlags(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := cliutil.Parse(fs, args); err != nil {
 		return err
 	}
 	if obsFlags.PrintVersion(stdout, "benchsim") {

@@ -43,43 +43,27 @@ func TestExitCodes(t *testing.T) {
 		}
 	})
 
-	t.Run("unknown linkage algorithm is 2", func(t *testing.T) {
-		code, _, stderr := exec(t, "-scores", scores, "-chars", chars, "-linkage-algo", "fast")
-		if code != 2 {
-			t.Fatalf("exit %d, want 2; stderr: %s", code, stderr)
-		}
-		if !strings.Contains(stderr, "fast") || !strings.Contains(stderr, "nnchain") {
-			t.Fatalf("stderr %q should name the bad value and the valid choices", stderr)
-		}
-	})
-
-	t.Run("unknown BMU mode is 2", func(t *testing.T) {
-		code, _, stderr := exec(t, "-scores", scores, "-chars", chars, "-som.bmu", "guess")
-		if code != 2 {
-			t.Fatalf("exit %d, want 2; stderr: %s", code, stderr)
-		}
-		if !strings.Contains(stderr, "guess") || !strings.Contains(stderr, "pruned") {
-			t.Fatalf("stderr %q should name the bad value and the valid choices", stderr)
-		}
-	})
-
-	// The k=2 cut of this table is {a,b} vs {c,d} under every
-	// algorithm — tied zero-height merges may reorder, but the
-	// two-cluster partition (and so the printed means) cannot change.
-	t.Run("forced nnchain succeeds", func(t *testing.T) {
-		ref, refOut, stderr := exec(t, "-scores", scores, "-chars", chars, "-k", "2")
-		if ref != 0 {
-			t.Fatalf("exit %d, stderr: %s", ref, stderr)
-		}
-		code, out, stderr := exec(t, "-scores", scores, "-chars", chars, "-k", "2",
-			"-linkage-algo", "nnchain", "-som.bmu", "pruned")
-		if code != 0 {
-			t.Fatalf("exit %d, stderr: %s", code, stderr)
-		}
-		if out != refOut {
-			t.Fatalf("nnchain+pruned output differs from default:\n%s\nvs\n%s", out, refOut)
-		}
-	})
+	// Unknown flags and malformed flag values are usage mistakes too,
+	// including the algorithm-selection flags this command no longer
+	// has: scripts still passing them fail loudly instead of running.
+	for _, tc := range []struct {
+		name, flag string
+		args       []string
+	}{
+		{"removed -linkage-algo flag is 2", "linkage-algo", []string{"-linkage-algo", "nnchain"}},
+		{"removed -som.bmu flag is 2", "som.bmu", []string{"-som.bmu", "pruned"}},
+		{"malformed flag value is 2", "-k", []string{"-k", "abc"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			code, _, stderr := exec(t, append([]string{"-scores", scores, "-chars", chars}, tc.args...)...)
+			if code != 2 {
+				t.Fatalf("exit %d, want 2; stderr: %s", code, stderr)
+			}
+			if !strings.Contains(stderr, tc.flag) || !strings.Contains(stderr, "-h' for usage") {
+				t.Fatalf("stderr %q should name the flag and carry the usage hint", stderr)
+			}
+		})
+	}
 
 	t.Run("non-finite score is 3", func(t *testing.T) {
 		code, _, stderr := exec(t, "-scores", nanScores, "-chars", chars)

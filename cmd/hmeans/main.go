@@ -25,7 +25,6 @@ import (
 
 	"hmeans"
 	"hmeans/internal/cliutil"
-	"hmeans/internal/cluster"
 	"hmeans/internal/dataio"
 	"hmeans/internal/obs"
 	"hmeans/internal/par"
@@ -51,12 +50,10 @@ func run(args []string, stdout io.Writer) error {
 		seed         = fs.Uint64("seed", 2007, "SOM training seed")
 		parallel     = fs.Int("parallel", 1, "worker count for SOM training and clustering (0 = all CPUs); results are identical for every value")
 		quarantine   = fs.Bool("quarantine", false, "drop workloads with non-finite characterization values and score the survivors instead of failing")
-		linkageAlgo  = fs.String("linkage-algo", "auto", "agglomeration algorithm: auto, scan or nnchain (auto picks nnchain above the package threshold; the clusters are the same either way)")
-		somBMU       = fs.String("som.bmu", "auto", "SOM best-matching-unit search: auto, brute, pruned or coarse (coarse is approximate and opt-in; the rest are exact and interchangeable)")
 	)
 	timeout := cliutil.RegisterTimeout(fs)
 	obsFlags := obs.RegisterFlags(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := cliutil.Parse(fs, args); err != nil {
 		return err
 	}
 	if obsFlags.PrintVersion(stdout, "hmeans") {
@@ -64,14 +61,6 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if err := cliutil.ValidateParallel(*parallel); err != nil {
 		return err
-	}
-	algo, err := cluster.ParseAlgorithm(*linkageAlgo)
-	if err != nil {
-		return cliutil.Usagef("-linkage-algo: %v", err)
-	}
-	bmu, err := som.ParseBMUSearch(*somBMU)
-	if err != nil {
-		return cliutil.Usagef("-som.bmu: %v", err)
 	}
 
 	if *scoresPath == "" {
@@ -96,8 +85,6 @@ func run(args []string, stdout io.Writer) error {
 		seed:         *seed,
 		parallel:     *parallel,
 		quarantine:   *quarantine,
-		algo:         algo,
-		bmu:          bmu,
 	}, stdout)
 	if cerr := sess.Close(); err == nil {
 		err = cerr
@@ -114,8 +101,6 @@ type scoreArgs struct {
 	seed                                uint64
 	parallel                            int
 	quarantine                          bool
-	algo                                cluster.Algorithm
-	bmu                                 som.BMUSearch
 }
 
 func score(ctx context.Context, a scoreArgs, stdout io.Writer) error {
@@ -161,11 +146,10 @@ func score(ctx context.Context, a scoreArgs, stdout io.Writer) error {
 		workers = par.Auto()
 	}
 	p, err := hmeans.DetectClustersCtx(ctx, table, hmeans.PipelineConfig{
-		Kind:             kindVal,
-		SOM:              som.Config{Seed: a.seed, BMU: a.bmu},
-		Parallelism:      workers,
-		Quarantine:       a.quarantine,
-		LinkageAlgorithm: a.algo,
+		Kind:        kindVal,
+		SOM:         som.Config{Seed: a.seed},
+		Parallelism: workers,
+		Quarantine:  a.quarantine,
 	})
 	if err != nil {
 		return err

@@ -82,7 +82,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	)
 	timeout := cliutil.RegisterTimeout(fs)
 	obsFlags := obs.RegisterFlags(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := cliutil.Parse(fs, args); err != nil {
 		return err
 	}
 	if obsFlags.PrintVersion(stdout, "hmeansctl") {

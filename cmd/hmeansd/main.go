@@ -62,7 +62,6 @@ import (
 	"time"
 
 	"hmeans/internal/cliutil"
-	"hmeans/internal/cluster"
 	"hmeans/internal/obs"
 	"hmeans/internal/service"
 )
@@ -82,7 +81,6 @@ func run(args []string, stdout io.Writer) error {
 		cacheSize   = fs.Int("cache-size", 128, "content-addressed result cache entries (0 disables)")
 		reqTimeout  = fs.Duration("request-timeout", 0, "per-request compute deadline (e.g. 30s); 0 = none")
 		parallel    = fs.Int("parallel", 1, "worker count per pipeline run (0 = all CPUs); results are identical for every value")
-		linkageAlgo = fs.String("linkage-algo", "auto", "agglomeration algorithm per pipeline run: auto, scan or nnchain (a deployment choice like -parallel; the clusters are the same either way)")
 		accessLog   = fs.String("access-log", "", "structured request log destination: a file path, or - for stderr (empty disables)")
 		sampleEvery = fs.Duration("runtime-sample", 5*time.Second, "runtime metrics sampling interval (goroutines, heap, GC pauses); 0 disables")
 		snapshot    = fs.String("snapshot", "", "durable cache snapshot file: restored on boot, written on graceful shutdown (empty disables)")
@@ -91,7 +89,7 @@ func run(args []string, stdout io.Writer) error {
 	)
 	timeout := cliutil.RegisterTimeout(fs)
 	obsFlags := obs.RegisterFlags(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := cliutil.Parse(fs, args); err != nil {
 		return err
 	}
 	if obsFlags.PrintVersion(stdout, "hmeansd") {
@@ -99,10 +97,6 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if err := cliutil.ValidateParallel(*parallel); err != nil {
 		return err
-	}
-	algo, err := cluster.ParseAlgorithm(*linkageAlgo)
-	if err != nil {
-		return cliutil.Usagef("-linkage-algo: %v", err)
 	}
 	if err := cliutil.ValidateMin("-max-inflight", *maxInflight, 0); err != nil {
 		return err
@@ -141,7 +135,6 @@ func run(args []string, stdout io.Writer) error {
 		cacheSize:   *cacheSize,
 		reqTimeout:  *reqTimeout,
 		parallel:    *parallel,
-		linkageAlgo: algo,
 		accessLog:   *accessLog,
 		sampleEvery: *sampleEvery,
 		snapshot:    *snapshot,
@@ -162,7 +155,6 @@ type serveArgs struct {
 	cacheSize   int
 	reqTimeout  time.Duration
 	parallel    int
-	linkageAlgo cluster.Algorithm
 	accessLog   string
 	sampleEvery time.Duration
 	snapshot    string
@@ -197,14 +189,13 @@ func serve(ctx context.Context, a serveArgs, stdout io.Writer) error {
 	}
 	defer closeLog()
 	srv := service.New(service.Config{
-		MaxInflight:      a.maxInflight,
-		QueueDepth:       a.queueDepth,
-		CacheSize:        a.cacheSize,
-		Timeout:          a.reqTimeout,
-		Parallelism:      a.parallel,
-		LinkageAlgorithm: a.linkageAlgo,
-		Obs:              a.obs,
-		AccessLog:        logger,
+		MaxInflight: a.maxInflight,
+		QueueDepth:  a.queueDepth,
+		CacheSize:   a.cacheSize,
+		Timeout:     a.reqTimeout,
+		Parallelism: a.parallel,
+		Obs:         a.obs,
+		AccessLog:   logger,
 	})
 	if a.snapshot != "" {
 		st, err := srv.LoadSnapshot(a.snapshot, snapshotLogger(logger))

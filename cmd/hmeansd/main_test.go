@@ -57,7 +57,8 @@ func TestFlagValidation(t *testing.T) {
 		{"-snapshot.interval", "-1s"},
 		{"-snapshot.interval", "1s"}, // requires -snapshot
 		{"-drain.timeout", "0s"},
-		{"-linkage-algo", "fast"},
+		{"-parallel", "abc"},      // malformed value
+		{"-linkage-algo", "fast"}, // removed flag
 	}
 	for _, args := range cases {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {

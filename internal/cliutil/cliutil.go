@@ -28,6 +28,18 @@ func Usagef(format string, args ...any) *UsageError {
 // Error returns the message.
 func (e *UsageError) Error() string { return e.msg }
 
+// Parse parses a command line into fs, reporting a malformed one — an
+// unknown flag, a value its flag cannot parse — as a *UsageError so it
+// exits 2 like every other usage mistake. flag.ErrHelp passes through
+// unchanged; Run maps it to 0.
+func Parse(fs *flag.FlagSet, args []string) error {
+	err := fs.Parse(args)
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return err
+	}
+	return &UsageError{msg: err.Error()}
+}
+
 // dataError is the marker interface the data packages (core, cluster)
 // implement on their typed input-validation errors. Matching on the
 // method instead of the concrete types keeps cliutil free of

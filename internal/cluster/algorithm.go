@@ -8,7 +8,7 @@ type Algorithm int
 
 const (
 	// AlgoAuto (the default) picks per run: the nearest-pair scan up
-	// to AutoThreshold points, NN-chain above it. Small suites keep
+	// to autoThreshold points, NN-chain above it. Small suites keep
 	// the historical scan output byte-for-byte — SOM grid positions
 	// produce many tied merge heights, and with ties the two
 	// algorithms build equivalent but not identical trees — while
@@ -18,20 +18,20 @@ const (
 	// path every fast path is proven against.
 	AlgoScan
 	// AlgoNNChain forces the O(n²) nearest-neighbour-chain algorithm,
-	// exact for all four (reducible) linkages; see NNChainDendrogram.
+	// exact for all four (reducible) linkages; see nnchain.go.
 	AlgoNNChain
 )
 
-// DefaultAutoThreshold is the point count above which AlgoAuto
+// autoThreshold is the point count above which AlgoAuto
 // switches from the scan to NN-chain. Below it the scan finishes in
 // well under a millisecond, so nothing is gained by switching — and
 // staying put keeps historical outputs (first-minimal tie-breaks on
 // tied merge heights, common with integer SOM grid coordinates)
 // byte-identical. Above it the scan's O(n³) grows two orders of
 // magnitude per decade of n while NN-chain grows one.
-const DefaultAutoThreshold = 128
+const autoThreshold = 128
 
-// String returns the algorithm's flag spelling.
+// String returns the algorithm's name.
 func (a Algorithm) String() string {
 	switch a {
 	case AlgoAuto:
@@ -45,20 +45,6 @@ func (a Algorithm) String() string {
 	}
 }
 
-// ParseAlgorithm maps a -linkage-algo flag value to an Algorithm.
-func ParseAlgorithm(s string) (Algorithm, error) {
-	switch s {
-	case "auto":
-		return AlgoAuto, nil
-	case "scan":
-		return AlgoScan, nil
-	case "nnchain":
-		return AlgoNNChain, nil
-	default:
-		return 0, fmt.Errorf("unknown linkage algorithm %q (want auto, scan or nnchain)", s)
-	}
-}
-
 // effectiveAlgorithm resolves the Options' algorithm selection for a
 // run over n points, collapsing AlgoAuto to a concrete path.
 func (o Options) effectiveAlgorithm(n int) (Algorithm, error) {
@@ -66,11 +52,7 @@ func (o Options) effectiveAlgorithm(n int) (Algorithm, error) {
 	case AlgoScan, AlgoNNChain:
 		return o.Algorithm, nil
 	case AlgoAuto:
-		threshold := o.AutoThreshold
-		if threshold <= 0 {
-			threshold = DefaultAutoThreshold
-		}
-		if n > threshold {
+		if n > autoThreshold {
 			return AlgoNNChain, nil
 		}
 		return AlgoScan, nil

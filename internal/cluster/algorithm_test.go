@@ -1,34 +1,11 @@
 package cluster
 
 import (
-	"strings"
 	"testing"
 
 	"hmeans/internal/rng"
 	"hmeans/internal/vecmath"
 )
-
-func TestParseAlgorithm(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Algorithm
-	}{
-		{"auto", AlgoAuto},
-		{"scan", AlgoScan},
-		{"nnchain", AlgoNNChain},
-	} {
-		got, err := ParseAlgorithm(tc.in)
-		if err != nil || got != tc.want {
-			t.Fatalf("ParseAlgorithm(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
-		}
-		if got.String() != tc.in {
-			t.Fatalf("%v.String() = %q, want %q", got, got.String(), tc.in)
-		}
-	}
-	if _, err := ParseAlgorithm("fast"); err == nil || !strings.Contains(err.Error(), "fast") {
-		t.Fatalf("ParseAlgorithm(fast) err = %v, want unknown-value error naming it", err)
-	}
-}
 
 func TestEffectiveAlgorithm(t *testing.T) {
 	for _, tc := range []struct {
@@ -36,10 +13,8 @@ func TestEffectiveAlgorithm(t *testing.T) {
 		n    int
 		want Algorithm
 	}{
-		{Options{}, DefaultAutoThreshold, AlgoScan},
-		{Options{}, DefaultAutoThreshold + 1, AlgoNNChain},
-		{Options{AutoThreshold: 10}, 11, AlgoNNChain},
-		{Options{AutoThreshold: 10}, 10, AlgoScan},
+		{Options{}, autoThreshold, AlgoScan},
+		{Options{}, autoThreshold + 1, AlgoNNChain},
 		{Options{Algorithm: AlgoScan}, 100000, AlgoScan},
 		{Options{Algorithm: AlgoNNChain}, 2, AlgoNNChain},
 	} {
@@ -108,7 +83,7 @@ func TestScanChainMergeIdentity(t *testing.T) {
 // the threshold the auto result must equal the forced NN-chain result,
 // and at or below it the forced scan result.
 func TestAutoSwitchesToChain(t *testing.T) {
-	pts := randomPoints(DefaultAutoThreshold+10, 3, 7)
+	pts := randomPoints(autoThreshold+10, 3, 7)
 	auto, err := NewDendrogramOpts(pts, vecmath.Euclidean, Complete, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -161,46 +136,15 @@ func TestMergeUpdateCondensedMatchesReference(t *testing.T) {
 			for _, ab := range [][2]int{{3, 17}, {17, 3}, {0, n - 1}, {11, 12}} {
 				a, b := ab[0], ab[1]
 				active[a], active[b] = true, true
-				ref := base.Clone()
+				ref := cloneCondensed(base)
 				l.mergeUpdate(ref, active, size, a, b)
-				fast := base.Clone()
+				fast := cloneCondensed(base)
 				mergeUpdateCondensed(l, fast, active, size, a, b)
 				for s, v := range fast.Data() {
 					if v != ref.Data()[s] {
 						t.Fatalf("%v seed %d merge (%d,%d): slot %d = %v, want %v",
 							l, seed, a, b, s, v, ref.Data()[s])
 					}
-				}
-			}
-		}
-	}
-}
-
-// TestNNChainCondensed32MatchesFloat64 checks the opt-in float32
-// chain against the float64 tree on well-separated Gaussian points:
-// the ~2⁻²⁴ storage rounding must not reorder any merges, so the
-// topology (ids, sizes) is identical and every height is within the
-// documented relative bound of the float64 height.
-func TestNNChainCondensed32MatchesFloat64(t *testing.T) {
-	for seed := uint64(1); seed <= 3; seed++ {
-		pts := randomPoints(150, 3, seed)
-		for _, l := range []Linkage{Complete, Single, Average, Ward} {
-			d64, err := NNChainFromCondensed(vecmath.CondensedDistanceMatrix(vecmath.Euclidean, pts), l)
-			if err != nil {
-				t.Fatal(err)
-			}
-			d32, err := NNChainFromCondensed32(vecmath.Condensed32DistanceMatrix(vecmath.Euclidean, pts), l)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, m64 := range d64.Merges() {
-				m32 := d32.Merges()[i]
-				if m32.A != m64.A || m32.B != m64.B || m32.Size != m64.Size {
-					t.Fatalf("%v seed %d: merge %d topology %+v, want %+v", l, seed, i, m32, m64)
-				}
-				if diff := m32.Distance - m64.Distance; diff > 1e-5*m64.Distance || diff < -1e-5*m64.Distance {
-					t.Fatalf("%v seed %d: merge %d height %v, want %v within 1e-5 rel",
-						l, seed, i, m32.Distance, m64.Distance)
 				}
 			}
 		}

@@ -2,10 +2,8 @@ package cluster
 
 import (
 	"math"
-	"sync/atomic"
 	"testing"
 
-	"hmeans/internal/par"
 	"hmeans/internal/rng"
 	"hmeans/internal/vecmath"
 )
@@ -17,7 +15,7 @@ import (
 // short of exhausting it.
 func TestNNChainStepAllocationFree(t *testing.T) {
 	pts := randomPoints(200, 3, 11)
-	cm := vecmath.CondensedDistanceMatrix(vecmath.Euclidean, pts)
+	cm := vecmath.CondensedDistanceMatrixP(vecmath.Euclidean, pts, 1)
 	st := newNNChainState(cm, Complete)
 	// A full run takes at least 2(n-1) steps (every merge needs at
 	// least one chain extension), so 101 measured steps cannot finish
@@ -31,11 +29,12 @@ func TestNNChainStepAllocationFree(t *testing.T) {
 }
 
 // TestMergeUpdateAllocationFree pins the shared Lance–Williams update
-// pass at zero allocations for every linkage.
+// pass (mergeUpdateCondensed, run by both agglomeration algorithms) at
+// zero allocations for every linkage.
 func TestMergeUpdateAllocationFree(t *testing.T) {
 	pts := randomPoints(64, 3, 12)
 	for _, l := range []Linkage{Complete, Single, Average, Ward} {
-		w := vecmath.CondensedDistanceMatrix(vecmath.Euclidean, pts)
+		w := vecmath.CondensedDistanceMatrixP(vecmath.Euclidean, pts, 1)
 		active := make([]bool, 64)
 		size := make([]int, 64)
 		for i := range active {
@@ -43,9 +42,9 @@ func TestMergeUpdateAllocationFree(t *testing.T) {
 			size[i] = 1
 		}
 		if avg := testing.AllocsPerRun(100, func() {
-			l.mergeUpdate(w, active, size, 3, 17)
+			mergeUpdateCondensed(l, w, active, size, 3, 17)
 		}); avg != 0 {
-			t.Errorf("%v mergeUpdate: %v allocs/op, want 0", l, avg)
+			t.Errorf("%v mergeUpdateCondensed: %v allocs/op, want 0", l, avg)
 		}
 	}
 }
@@ -53,29 +52,26 @@ func TestMergeUpdateAllocationFree(t *testing.T) {
 // referenceKMeansOnce is the pre-refactor Lloyd iteration, kept here
 // verbatim as the oracle: per-iteration accumulator allocation and
 // the allocating Scale centroid update.
-func referenceKMeansOnce(points []vecmath.Vector, k int, r *rng.Source, workers int) KMeansResult {
+func referenceKMeansOnce(points []vecmath.Vector, k int, r *rng.Source) KMeansResult {
 	centroids := seedPlusPlus(points, k, r)
 	labels := make([]int, len(points))
 	const maxIter = 200
 	var iter int
 	for iter = 0; iter < maxIter; iter++ {
-		var changed atomic.Bool
-		par.For(workers, len(points), func(start, end int) {
-			for i := start; i < end; i++ {
-				p := points[i]
-				bestLabel, bestDist := 0, math.Inf(1)
-				for c, ct := range centroids {
-					if d := vecmath.SquaredEuclidean(p, ct); d < bestDist {
-						bestLabel, bestDist = c, d
-					}
-				}
-				if labels[i] != bestLabel {
-					labels[i] = bestLabel
-					changed.Store(true)
+		changed := false
+		for i, p := range points {
+			bestLabel, bestDist := 0, math.Inf(1)
+			for c, ct := range centroids {
+				if d := vecmath.SquaredEuclidean(p, ct); d < bestDist {
+					bestLabel, bestDist = c, d
 				}
 			}
-		})
-		if !changed.Load() && iter > 0 {
+			if labels[i] != bestLabel {
+				labels[i] = bestLabel
+				changed = true
+			}
+		}
+		if !changed && iter > 0 {
 			break
 		}
 		counts := make([]int, k)
@@ -108,84 +104,33 @@ func referenceKMeansOnce(points []vecmath.Vector, k int, r *rng.Source, workers 
 // TestKMeansInPlaceCentroidsIdentical proves the in-place centroid
 // update (flat accumulator arena, AddInPlace, copy+ScaleInPlace)
 // reproduces the allocating implementation bit for bit: same
-// centroids, labels, inertia and iteration count for every seed and
-// worker count tried.
+// centroids, labels, inertia and iteration count for every seed
+// tried.
 func TestKMeansInPlaceCentroidsIdentical(t *testing.T) {
 	for _, n := range []int{13, 120} {
 		pts := randomPoints(n, 4, uint64(n))
 		for seed := uint64(1); seed <= 5; seed++ {
-			for _, workers := range []int{1, 2, 8} {
-				got := kmeansOnce(pts, 5, rng.New(seed), workers)
-				want := referenceKMeansOnce(pts, 5, rng.New(seed), workers)
-				if got.Iterations != want.Iterations {
-					t.Fatalf("n=%d seed=%d workers=%d: iterations %d != %d",
-						n, seed, workers, got.Iterations, want.Iterations)
-				}
-				if got.Inertia != want.Inertia {
-					t.Fatalf("n=%d seed=%d workers=%d: inertia %v != %v",
-						n, seed, workers, got.Inertia, want.Inertia)
-				}
-				for c := range want.Centroids {
-					for j := range want.Centroids[c] {
-						if got.Centroids[c][j] != want.Centroids[c][j] {
-							t.Fatalf("n=%d seed=%d workers=%d: centroid %d[%d] %v != %v",
-								n, seed, workers, c, j, got.Centroids[c][j], want.Centroids[c][j])
-						}
-					}
-				}
-				for i := range want.Assignment.Labels {
-					if got.Assignment.Labels[i] != want.Assignment.Labels[i] {
-						t.Fatalf("n=%d seed=%d workers=%d: label %d differs", n, seed, workers, i)
+			got := kmeansOnce(pts, 5, rng.New(seed))
+			want := referenceKMeansOnce(pts, 5, rng.New(seed))
+			if got.Iterations != want.Iterations {
+				t.Fatalf("n=%d seed=%d: iterations %d != %d", n, seed, got.Iterations, want.Iterations)
+			}
+			if got.Inertia != want.Inertia {
+				t.Fatalf("n=%d seed=%d: inertia %v != %v", n, seed, got.Inertia, want.Inertia)
+			}
+			for c := range want.Centroids {
+				for j := range want.Centroids[c] {
+					if got.Centroids[c][j] != want.Centroids[c][j] {
+						t.Fatalf("n=%d seed=%d: centroid %d[%d] %v != %v",
+							n, seed, c, j, got.Centroids[c][j], want.Centroids[c][j])
 					}
 				}
 			}
-		}
-	}
-}
-
-// TestCondensedLinkageMatchesDense proves the condensed-native
-// agglomeration and NN-chain produce merge sequences identical to the
-// dense entry points for every linkage.
-func TestCondensedLinkageMatchesDense(t *testing.T) {
-	pts := randomPoints(60, 2, 21)
-	dm := vecmath.DistanceMatrix(vecmath.Euclidean, pts)
-	cm := vecmath.CondensedDistanceMatrix(vecmath.Euclidean, pts)
-	for _, l := range []Linkage{Complete, Single, Average, Ward} {
-		dense, err := FromDistanceMatrix(dm, l)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cond, err := FromCondensed(cm, l)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(dense.Merges()) != len(cond.Merges()) {
-			t.Fatalf("%v: merge count mismatch", l)
-		}
-		for i, m := range dense.Merges() {
-			if cond.Merges()[i] != m {
-				t.Fatalf("%v: merge %d: dense %+v != condensed %+v", l, i, m, cond.Merges()[i])
+			for i := range want.Assignment.Labels {
+				if got.Assignment.Labels[i] != want.Assignment.Labels[i] {
+					t.Fatalf("n=%d seed=%d: label %d differs", n, seed, i)
+				}
 			}
-		}
-		dChain, err := NNChainFromDistanceMatrix(dm, l)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cChain, err := NNChainFromCondensed(cm, l)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, m := range dChain.Merges() {
-			if cChain.Merges()[i] != m {
-				t.Fatalf("%v: NN-chain merge %d differs between dense and condensed", l, i)
-			}
-		}
-	}
-	// The public condensed entry points must not mutate their input.
-	want := vecmath.CondensedDistanceMatrix(vecmath.Euclidean, pts)
-	for i, v := range cm.Data() {
-		if want.Data()[i] != v {
-			t.Fatalf("condensed input was mutated at offset %d", i)
 		}
 	}
 }

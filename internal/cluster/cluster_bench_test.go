@@ -18,7 +18,7 @@ func BenchmarkDendrogramSuiteScale(b *testing.B) {
 		b.Run(l.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := NewDendrogram(pts, vecmath.Euclidean, l); err != nil {
+				if _, err := NewDendrogramOpts(pts, vecmath.Euclidean, l, Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -33,7 +33,7 @@ func BenchmarkDendrogramLarge(b *testing.B) {
 	pts := randomPoints(200, 4, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := NewDendrogram(pts, vecmath.Euclidean, Complete); err != nil {
+		if _, err := NewDendrogramOpts(pts, vecmath.Euclidean, Complete, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -55,7 +55,7 @@ func BenchmarkDendrogramSerialVsParallel(b *testing.B) {
 			b.Run(fmt.Sprintf("n=%d/%s", n, arm.name), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := NewDendrogramP(pts, vecmath.Euclidean, Complete, arm.workers); err != nil {
+					if _, err := NewDendrogramOpts(pts, vecmath.Euclidean, Complete, Options{Workers: arm.workers}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -64,30 +64,10 @@ func BenchmarkDendrogramSerialVsParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkKMeansSerialVsParallel compares the Lloyd assignment step
-// at 1 worker against the full machine on a large point set.
-func BenchmarkKMeansSerialVsParallel(b *testing.B) {
-	b.ReportAllocs()
-	pts := randomPoints(1000, 8, 17)
-	for _, arm := range []struct {
-		name    string
-		workers int
-	}{{"serial", 1}, {"parallel", par.Auto()}} {
-		b.Run(arm.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := KMeansP(pts, 12, 5, 2, arm.workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 func BenchmarkCutK(b *testing.B) {
 	b.ReportAllocs()
 	pts := randomPoints(100, 3, 3)
-	d, err := NewDendrogram(pts, vecmath.Euclidean, Complete)
+	d, err := NewDendrogramOpts(pts, vecmath.Euclidean, Complete, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -103,7 +83,7 @@ func BenchmarkSilhouette(b *testing.B) {
 	b.ReportAllocs()
 	pts := randomPoints(100, 3, 4)
 	dm := vecmath.DistanceMatrix(vecmath.Euclidean, pts)
-	d, err := FromDistanceMatrix(dm, Complete)
+	d, err := NewDendrogramOpts(pts, vecmath.Euclidean, Complete, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -161,8 +141,8 @@ func BenchmarkNewDendrogramSuiteScale(b *testing.B) {
 	}
 }
 
-// benchLargeEnv is the opt-in switch for the long benchmarks below:
-// they run only under `make bench-large`, never in CI or `make bench`
+// benchLargeEnv is the opt-in switch for the long benchmark below: it
+// runs only under `make bench-large`, never in CI or `make bench`
 // (which runs every non-gated benchmark at -benchtime=1x).
 const benchLargeEnv = "HMEANS_BENCH_LARGE"
 
@@ -183,26 +163,6 @@ func BenchmarkNewDendrogramScanLarge(b *testing.B) {
 	}
 }
 
-// BenchmarkNewDendrogramHundredK is the interactive-scale headline:
-// n=100000 through the fastest stack — tiled float32 condensed build
-// (the full float64 working matrix would be 40 GB; float32 halves it)
-// into the NN-chain, which consumes the matrix in place rather than
-// cloning it. Wall-clock for one pass is recorded in EXPERIMENTS.md.
-func BenchmarkNewDendrogramHundredK(b *testing.B) {
-	if os.Getenv(benchLargeEnv) == "" {
-		b.Skipf("set %s=1 (make bench-large) to run the n=100000 benchmark", benchLargeEnv)
-	}
-	b.ReportAllocs()
-	pts := simbench.SyntheticSpec{N: 100000, Dims: 3, Clusters: 32, Seed: 1}.Points()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cm := vecmath.Condensed32DistanceMatrixP(vecmath.Euclidean, pts, par.Auto())
-		if _, err := NNChainFromCondensed32(cm, Complete); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkNewDendrogramLarge is the gate's production-scale arm:
 // 200 points, where the condensed layout's halved working set and
 // single-allocation working matrix dominate.
@@ -211,7 +171,7 @@ func BenchmarkNewDendrogramLarge(b *testing.B) {
 	pts := randomPoints(200, 4, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := NewDendrogram(pts, vecmath.Euclidean, Complete); err != nil {
+		if _, err := NewDendrogramOpts(pts, vecmath.Euclidean, Complete, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -20,7 +20,7 @@ func identicalPoints(n int) []vecmath.Vector {
 }
 
 func TestCutKDegenerateRequests(t *testing.T) {
-	d, err := NewDendrogram(identicalPoints(5), vecmath.Euclidean, Complete)
+	d, err := NewDendrogramOpts(identicalPoints(5), vecmath.Euclidean, Complete, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestCutKDegenerateRequests(t *testing.T) {
 }
 
 func TestSinglePointDendrogramDegenerates(t *testing.T) {
-	d, err := NewDendrogram(identicalPoints(1), vecmath.Euclidean, Complete)
+	d, err := NewDendrogramOpts(identicalPoints(1), vecmath.Euclidean, Complete, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestSinglePointDendrogramDegenerates(t *testing.T) {
 }
 
 func TestCutsByKEmptyRangeTyped(t *testing.T) {
-	d, err := NewDendrogram(identicalPoints(4), vecmath.Euclidean, Complete)
+	d, err := NewDendrogramOpts(identicalPoints(4), vecmath.Euclidean, Complete, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestCutsByKEmptyRangeTyped(t *testing.T) {
 
 func TestAllIdenticalPointsStayFinite(t *testing.T) {
 	pts := identicalPoints(6)
-	d, err := NewDendrogram(pts, vecmath.Euclidean, Complete)
+	d, err := NewDendrogramOpts(pts, vecmath.Euclidean, Complete, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 func validDendrogramJSON(tb testing.TB) string {
 	tb.Helper()
 	pts := []vecmath.Vector{{0, 0}, {0, 1}, {4, 4}, {4, 5}, {9, 0}}
-	d, err := NewDendrogram(pts, vecmath.Euclidean, Complete)
+	d, err := NewDendrogramOpts(pts, vecmath.Euclidean, Complete, Options{})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -37,24 +37,6 @@ type Dendrogram struct {
 	merges  []Merge
 }
 
-// NewDendrogram runs bottom-up agglomerative clustering over the
-// given points under metric m and the selected linkage, following the
-// paper's algorithm: start with singleton clusters, repeatedly merge
-// the closest pair until one cluster remains.
-func NewDendrogram(points []vecmath.Vector, m vecmath.Metric, l Linkage) (*Dendrogram, error) {
-	return NewDendrogramP(points, m, l, 1)
-}
-
-// NewDendrogramP is NewDendrogram with the distance-matrix build and
-// every nearest-pair scan sharded across `workers` goroutines. The
-// merge sequence is bit-identical to the serial path for any worker
-// count: distances are pure per-pair functions, and the scan
-// reduction preserves the serial tie-break (first minimal pair in
-// row-major order).
-func NewDendrogramP(points []vecmath.Vector, m vecmath.Metric, l Linkage, workers int) (*Dendrogram, error) {
-	return NewDendrogramOpts(points, m, l, Options{Workers: workers})
-}
-
 // Options bundles the optional knobs of dendrogram construction.
 type Options struct {
 	// Workers is the goroutine count for the matrix build and the
@@ -70,31 +52,30 @@ type Options struct {
 	// Obs receives a cluster.linkage span and the merge-distance
 	// histogram. Nil falls back to the process-default observer.
 	Obs *obs.Observer
-	// MergeEvents additionally emits one cluster.merge event per
-	// agglomeration step. That is O(n) events per clustering — cheap
-	// for benchmark suites, noisy for thousands of points — so it is
-	// off unless requested (Observer.Detail is the conventional
-	// source).
-	MergeEvents bool
 	// Algorithm selects the agglomeration strategy. The default
 	// AlgoAuto runs the historical O(n³) nearest-pair scan up to
-	// AutoThreshold points and the O(n²) NN-chain above it; AlgoScan
+	// autoThreshold points and the O(n²) NN-chain above it; AlgoScan
 	// and AlgoNNChain force one path. The two algorithms produce
 	// identical merge sequences whenever pairwise merge heights are
 	// distinct; with ties (common for integer SOM grid positions) they
 	// build equivalent trees — same height multiset, possibly
-	// different ids — which is why auto keeps small suites on the
-	// scan's historical output.
+	// different ids — that can cut differently, which is why auto
+	// keeps small suites on the scan's historical output.
 	Algorithm Algorithm
-	// AutoThreshold overrides the point count above which AlgoAuto
-	// switches to NN-chain; <= 0 means DefaultAutoThreshold.
-	AutoThreshold int
 }
 
-// NewDendrogramOpts is NewDendrogram with explicit Options. The
-// pairwise distances are built directly in condensed (upper-triangle)
-// form — n(n−1)/2 floats instead of n² — and the agglomeration runs
-// natively on that layout; no dense matrix is ever materialized.
+// NewDendrogramOpts runs bottom-up agglomerative clustering over the
+// given points under metric m and the selected linkage, following the
+// paper's algorithm: start with singleton clusters, repeatedly merge
+// the closest pair until one cluster remains. The pairwise distances
+// are built directly in condensed (upper-triangle) form — n(n−1)/2
+// floats instead of n² — and the agglomeration runs natively on that
+// layout; no dense matrix is ever materialized. The distance build and
+// every nearest-pair scan shard across opt.Workers goroutines; the
+// merge sequence is bit-identical for any worker count, because
+// distances are pure per-pair functions and the scan reduction
+// preserves the serial tie-break (first minimal pair in row-major
+// order).
 func NewDendrogramOpts(points []vecmath.Vector, m vecmath.Metric, l Linkage, opt Options) (*Dendrogram, error) {
 	if len(points) == 0 {
 		return nil, ErrNoPoints
@@ -107,17 +88,7 @@ func NewDendrogramOpts(points []vecmath.Vector, m vecmath.Metric, l Linkage, opt
 	if err != nil {
 		return nil, fmt.Errorf("cluster: distance matrix: %w", err)
 	}
-	// The freshly built matrix is ours: hand it over as the working
-	// matrix instead of cloning it.
-	return fromCondensed(cm, l, opt, true)
-}
-
-// FromDistanceMatrix clusters from a precomputed symmetric distance
-// matrix. Ward linkage interprets the entries as Euclidean distances
-// (they are squared internally and merge heights are reported back on
-// the original scale).
-func FromDistanceMatrix(dm *vecmath.Matrix, l Linkage) (*Dendrogram, error) {
-	return FromDistanceMatrixP(dm, l, 1)
+	return fromCondensed(cm, l, opt)
 }
 
 // pairCand is one worker's best merge candidate from a nearest-pair
@@ -127,72 +98,17 @@ type pairCand struct {
 	d    float64
 }
 
-// FromDistanceMatrixP is FromDistanceMatrix with every nearest-pair
-// scan sharded across `workers` goroutines; see NewDendrogramP for
-// the determinism argument.
-func FromDistanceMatrixP(dm *vecmath.Matrix, l Linkage, workers int) (*Dendrogram, error) {
-	return FromDistanceMatrixOpts(dm, l, Options{Workers: workers})
-}
-
-// FromDistanceMatrixOpts is FromDistanceMatrix with explicit
-// Options. It is a thin adapter: the dense matrix is checked for
-// shape and symmetry, condensed to upper-triangle form, and handed to
-// the condensed-native agglomeration.
-func FromDistanceMatrixOpts(dm *vecmath.Matrix, l Linkage, opt Options) (*Dendrogram, error) {
-	cm, err := condenseChecked(dm)
-	if err != nil {
-		return nil, err
-	}
-	// The condensed copy is private to this call, so the agglomeration
-	// may consume it as its working matrix.
-	return fromCondensed(cm, l, opt, true)
-}
-
-// FromCondensed clusters from a precomputed condensed distance
-// matrix; see FromCondensedOpts.
-func FromCondensed(cm *vecmath.CondensedMatrix, l Linkage) (*Dendrogram, error) {
-	return FromCondensedOpts(cm, l, Options{})
-}
-
-// FromCondensedOpts clusters from a precomputed condensed (strict
-// upper-triangle) distance matrix — the agglomeration's native
-// layout: half the memory of the dense form, contiguous row tails for
-// the nearest-pair scans, and a single shared slot per symmetric pair
-// so Lance–Williams updates write once. Ward linkage interprets the
-// entries as Euclidean distances exactly as FromDistanceMatrix does.
-// The input matrix is not modified.
-func FromCondensedOpts(cm *vecmath.CondensedMatrix, l Linkage, opt Options) (*Dendrogram, error) {
-	return fromCondensed(cm, l, opt, false)
-}
-
-// condenseChecked validates a dense distance matrix (shape, symmetry,
-// diagonal entries — the off-diagonals are validated by the condensed
-// agglomeration itself) and condenses it.
-func condenseChecked(dm *vecmath.Matrix) (*vecmath.CondensedMatrix, error) {
-	n := dm.Rows()
-	if n == 0 || dm.Cols() != n {
-		return nil, fmt.Errorf("cluster: distance matrix must be square and non-empty, got %dx%d", dm.Rows(), dm.Cols())
-	}
-	if !dm.IsSymmetric(1e-9) {
-		return nil, errors.New("cluster: distance matrix is not symmetric")
-	}
-	for i := 0; i < n; i++ {
-		if v := dm.At(i, i); v < 0 || math.IsNaN(v) {
-			return nil, fmt.Errorf("cluster: invalid distance %v at (%d,%d)", v, i, i)
-		}
-	}
-	return vecmath.CondensedFromDense(dm)
-}
-
-// fromCondensed is the agglomeration core. When owned is true the
-// input matrix becomes the working matrix directly (the caller
-// guarantees nothing else holds it); otherwise it is cloned first.
-func fromCondensed(cm *vecmath.CondensedMatrix, l Linkage, opt Options, owned bool) (*Dendrogram, error) {
+// fromCondensed is the agglomeration core. The input matrix becomes
+// the working matrix and is consumed: Ward squares it in place and
+// every merge overwrites it. Ward linkage interprets the entries as
+// Euclidean distances (they are squared internally and merge heights
+// are reported back on the original scale).
+func fromCondensed(w *vecmath.CondensedMatrix, l Linkage, opt Options) (*Dendrogram, error) {
 	ctx := opt.Ctx
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	n := cm.N()
+	n := w.N()
 	d := &Dendrogram{n: n, linkage: l, merges: make([]Merge, 0, n-1)}
 	if n == 1 {
 		return d, nil
@@ -212,18 +128,18 @@ func fromCondensed(cm *vecmath.CondensedMatrix, l Linkage, opt Options, owned bo
 		mergeHist = o.Metrics().Histogram("cluster.merge_distance", 0.25, 0.5, 1, 2, 4, 8, 16)
 		o.Metrics().Counter("cluster.linkage.runs").Add(1)
 	}
-	mergeEvents := opt.MergeEvents || o.Detail()
+	// One cluster.merge event per agglomeration step is O(n) events
+	// per clustering — cheap for benchmark suites, noisy for
+	// thousands of points — so it rides on the observer's detail
+	// toggle.
+	mergeEvents := o.Detail()
 
-	// Working pairwise distances between *active* clusters, indexed by
-	// slot in [0, n); slot i initially holds leaf i. After a merge the
-	// merged cluster reuses the lower slot and the higher slot is
-	// deactivated. Row tails validate independently, so the
-	// validation/Ward-squaring pass shards cleanly; rowErr collects at
-	// most one error per row.
-	w := cm
-	if !owned {
-		w = cm.Clone()
-	}
+	// w holds the working pairwise distances between *active*
+	// clusters, indexed by slot in [0, n); slot i initially holds leaf
+	// i. After a merge the merged cluster reuses the lower slot and
+	// the higher slot is deactivated. Row tails validate
+	// independently, so the validation/Ward-squaring pass shards
+	// cleanly; rowErr collects at most one error per row.
 	rowErr := make([]error, n)
 	if err := par.ForCtx(ctx, workers, n-1, func(start, end int) {
 		for i := start; i < end; i++ {

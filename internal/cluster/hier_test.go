@@ -17,7 +17,7 @@ func fourPoints() []vecmath.Vector {
 }
 
 func TestDendrogramBasics(t *testing.T) {
-	d, err := NewDendrogram(fourPoints(), vecmath.Euclidean, Complete)
+	d, err := NewDendrogramOpts(fourPoints(), vecmath.Euclidean, Complete, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestDendrogramBasics(t *testing.T) {
 }
 
 func TestSingleLinkageFinalMerge(t *testing.T) {
-	d, err := NewDendrogram(fourPoints(), vecmath.Euclidean, Single)
+	d, err := NewDendrogramOpts(fourPoints(), vecmath.Euclidean, Single, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestSingleLinkageFinalMerge(t *testing.T) {
 }
 
 func TestAverageLinkageFinalMerge(t *testing.T) {
-	d, err := NewDendrogram(fourPoints(), vecmath.Euclidean, Average)
+	d, err := NewDendrogramOpts(fourPoints(), vecmath.Euclidean, Average, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,25 +69,16 @@ func TestAverageLinkageFinalMerge(t *testing.T) {
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 func TestErrors(t *testing.T) {
-	if _, err := NewDendrogram(nil, vecmath.Euclidean, Complete); !errors.Is(err, ErrNoPoints) {
+	if _, err := NewDendrogramOpts(nil, vecmath.Euclidean, Complete, Options{}); !errors.Is(err, ErrNoPoints) {
 		t.Error("empty input accepted")
 	}
-	bad := vecmath.NewMatrix(2, 3)
-	if _, err := FromDistanceMatrix(bad, Complete); err == nil {
-		t.Error("non-square matrix accepted")
-	}
-	asym := vecmath.FromRows([][]float64{{0, 1}, {2, 0}})
-	if _, err := FromDistanceMatrix(asym, Complete); err == nil {
-		t.Error("asymmetric matrix accepted")
-	}
-	neg := vecmath.FromRows([][]float64{{0, -1}, {-1, 0}})
-	if _, err := FromDistanceMatrix(neg, Complete); err == nil {
+	if _, err := fromCondensed(condensedOf(2, -1), Complete, Options{}); err == nil {
 		t.Error("negative distances accepted")
 	}
 }
 
 func TestSinglePoint(t *testing.T) {
-	d, err := NewDendrogram([]vecmath.Vector{{5, 5}}, vecmath.Euclidean, Complete)
+	d, err := NewDendrogramOpts([]vecmath.Vector{{5, 5}}, vecmath.Euclidean, Complete, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +92,7 @@ func TestSinglePoint(t *testing.T) {
 }
 
 func TestCutK(t *testing.T) {
-	d, err := NewDendrogram(fourPoints(), vecmath.Euclidean, Complete)
+	d, err := NewDendrogramOpts(fourPoints(), vecmath.Euclidean, Complete, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +132,7 @@ func TestCutK(t *testing.T) {
 }
 
 func TestCutDistance(t *testing.T) {
-	d, err := NewDendrogram(fourPoints(), vecmath.Euclidean, Complete)
+	d, err := NewDendrogramOpts(fourPoints(), vecmath.Euclidean, Complete, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +159,7 @@ func TestCutDistance(t *testing.T) {
 }
 
 func TestCutsByK(t *testing.T) {
-	d, err := NewDendrogram(fourPoints(), vecmath.Euclidean, Complete)
+	d, err := NewDendrogramOpts(fourPoints(), vecmath.Euclidean, Complete, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +182,7 @@ func TestCutsByK(t *testing.T) {
 }
 
 func TestDistanceForK(t *testing.T) {
-	d, err := NewDendrogram(fourPoints(), vecmath.Euclidean, Complete)
+	d, err := NewDendrogramOpts(fourPoints(), vecmath.Euclidean, Complete, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +204,7 @@ func TestDistanceForK(t *testing.T) {
 }
 
 func TestAssignmentMembersAndSizes(t *testing.T) {
-	d, _ := NewDendrogram(fourPoints(), vecmath.Euclidean, Complete)
+	d, _ := NewDendrogramOpts(fourPoints(), vecmath.Euclidean, Complete, Options{})
 	a, _ := d.CutK(2)
 	mem := a.Members()
 	if len(mem) != 2 || len(mem[0]) != 2 || len(mem[1]) != 2 {
@@ -243,7 +234,7 @@ func TestMergeMonotonicity(t *testing.T) {
 		l := l
 		f := func(seed uint64) bool {
 			pts := randomPoints(int(seed%10)+3, 3, seed)
-			d, err := NewDendrogram(pts, vecmath.Euclidean, l)
+			d, err := NewDendrogramOpts(pts, vecmath.Euclidean, l, Options{})
 			if err != nil {
 				return false
 			}
@@ -267,7 +258,7 @@ func TestCutKProperties(t *testing.T) {
 	f := func(seed uint64, kRaw uint8) bool {
 		n := int(seed%12) + 2
 		pts := randomPoints(n, 2, seed^0x5a5a)
-		d, err := NewDendrogram(pts, vecmath.Euclidean, Complete)
+		d, err := NewDendrogramOpts(pts, vecmath.Euclidean, Complete, Options{})
 		if err != nil {
 			return false
 		}
@@ -300,7 +291,7 @@ func TestCutDistanceConsistentWithCutK(t *testing.T) {
 	f := func(seed uint64) bool {
 		n := int(seed%8) + 3
 		pts := randomPoints(n, 2, seed^0xfeed)
-		d, err := NewDendrogram(pts, vecmath.Euclidean, Complete)
+		d, err := NewDendrogramOpts(pts, vecmath.Euclidean, Complete, Options{})
 		if err != nil {
 			return false
 		}
@@ -332,8 +323,8 @@ func TestCutDistanceConsistentWithCutK(t *testing.T) {
 func TestSingleBelowComplete(t *testing.T) {
 	f := func(seed uint64) bool {
 		pts := randomPoints(int(seed%8)+3, 3, seed^0xbeef)
-		ds, err1 := NewDendrogram(pts, vecmath.Euclidean, Single)
-		dc, err2 := NewDendrogram(pts, vecmath.Euclidean, Complete)
+		ds, err1 := NewDendrogramOpts(pts, vecmath.Euclidean, Single, Options{})
+		dc, err2 := NewDendrogramOpts(pts, vecmath.Euclidean, Complete, Options{})
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -361,7 +352,7 @@ func TestLinkageString(t *testing.T) {
 func TestWardPrefersCompactMerges(t *testing.T) {
 	// Ward on two tight pairs + one outlier: the pairs merge first.
 	pts := []vecmath.Vector{{0, 0}, {0.1, 0}, {5, 5}, {5.1, 5}, {20, 20}}
-	d, err := NewDendrogram(pts, vecmath.Euclidean, Ward)
+	d, err := NewDendrogramOpts(pts, vecmath.Euclidean, Ward, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

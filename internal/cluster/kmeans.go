@@ -4,9 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync/atomic"
 
-	"hmeans/internal/par"
 	"hmeans/internal/rng"
 	"hmeans/internal/vecmath"
 )
@@ -34,16 +32,6 @@ type KMeansResult struct {
 // algorithm restarts from scratch up to `restarts` times (minimum 1)
 // and keeps the lowest-inertia result.
 func KMeans(points []vecmath.Vector, k int, seed uint64, restarts int) (KMeansResult, error) {
-	return KMeansP(points, k, seed, restarts, 1)
-}
-
-// KMeansP is KMeans with the per-iteration assignment step (each
-// point's nearest-centroid search) sharded across `workers`
-// goroutines. Assignments are independent point-local decisions over
-// frozen centroids and the centroid/inertia recomputation stays
-// serial, so the result is bit-identical to KMeans for any worker
-// count.
-func KMeansP(points []vecmath.Vector, k int, seed uint64, restarts, workers int) (KMeansResult, error) {
 	if len(points) == 0 {
 		return KMeansResult{}, ErrNoPoints
 	}
@@ -62,7 +50,7 @@ func KMeansP(points []vecmath.Vector, k int, seed uint64, restarts, workers int)
 	r := rng.New(seed)
 	best := KMeansResult{Inertia: math.Inf(1)}
 	for attempt := 0; attempt < restarts; attempt++ {
-		res := kmeansOnce(points, k, r, workers)
+		res := kmeansOnce(points, k, r)
 		if res.Inertia < best.Inertia {
 			best = res
 		}
@@ -71,24 +59,24 @@ func KMeansP(points []vecmath.Vector, k int, seed uint64, restarts, workers int)
 	return best, nil
 }
 
-func kmeansOnce(points []vecmath.Vector, k int, r *rng.Source, workers int) KMeansResult {
+func kmeansOnce(points []vecmath.Vector, k int, r *rng.Source) KMeansResult {
 	centroids := seedPlusPlus(points, k, r)
 	labels := make([]int, len(points))
 	dim := len(points[0])
 	// The centroid-update accumulators are allocated once (the sum
 	// vectors as views into one flat arena) and zeroed per iteration,
-	// so a Lloyd iteration allocates nothing. The assignment-step
-	// closure is likewise bound once and reused.
+	// so a Lloyd iteration allocates nothing.
 	counts := make([]int, k)
 	sums := make([]vecmath.Vector, k)
 	sumFlat := make([]float64, k*dim)
 	for c := range sums {
 		sums[c] = vecmath.Vector(sumFlat[c*dim : (c+1)*dim : (c+1)*dim])
 	}
-	var changed atomic.Bool
-	assign := func(start, end int) {
-		for i := start; i < end; i++ {
-			p := points[i]
+	const maxIter = 200
+	var iter int
+	for iter = 0; iter < maxIter; iter++ {
+		changed := false
+		for i, p := range points {
 			bestLabel, bestDist := 0, math.Inf(1)
 			for c, ct := range centroids {
 				if d := vecmath.SquaredEuclidean(p, ct); d < bestDist {
@@ -97,16 +85,10 @@ func kmeansOnce(points []vecmath.Vector, k int, r *rng.Source, workers int) KMea
 			}
 			if labels[i] != bestLabel {
 				labels[i] = bestLabel
-				changed.Store(true)
+				changed = true
 			}
 		}
-	}
-	const maxIter = 200
-	var iter int
-	for iter = 0; iter < maxIter; iter++ {
-		changed.Store(false)
-		par.For(workers, len(points), assign)
-		if !changed.Load() && iter > 0 {
+		if !changed && iter > 0 {
 			break
 		}
 		// Recompute centroids; an emptied cluster keeps its old

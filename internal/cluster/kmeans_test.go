@@ -159,7 +159,7 @@ func TestKMeansMatchesHierarchicalOnCleanData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDendrogram(pts, vecmath.Euclidean, Complete)
+	d, err := NewDendrogramOpts(pts, vecmath.Euclidean, Complete, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

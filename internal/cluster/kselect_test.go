@@ -17,7 +17,7 @@ func threeBlobs() []vecmath.Vector {
 
 func TestDaviesBouldinPrefersTrueK(t *testing.T) {
 	pts := threeBlobs()
-	d, err := NewDendrogram(pts, vecmath.Euclidean, Complete)
+	d, err := NewDendrogramOpts(pts, vecmath.Euclidean, Complete, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestDaviesBouldinCoincidentCentroids(t *testing.T) {
 
 func TestQualitySweepAndRecommendK(t *testing.T) {
 	pts := threeBlobs()
-	d, err := NewDendrogram(pts, vecmath.Euclidean, Complete)
+	d, err := NewDendrogramOpts(pts, vecmath.Euclidean, Complete, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestQualitySweepAndRecommendK(t *testing.T) {
 
 func TestQualitySweepErrors(t *testing.T) {
 	pts := threeBlobs()
-	d, _ := NewDendrogram(pts, vecmath.Euclidean, Complete)
+	d, _ := NewDendrogramOpts(pts, vecmath.Euclidean, Complete, Options{})
 	if _, err := d.QualitySweep(pts[:3], 2, 4); err == nil {
 		t.Error("mismatched points accepted")
 	}

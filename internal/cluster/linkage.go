@@ -77,42 +77,26 @@ func (l Linkage) update(dac, dbc, dab float64, na, nb, nc int) float64 {
 	}
 }
 
-// mergeUpdate applies the Lance–Williams recurrence for the merge of
-// slots a and b in place on a condensed working matrix: for every
-// other active slot k (ascending, matching the historical dense
-// update order) the distance d(a∪b, k) replaces slot (a, k). Because
-// a condensed matrix stores one shared slot per symmetric pair, the
-// single Set updates "both halves" at once and can never leave a
-// stale mirror entry. The pass allocates nothing.
+// mergeUpdateCondensed applies the Lance–Williams recurrence for the
+// merge of slots a and b in place on a condensed working matrix: for
+// every other active slot k, in ascending order, the distance
+// d(a∪b, k) replaces slot (a, k). Because a condensed matrix stores
+// one shared slot per symmetric pair, each write updates "both
+// halves" at once and can never leave a stale mirror entry. The pass
+// allocates nothing.
 //
-// This is the retained reference implementation: the agglomeration
-// paths run mergeUpdateCondensed, which is proven bit-identical to
-// this pass by TestMergeUpdateCondensedMatchesReference.
-func (l Linkage) mergeUpdate(w *vecmath.CondensedMatrix, active []bool, size []int, a, b int) {
-	dab := w.At(a, b)
-	n := w.N()
-	for k := 0; k < n; k++ {
-		if !active[k] || k == a || k == b {
-			continue
-		}
-		w.Set(a, k, l.update(w.At(a, k), w.At(b, k), dab, size[a], size[b], size[k]))
-	}
-}
-
-// mergeUpdateCondensed is mergeUpdate with the condensed addressing
-// done incrementally instead of through Index's per-slot
-// multiply-and-bounds-check. The ascending-k walk splits into three
-// ranges — below both merged slots, between them, above both — and in
-// each range the offsets of pairs (k, a) and (k, b) move by a fixed
-// stride per step: down a column by n−k−2, along a row tail by 1. The
-// update calls, their arguments and their order are exactly the
-// reference pass's, so the float64 instantiation is bit-identical to
-// mergeUpdate; the float32 instantiation widens each operand to
-// float64 for the recurrence and rounds once on store.
-func mergeUpdateCondensed[F vecmath.Float](l Linkage, w *vecmath.Condensed[F], active []bool, size []int, a, b int) {
+// The condensed addressing is done incrementally instead of through
+// Index's per-slot multiply-and-bounds-check. The ascending-k walk
+// splits into three ranges — below both merged slots, between them,
+// above both — and in each range the offsets of pairs (k, a) and
+// (k, b) move by a fixed stride per step: down a column by n−k−2,
+// along a row tail by 1. The update calls, their arguments and their
+// order are exactly those of the At/Set reference pass the tests keep
+// (mergeUpdate), so the two are bit-identical.
+func mergeUpdateCondensed(l Linkage, w *vecmath.CondensedMatrix, active []bool, size []int, a, b int) {
 	data := w.Data()
 	n := w.N()
-	dab := float64(w.At(a, b))
+	dab := w.At(a, b)
 	na, nb := size[a], size[b]
 	lo, hi := a, b
 	if lo > hi {
@@ -124,7 +108,7 @@ func mergeUpdateCondensed[F vecmath.Float](l Linkage, w *vecmath.Condensed[F], a
 		if !aIsLo {
 			sa, sb = kHi, kLo
 		}
-		data[sa] = F(l.update(float64(data[sa]), float64(data[sb]), dab, na, nb, size[k]))
+		data[sa] = l.update(data[sa], data[sb], dab, na, nb, size[k])
 	}
 	// k < lo: both pair slots walk down columns lo and hi of row k.
 	kLo, kHi := lo-1, hi-1 // idx(0, lo), idx(0, hi)

@@ -17,7 +17,7 @@ func TestCutsAreNested(t *testing.T) {
 		f := func(seed uint64) bool {
 			n := int(seed%10) + 3
 			pts := randomPoints(n, 2, seed^0xc0ffee)
-			d, err := NewDendrogram(pts, vecmath.Euclidean, l)
+			d, err := NewDendrogramOpts(pts, vecmath.Euclidean, l, Options{})
 			if err != nil {
 				return false
 			}
@@ -54,7 +54,7 @@ func TestCutsAreNested(t *testing.T) {
 func TestKAtDistanceMonotone(t *testing.T) {
 	f := func(seed uint64) bool {
 		pts := randomPoints(int(seed%8)+3, 2, seed^0xdead)
-		d, err := NewDendrogram(pts, vecmath.Euclidean, Complete)
+		d, err := NewDendrogramOpts(pts, vecmath.Euclidean, Complete, Options{})
 		if err != nil {
 			return false
 		}
@@ -86,7 +86,7 @@ func TestCopheneticShape(t *testing.T) {
 	f := func(seed uint64) bool {
 		n := int(seed%9) + 2
 		pts := randomPoints(n, 3, seed^0xf00d)
-		d, err := NewDendrogram(pts, vecmath.Euclidean, Complete)
+		d, err := NewDendrogramOpts(pts, vecmath.Euclidean, Complete, Options{})
 		if err != nil {
 			return false
 		}

@@ -10,100 +10,19 @@ import (
 	"hmeans/internal/vecmath"
 )
 
-// NNChainDendrogram builds the same dendrogram as FromDistanceMatrix
-// using the nearest-neighbour-chain algorithm: O(n²) time instead of
-// the naive O(n³). It is the default large-n path (see
-// Options.Algorithm); anyone clustering thousands of program phases
-// or basic-block vectors (the scale of the paper's related work)
-// lands here.
+// The nearest-neighbour-chain algorithm builds the same dendrogram as
+// the nearest-pair scan in O(n²) time instead of the scan's O(n³). It
+// is the large-n path of NewDendrogramOpts (see Options.Algorithm);
+// anyone clustering thousands of program phases or basic-block
+// vectors (the scale of the paper's related work) lands here.
 //
 // NN-chain is exact for the *reducible* linkages — complete, single,
 // average and Ward all are: merging two clusters never brings either
 // closer to a third than the nearer of the pair was. The chain may
 // discover merges out of height order, so the merge list is sorted
 // and cluster ids relabelled afterwards, yielding a tree identical to
-// the naive algorithm's whenever the pairwise merge heights are
-// distinct (with ties, an equivalent tree).
-func NNChainDendrogram(points []vecmath.Vector, m vecmath.Metric, l Linkage) (*Dendrogram, error) {
-	if len(points) == 0 {
-		return nil, ErrNoPoints
-	}
-	// Build the distances directly in condensed form and hand them
-	// over as the working matrix.
-	return nnChainFromCondensed(vecmath.CondensedDistanceMatrix(m, points), l, true)
-}
-
-// NNChainFromDistanceMatrix is NNChainDendrogram over a precomputed
-// symmetric distance matrix. Like FromDistanceMatrix it is a thin
-// adapter: the dense matrix is condensed once and the chain runs
-// natively on the condensed layout.
-func NNChainFromDistanceMatrix(dm *vecmath.Matrix, l Linkage) (*Dendrogram, error) {
-	cm, err := condenseChecked(dm)
-	if err != nil {
-		return nil, err
-	}
-	return nnChainFromCondensed(cm, l, true)
-}
-
-// NNChainFromCondensed is NNChainDendrogram over a precomputed
-// condensed distance matrix. The input is not modified.
-func NNChainFromCondensed(cm *vecmath.CondensedMatrix, l Linkage) (*Dendrogram, error) {
-	return nnChainFromCondensed(cm, l, false)
-}
-
-// NNChainFromCondensed32 runs the chain natively on float32 condensed
-// storage — the opt-in half-memory mode for very large n, where the
-// float64 triangle alone would be ~40 GB at n=100k. Distances stay
-// float32 in memory; every Lance–Williams update widens its operands
-// to float64, applies the exact recurrence, and rounds once on store,
-// and merge heights are reported as the widened float32 values. The
-// resulting tree matches the float64 tree wherever the ~2⁻²⁴-relative
-// storage rounding does not reorder two merge heights.
-//
-// Unlike NNChainFromCondensed, the input matrix is CONSUMED as the
-// in-place working matrix — cloning would forfeit exactly the memory
-// the float32 mode exists to save. Callers must not reuse cm.
-func NNChainFromCondensed32(cm *vecmath.Condensed32, l Linkage) (*Dendrogram, error) {
-	return NNChainFromCondensed32Ctx(context.Background(), cm, l)
-}
-
-// NNChainFromCondensed32Ctx is NNChainFromCondensed32 with
-// cooperative cancellation between chain steps.
-func NNChainFromCondensed32Ctx(ctx context.Context, cm *vecmath.Condensed32, l Linkage) (*Dendrogram, error) {
-	n := cm.N()
-	d := &Dendrogram{n: n, linkage: l, merges: make([]Merge, 0, n-1)}
-	if n == 1 {
-		return d, nil
-	}
-	if err := validateSquareRows(cm, l); err != nil {
-		return nil, err
-	}
-	if err := nnChainAgglomerate(ctx, cm, l, d, nil); err != nil {
-		return nil, err
-	}
-	return d, nil
-}
-
-// validateSquareRows is the serial validation (and, for Ward,
-// squaring) pass over a working matrix: distances must be
-// non-negative and not NaN. The float32 square rounds exactly like
-// rounding the float64 product would — a product of two float32
-// values is exact in float64 — so the two instantiations agree.
-func validateSquareRows[F vecmath.Float](w *vecmath.Condensed[F], l Linkage) error {
-	n := w.N()
-	for i := 0; i < n-1; i++ {
-		row := w.RowTail(i)
-		for t, v := range row {
-			if v < 0 || math.IsNaN(float64(v)) {
-				return fmt.Errorf("cluster: invalid distance %v at (%d,%d)", v, i, i+1+t)
-			}
-			if l == Ward {
-				row[t] = v * v
-			}
-		}
-	}
-	return nil
-}
+// the scan's whenever the pairwise merge heights are distinct (with
+// ties, an equivalent tree).
 
 // rawMerge records a merge in slot terms, to be relabelled later.
 type rawMerge struct {
@@ -118,8 +37,8 @@ type rawMerge struct {
 // then runs without any heap allocation: the chain and raw-merge
 // slices are preallocated to their maximum sizes (n and n−1) and the
 // Lance–Williams update writes the condensed matrix in place.
-type nnChainState[F vecmath.Float] struct {
-	w         *vecmath.Condensed[F]
+type nnChainState struct {
+	w         *vecmath.CondensedMatrix
 	l         Linkage
 	n         int
 	active    []bool
@@ -134,9 +53,9 @@ type nnChainState[F vecmath.Float] struct {
 	first int
 }
 
-func newNNChainState[F vecmath.Float](w *vecmath.Condensed[F], l Linkage) *nnChainState[F] {
+func newNNChainState(w *vecmath.CondensedMatrix, l Linkage) *nnChainState {
 	n := w.N()
-	st := &nnChainState[F]{
+	st := &nnChainState{
 		w:         w,
 		l:         l,
 		n:         n,
@@ -165,7 +84,7 @@ func newNNChainState[F vecmath.Float](w *vecmath.Condensed[F], l Linkage) *nnCha
 // column top (stride n−s−2 per step), pairs with s > top run along
 // top's contiguous row tail. Same comparisons in the same order —
 // only the addressing changed.
-func (st *nnChainState[F]) step() {
+func (st *nnChainState) step() {
 	if len(st.chain) == 0 {
 		for !st.active[st.first] {
 			st.first++
@@ -180,7 +99,7 @@ func (st *nnChainState[F]) step() {
 	data := st.w.Data()
 	n := st.n
 	nn := -1
-	best := F(math.Inf(1))
+	best := math.Inf(1)
 	idx := top - 1 // idx(0, top)
 	for s := 0; s < top; s++ {
 		if st.active[s] {
@@ -205,7 +124,7 @@ func (st *nnChainState[F]) step() {
 		st.chain = st.chain[:len(st.chain)-2]
 		a, b := prev, top
 		mergeUpdateCondensed(st.l, st.w, st.active, st.size, a, b)
-		height := float64(best)
+		height := best
 		if st.l == Ward {
 			height = math.Sqrt(height)
 		}
@@ -228,13 +147,13 @@ const nnChainCancelSteps = 256
 // (and, for Ward, squared) working matrix, then relabels the
 // discovered merges into d. progress, when non-nil, receives
 // (mergesDone, totalMerges) at a coarse cadence.
-func nnChainAgglomerate[F vecmath.Float](ctx context.Context, w *vecmath.Condensed[F], l Linkage, d *Dendrogram, progress func(done, total int)) error {
+func nnChainAgglomerate(ctx context.Context, w *vecmath.CondensedMatrix, l Linkage, d *Dendrogram, progress func(done, total int)) error {
 	n := w.N()
 	st := newNNChainState(w, l)
 	progEvery := progressStride(n - 1)
 	steps, reported := 0, 0
 	for st.remaining > 1 {
-		if steps%nnChainCancelSteps == 0 && ctx != nil {
+		if steps%nnChainCancelSteps == 0 {
 			if err := ctx.Err(); err != nil {
 				return fmt.Errorf("cluster: NN-chain cancelled after %d of %d merges: %w", len(st.raws), n-1, err)
 			}
@@ -294,28 +213,4 @@ func relabelMerges(raws []rawMerge, n int, d *Dendrogram) error {
 		nextID++
 	}
 	return nil
-}
-
-// nnChainFromCondensed validates the input and runs the chain. When
-// owned is true the input matrix becomes the working matrix directly;
-// otherwise it is cloned first.
-func nnChainFromCondensed(cm *vecmath.CondensedMatrix, l Linkage, owned bool) (*Dendrogram, error) {
-	n := cm.N()
-	d := &Dendrogram{n: n, linkage: l, merges: make([]Merge, 0, n-1)}
-	if n == 1 {
-		return d, nil
-	}
-	// Working distances between active slots, Ward on squared
-	// distances as in the naive implementation.
-	w := cm
-	if !owned {
-		w = cm.Clone()
-	}
-	if err := validateSquareRows(w, l); err != nil {
-		return nil, err
-	}
-	if err := nnChainAgglomerate(context.Background(), w, l, d, nil); err != nil {
-		return nil, err
-	}
-	return d, nil
 }

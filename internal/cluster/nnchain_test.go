@@ -18,8 +18,8 @@ func TestNNChainMatchesNaiveExactly(t *testing.T) {
 		f := func(seed uint64) bool {
 			n := int(seed%20) + 2
 			pts := randomPoints(n, 3, seed^0xabc)
-			naive, err1 := NewDendrogram(pts, vecmath.Euclidean, l)
-			fast, err2 := NNChainDendrogram(pts, vecmath.Euclidean, l)
+			naive, err1 := NewDendrogramOpts(pts, vecmath.Euclidean, l, Options{Algorithm: AlgoScan})
+			fast, err2 := NewDendrogramOpts(pts, vecmath.Euclidean, l, Options{Algorithm: AlgoNNChain})
 			if err1 != nil || err2 != nil {
 				return false
 			}
@@ -54,7 +54,7 @@ func TestNNChainMatchesNaiveExactly(t *testing.T) {
 }
 
 func TestNNChainKnownInstance(t *testing.T) {
-	d, err := NNChainDendrogram(fourPoints(), vecmath.Euclidean, Complete)
+	d, err := NewDendrogramOpts(fourPoints(), vecmath.Euclidean, Complete, Options{Algorithm: AlgoNNChain})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,24 +71,16 @@ func TestNNChainKnownInstance(t *testing.T) {
 }
 
 func TestNNChainErrors(t *testing.T) {
-	if _, err := NNChainDendrogram(nil, vecmath.Euclidean, Complete); !errors.Is(err, ErrNoPoints) {
+	if _, err := NewDendrogramOpts(nil, vecmath.Euclidean, Complete, Options{Algorithm: AlgoNNChain}); !errors.Is(err, ErrNoPoints) {
 		t.Error("empty input accepted")
 	}
-	if _, err := NNChainFromDistanceMatrix(vecmath.NewMatrix(2, 3), Complete); err == nil {
-		t.Error("non-square matrix accepted")
-	}
-	asym := vecmath.FromRows([][]float64{{0, 1}, {2, 0}})
-	if _, err := NNChainFromDistanceMatrix(asym, Complete); err == nil {
-		t.Error("asymmetric matrix accepted")
-	}
-	neg := vecmath.FromRows([][]float64{{0, -1}, {-1, 0}})
-	if _, err := NNChainFromDistanceMatrix(neg, Complete); err == nil {
+	if _, err := fromCondensed(condensedOf(3, 1, -1, 2), Complete, Options{Algorithm: AlgoNNChain}); err == nil {
 		t.Error("negative distance accepted")
 	}
 }
 
 func TestNNChainSinglePoint(t *testing.T) {
-	d, err := NNChainDendrogram([]vecmath.Vector{{1, 2}}, vecmath.Euclidean, Average)
+	d, err := NewDendrogramOpts([]vecmath.Vector{{1, 2}}, vecmath.Euclidean, Average, Options{Algorithm: AlgoNNChain})
 	if err != nil || d.Len() != 1 || len(d.Merges()) != 0 {
 		t.Fatalf("single point: %v, %v", d, err)
 	}
@@ -97,7 +89,7 @@ func TestNNChainSinglePoint(t *testing.T) {
 func TestNNChainMergesSorted(t *testing.T) {
 	f := func(seed uint64) bool {
 		pts := randomPoints(int(seed%15)+3, 2, seed^0x1234)
-		d, err := NNChainDendrogram(pts, vecmath.Euclidean, Average)
+		d, err := NewDendrogramOpts(pts, vecmath.Euclidean, Average, Options{Algorithm: AlgoNNChain})
 		if err != nil {
 			return false
 		}
@@ -115,11 +107,11 @@ func TestNNChainWithTies(t *testing.T) {
 	// labelling, but every cut must be a valid partition and the
 	// height multiset must match.
 	pts := []vecmath.Vector{{0, 0}, {1, 0}, {1, 1}, {0, 1}}
-	naive, err := NewDendrogram(pts, vecmath.Euclidean, Single)
+	naive, err := NewDendrogramOpts(pts, vecmath.Euclidean, Single, Options{Algorithm: AlgoScan})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := NNChainDendrogram(pts, vecmath.Euclidean, Single)
+	fast, err := NewDendrogramOpts(pts, vecmath.Euclidean, Single, Options{Algorithm: AlgoNNChain})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +137,7 @@ func BenchmarkNNChainVsNaive(b *testing.B) {
 	b.Run("naive-200", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := NewDendrogram(pts, vecmath.Euclidean, Complete); err != nil {
+			if _, err := NewDendrogramOpts(pts, vecmath.Euclidean, Complete, Options{Algorithm: AlgoScan}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -153,7 +145,7 @@ func BenchmarkNNChainVsNaive(b *testing.B) {
 	b.Run("nnchain-200", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := NNChainDendrogram(pts, vecmath.Euclidean, Complete); err != nil {
+			if _, err := NewDendrogramOpts(pts, vecmath.Euclidean, Complete, Options{Algorithm: AlgoNNChain}); err != nil {
 				b.Fatal(err)
 			}
 		}

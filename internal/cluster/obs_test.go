@@ -37,7 +37,7 @@ func TestLinkageSpanAndHistogram(t *testing.T) {
 		t.Fatalf("cluster.linkage spans = %d", spans)
 	}
 	if mergeEvents != 0 {
-		t.Fatalf("merge events leaked without MergeEvents: %d", mergeEvents)
+		t.Fatalf("merge events leaked without detail: %d", mergeEvents)
 	}
 	h := o.Metrics().Histogram("cluster.merge_distance")
 	if int(h.Count()) != len(d.Merges()) {
@@ -52,20 +52,15 @@ func TestLinkageSpanAndHistogram(t *testing.T) {
 	}
 }
 
-// TestMergeEventsGated checks that Options.MergeEvents (and the
-// observer detail toggle) turn on exactly one event per merge,
-// carrying the same heights as the dendrogram.
+// TestMergeEventsGated checks that the observer detail toggle turns
+// on exactly one event per merge, on both algorithms, carrying the
+// same heights as the dendrogram.
 func TestMergeEventsGated(t *testing.T) {
-	for _, via := range []string{"option", "detail"} {
+	for _, algo := range []Algorithm{AlgoScan, AlgoNNChain} {
 		col := obs.NewCollector()
 		o := obs.New(col)
-		opt := Options{Obs: o}
-		if via == "option" {
-			opt.MergeEvents = true
-		} else {
-			o.SetDetail(true)
-		}
-		d, err := NewDendrogramOpts(obsPoints(), vecmath.Euclidean, Complete, opt)
+		o.SetDetail(true)
+		d, err := NewDendrogramOpts(obsPoints(), vecmath.Euclidean, Complete, Options{Obs: o, Algorithm: algo})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,11 +77,11 @@ func TestMergeEventsGated(t *testing.T) {
 		}
 		merges := d.Merges()
 		if len(heights) != len(merges) {
-			t.Fatalf("via %s: merge events = %d, merges = %d", via, len(heights), len(merges))
+			t.Fatalf("%v: merge events = %d, merges = %d", algo, len(heights), len(merges))
 		}
 		for i, m := range merges {
 			if heights[i] != m.Distance {
-				t.Fatalf("via %s: event %d height %v != merge height %v", via, i, heights[i], m.Distance)
+				t.Fatalf("%v: event %d height %v != merge height %v", algo, i, heights[i], m.Distance)
 			}
 		}
 	}
@@ -96,7 +91,7 @@ func TestMergeEventsGated(t *testing.T) {
 // sequence with a live observer (detail on, parallel scan) matches
 // the bare serial run exactly.
 func TestInstrumentationPreservesMerges(t *testing.T) {
-	bare, err := NewDendrogram(obsPoints(), vecmath.Euclidean, Average)
+	bare, err := NewDendrogramOpts(obsPoints(), vecmath.Euclidean, Average, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

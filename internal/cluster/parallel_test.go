@@ -34,12 +34,12 @@ func TestDendrogramParallelDeterminism(t *testing.T) {
 	for _, l := range []Linkage{Complete, Single, Average, Ward} {
 		for seed := uint64(1); seed <= 5; seed++ {
 			pts := tieHeavyPoints(60, seed)
-			serial, err := NewDendrogram(pts, vecmath.Euclidean, l)
+			serial, err := NewDendrogramOpts(pts, vecmath.Euclidean, l, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 2, 8} {
-				got, err := NewDendrogramP(pts, vecmath.Euclidean, l, workers)
+				got, err := NewDendrogramOpts(pts, vecmath.Euclidean, l, Options{Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -52,52 +52,23 @@ func TestDendrogramParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestFromDistanceMatrixParallelValidation keeps the input validation
-// of the sharded matrix build equivalent to the serial path.
-func TestFromDistanceMatrixParallelValidation(t *testing.T) {
-	bad := vecmath.NewMatrix(3, 3)
-	bad.Set(0, 1, -1)
-	bad.Set(1, 0, -1)
+// TestFromCondensedParallelValidation keeps the sharded validation
+// pass of the agglomeration core equivalent to the serial path.
+func TestFromCondensedParallelValidation(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
-		if _, err := FromDistanceMatrixP(bad, Complete, workers); err == nil {
+		if _, err := fromCondensed(condensedOf(3, -1, 0, 0), Complete, Options{Workers: workers}); err == nil {
 			t.Fatalf("workers %d: negative distance accepted", workers)
 		}
-	}
-	nan := vecmath.NewMatrix(2, 2)
-	nan.Set(0, 1, math.NaN())
-	nan.Set(1, 0, math.NaN())
-	for _, workers := range []int{1, 2, 8} {
-		if _, err := FromDistanceMatrixP(nan, Average, workers); err == nil {
+		if _, err := fromCondensed(condensedOf(2, math.NaN()), Average, Options{Workers: workers}); err == nil {
 			t.Fatalf("workers %d: NaN distance accepted", workers)
 		}
 	}
 }
 
-// TestNewDendrogramPEmpty mirrors the serial empty-input contract.
+// TestNewDendrogramPEmpty mirrors the serial empty-input contract with
+// parallel workers.
 func TestNewDendrogramPEmpty(t *testing.T) {
-	if _, err := NewDendrogramP(nil, vecmath.Euclidean, Complete, 4); err != ErrNoPoints {
+	if _, err := NewDendrogramOpts(nil, vecmath.Euclidean, Complete, Options{Workers: 4}); err != ErrNoPoints {
 		t.Fatalf("err = %v, want ErrNoPoints", err)
-	}
-}
-
-// TestKMeansParallelDeterminism asserts KMeansP reproduces KMeans
-// bit-for-bit (labels, centroids, inertia, iteration count) for every
-// worker count.
-func TestKMeansParallelDeterminism(t *testing.T) {
-	for seed := uint64(1); seed <= 5; seed++ {
-		pts := randomPoints(80, 3, seed)
-		serial, err := KMeans(pts, 6, seed, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{1, 2, 8} {
-			got, err := KMeansP(pts, 6, seed, 4, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(serial, got) {
-				t.Fatalf("seed %d workers %d: KMeansP result differs from KMeans", seed, workers)
-			}
-		}
 	}
 }

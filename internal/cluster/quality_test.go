@@ -10,7 +10,7 @@ import (
 func TestSilhouetteWellSeparated(t *testing.T) {
 	pts := []vecmath.Vector{{0}, {0.5}, {10}, {10.5}}
 	dm := vecmath.DistanceMatrix(vecmath.Euclidean, pts)
-	d, _ := FromDistanceMatrix(dm, Complete)
+	d, _ := NewDendrogramOpts(pts, vecmath.Euclidean, Complete, Options{})
 	a, _ := d.CutK(2)
 	s, err := Silhouette(dm, a)
 	if err != nil {
@@ -65,7 +65,7 @@ func TestSilhouetteSingletonsContributeZero(t *testing.T) {
 
 func TestCopheneticDistances(t *testing.T) {
 	pts := []vecmath.Vector{{0}, {1}, {10}, {12}}
-	d, _ := NewDendrogram(pts, vecmath.Euclidean, Complete)
+	d, _ := NewDendrogramOpts(pts, vecmath.Euclidean, Complete, Options{})
 	coph := d.CopheneticDistances()
 	// Pairs in order: (0,1)=1, (0,2)=12, (0,3)=12, (1,2)=12, (1,3)=12, (2,3)=2.
 	want := []float64{1, 12, 12, 12, 12, 2}
@@ -82,7 +82,7 @@ func TestCopheneticDistances(t *testing.T) {
 func TestCopheneticCorrelation(t *testing.T) {
 	pts := []vecmath.Vector{{0}, {1}, {10}, {12}, {30}}
 	dm := vecmath.DistanceMatrix(vecmath.Euclidean, pts)
-	d, _ := FromDistanceMatrix(dm, Average)
+	d, _ := NewDendrogramOpts(pts, vecmath.Euclidean, Average, Options{})
 	c, err := d.CopheneticCorrelation(dm)
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +104,7 @@ func TestCopheneticCorrelation(t *testing.T) {
 func TestCopheneticStructural(t *testing.T) {
 	f := func(seed uint64) bool {
 		pts := randomPoints(int(seed%8)+3, 2, seed)
-		d, err := NewDendrogram(pts, vecmath.Euclidean, Complete)
+		d, err := NewDendrogramOpts(pts, vecmath.Euclidean, Complete, Options{})
 		if err != nil {
 			return false
 		}

@@ -10,7 +10,7 @@ import (
 
 func TestDendrogramSaveLoadRoundTrip(t *testing.T) {
 	pts := randomPoints(10, 2, 77)
-	d, err := NewDendrogram(pts, vecmath.Euclidean, Average)
+	d, err := NewDendrogramOpts(pts, vecmath.Euclidean, Average, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

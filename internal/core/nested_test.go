@@ -19,7 +19,7 @@ func nestedFixture(t *testing.T) *cluster.Dendrogram {
 		{0}, {0.1}, {2}, {2.1},
 		{50}, {50.1}, {52}, {52.1},
 	}
-	d, err := cluster.NewDendrogram(pts, vecmath.Euclidean, cluster.Complete)
+	d, err := cluster.NewDendrogramOpts(pts, vecmath.Euclidean, cluster.Complete, cluster.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,10 +39,13 @@ type PipelineConfig struct {
 	// the paper's choice).
 	Linkage cluster.Linkage
 	// LinkageAlgorithm selects the agglomeration algorithm (default
-	// AlgoAuto: the O(n²) NN-chain above cluster.DefaultAutoThreshold
-	// points, the reference scan below). See cluster.Algorithm for the
-	// equivalence guarantees; the choice never changes which clusters
-	// a cut produces.
+	// AlgoAuto: the reference scan up to 128 points, the O(n²)
+	// NN-chain above). When pairwise merge heights are distinct the
+	// two algorithms produce identical merges. With ties — common
+	// among SOM grid positions — they build equivalent trees that can
+	// cut into different clusters, so outputs are only reproducible
+	// under one fixed choice; the CLIs and the scoring service always
+	// run AlgoAuto.
 	LinkageAlgorithm cluster.Algorithm
 	// Metric is the point-to-point distance (default Euclidean, the
 	// paper's choice).
@@ -135,6 +138,12 @@ func DetectClustersCtx(ctx context.Context, table *chars.Table, cfg PipelineConf
 		return nil, fmt.Errorf("core: pipeline cancelled: %w", err)
 	}
 	o := obs.Or(cfg.Obs)
+	if o.Active() {
+		// Deferred before root.End so the stop-the-world memory read
+		// runs after the root span closes, not as an untraced tail
+		// inside it.
+		defer o.Metrics().CaptureMemStats()
+	}
 	root := o.StartSpan("pipeline",
 		obs.KV("workloads", len(table.Rows)),
 		obs.KV("skip_som", cfg.SkipSOM),
@@ -142,7 +151,6 @@ func DetectClustersCtx(ctx context.Context, table *chars.Table, cfg PipelineConf
 	defer root.End()
 	if o.Active() {
 		o.Metrics().Counter("pipeline.runs").Add(1)
-		defer o.Metrics().CaptureMemStats()
 	}
 	// Stage-boundary gauges: pipeline.stage counts entered stages
 	// (1=validate … 4=cluster) and pipeline.progress is the completed
@@ -244,11 +252,10 @@ func DetectClustersCtx(ctx context.Context, table *chars.Table, cfg PipelineConf
 	stage(4)
 	sp = root.Child("cluster", obs.KV("points", len(p.Positions)))
 	d, err := cluster.NewDendrogramOpts(p.Positions, cfg.Metric, cfg.Linkage, cluster.Options{
-		Workers:     workers,
-		Obs:         o,
-		MergeEvents: o.Detail(),
-		Ctx:         ctx,
-		Algorithm:   cfg.LinkageAlgorithm,
+		Workers:   workers,
+		Obs:       o,
+		Ctx:       ctx,
+		Algorithm: cfg.LinkageAlgorithm,
 	})
 	sp.End()
 	if err != nil {

@@ -36,7 +36,7 @@ func (s *Suite) CompareLinkages() ([]LinkageComparison, error) {
 	}
 	var out []LinkageComparison
 	for _, l := range []cluster.Linkage{cluster.Complete, cluster.Single, cluster.Average, cluster.Ward} {
-		d, err := cluster.NewDendrogram(p.Positions, vecmath.Euclidean, l)
+		d, err := cluster.NewDendrogramOpts(p.Positions, vecmath.Euclidean, l, cluster.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -122,7 +122,7 @@ func (s *Suite) CompareReductions() ([]ReductionComparison, error) {
 	}
 	var out []ReductionComparison
 	for _, v := range variants {
-		d, err := cluster.NewDendrogram(v.points, vecmath.Euclidean, cluster.Complete)
+		d, err := cluster.NewDendrogramOpts(v.points, vecmath.Euclidean, cluster.Complete, cluster.Options{})
 		if err != nil {
 			return nil, err
 		}

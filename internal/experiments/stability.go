@@ -61,7 +61,7 @@ func (s *Suite) Stability(ch Characterization, seeds int) (StabilityResult, erro
 		if err != nil {
 			return res, err
 		}
-		d, err := cluster.NewDendrogram(m.Placements(vectors), vecmath.Euclidean, base.Dendrogram.Linkage())
+		d, err := cluster.NewDendrogramOpts(m.Placements(vectors), vecmath.Euclidean, base.Dendrogram.Linkage(), cluster.Options{})
 		if err != nil {
 			return res, err
 		}

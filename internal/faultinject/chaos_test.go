@@ -184,7 +184,7 @@ func TestChaosCorruptedSOM(t *testing.T) {
 // artifacts: error or structurally sound, never a crash.
 func TestChaosCorruptedDendrogram(t *testing.T) {
 	pts := []vecmath.Vector{{0, 0}, {0, 1}, {4, 4}, {4, 5}, {9, 0}}
-	d, err := cluster.NewDendrogram(pts, vecmath.Euclidean, cluster.Complete)
+	d, err := cluster.NewDendrogramOpts(pts, vecmath.Euclidean, cluster.Complete, cluster.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,36 +206,6 @@ func TestChaosCorruptedDendrogram(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestChaosFlakyCampaign: transient measurement failures are retried
-// to the exact fault-free result; persistent failures exhaust the
-// budget into a typed error.
-func TestChaosFlakyCampaign(t *testing.T) {
-	ws, _, err := simbench.CalibratedSuite()
-	if err != nil {
-		t.Fatal(err)
-	}
-	clean, err := simbench.MeasuredSpeedups(ws, simbench.MachineA(), simbench.Reference(), 10, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recovered, err := simbench.MeasuredSpeedupsRetry(ws, simbench.MachineA(), simbench.Reference(), 10, 7,
-		simbench.RetryPolicy{MaxAttempts: 3, Runner: faultinject.FlakyRunner(2)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range clean {
-		if clean[i] != recovered[i] {
-			t.Fatalf("workload %d: recovered campaign diverged: %v vs %v", i, clean[i], recovered[i])
-		}
-	}
-
-	_, err = simbench.MeasuredSpeedupsRetry(ws, simbench.MachineA(), simbench.Reference(), 10, 7,
-		simbench.RetryPolicy{MaxAttempts: 2, Runner: faultinject.FlakyRunner(1 << 30)})
-	if !errors.Is(err, simbench.ErrMeasurementFailed) {
-		t.Fatalf("exhausted campaign: error %v, want ErrMeasurementFailed", err)
 	}
 }
 

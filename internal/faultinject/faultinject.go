@@ -1,8 +1,8 @@
 // Package faultinject provides deterministic, seeded fault injection
 // for the robustness test suite: poisoned characterization values,
-// corrupted serialized artifacts, panicking or slow parallel shards,
-// and flaky measurement runners. Every fault is a pure function of
-// the injector's seed, so a failing chaos test replays exactly.
+// corrupted serialized artifacts, and panicking or slow parallel
+// shards. Every fault is a pure function of the injector's seed, so a
+// failing chaos test replays exactly.
 //
 // The package deliberately lives under internal/ and is imported
 // only from tests: production code paths never depend on it.
@@ -14,7 +14,6 @@ import (
 
 	"hmeans/internal/chars"
 	"hmeans/internal/rng"
-	"hmeans/internal/simbench"
 )
 
 // Injector draws every fault location and value from one seeded
@@ -109,20 +108,5 @@ func SlowShard(index int, d time.Duration, body func(start, end int)) func(start
 			time.Sleep(d)
 		}
 		body(start, end)
-	}
-}
-
-// FlakyRunner returns a simbench runner that reports NaN for its
-// first `failures` calls and then delegates to the real simulator.
-// Failing calls never consume rng draws, so a campaign that recovers
-// through retries matches a fault-free campaign bit for bit.
-func FlakyRunner(failures int) simbench.Runner {
-	calls := 0
-	return func(w *simbench.Workload, m simbench.Machine, r *rng.Source) float64 {
-		calls++
-		if calls <= failures {
-			return math.NaN()
-		}
-		return simbench.Run(w, m, r).Seconds
 	}
 }

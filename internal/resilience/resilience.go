@@ -6,10 +6,10 @@
 // the policies — and the failure vocabulary — stay identical across
 // every client of hmeansd.
 //
-// Determinism follows the same discipline as internal/rng and
-// simbench.RetryPolicy: every delay is a pure function of (Policy,
-// Seed, call order), never of wall-clock or the global math/rand, so
-// a chaos test that replays a seed replays the exact retry schedule.
+// Determinism follows the same discipline as internal/rng: every
+// delay is a pure function of (Policy, Seed, call order), never of
+// wall-clock or the global math/rand, so a chaos test that replays a
+// seed replays the exact retry schedule.
 // The breaker's clock and every sleep are injectable for the same
 // reason.
 package resilience
@@ -96,8 +96,7 @@ func (rt *Retryer) Delay(attempt int) time.Duration {
 		d = float64(p.MaxDelay)
 	}
 	if p.Jitter > 0 {
-		// Uniform in [1-Jitter, 1+Jitter): same shape as
-		// simbench.RetryPolicy's ±25% spread.
+		// Uniform in [1-Jitter, 1+Jitter).
 		d *= 1 - p.Jitter + 2*p.Jitter*rt.r.Float64()
 	}
 	return time.Duration(d)

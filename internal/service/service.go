@@ -52,15 +52,14 @@ type Config struct {
 	// for every value, which is why it is not part of the cache key.
 	Parallelism int
 	// LinkageAlgorithm selects the agglomeration algorithm for every
-	// pipeline run (core.PipelineConfig.LinkageAlgorithm). Like
-	// Parallelism it is a per-process deployment choice, not part of
-	// the request or its cache key: the algorithms produce equivalent
-	// trees on every input (identical whenever merge heights are
-	// distinct). One caveat follows from that choice: on inputs with
-	// exactly tied merge heights the equivalent trees need not be
-	// byte-identical, so a snapshot written under one algorithm and
-	// restored under another can serve the previous algorithm's bytes
-	// for those inputs. The clusters any cut produces are the same.
+	// pipeline run (core.PipelineConfig.LinkageAlgorithm). It is not
+	// part of the request or its cache key, so it is not a free
+	// deployment choice: the algorithms produce identical merges only
+	// when merge heights are distinct. With ties — common among SOM
+	// grid positions — they build equivalent trees that can cut into
+	// different clusters, and a replica on another algorithm would
+	// serve different bytes under the same content key. hmeansd
+	// therefore only serves AlgoAuto, the zero value.
 	LinkageAlgorithm cluster.Algorithm
 	// MaxBodyBytes bounds the request body; <= 0 defaults to 64 MiB.
 	MaxBodyBytes int64

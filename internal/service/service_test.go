@@ -11,8 +11,8 @@ import (
 	"testing"
 	"time"
 
-	"hmeans/internal/cluster"
 	"hmeans/internal/obs"
+	"hmeans/internal/simbench"
 )
 
 // testRequest builds a small but non-degenerate request: two clear
@@ -118,25 +118,79 @@ func TestScoreMissThenHitBitIdentical(t *testing.T) {
 	}
 }
 
-// TestLinkageAlgorithmDeploymentChoice pins the reason the algorithm
-// stays out of the cache key: on inputs with distinct merge heights a
-// server forced onto the NN-chain must serve bytes identical to the
-// default server's.
-func TestLinkageAlgorithmDeploymentChoice(t *testing.T) {
-	req := testRequest(1)
-	// SkipSOM keeps the clustered points continuous, so every merge
-	// height is distinct and the identity guarantee is byte-level; SOM
-	// grid positions can tie, where the trees are only equivalent.
-	req.Config.SkipSOM = true
-	_, tsDefault := newTestServer(t, Config{})
-	_, raw1 := postScore(t, tsDefault.URL, req)
-	_, tsChain := newTestServer(t, Config{LinkageAlgorithm: cluster.AlgoNNChain})
-	r2, raw2 := postScore(t, tsChain.URL, req)
-	if r2.StatusCode != http.StatusOK {
-		t.Fatalf("nnchain server: status %d, body %s", r2.StatusCode, raw2)
+// caseStudyRequest is the paper's 13-workload case study: SAR
+// counters sampled on machine A with measured speedup vectors A and B.
+func caseStudyRequest(t *testing.T, seed uint64) *Request {
+	t.Helper()
+	ws, _, err := simbench.CalibratedSuite()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(raw1, raw2) {
-		t.Fatalf("nnchain response differs from the default server's:\n%s\nvs\n%s", raw2, raw1)
+	tab, err := simbench.SARTable(ws, simbench.MachineA(), simbench.SARSpec{Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := &Request{
+		Config: ConfigJSON{Seed: seed},
+		Table:  TableJSON{Workloads: tab.Workloads, Features: tab.Features, Rows: tab.Rows},
+		Scores: map[string][]float64{},
+	}
+	for name, m := range map[string]simbench.Machine{"A": simbench.MachineA(), "B": simbench.MachineB()} {
+		if req.Scores[name], err = simbench.MeasuredSpeedups(ws, m, simbench.Reference(), 10, seed); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return req
+}
+
+// suiteRequest is an n-workload synthetic suite of 8 blobs with one
+// positive score vector.
+func suiteRequest(n int, seed uint64) *Request {
+	const dims = 12
+	pts := simbench.SyntheticSpec{N: n, Dims: dims, Clusters: 8, Seed: seed}.Points()
+	req := &Request{
+		Config: ConfigJSON{Seed: seed},
+		Scores: map[string][]float64{"A": make([]float64, n)},
+	}
+	for j := 0; j < dims; j++ {
+		req.Table.Features = append(req.Table.Features, fmt.Sprintf("c%02d", j))
+	}
+	for i, p := range pts {
+		req.Table.Workloads = append(req.Table.Workloads, fmt.Sprintf("w%03d", i))
+		req.Table.Rows = append(req.Table.Rows, []float64(p))
+		req.Scores["A"][i] = 1 + float64(i%8)/4 + float64(i)/float64(4*n)
+	}
+	return req
+}
+
+// TestServedBytesIndependentOfParallelism pins that served bytes
+// depend only on the request: -parallel, the one process-level knob
+// outside the content key, must not change a response. Replicas at
+// one and two workers score SOM requests with hard and soft
+// placement: the case study (brute BMU search, scan linkage) and a
+// 200-workload suite past both auto thresholds (pruned BMU search,
+// NN-chain linkage).
+func TestServedBytesIndependentOfParallelism(t *testing.T) {
+	_, serial := newTestServer(t, Config{Parallelism: 1})
+	_, parallel := newTestServer(t, Config{Parallelism: 2})
+	for _, in := range []struct {
+		name string
+		req  *Request
+	}{
+		{"case study", caseStudyRequest(t, 3)},
+		{"suite n=200", suiteRequest(200, 5)},
+	} {
+		for _, soft := range []bool{false, true} {
+			in.req.Config.SoftPlacement = soft
+			r1, raw1 := postScore(t, serial.URL, in.req)
+			r2, raw2 := postScore(t, parallel.URL, in.req)
+			if r1.StatusCode != http.StatusOK || r2.StatusCode != http.StatusOK {
+				t.Fatalf("%s soft=%v: status %d / %d, bodies %s / %s", in.name, soft, r1.StatusCode, r2.StatusCode, raw1, raw2)
+			}
+			if !bytes.Equal(raw1, raw2) {
+				t.Fatalf("%s soft=%v: 2-worker response differs from the 1-worker response", in.name, soft)
+			}
+		}
 	}
 }
 

@@ -49,10 +49,13 @@ func MeasuredSpeedupsCtx(ctx context.Context, ws []Workload, target, ref Machine
 	return out, nil
 }
 
-// MeasuredSpeedupsParallelCtx is MeasuredSpeedupsParallel with
-// cooperative cancellation between workload shards. Per-workload
-// sub-stream seeding is unchanged, so a never-firing context is
-// bit-identical to MeasuredSpeedupsParallel for any worker count.
+// MeasuredSpeedupsParallelCtx is MeasuredSpeedupsCtx with the
+// per-workload measurement campaigns spread across `workers`
+// goroutines. Each workload draws its noise from a private sub-stream
+// seeded up front from the campaign seed, so the result depends only
+// on (ws, seed) — identical for every worker count — but the
+// individual noise draws differ from MeasuredSpeedups' single shared
+// stream. Cancellation is checked between workload shards.
 func MeasuredSpeedupsParallelCtx(ctx context.Context, ws []Workload, target, ref Machine, runs int, seed uint64, workers int) ([]float64, error) {
 	if ctx == nil {
 		ctx = context.Background()

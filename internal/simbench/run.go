@@ -99,13 +99,3 @@ func recordCampaign(o *obs.Observer, workloads, runs int) {
 	reg.Counter("simbench.campaigns").Add(1)
 	reg.Counter("simbench.executions").Add(int64(2 * workloads * runs))
 }
-
-// MeasuredSpeedupsParallel is MeasuredSpeedups with the per-workload
-// measurement campaigns spread across `workers` goroutines. Each
-// workload draws its noise from a private sub-stream seeded up front
-// from the campaign seed, so the result depends only on (ws, seed) —
-// identical for every worker count — but the individual noise draws
-// differ from MeasuredSpeedups' single shared stream.
-func MeasuredSpeedupsParallel(ws []Workload, target, ref Machine, runs int, seed uint64, workers int) ([]float64, error) {
-	return MeasuredSpeedupsParallelCtx(context.Background(), ws, target, ref, runs, seed, workers)
-}

@@ -1,6 +1,7 @@
 package simbench
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -13,7 +14,7 @@ func TestMeasuredSpeedupsParallelWorkerInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := MeasuredSpeedupsParallel(ws, MachineA(), Reference(), 10, 7, 1)
+	base, err := MeasuredSpeedupsParallelCtx(context.Background(), ws, MachineA(), Reference(), 10, 7, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +27,7 @@ func TestMeasuredSpeedupsParallelWorkerInvariant(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{2, 8} {
-		got, err := MeasuredSpeedupsParallel(ws, MachineA(), Reference(), 10, 7, workers)
+		got, err := MeasuredSpeedupsParallelCtx(context.Background(), ws, MachineA(), Reference(), 10, 7, workers)
 		if err != nil {
 			t.Fatal(err)
 		}

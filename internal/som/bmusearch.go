@@ -8,69 +8,30 @@ import (
 	"hmeans/internal/vecmath"
 )
 
-// BMUSearch selects the best-matching-unit search strategy — the
+// bmuSearch selects the best-matching-unit search strategy — the
 // innermost loop of training, placement and the quality measures.
-type BMUSearch int
+// Both concrete strategies return identical results, so the choice
+// trades speed only.
+type bmuSearch int
 
 const (
-	// BMUSearchAuto (the default) picks per map: the brute scan below
-	// bmuPruneMinUnits, the pruned exact search at or above it. Both
-	// return identical results, so auto is a pure speed policy.
-	BMUSearchAuto BMUSearch = iota
-	// BMUSearchBrute forces the flat scan over every unit — the
-	// reference every fast path is proven against.
-	BMUSearchBrute
-	// BMUSearchPruned forces the triangle-inequality pruned search:
+	// bmuSearchAuto, the only mode production code uses, picks per
+	// map: the brute scan below bmuPruneMinUnits units, the pruned
+	// search at or above it.
+	bmuSearchAuto bmuSearch = iota
+	// bmuSearchBrute forces the flat scan over every unit — the
+	// reference the pruned search is proven against.
+	bmuSearchBrute
+	// bmuSearchPruned forces the triangle-inequality pruned search:
 	// units sorted by weight-vector norm, expanded outward from the
 	// query's norm, each side abandoned once (‖x‖−‖w‖)² — a lower
 	// bound on ‖x−w‖² — exceeds the best distance found. Exact: it
 	// returns the same unit as the brute scan on every query,
 	// including the lowest-index tie-break.
-	BMUSearchPruned
-	// BMUSearchCoarse is the opt-in approximate mode: a strided
-	// coarse pass over the grid picks a starting cell, then an exact
-	// scan of the surrounding window returns the winner. Queries can
-	// land on a nearby unit instead of the true BMU (the measured
-	// quality bound lives in TestCoarseBMUQualityBound and DESIGN.md
-	// §15), so it never participates in training — only post-training
-	// placements and quality measures — and only when selected
-	// explicitly.
-	BMUSearchCoarse
+	bmuSearchPruned
 )
 
-// String returns the mode's flag spelling.
-func (s BMUSearch) String() string {
-	switch s {
-	case BMUSearchAuto:
-		return "auto"
-	case BMUSearchBrute:
-		return "brute"
-	case BMUSearchPruned:
-		return "pruned"
-	case BMUSearchCoarse:
-		return "coarse"
-	default:
-		return "unknown"
-	}
-}
-
-// ParseBMUSearch maps a -som.bmu flag value to a BMUSearch.
-func ParseBMUSearch(s string) (BMUSearch, error) {
-	switch s {
-	case "auto":
-		return BMUSearchAuto, nil
-	case "brute":
-		return BMUSearchBrute, nil
-	case "pruned":
-		return BMUSearchPruned, nil
-	case "coarse":
-		return BMUSearchCoarse, nil
-	default:
-		return 0, fmt.Errorf("unknown BMU search mode %q (want auto, brute, pruned or coarse)", s)
-	}
-}
-
-// bmuPruneMinUnits is the unit count at which BMUSearchAuto switches
+// bmuPruneMinUnits is the unit count at which bmuSearchAuto switches
 // from the brute scan to the pruned search. Below it the whole weight
 // array fits in a few cache lines and the sort/binary-search overhead
 // of the index buys nothing; the paper's ~5√n grid heuristic crosses
@@ -113,36 +74,27 @@ func (m *Map) buildBMUIndex() *bmuIndex {
 	return &bmuIndex{norms: norms, ids: ids}
 }
 
-// resolveBMUSearch collapses BMUSearchAuto to a concrete mode for
-// this map's size.
-func (m *Map) resolveBMUSearch(mode BMUSearch) BMUSearch {
-	if mode != BMUSearchAuto {
+// resolveBMUSearch collapses bmuSearchAuto to a concrete mode for this
+// map's size.
+func (m *Map) resolveBMUSearch(mode bmuSearch) bmuSearch {
+	if mode != bmuSearchAuto {
 		return mode
 	}
 	if len(m.weights) >= bmuPruneMinUnits {
-		return BMUSearchPruned
+		return bmuSearchPruned
 	}
-	return BMUSearchBrute
+	return bmuSearchBrute
 }
 
-// SetBMUSearch selects the BMU search strategy for subsequent queries
-// (Position, Placements, the quality measures), building or dropping
-// the pruned index as needed. Train applies Config.BMU automatically;
-// this entry point serves maps loaded from disk and tests.
-func (m *Map) SetBMUSearch(mode BMUSearch) error {
-	switch mode {
-	case BMUSearchAuto, BMUSearchBrute, BMUSearchPruned, BMUSearchCoarse:
-	default:
-		return fmt.Errorf("som: unknown BMU search mode %d", int(mode))
-	}
-	resolved := m.resolveBMUSearch(mode)
-	m.search = resolved
-	if resolved == BMUSearchPruned {
+// setBMUSearch selects the BMU search strategy for subsequent queries
+// (Position, Placements, the quality measures) on the now-frozen
+// weights, building or dropping the pruned index as needed.
+func (m *Map) setBMUSearch(mode bmuSearch) {
+	if m.resolveBMUSearch(mode) == bmuSearchPruned {
 		m.index = m.buildBMUIndex()
 	} else {
 		m.index = nil
 	}
-	return nil
 }
 
 // bmuPruneBound is the pruning threshold for the current best squared
@@ -158,7 +110,7 @@ func bmuPruneBound(best, xSq float64) float64 {
 	return best*(1+1e-9) + 1e-12*(1+xSq)
 }
 
-// bmuPruned is the exact pruned BMU search; see BMUSearchPruned. The
+// bmuPruned is the exact pruned BMU search; see bmuSearchPruned. The
 // candidate distance loop is byte-for-byte the brute scan's
 // arithmetic, so any unit both paths evaluate gets the identical
 // squared distance; the comparison accepts a tie only from a
@@ -215,88 +167,3 @@ func (m *Map) bmuPruned(x vecmath.Vector) (unit int, sqDist float64) {
 	}
 	return bestU, best
 }
-
-// coarseStrideFor sizes the coarse pass: sampling every s-th row and
-// column with s ≈ √(smaller grid side)/2 balances the coarse scan
-// (units/s²) against the refine window ((4s+1)²) while keeping the
-// probe lattice dense enough that the true BMU usually sits inside
-// the window of the best probe — a trained SOM's weight surface is
-// locally smooth, but only locally.
-func coarseStrideFor(rows, cols int) int {
-	minDim := rows
-	if cols < minDim {
-		minDim = cols
-	}
-	s := int(math.Sqrt(float64(minDim)) / 2)
-	if s < 2 {
-		s = 2
-	}
-	return s
-}
-
-// bmuCoarse is the opt-in approximate search; see BMUSearchCoarse.
-// The coarse pass scans the strided subgrid exactly (same arithmetic
-// as the brute scan), then the window around the coarse winner is
-// scanned exactly in row-major order, so within the window the
-// lowest-index tie-break matches the brute scan.
-func (m *Map) bmuCoarse(x vecmath.Vector) (unit int, sqDist float64) {
-	dim := m.dim
-	if len(x) != dim {
-		panic(fmt.Sprintf("som: input dim %d != map dim %d", len(x), dim))
-	}
-	flat := m.flat
-	s := coarseStrideFor(m.rows, m.cols)
-	dist := func(u int) float64 {
-		w := flat[u*dim : u*dim+dim]
-		sum := 0.0
-		for i, xi := range x {
-			d := xi - w[i]
-			sum += d * d
-		}
-		return sum
-	}
-	// Track the best few probes, not just the winner: a trained map's
-	// weight surface can fold, leaving the true BMU near a runner-up
-	// probe, so each of the top coarseProbes gets a refine window.
-	var probes [coarseProbes]int
-	var probeD [coarseProbes]float64
-	for i := range probes {
-		probes[i], probeD[i] = -1, math.Inf(1)
-	}
-	for gr := 0; gr < m.rows; gr += s {
-		for gc := 0; gc < m.cols; gc += s {
-			u := gr*m.cols + gc
-			d := dist(u)
-			for i := 0; i < coarseProbes; i++ {
-				if d < probeD[i] {
-					copy(probeD[i+1:], probeD[i:coarseProbes-1])
-					copy(probes[i+1:], probes[i:coarseProbes-1])
-					probes[i], probeD[i] = u, d
-					break
-				}
-			}
-		}
-	}
-	bestU, best := -1, math.Inf(1)
-	for _, probe := range probes {
-		if probe < 0 {
-			continue
-		}
-		br, bc := probe/m.cols, probe%m.cols
-		r0, r1 := maxInt(0, br-2*s), minInt(m.rows-1, br+2*s)
-		c0, c1 := maxInt(0, bc-2*s), minInt(m.cols-1, bc+2*s)
-		for gr := r0; gr <= r1; gr++ {
-			for gc := c0; gc <= c1; gc++ {
-				u := gr*m.cols + gc
-				if d := dist(u); d < best || (d == best && u < bestU) {
-					bestU, best = u, d
-				}
-			}
-		}
-	}
-	return bestU, best
-}
-
-// coarseProbes is how many coarse-pass winners get an exact refine
-// window; see bmuCoarse.
-const coarseProbes = 3

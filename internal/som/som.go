@@ -71,15 +71,6 @@ type Config struct {
 	// Sequential training is inherently order-dependent and ignores
 	// this field.
 	Parallelism int
-	// BMU selects the best-matching-unit search strategy (default
-	// BMUSearchAuto: brute below bmuPruneMinUnits units, pruned exact
-	// search above). Auto, brute and pruned all return identical
-	// results — the choice trades speed only. BMUSearchCoarse is the
-	// opt-in approximate mode and applies to post-training queries
-	// (placements, quality measures) only; training itself always
-	// runs an exact search so the trained weights never depend on an
-	// approximation.
-	BMU BMUSearch
 	// Seed drives sample-selection order and random initialization.
 	Seed uint64
 	// Obs receives training telemetry: a som.train span plus
@@ -167,13 +158,10 @@ type Map struct {
 	// locations[u] is the fixed grid location vector of unit u; views
 	// into one contiguous backing array like the weights.
 	locations []vecmath.Vector
-	// search is the resolved BMU search mode (never BMUSearchAuto);
-	// the zero value BMUSearchAuto doubles as "not configured", which
-	// the bmu dispatcher treats as brute.
-	search BMUSearch
 	// index is the pruned search's norm-sorted view of the weights;
-	// non-nil exactly while search is pruned AND the weights are
-	// frozen. Training drops and rebuilds it around weight updates.
+	// non-nil exactly while the pruned search is selected AND the
+	// weights are frozen. Training drops and rebuilds it around weight
+	// updates. Nil selects the brute scan.
 	index *bmuIndex
 }
 
@@ -259,14 +247,11 @@ func (m *Map) BMU(x vecmath.Vector) (row, col int) {
 // bmu returns the best matching unit's index and its squared
 // Euclidean distance to x — the distance feeds the per-epoch
 // quantization-error telemetry without a second scan. It dispatches
-// on the map's resolved search mode; all exact modes (brute, pruned)
-// return identical results, see BMUSearch.
+// on the map's selected search; brute and pruned return identical
+// results, see bmuSearch.
 func (m *Map) bmu(x vecmath.Vector) (unit int, sqDist float64) {
 	if m.index != nil {
 		return m.bmuPruned(x)
-	}
-	if m.search == BMUSearchCoarse {
-		return m.bmuCoarse(x)
 	}
 	return m.bmuBrute(x)
 }

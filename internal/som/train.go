@@ -26,6 +26,12 @@ func Train(cfg Config, samples []vecmath.Vector) (*Map, error) {
 // context's error returned. A context that never fires leaves the
 // trained weights bit-identical to Train.
 func TrainCtx(ctx context.Context, cfg Config, samples []vecmath.Vector) (*Map, error) {
+	return train(ctx, cfg, samples, bmuSearchAuto)
+}
+
+// train is TrainCtx with the BMU search pinned to mode, so tests can
+// prove the brute and pruned searches train bit-identical maps.
+func train(ctx context.Context, cfg Config, samples []vecmath.Vector, mode bmuSearch) (*Map, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -42,11 +48,6 @@ func TrainCtx(ctx context.Context, cfg Config, samples []vecmath.Vector) (*Map, 
 		}
 	}
 	c := cfg.withDefaults()
-	switch c.BMU {
-	case BMUSearchAuto, BMUSearchBrute, BMUSearchPruned, BMUSearchCoarse:
-	default:
-		return nil, fmt.Errorf("som: unknown BMU search mode %d", int(c.BMU))
-	}
 	o := obs.Or(c.Obs)
 	sp := o.StartSpan("som.train",
 		obs.KV("algorithm", c.Algorithm.String()),
@@ -66,7 +67,7 @@ func TrainCtx(ctx context.Context, cfg Config, samples []vecmath.Vector) (*Map, 
 	}
 
 	if c.Algorithm == Batch {
-		if err := m.trainBatch(ctx, c, samples, o, sp); err != nil {
+		if err := m.trainBatch(ctx, c, samples, mode, o, sp); err != nil {
 			return nil, err
 		}
 	} else {
@@ -74,11 +75,7 @@ func TrainCtx(ctx context.Context, cfg Config, samples []vecmath.Vector) (*Map, 
 			return nil, err
 		}
 	}
-	// Apply the configured query mode to the now-frozen weights (the
-	// coarse mode takes effect only here — training above was exact).
-	if err := m.SetBMUSearch(c.BMU); err != nil {
-		return nil, err
-	}
+	m.setBMUSearch(mode)
 	return m, nil
 }
 
@@ -301,7 +298,7 @@ func (b *batchRun) epochQE() float64 {
 // distances are already computed, so the extra cost is one sqrt and
 // add per sample — and emits a som.epoch event with the annealed
 // radius and the epoch's QE.
-func (m *Map) trainBatch(ctx context.Context, c Config, samples []vecmath.Vector, o *obs.Observer, sp *obs.Span) error {
+func (m *Map) trainBatch(ctx context.Context, c Config, samples []vecmath.Vector, mode bmuSearch, o *obs.Observer, sp *obs.Span) error {
 	floor := c.SigmaFinal
 	if floor <= 0 {
 		floor = sigmaFloor
@@ -309,16 +306,11 @@ func (m *Map) trainBatch(ctx context.Context, c Config, samples []vecmath.Vector
 	epochs := batchEpochs(c, len(samples))
 	workers := par.Resolve(c.Parallelism)
 	b := newBatchRun(m, samples, o.Active())
-	// Training must stay exact, so the coarse query mode trains under
-	// the auto policy; the pruned index is valid for exactly one epoch
-	// (the reduction rewrites the weights) and is rebuilt at each
-	// epoch's start, while the BMU scans inside the epoch read only
-	// the frozen previous-epoch weights.
-	trainingMode := c.BMU
-	if trainingMode == BMUSearchCoarse {
-		trainingMode = BMUSearchAuto
-	}
-	usePruned := m.resolveBMUSearch(trainingMode) == BMUSearchPruned
+	// The pruned index is valid for exactly one epoch (the reduction
+	// rewrites the weights) and is rebuilt at each epoch's start,
+	// while the BMU scans inside the epoch read only the frozen
+	// previous-epoch weights.
+	usePruned := m.resolveBMUSearch(mode) == bmuSearchPruned
 	var qeGauge, sigmaGauge *obs.Gauge
 	if o.Active() {
 		qeGauge = o.Metrics().Gauge("som.qe")

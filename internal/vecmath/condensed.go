@@ -7,17 +7,10 @@ import (
 	"hmeans/internal/par"
 )
 
-// Float constrains the element type of condensed pairwise-distance
-// storage: float64 is the default exact mode, float32 the opt-in
-// half-memory mode for very large n (see Condensed32).
-type Float interface {
-	~float32 | ~float64
-}
-
-// Condensed stores the strict upper triangle of an n×n symmetric
-// matrix with a zero diagonal — the natural shape of a pairwise
-// distance matrix — in one contiguous []F of n(n−1)/2 entries.
-// Pair (i, j) with i < j lives at offset
+// CondensedMatrix stores the strict upper triangle of an n×n
+// symmetric matrix with a zero diagonal — the natural shape of a
+// pairwise distance matrix — in one contiguous []float64 of n(n−1)/2
+// entries. Pair (i, j) with i < j lives at offset
 //
 //	idx(i, j) = i·(2n−i−1)/2 + (j−i−1),
 //
@@ -28,70 +21,28 @@ type Float interface {
 // halves of a symmetric pair share one slot, which is also what makes
 // condensed storage safe for in-place Lance–Williams updates: writing
 // d(a, k) can never leave a stale mirror entry behind.
-//
-// Use the CondensedMatrix (float64) and Condensed32 (float32)
-// instantiations; the type parameter only selects storage precision,
-// never layout.
-type Condensed[F Float] struct {
+type CondensedMatrix struct {
 	n    int
-	data []F
-}
-
-// CondensedMatrix is the float64 condensed matrix — the exact storage
-// every default code path uses.
-type CondensedMatrix = Condensed[float64]
-
-// Condensed32 is the float32 condensed matrix: half the memory of
-// CondensedMatrix, which at n=100k is the difference between a ~20 GB
-// working set and a ~40 GB one. Each stored entry is the float64
-// distance rounded to nearest float32, so the per-entry relative
-// error is bounded by the binary32 unit roundoff 2⁻²⁴ (values beyond
-// float32 range overflow to +Inf; workload distances never get
-// there). Opt-in: callers that need bit-exact float64 agglomeration
-// must stay on CondensedMatrix.
-type Condensed32 = Condensed[float32]
-
-func newCondensed[F Float](n int) *Condensed[F] {
-	if n <= 0 {
-		panic(fmt.Sprintf("vecmath: invalid condensed matrix size %d", n))
-	}
-	return &Condensed[F]{n: n, data: make([]F, n*(n-1)/2)}
+	data []float64
 }
 
 // NewCondensedMatrix returns a zero condensed matrix representing an
 // n×n symmetric matrix. It panics on non-positive n; n == 1 is legal
 // and holds no entries.
-func NewCondensedMatrix(n int) *CondensedMatrix { return newCondensed[float64](n) }
-
-// NewCondensed32 is NewCondensedMatrix in float32 storage.
-func NewCondensed32(n int) *Condensed32 { return newCondensed[float32](n) }
-
-// CondensedFromDense copies the strict upper triangle of a dense
-// symmetric matrix into condensed form. The caller is responsible for
-// symmetry; only the i < j entries are read.
-func CondensedFromDense(m *Matrix) (*CondensedMatrix, error) {
-	n := m.Rows()
-	if n == 0 || m.Cols() != n {
-		return nil, fmt.Errorf("vecmath: cannot condense a %dx%d matrix", m.Rows(), m.Cols())
+func NewCondensedMatrix(n int) *CondensedMatrix {
+	if n <= 0 {
+		panic(fmt.Sprintf("vecmath: invalid condensed matrix size %d", n))
 	}
-	c := NewCondensedMatrix(n)
-	t := 0
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			c.data[t] = m.At(i, j)
-			t++
-		}
-	}
-	return c, nil
+	return &CondensedMatrix{n: n, data: make([]float64, n*(n-1)/2)}
 }
 
 // N returns the size of the represented square matrix.
-func (c *Condensed[F]) N() int { return c.n }
+func (c *CondensedMatrix) N() int { return c.n }
 
 // Index returns the data offset of pair (i, j). The arguments commute;
 // it panics on i == j (the diagonal is implicit) or out-of-range
 // indices.
-func (c *Condensed[F]) Index(i, j int) int {
+func (c *CondensedMatrix) Index(i, j int) int {
 	if i > j {
 		i, j = j, i
 	}
@@ -102,7 +53,7 @@ func (c *Condensed[F]) Index(i, j int) int {
 }
 
 // At returns the (i, j) entry; the diagonal reads as 0.
-func (c *Condensed[F]) At(i, j int) F {
+func (c *CondensedMatrix) At(i, j int) float64 {
 	if i == j {
 		if i < 0 || i >= c.n {
 			panic(fmt.Sprintf("vecmath: condensed index (%d,%d) invalid for n=%d", i, j, c.n))
@@ -114,19 +65,19 @@ func (c *Condensed[F]) At(i, j int) F {
 
 // Set assigns the (i, j) entry (and, implicitly, its mirror). It
 // panics on the diagonal.
-func (c *Condensed[F]) Set(i, j int, v F) { c.data[c.Index(i, j)] = v }
+func (c *CondensedMatrix) Set(i, j int, v float64) { c.data[c.Index(i, j)] = v }
 
 // RowTail returns the contiguous slice of entries (i, i+1) … (i, n−1)
 // — row i against every higher-indexed column. Entry t of the slice is
 // the pair (i, i+1+t). The slice aliases the matrix storage.
-func (c *Condensed[F]) RowTail(i int) []F {
+func (c *CondensedMatrix) RowTail(i int) []float64 {
 	start := c.Index0(i)
 	return c.data[start : start+c.n-1-i]
 }
 
 // Index0 returns the offset of the first entry of row i's tail,
 // idx(i, i+1); for i == n−1 it returns len(Data()) (an empty tail).
-func (c *Condensed[F]) Index0(i int) int {
+func (c *CondensedMatrix) Index0(i int) int {
 	if i < 0 || i >= c.n {
 		panic(fmt.Sprintf("vecmath: condensed row %d invalid for n=%d", i, c.n))
 	}
@@ -135,30 +86,7 @@ func (c *Condensed[F]) Index0(i int) int {
 
 // Data returns the backing slice (shared, not a copy): all n(n−1)/2
 // pair entries in row-major tail order.
-func (c *Condensed[F]) Data() []F { return c.data }
-
-// Clone returns an independent deep copy.
-func (c *Condensed[F]) Clone() *Condensed[F] {
-	out := &Condensed[F]{n: c.n, data: make([]F, len(c.data))}
-	copy(out.data, c.data)
-	return out
-}
-
-// Dense expands the condensed matrix to its full symmetric n×n form
-// with a zero diagonal (float32 entries widen exactly).
-func (c *Condensed[F]) Dense() *Matrix {
-	m := NewMatrix(c.n, c.n)
-	t := 0
-	for i := 0; i < c.n; i++ {
-		for j := i + 1; j < c.n; j++ {
-			v := float64(c.data[t])
-			m.Set(i, j, v)
-			m.Set(j, i, v)
-			t++
-		}
-	}
-	return m
-}
+func (c *CondensedMatrix) Data() []float64 { return c.data }
 
 // condensedTile is the tile side (points per tile) of the blocked
 // distance-matrix build. A row-major build walks each row's full tail,
@@ -178,13 +106,26 @@ const condensedTile = 128
 // unbalance the fan-out.
 const condensedTileShardPairs = 4
 
-// condensedDistanceTiled is the shared tiled build: pairs are
-// enumerated in (i, j)-tiles, each written by exactly one shard.
-// Storing through F(·) is the only precision-dependent step — the
-// identity for float64, round-to-nearest for float32.
-func condensedDistanceTiled[F Float](ctx context.Context, m Metric, points []Vector, workers int) (*Condensed[F], error) {
+// CondensedDistanceMatrixP returns the pairwise distances of points
+// under metric m in condensed form, sharded across `workers`
+// goroutines: each of the n(n−1)/2 pairs is computed exactly once, in
+// cache-friendly (i, j)-tiles (see condensedTile), one tile pair owned
+// by exactly one shard. Every entry is a pure function of one point
+// pair and each pair is written exactly once, so the matrix is
+// identical for any worker count.
+func CondensedDistanceMatrixP(m Metric, points []Vector, workers int) *CondensedMatrix {
+	out, _ := CondensedDistanceMatrixCtx(context.Background(), m, points, workers)
+	return out
+}
+
+// CondensedDistanceMatrixCtx is CondensedDistanceMatrixP with
+// cooperative cancellation: tile shards not yet started when ctx
+// fires are skipped and the context's error returned (the partial
+// matrix must be discarded). With a context that never fires it is
+// bit-identical to CondensedDistanceMatrixP.
+func CondensedDistanceMatrixCtx(ctx context.Context, m Metric, points []Vector, workers int) (*CondensedMatrix, error) {
 	n := len(points)
-	out := newCondensed[F](n)
+	out := NewCondensedMatrix(n)
 	// Resolve the metric kernel once: the inner loop runs one indirect
 	// call per pair instead of re-dispatching the metric switch.
 	kern := m.Kernel()
@@ -214,7 +155,7 @@ func condensedDistanceTiled[F Float](ctx context.Context, m Metric, points []Vec
 				row := out.data[base+js : base+j1]
 				pi := points[i]
 				for t := range row {
-					row[t] = F(kern(pi, points[js+t]))
+					row[t] = kern(pi, points[js+t])
 				}
 			}
 		}
@@ -223,70 +164,4 @@ func condensedDistanceTiled[F Float](ctx context.Context, m Metric, points []Vec
 		return nil, err
 	}
 	return out, nil
-}
-
-// condensedDistanceRowMajor is the retired row-major build, kept
-// verbatim as the oracle the tiled build is proven bit-identical
-// against. It is referenced only by tests.
-func condensedDistanceRowMajor(m Metric, points []Vector) *CondensedMatrix {
-	n := len(points)
-	out := NewCondensedMatrix(n)
-	kern := m.Kernel()
-	for i := 0; i < n; i++ {
-		row := out.RowTail(i)
-		pi := points[i]
-		for t := range row {
-			row[t] = kern(pi, points[i+1+t])
-		}
-	}
-	return out
-}
-
-// CondensedDistanceMatrix returns the pairwise distances of points
-// under metric m in condensed form: each of the n(n−1)/2 pairs is
-// computed exactly once, in cache-friendly (i, j)-tiles (see
-// condensedTile).
-func CondensedDistanceMatrix(m Metric, points []Vector) *CondensedMatrix {
-	return CondensedDistanceMatrixP(m, points, 1)
-}
-
-// CondensedDistanceMatrixP is CondensedDistanceMatrix sharded across
-// `workers` goroutines, one tile pair owned by exactly one shard.
-// Every entry is a pure function of one point pair and each pair is
-// written exactly once, so the matrix is identical for any worker
-// count — and identical to the serial build.
-func CondensedDistanceMatrixP(m Metric, points []Vector, workers int) *CondensedMatrix {
-	out, _ := CondensedDistanceMatrixCtx(context.Background(), m, points, workers)
-	return out
-}
-
-// CondensedDistanceMatrixCtx is CondensedDistanceMatrixP with
-// cooperative cancellation: tile shards not yet started when ctx
-// fires are skipped and the context's error returned (the partial
-// matrix must be discarded). With a context that never fires it is
-// bit-identical to CondensedDistanceMatrixP.
-func CondensedDistanceMatrixCtx(ctx context.Context, m Metric, points []Vector, workers int) (*CondensedMatrix, error) {
-	return condensedDistanceTiled[float64](ctx, m, points, workers)
-}
-
-// Condensed32DistanceMatrix is CondensedDistanceMatrix in float32
-// storage: distances are computed in float64 (same kernels, same
-// arithmetic) and rounded once on store, so each entry carries at
-// most the binary32 unit roundoff 2⁻²⁴ of relative error. See
-// Condensed32 for when the halved footprint is worth that bound.
-func Condensed32DistanceMatrix(m Metric, points []Vector) *Condensed32 {
-	return Condensed32DistanceMatrixP(m, points, 1)
-}
-
-// Condensed32DistanceMatrixP is Condensed32DistanceMatrix sharded
-// across `workers` goroutines; identical for any worker count.
-func Condensed32DistanceMatrixP(m Metric, points []Vector, workers int) *Condensed32 {
-	out, _ := Condensed32DistanceMatrixCtx(context.Background(), m, points, workers)
-	return out
-}
-
-// Condensed32DistanceMatrixCtx is Condensed32DistanceMatrixP with
-// cooperative cancellation, mirroring CondensedDistanceMatrixCtx.
-func Condensed32DistanceMatrixCtx(ctx context.Context, m Metric, points []Vector, workers int) (*Condensed32, error) {
-	return condensedDistanceTiled[float32](ctx, m, points, workers)
 }

@@ -86,31 +86,6 @@ func TestCondensedPanics(t *testing.T) {
 	mustPanic("Index0 out of range", func() { c.Index0(4) })
 }
 
-func TestCondensedDenseRoundTrip(t *testing.T) {
-	pts := condensedTestPoints(9, 3, 4)
-	dm := DistanceMatrix(Euclidean, pts)
-	cm, err := CondensedFromDense(dm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back := cm.Dense()
-	for i := 0; i < 9; i++ {
-		for j := 0; j < 9; j++ {
-			if back.At(i, j) != dm.At(i, j) {
-				t.Fatalf("round trip differs at (%d,%d)", i, j)
-			}
-		}
-	}
-	clone := cm.Clone()
-	clone.Set(0, 1, -1)
-	if cm.At(0, 1) == -1 {
-		t.Fatal("Clone shares storage with the original")
-	}
-	if _, err := CondensedFromDense(NewMatrix(2, 3)); err == nil {
-		t.Fatal("CondensedFromDense accepted a non-square matrix")
-	}
-}
-
 // TestCondensedDistanceMatrixMatchesDense proves the condensed build
 // produces bit-identical distances to the dense build for every
 // metric and worker count.

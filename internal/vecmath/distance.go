@@ -1,11 +1,6 @@
 package vecmath
 
-import (
-	"context"
-	"math"
-
-	"hmeans/internal/par"
-)
+import "math"
 
 // Metric identifies a point-to-point distance function.
 type Metric int
@@ -123,45 +118,16 @@ func SquaredEuclidean(v, w Vector) float64 {
 // DistanceMatrix returns the symmetric len(points)×len(points) matrix
 // of pairwise distances under metric m, with a zero diagonal.
 func DistanceMatrix(m Metric, points []Vector) *Matrix {
-	return DistanceMatrixP(m, points, 1)
-}
-
-// distanceMatrixShardRows is the row-shard width of the parallel
-// distance-matrix build. Small shards interleave across workers, which
-// balances the triangular workload (early rows carry more pairs than
-// late rows).
-const distanceMatrixShardRows = 8
-
-// DistanceMatrixP is DistanceMatrix sharded across `workers`
-// goroutines. Every entry is a pure function of one point pair and
-// each pair is written by exactly one shard, so the matrix is
-// identical for any worker count.
-func DistanceMatrixP(m Metric, points []Vector, workers int) *Matrix {
-	out, _ := DistanceMatrixCtx(context.Background(), m, points, workers)
-	return out
-}
-
-// DistanceMatrixCtx is DistanceMatrixP with cooperative cancellation:
-// row shards not yet started when ctx fires are skipped and the
-// context's error returned (the partial matrix must be discarded).
-// With a context that never fires it is bit-identical to
-// DistanceMatrixP.
-func DistanceMatrixCtx(ctx context.Context, m Metric, points []Vector, workers int) (*Matrix, error) {
 	n := len(points)
 	out := NewMatrix(n, n)
 	// One dispatch per call, not one per pair.
 	kern := m.Kernel()
-	_, err := par.FixedShardsCtx(ctx, workers, n, distanceMatrixShardRows, func(_, start, end int) {
-		for i := start; i < end; i++ {
-			for j := i + 1; j < n; j++ {
-				d := kern(points[i], points[j])
-				out.Set(i, j, d)
-				out.Set(j, i, d)
-			}
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			d := kern(points[i], points[j])
+			out.Set(i, j, d)
+			out.Set(j, i, d)
 		}
-	})
-	if err != nil {
-		return nil, err
 	}
-	return out, nil
+	return out
 }

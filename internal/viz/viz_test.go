@@ -70,7 +70,7 @@ func TestHitSummaryListsSharedCells(t *testing.T) {
 func TestDendrogramRendering(t *testing.T) {
 	pts := []vecmath.Vector{{0}, {1}, {10}, {12}}
 	names := []string{"w.a", "w.b", "w.c", "w.d"}
-	d, err := cluster.NewDendrogram(pts, vecmath.Euclidean, cluster.Complete)
+	d, err := cluster.NewDendrogramOpts(pts, vecmath.Euclidean, cluster.Complete, cluster.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestDendrogramRendering(t *testing.T) {
 }
 
 func TestDendrogramSingleLeaf(t *testing.T) {
-	d, _ := cluster.NewDendrogram([]vecmath.Vector{{1}}, vecmath.Euclidean, cluster.Complete)
+	d, _ := cluster.NewDendrogramOpts([]vecmath.Vector{{1}}, vecmath.Euclidean, cluster.Complete, cluster.Options{})
 	var sb strings.Builder
 	if err := Dendrogram(&sb, d, []string{"only"}); err != nil {
 		t.Fatal(err)
@@ -103,7 +103,7 @@ func TestDendrogramSingleLeaf(t *testing.T) {
 }
 
 func TestDendrogramNameMismatch(t *testing.T) {
-	d, _ := cluster.NewDendrogram([]vecmath.Vector{{1}, {2}}, vecmath.Euclidean, cluster.Complete)
+	d, _ := cluster.NewDendrogramOpts([]vecmath.Vector{{1}, {2}}, vecmath.Euclidean, cluster.Complete, cluster.Options{})
 	if err := Dendrogram(&strings.Builder{}, d, []string{"x"}); err == nil {
 		t.Fatal("name mismatch accepted")
 	}
@@ -112,7 +112,7 @@ func TestDendrogramNameMismatch(t *testing.T) {
 func TestCutTable(t *testing.T) {
 	pts := []vecmath.Vector{{0}, {1}, {10}, {12}}
 	names := []string{"a", "b", "c", "d"}
-	d, _ := cluster.NewDendrogram(pts, vecmath.Euclidean, cluster.Complete)
+	d, _ := cluster.NewDendrogramOpts(pts, vecmath.Euclidean, cluster.Complete, cluster.Options{})
 	var sb strings.Builder
 	if err := CutTable(&sb, d, names, 2, 8); err != nil {
 		t.Fatal(err)
