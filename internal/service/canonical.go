@@ -8,10 +8,13 @@ import (
 )
 
 // canonicalVersion tags the canonical encoding. Bump it whenever the
-// encoding or the semantics of any encoded field change, so stale
-// cache entries (in a future persistent cache) can never be returned
-// for a request they no longer describe.
-const canonicalVersion = "hmeansd-req/1"
+// encoding, the semantics of any encoded field, or the bytes served
+// for some request change, so stale cache entries (a restored
+// snapshot's included) can never be returned for a request they no
+// longer describe. Version 2: sequential SOM training runs in the
+// samples' span, which moves soft_placement positions in the last
+// bits.
+const canonicalVersion = "hmeansd-req/2"
 
 // CacheKey returns the content address of a request: the SHA-256 of
 // its canonical encoding. Two requests share a key exactly when the

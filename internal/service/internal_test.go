@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"encoding/hex"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -216,6 +217,20 @@ func TestCacheKeyCanonical(t *testing.T) {
 	b.Table.Workloads[0], b.Table.Workloads[1] = "a", "bc"
 	if a.CacheKey() == b.CacheKey() {
 		t.Error("length prefixes failed to separate adjacent strings")
+	}
+}
+
+// TestCacheKeyPinned pins the content address of one fixed case-study
+// request. A change to the canonical encoding, or a canonicalVersion
+// bump for a change in served bytes, moves this key and must update
+// it on purpose.
+func TestCacheKeyPinned(t *testing.T) {
+	req := caseStudyRequest(t, 7)
+	req.K = 4
+	key := req.CacheKey()
+	const want = "99ab867cec3d507019e25aae35ff32a4d67025f51ab5c0f3c1498f4afe954d4b"
+	if got := hex.EncodeToString(key[:]); got != want {
+		t.Fatalf("case-study cache key = %s, want %s", got, want)
 	}
 }
 

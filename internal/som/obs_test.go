@@ -113,3 +113,43 @@ func TestInstrumentationPreservesWeights(t *testing.T) {
 		}
 	}
 }
+
+// TestTrainSpanRecordsTrainDim checks that the som.train span names the
+// dimension training ran in: the span rank on the sequential PCA path
+// when the samples span fewer dimensions than they have, the input
+// dimension on every other path.
+func TestTrainSpanRecordsTrainDim(t *testing.T) {
+	counters := caseStudyCounters(t, 1)
+	n, d := len(counters), len(counters[0])
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		samples []vecmath.Vector
+		want    int
+	}{
+		{"span", Config{Rows: 5, Cols: 4, Steps: 500}, counters, n - 1},
+		{"random init", Config{Rows: 5, Cols: 4, Steps: 500, Init: InitRandom}, counters, d},
+		{"batch", Config{Rows: 5, Cols: 4, Algorithm: Batch, BatchEpochs: 2}, counters, d},
+		{"full rank", Config{Rows: 4, Cols: 4, Steps: 500}, obsSamples(), 2},
+	} {
+		col := obs.NewCollector()
+		tc.cfg.Obs = obs.New(col)
+		if _, err := Train(tc.cfg, tc.samples); err != nil {
+			t.Fatal(err)
+		}
+		got := -1
+		for _, s := range col.Trace().Spans {
+			if s.Name != "som.train" {
+				continue
+			}
+			for _, a := range s.Attrs {
+				if a.Key == "train_dim" {
+					got = a.Val.(int)
+				}
+			}
+		}
+		if got != tc.want {
+			t.Errorf("%s: train_dim = %d, want %d", tc.name, got, tc.want)
+		}
+	}
+}

@@ -284,7 +284,7 @@ func (m *Map) bmuBrute(x vecmath.Vector) (unit int, sqDist float64) {
 	return best, bestDist
 }
 
-// secondBMU returns the unit indices of the two closest units, used
+// twoBMUs returns the unit indices of the two closest units, used
 // by the topographic-error quality measure.
 func (m *Map) twoBMUs(x vecmath.Vector) (first, second int) {
 	d0 := vecmath.SquaredEuclidean(x, m.weights[0])

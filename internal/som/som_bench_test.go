@@ -32,6 +32,23 @@ func BenchmarkTrainSequentialSuiteScale(b *testing.B) {
 	}
 }
 
+// BenchmarkTrainSequentialCaseStudy trains the map the pipeline trains
+// for the paper's case study: 13 workloads × 194 standardized SAR
+// counters on the 5×4 grid, 10,000 steps from the PCA initialization.
+// The samples span 12 dimensions, so the loop runs on span
+// coordinates.
+func BenchmarkTrainSequentialCaseStudy(b *testing.B) {
+	b.ReportAllocs()
+	samples := caseStudyCounters(b, 7)
+	cfg := Config{Rows: 5, Cols: 4, Steps: 10000, Seed: 7}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Train(cfg, samples); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkTrainBatchSuiteScale(b *testing.B) {
 	b.ReportAllocs()
 	samples := benchSamples(14, 160)

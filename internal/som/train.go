@@ -57,23 +57,35 @@ func train(ctx context.Context, cfg Config, samples []vecmath.Vector, mode bmuSe
 	m := newMap(c.Rows, c.Cols, dim)
 	r := rng.New(c.Seed)
 
-	switch c.Init {
-	case InitRandom:
+	pcaInit := c.Init != InitRandom && m.initPCA(samples)
+	if !pcaInit {
 		m.initRandom(samples, r)
-	default:
-		if !m.initPCA(samples) {
-			m.initRandom(samples, r)
-		}
 	}
 
-	if c.Algorithm == Batch {
-		if err := m.trainBatch(ctx, c, samples, mode, o, sp); err != nil {
-			return nil, err
-		}
-	} else {
-		if err := m.trainSequential(ctx, c, samples, r, o, sp); err != nil {
-			return nil, err
-		}
+	// A PCA-initialized map starts inside the samples' affine span, so
+	// sequential training can run on span coordinates (see spanBasis)
+	// whenever that span is narrower than the input. Random weights
+	// scatter across every dimension; batch training keeps its path.
+	var span *spanBasis
+	if c.Algorithm != Batch && pcaInit {
+		span = newSpanBasis(samples, m.weights)
+	}
+	trainDim := dim
+	if span != nil {
+		trainDim = len(span.q)
+	}
+	sp.SetAttr("train_dim", trainDim)
+	var err error
+	switch {
+	case c.Algorithm == Batch:
+		err = m.trainBatch(ctx, c, samples, mode, o, sp)
+	case span != nil:
+		err = m.trainSequentialInSpan(ctx, c, samples, span, r, o, sp)
+	default:
+		err = m.trainSequential(ctx, c, samples, r, o, sp)
+	}
+	if err != nil {
+		return nil, err
 	}
 	m.setBMUSearch(mode)
 	return m, nil
@@ -341,6 +353,11 @@ func (m *Map) trainBatch(ctx context.Context, c Config, samples []vecmath.Vector
 	return nil
 }
 
+// cancelCheckSteps is the sequential-training cancellation stride:
+// the context is polled every this many steps, bounding the latency
+// of a cancellation to a few hundred cheap weight updates.
+const cancelCheckSteps = 256
+
 // trainSequential runs the classic on-line SOM loop: at every step a
 // random sample is presented, its BMU located, and the BMU
 // neighbourhood pulled toward the sample with the Gaussian kernel
@@ -349,11 +366,6 @@ func (m *Map) trainBatch(ctx context.Context, c Config, samples []vecmath.Vector
 // evenly spaced checkpoints recording the annealed learning rate and
 // radius — sequential training has no epochs, so checkpoints stand
 // in for them.
-// cancelCheckSteps is the sequential-training cancellation stride:
-// the context is polled every this many steps, bounding the latency
-// of a cancellation to a few hundred cheap weight updates.
-const cancelCheckSteps = 256
-
 func (m *Map) trainSequential(ctx context.Context, c Config, samples []vecmath.Vector, r *rng.Source, o *obs.Observer, sp *obs.Span) error {
 	interval := 0
 	if o.Active() {

@@ -39,11 +39,14 @@ func TopEigen(a *Matrix, k int, seed uint64) (*Eigen, error) {
 			v[i] = r.NormFloat64()
 		}
 		v = v.Normalize()
+		// av is work·v. The Rayleigh quotient of each iterate computes
+		// the product the next iteration starts from, so it is carried
+		// forward instead of recomputed: one product per iteration.
+		av := work.MulVec(v)
 		lambda := 0.0
 		converged := false
 		for iter := 0; iter < maxIter; iter++ {
-			next := work.MulVec(v)
-			norm := next.Norm()
+			norm := av.Norm()
 			if norm < 1e-300 {
 				// The deflated matrix annihilated the guess: the
 				// remaining spectrum is (numerically) zero.
@@ -51,15 +54,17 @@ func TopEigen(a *Matrix, k int, seed uint64) (*Eigen, error) {
 				converged = true
 				break
 			}
-			next = next.Scale(1 / norm)
-			newLambda := next.Dot(work.MulVec(next))
+			next := av
+			next.ScaleInPlace(1 / norm)
+			anext := work.MulVec(next)
+			newLambda := next.Dot(anext)
 			if math.Abs(newLambda-lambda) <= tol*math.Max(1, math.Abs(newLambda)) &&
 				EuclideanDistance(next, v) < 1e-8 {
 				v, lambda = next, newLambda
 				converged = true
 				break
 			}
-			v, lambda = next, newLambda
+			v, lambda, av = next, newLambda, anext
 		}
 		if !converged {
 			return nil, ErrNoConvergence
