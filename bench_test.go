@@ -268,29 +268,6 @@ func gridName(r, c int) string {
 	return string(rune('0'+r)) + "x" + string(rune('0'+c))
 }
 
-// BenchmarkAblationTrainAlgorithm compares sequential and batch SOM
-// training.
-func BenchmarkAblationTrainAlgorithm(b *testing.B) {
-	b.ReportAllocs()
-	s := suiteForBench(b)
-	p, err := s.Pipeline(experiments.SARMachineA)
-	if err != nil {
-		b.Fatal(err)
-	}
-	vectors := p.Prepared.Vectors()
-	for _, alg := range []som.Algorithm{som.Sequential, som.Batch} {
-		alg := alg
-		b.Run(alg.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := som.Train(som.Config{Rows: 5, Cols: 4, Seed: 1, Algorithm: alg}, vectors); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkRedundancySweep measures the malicious-tweak analysis.
 func BenchmarkRedundancySweep(b *testing.B) {
 	b.ReportAllocs()

@@ -20,7 +20,6 @@ import (
 	"hmeans/internal/cliutil"
 	"hmeans/internal/dataio"
 	"hmeans/internal/obs"
-	"hmeans/internal/par"
 	"hmeans/internal/rng"
 	"hmeans/internal/simbench"
 )
@@ -34,12 +33,11 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("benchsim", flag.ContinueOnError)
 	var (
-		emit     = fs.String("emit", "speedups", "what to emit: speedups, sar, methods, times or manifest")
-		machine  = fs.String("machine", "A", "machine: A, B or reference")
-		runs     = fs.Int("runs", 10, "executions averaged per measurement")
-		seed     = fs.Uint64("seed", 1, "measurement / sampling seed")
-		suite    = fs.String("suite", "", "JSON suite manifest (default: the built-in calibrated suite)")
-		parallel = fs.Int("parallel", 1, "worker count for -emit speedups (0 = all CPUs); values > 1 measure workloads concurrently on independent noise sub-streams, identical for every worker count")
+		emit    = fs.String("emit", "speedups", "what to emit: speedups, sar, methods, times or manifest")
+		machine = fs.String("machine", "A", "machine: A, B or reference")
+		runs    = fs.Int("runs", 10, "executions averaged per measurement")
+		seed    = fs.Uint64("seed", 1, "measurement / sampling seed")
+		suite   = fs.String("suite", "", "JSON suite manifest (default: the built-in calibrated suite)")
 	)
 	timeout := cliutil.RegisterTimeout(fs)
 	obsFlags := obs.RegisterFlags(fs)
@@ -49,23 +47,20 @@ func run(args []string, stdout io.Writer) error {
 	if obsFlags.PrintVersion(stdout, "benchsim") {
 		return nil
 	}
-	if err := cliutil.ValidateParallel(*parallel); err != nil {
-		return err
-	}
 	sess, err := obsFlags.Start()
 	if err != nil {
 		return err
 	}
 	ctx, cancel := cliutil.WithTimeout(*timeout)
 	defer cancel()
-	err = emitOutput(ctx, *emit, *machine, *runs, *seed, *suite, *parallel, stdout)
+	err = emitOutput(ctx, *emit, *machine, *runs, *seed, *suite, stdout)
 	if cerr := sess.Close(); err == nil {
 		err = cerr
 	}
 	return err
 }
 
-func emitOutput(ctx context.Context, emit, machine string, runs int, seed uint64, suite string, parallel int, stdout io.Writer) error {
+func emitOutput(ctx context.Context, emit, machine string, runs int, seed uint64, suite string, stdout io.Writer) error {
 	m, err := machineByName(machine)
 	if err != nil {
 		return err
@@ -86,24 +81,9 @@ func emitOutput(ctx context.Context, emit, machine string, runs int, seed uint64
 		return err
 	}
 
-	workers := parallel
-	if workers <= 0 {
-		workers = par.Auto()
-	}
-
 	switch emit {
 	case "speedups":
-		// -parallel 1 keeps the historical single-stream measurement
-		// campaign byte-for-byte; higher values switch to per-workload
-		// sub-streams so the campaign can fan out without its output
-		// depending on the worker count.
-		var vals []float64
-		var err error
-		if workers > 1 {
-			vals, err = simbench.MeasuredSpeedupsParallelCtx(ctx, ws, m, simbench.Reference(), runs, seed, workers)
-		} else {
-			vals, err = simbench.MeasuredSpeedupsCtx(ctx, ws, m, simbench.Reference(), runs, seed)
-		}
+		vals, err := simbench.MeasuredSpeedupsCtx(ctx, ws, m, simbench.Reference(), runs, seed)
 		if err != nil {
 			return err
 		}

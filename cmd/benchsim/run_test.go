@@ -1,13 +1,20 @@
 package main
 
 import (
+	"math"
 	"os"
 	"strings"
 	"testing"
 
 	"hmeans/internal/dataio"
+	"hmeans/internal/simbench"
 )
 
+// TestRunEmitSpeedups pins -emit speedups to the single-stream
+// campaign every other consumer measures (the experiment goldens and
+// the benchmark inputs): the emitted speedups must equal
+// simbench.MeasuredSpeedups at the default 10 runs and seed 1, bit
+// for bit.
 func TestRunEmitSpeedups(t *testing.T) {
 	var out strings.Builder
 	if err := run([]string{"-emit", "speedups", "-machine", "A"}, &out); err != nil {
@@ -23,6 +30,20 @@ func TestRunEmitSpeedups(t *testing.T) {
 	for _, v := range s.Values {
 		if v <= 0 || v > 10 {
 			t.Fatalf("implausible speedup %v", v)
+		}
+	}
+	ws, _, err := simbench.CalibratedSuite()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := simbench.MeasuredSpeedups(ws, simbench.MachineA(), simbench.Reference(), 10, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := simbench.WorkloadNames(ws)
+	for i, v := range s.Values {
+		if s.Workloads[i] != names[i] || math.Float64bits(v) != math.Float64bits(want[i]) {
+			t.Errorf("row %d: emitted %s=%v, want %s=%v", i, s.Workloads[i], v, names[i], want[i])
 		}
 	}
 }

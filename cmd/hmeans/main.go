@@ -48,7 +48,7 @@ func run(args []string, stdout io.Writer) error {
 		meanName     = fs.String("mean", "geometric", "mean family: geometric, arithmetic or harmonic")
 		k            = fs.Int("k", 0, "cluster count to cut at (0 with -chars: sweep 2..n)")
 		seed         = fs.Uint64("seed", 2007, "SOM training seed")
-		parallel     = fs.Int("parallel", 1, "worker count for SOM training and clustering (0 = all CPUs); results are identical for every value")
+		parallel     = fs.Int("parallel", 1, "worker count for SOM placement and the distance matrix (0 = all CPUs); SOM training and merging are serial; results are identical for every value")
 		quarantine   = fs.Bool("quarantine", false, "drop workloads with non-finite characterization values and score the survivors instead of failing")
 	)
 	timeout := cliutil.RegisterTimeout(fs)

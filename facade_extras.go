@@ -12,8 +12,9 @@ import (
 )
 
 // SOMConfig configures the self-organizing-map stage of the pipeline
-// (grid shape, training length, seed, algorithm). The zero value uses
-// the library defaults, including a grid sized to the sample count.
+// (grid shape, training length, schedules, initialization, seed).
+// The zero value uses the library defaults, including a grid sized to
+// the sample count.
 type SOMConfig = som.Config
 
 // Interval is a two-sided confidence interval around a statistic.

@@ -124,10 +124,10 @@ const (
 // PipelineConfig configures cluster detection; the zero value uses
 // the paper's choices (counter preprocessing, SOM reduction sized to
 // the sample count, complete linkage, Euclidean distance). Set
-// Parallelism to shard the pipeline's hot kernels (batch-SOM
-// training, placement, distance matrix, linkage scans) across that
-// many workers — every parallel kernel reduces deterministically, so
-// results are bit-identical for any worker count.
+// Parallelism to shard SOM placement, the distance matrix and the
+// linkage's validation pass across that many workers; SOM training
+// and the agglomeration stay serial. Every parallel kernel is
+// deterministic, so results are bit-identical for any worker count.
 type PipelineConfig = core.PipelineConfig
 
 // Pipeline is a completed cluster detection: preprocessed table,
@@ -141,8 +141,8 @@ func DetectClusters(table *Table, cfg PipelineConfig) (*Pipeline, error) {
 }
 
 // DetectClustersCtx is DetectClusters with cooperative cancellation:
-// the context is honoured between pipeline stages, between SOM
-// training epochs and between linkage merge steps. A context that
+// the context is honoured between pipeline stages, every few hundred
+// SOM training steps and between linkage merge steps. A context that
 // never fires yields results bit-identical to DetectClusters.
 func DetectClustersCtx(ctx context.Context, table *Table, cfg PipelineConfig) (*Pipeline, error) {
 	return core.DetectClustersCtx(ctx, table, cfg)

@@ -39,11 +39,12 @@ func BenchmarkDendrogramLarge(b *testing.B) {
 	}
 }
 
-// BenchmarkDendrogramSerialVsParallel compares the single-worker
-// agglomeration against the full machine at the paper's suite size
-// and two production-scale sizes. Both arms produce bit-identical
-// merge sequences; the parallel arm shards the distance matrix and
-// every nearest-pair scan.
+// BenchmarkDendrogramSerialVsParallel compares one worker against the
+// full machine at the paper's suite size and two production-scale
+// sizes. Both arms produce bit-identical merge sequences. Workers
+// shard only the condensed distance build and the validation pass;
+// the agglomeration (scan at n ≤ 128, NN-chain above) is serial in
+// both arms.
 func BenchmarkDendrogramSerialVsParallel(b *testing.B) {
 	b.ReportAllocs()
 	for _, n := range []int{13, 200, 1000} {

@@ -39,9 +39,10 @@ type Dendrogram struct {
 
 // Options bundles the optional knobs of dendrogram construction.
 type Options struct {
-	// Workers is the goroutine count for the matrix build and the
-	// nearest-pair scans; <= 1 runs serially. Results are identical
-	// for every value.
+	// Workers is the goroutine count for the tiled distance build and
+	// the validation pass over it, the O(n²) parts; <= 1 runs
+	// serially. The agglomeration itself is serial. Results are
+	// identical for every value.
 	Workers int
 	// Ctx cancels the construction cooperatively: the matrix build
 	// stops dispatching row shards and the agglomeration stops between
@@ -71,11 +72,9 @@ type Options struct {
 // are built directly in condensed (upper-triangle) form — n(n−1)/2
 // floats instead of n² — and the agglomeration runs natively on that
 // layout; no dense matrix is ever materialized. The distance build and
-// every nearest-pair scan shard across opt.Workers goroutines; the
-// merge sequence is bit-identical for any worker count, because
-// distances are pure per-pair functions and the scan reduction
-// preserves the serial tie-break (first minimal pair in row-major
-// order).
+// the validation pass shard across opt.Workers goroutines; the merge
+// sequence is bit-identical for any worker count, because distances
+// are pure per-pair functions and the agglomeration runs serially.
 func NewDendrogramOpts(points []vecmath.Vector, m vecmath.Metric, l Linkage, opt Options) (*Dendrogram, error) {
 	if len(points) == 0 {
 		return nil, ErrNoPoints
@@ -89,13 +88,6 @@ func NewDendrogramOpts(points []vecmath.Vector, m vecmath.Metric, l Linkage, opt
 		return nil, fmt.Errorf("cluster: distance matrix: %w", err)
 	}
 	return fromCondensed(cm, l, opt)
-}
-
-// pairCand is one worker's best merge candidate from a nearest-pair
-// scan over a chunk of matrix rows; i < 0 marks "no active pair seen".
-type pairCand struct {
-	i, j int
-	d    float64
 }
 
 // fromCondensed is the agglomeration core. The input matrix becomes
@@ -196,55 +188,30 @@ func fromCondensed(w *vecmath.CondensedMatrix, l Linkage, opt Options) (*Dendrog
 		size[i] = 1
 	}
 
-	// Row bands are fixed for the whole agglomeration; scans ignore
-	// deactivated slots, so the bands never need rebalancing to stay
-	// correct. The scan body is bound once and reused by every merge
-	// step's fan-out — per-step state flows through active/cands, not
-	// through fresh closures.
-	chunks := par.Split(n, workers)
-	cands := make([]pairCand, len(chunks))
-	scan := func(cStart, cEnd int) {
-		for c := cStart; c < cEnd; c++ {
-			best := pairCand{i: -1, j: -1, d: math.Inf(1)}
-			for i := chunks[c].Start; i < chunks[c].End; i++ {
-				if !active[i] {
-					continue
-				}
-				// Row i's tail is contiguous: entry t is pair
-				// (i, i+1+t), scanned in exactly the dense row-major
-				// order, so the first-minimal tie-break is unchanged.
-				row := w.RowTail(i)
-				for t, dv := range row {
-					if !active[i+1+t] {
-						continue
-					}
-					if dv < best.d {
-						best = pairCand{i: i, j: i + 1 + t, d: dv}
-					}
-				}
-			}
-			cands[c] = best
-		}
-	}
 	nextID := n
 	progEvery := progressStride(n - 1)
 	for step := 0; step < n-1; step++ {
 		// The agglomeration cancels between merge steps: each step is
-		// O(n·workers) work, so this is the natural checkpoint spacing.
+		// one O(n²) scan, so this is the natural checkpoint spacing.
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("cluster: linkage cancelled at step %d of %d: %w", step, n-1, err)
 		}
-		// Find the closest active pair. Each worker scans a
-		// contiguous band of rows and keeps the first strictly
-		// minimal pair it sees; merging the per-worker candidates in
-		// band order reproduces the serial row-major tie-break
-		// exactly, because a later band can only win with a strictly
-		// smaller distance.
-		par.For(workers, len(chunks), scan)
+		// Find the closest active pair: the first strictly minimal
+		// pair in row-major order. Row i's tail is contiguous: entry t
+		// is pair (i, i+1+t).
 		bi, bj, best := -1, -1, math.Inf(1)
-		for _, c := range cands {
-			if c.i >= 0 && c.d < best {
-				bi, bj, best = c.i, c.j, c.d
+		for i := 0; i < n; i++ {
+			if !active[i] {
+				continue
+			}
+			row := w.RowTail(i)
+			for t, dv := range row {
+				if !active[i+1+t] {
+					continue
+				}
+				if dv < best {
+					bi, bj, best = i, i+1+t, dv
+				}
 			}
 		}
 		// Update distances from the merged cluster (slot bi) to every

@@ -27,25 +27,28 @@ func tieHeavyPoints(n int, seed uint64) []vecmath.Vector {
 }
 
 // TestDendrogramParallelDeterminism asserts the core guarantee of the
-// parallel linkage: for every linkage, seed and worker count the
-// merge sequence — ids, sizes and float64-exact heights — matches the
-// serial path.
+// sharded distance build and validation pass: for every linkage, seed
+// and worker count the merge sequence — ids, sizes and float64-exact
+// heights — matches the serial path, on both the scan (60 points) and
+// the NN-chain (200 points).
 func TestDendrogramParallelDeterminism(t *testing.T) {
 	for _, l := range []Linkage{Complete, Single, Average, Ward} {
-		for seed := uint64(1); seed <= 5; seed++ {
-			pts := tieHeavyPoints(60, seed)
-			serial, err := NewDendrogramOpts(pts, vecmath.Euclidean, l, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{1, 2, 8} {
-				got, err := NewDendrogramOpts(pts, vecmath.Euclidean, l, Options{Workers: workers})
+		for _, n := range []int{60, 200} {
+			for seed := uint64(1); seed <= 5; seed++ {
+				pts := tieHeavyPoints(n, seed)
+				serial, err := NewDendrogramOpts(pts, vecmath.Euclidean, l, Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(serial.Merges(), got.Merges()) {
-					t.Fatalf("%v seed %d workers %d: parallel merge sequence differs from serial",
-						l, seed, workers)
+				for _, workers := range []int{1, 2, 8} {
+					got, err := NewDendrogramOpts(pts, vecmath.Euclidean, l, Options{Workers: workers})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(serial.Merges(), got.Merges()) {
+						t.Fatalf("%v n %d seed %d workers %d: parallel merge sequence differs from serial",
+							l, n, seed, workers)
+					}
 				}
 			}
 		}

@@ -9,14 +9,14 @@ import (
 )
 
 // TestDetectClustersParallelDeterminism runs the whole pipeline —
-// preprocessing, batch-SOM, placement, linkage — at worker counts
+// preprocessing, SOM training, placement, linkage — at worker counts
 // {1, 2, 8} and requires bit-identical positions and merge sequences.
 // This is the end-to-end version of the per-kernel determinism tests
 // in som and cluster.
 func TestDetectClustersParallelDeterminism(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		cfg := PipelineConfig{
-			SOM: som.Config{Steps: 6000, Seed: seed, Algorithm: som.Batch},
+			SOM: som.Config{Steps: 6000, Seed: seed},
 		}
 		cfg.Parallelism = 1
 		base, err := DetectClusters(syntheticSuite(t), cfg)
@@ -25,7 +25,6 @@ func TestDetectClustersParallelDeterminism(t *testing.T) {
 		}
 		for _, workers := range []int{2, 8} {
 			cfg.Parallelism = workers
-			cfg.SOM.Parallelism = 0 // let the pipeline thread it through
 			p, err := DetectClusters(syntheticSuite(t), cfg)
 			if err != nil {
 				t.Fatal(err)

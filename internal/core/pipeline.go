@@ -61,12 +61,12 @@ type PipelineConfig struct {
 	// exactly zero — useful when the downstream analysis needs
 	// within-cell structure. Ignored with SkipSOM.
 	SoftPlacement bool
-	// Parallelism is the worker count for the pipeline's parallel
-	// kernels: batch-SOM training, BMU placement, the pairwise
-	// distance matrix and the linkage scans. Values <= 1 run
-	// serially. Every parallel kernel reduces deterministically, so
-	// results are bit-identical for any worker count; an explicit
-	// SOM.Parallelism overrides this value for the SOM stage.
+	// Parallelism is the worker count for the pipeline's sharded
+	// kernels: SOM placement, the pairwise distance build and the
+	// linkage's validation pass; values <= 1 run them serially. SOM
+	// training and the agglomeration are always serial. Every
+	// parallel kernel is deterministic, so results are bit-identical
+	// for any worker count.
 	Parallelism int
 	// Quarantine enables graceful degradation: workloads carrying
 	// non-finite characterization values are dropped (and recorded in
@@ -123,10 +123,11 @@ func DetectClusters(table *chars.Table, cfg PipelineConfig) (*Pipeline, error) {
 }
 
 // DetectClustersCtx is DetectClusters with cooperative cancellation:
-// the context is checked between stages, between SOM training epochs
-// and between linkage merge steps, so a cancel or deadline stops the
-// pipeline promptly without abandoning goroutines. A context that
-// never fires yields results bit-identical to DetectClusters.
+// the context is checked between stages, every few hundred SOM
+// training steps and between linkage merge steps, so a cancel or
+// deadline stops the pipeline promptly without abandoning goroutines.
+// A context that never fires yields results bit-identical to
+// DetectClusters.
 func DetectClustersCtx(ctx context.Context, table *chars.Table, cfg PipelineConfig) (*Pipeline, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -228,9 +229,6 @@ func DetectClustersCtx(ctx context.Context, table *chars.Table, cfg PipelineConf
 			// fixed grids magnify tight workload blobs across many
 			// cells and destabilize the downstream clustering.
 			cfg.SOM.Rows, cfg.SOM.Cols = som.GridFor(len(vectors))
-		}
-		if cfg.SOM.Parallelism == 0 {
-			cfg.SOM.Parallelism = workers
 		}
 		if cfg.SOM.Obs == nil {
 			cfg.SOM.Obs = o

@@ -154,7 +154,7 @@ func TestChaosSlowShardDeadline(t *testing.T) {
 // load with an error or load as a fully usable map — never panic.
 func TestChaosCorruptedSOM(t *testing.T) {
 	samples := []vecmath.Vector{{0, 0, 1}, {1, 0, 0}, {0, 1, 0}, {1, 1, 1}}
-	m, err := som.Train(som.Config{Rows: 3, Cols: 3, Seed: 7, BatchEpochs: 5}, samples)
+	m, err := som.Train(som.Config{Rows: 3, Cols: 3, Seed: 7}, samples)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,23 +49,18 @@ func TestForContainsWorkerPanic(t *testing.T) {
 // for the fixed-shard pool, checking the reported shard index.
 func TestFixedShardsContainsWorkerPanic(t *testing.T) {
 	for _, workers := range []int{1, 3, 8} {
-		func() {
-			defer func() {
-				v := recover()
-				pe, ok := v.(*PanicError)
-				if !ok {
-					t.Fatalf("workers=%d: panic value %T (%v), want *PanicError", workers, v, v)
-				}
-				if pe.Shard != 2 {
-					t.Errorf("workers=%d: reported shard %d, want 2", workers, pe.Shard)
-				}
-			}()
-			FixedShards(workers, 100, 10, func(shard, start, end int) {
-				if shard == 2 {
-					panic("shard down")
-				}
-			})
-		}()
+		_, err := FixedShardsCtx(context.Background(), workers, 100, 10, func(shard, start, end int) {
+			if shard == 2 {
+				panic("shard down")
+			}
+		})
+		var pe *PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("workers=%d: error %v, want *PanicError", workers, err)
+		}
+		if pe.Shard != 2 {
+			t.Errorf("workers=%d: reported shard %d, want 2", workers, pe.Shard)
+		}
 	}
 }
 
@@ -145,8 +140,9 @@ func TestFixedShardsCtxDeadline(t *testing.T) {
 }
 
 // TestCtxVariantsBitIdenticalWithBackground proves the ctx variants
-// are drop-in twins when the context never fires: same chunk
-// boundaries, same shard assignment, same coverage.
+// behave like uncancellable fan-outs when the context never fires:
+// ForCtx covers exactly what For does, and FixedShardsCtx keeps its
+// size-only shard boundaries.
 func TestCtxVariantsBitIdenticalWithBackground(t *testing.T) {
 	const n = 103
 	for _, workers := range []int{1, 2, 8} {
@@ -181,9 +177,8 @@ func TestCtxVariantsBitIdenticalWithBackground(t *testing.T) {
 		if err != nil {
 			t.Fatalf("FixedShardsCtx: %v", err)
 		}
-		want := FixedShards(workers, n, 16, func(shard, start, end int) {})
-		if shards != want {
-			t.Fatalf("workers=%d: %d shards via ctx, %d plain", workers, shards, want)
+		if want := (n + 15) / 16; shards != want {
+			t.Fatalf("workers=%d: %d shards, want %d", workers, shards, want)
 		}
 		for s := 0; s < shards; s++ {
 			start := s * 16

@@ -1,6 +1,7 @@
 package par
 
 import (
+	"context"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -18,7 +19,7 @@ func withDefaultObserver(t *testing.T) *obs.Observer {
 	return o
 }
 
-// coverage runs body-style bookkeeping for For/FixedShards edge cases:
+// coverage runs body-style bookkeeping for For/FixedShardsCtx edge cases:
 // every index in [0, n) must be visited exactly once.
 func checkCoverage(t *testing.T, n int, seen []atomic.Int32) {
 	t.Helper()
@@ -66,8 +67,8 @@ func TestForEdgeCases(t *testing.T) {
 	}
 }
 
-// TestFixedShardsEdgeCases is the FixedShards twin: the same corner
-// sweep, asserting shard counts, coverage, and metric emission.
+// TestFixedShardsEdgeCases is the FixedShardsCtx twin: the same
+// corner sweep, asserting shard counts, coverage, and metric emission.
 func TestFixedShardsEdgeCases(t *testing.T) {
 	o := withDefaultObserver(t)
 	cases := []struct {
@@ -85,11 +86,14 @@ func TestFixedShardsEdgeCases(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			seen := make([]atomic.Int32, tc.n)
-			shards := FixedShards(tc.workers, tc.n, tc.shardSize, func(shard, start, end int) {
+			shards, err := FixedShardsCtx(context.Background(), tc.workers, tc.n, tc.shardSize, func(shard, start, end int) {
 				for i := start; i < end; i++ {
 					seen[i].Add(1)
 				}
 			})
+			if err != nil {
+				t.Fatal(err)
+			}
 			if shards != tc.wantShards {
 				t.Fatalf("shards = %d, want %d", shards, tc.wantShards)
 			}

@@ -1,10 +1,10 @@
 // Package par provides the small deterministic-parallelism toolkit
-// the hot kernels (SOM batch training, agglomerative linkage, k-means
-// assignment) share: contiguous range splitting across a bounded
-// worker pool, and fixed-shard partitioning whose boundaries depend
-// only on the problem size — never on the worker count — so that
-// floating-point reductions performed shard-by-shard in index order
-// produce bit-identical results for any parallelism level.
+// the sharded kernels share (the tiled condensed distance build, the
+// linkage's validation pass, SOM placement): contiguous range
+// splitting across a bounded worker pool, and fixed-shard
+// partitioning whose boundaries depend only on the problem size —
+// never on the worker count — so results are bit-identical for any
+// parallelism level.
 //
 // The package deliberately has no clever scheduling: every helper
 // spawns at most `workers` goroutines, hands each a statically
@@ -18,11 +18,11 @@
 // unrecoverable goroutine: every body invocation runs guarded, and a
 // recovered panic is re-raised on the *calling* goroutine as a
 // *PanicError carrying the shard identity and the worker stack — or,
-// on the ForCtx/FixedShardsCtx variants, returned as an error. The
-// ctx variants additionally stop dispatching new chunks/shards once
-// the context fires (in-flight bodies run to completion, so partial
-// output must be discarded on error) and are bit-identical to the
-// plain variants whenever the context never fires.
+// from ForCtx and FixedShardsCtx, returned as an error. Those two
+// additionally stop dispatching new chunks/shards once the context
+// fires (in-flight bodies run to completion, so partial output must
+// be discarded on error) and are bit-identical to an uncancelled run
+// whenever the context never fires.
 package par
 
 import (
@@ -51,15 +51,15 @@ func Resolve(workers int) int {
 // runtime.NumCPU().
 func Auto() int { return runtime.NumCPU() }
 
-// Range describes a contiguous half-open index interval [Start, End).
-type Range struct {
+// chunk is a contiguous half-open index interval [Start, End).
+type chunk struct {
 	Start, End int
 }
 
-// Split partitions [0, n) into at most `parts` contiguous ranges of
-// near-equal length (the first n%parts ranges are one longer). It
-// returns fewer ranges when n < parts; it never returns empty ranges.
-func Split(n, parts int) []Range {
+// split partitions [0, n) into at most `parts` contiguous chunks of
+// near-equal length (the first n%parts chunks are one longer). It
+// returns fewer chunks when n < parts; it never returns empty chunks.
+func split(n, parts int) []chunk {
 	if n <= 0 {
 		return nil
 	}
@@ -69,7 +69,7 @@ func Split(n, parts int) []Range {
 	if parts > n {
 		parts = n
 	}
-	out := make([]Range, 0, parts)
+	out := make([]chunk, 0, parts)
 	base, rem := n/parts, n%parts
 	start := 0
 	for i := 0; i < parts; i++ {
@@ -77,21 +77,21 @@ func Split(n, parts int) []Range {
 		if i < rem {
 			size++
 		}
-		out = append(out, Range{Start: start, End: start + size})
+		out = append(out, chunk{Start: start, End: start + size})
 		start += size
 	}
 	return out
 }
 
 // PanicError is a worker panic recovered by the pool, carrying the
-// identity of the shard that raised it. For and FixedShards re-raise
-// it on the calling goroutine (where defer/recover works); ForCtx and
+// identity of the shard that raised it. For re-raises it on the
+// calling goroutine (where defer/recover works); ForCtx and
 // FixedShardsCtx return it as an ordinary error.
 type PanicError struct {
-	// Op names the entry point ("par.For" or "par.FixedShards").
+	// Op names the pool ("par.For" or "par.FixedShards").
 	Op string
-	// Shard is the chunk index (For) or shard index (FixedShards)
-	// whose body panicked.
+	// Shard is the chunk index (For, ForCtx) or shard index
+	// (FixedShardsCtx) whose body panicked.
 	Shard int
 	// Start and End bound the index range the shard owned.
 	Start, End int
@@ -115,7 +115,7 @@ func (e *PanicError) Unwrap() error {
 }
 
 // guard runs body over r, converting a panic into a *PanicError.
-func guard(op string, shard int, r Range, body func(start, end int)) (pe *PanicError) {
+func guard(op string, shard int, r chunk, body func(start, end int)) (pe *PanicError) {
 	defer func() {
 		if v := recover(); v != nil {
 			pe = &PanicError{Op: op, Shard: shard, Start: r.Start, End: r.End, Value: v, Stack: debug.Stack()}
@@ -126,9 +126,9 @@ func guard(op string, shard int, r Range, body func(start, end int)) (pe *PanicE
 }
 
 // guardShard is guard for shard-indexed bodies. It is a top-level
-// function (not a closure over body) so the serial FixedShards path
-// stays allocation-free: a long-lived caller handing in a reused func
-// value runs whole shard sweeps with zero heap traffic.
+// function (not a closure over body) so the serial FixedShardsCtx
+// path stays allocation-free: a long-lived caller handing in a reused
+// func value runs whole shard sweeps with zero heap traffic.
 func guardShard(op string, shard, start, end int, body func(shard, start, end int)) (pe *PanicError) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -145,7 +145,7 @@ func guardShard(op string, shard, start, end int, body func(shard, start, end in
 // invocation owns its range exclusively, so bodies may write to
 // per-index slots of shared slices without synchronization. Results
 // must not depend on chunk boundaries if worker-count-invariant output
-// is required — use FixedShards for order-sensitive reductions.
+// is required — use FixedShardsCtx for order-sensitive reductions.
 //
 // A body panic — even on a spawned worker — surfaces as a *PanicError
 // panic on the calling goroutine after every other chunk has finished
@@ -181,13 +181,13 @@ func forCtx(ctx context.Context, workers, n int, body func(start, end int)) erro
 	workers = Resolve(workers)
 	if workers == 1 || n <= 1 {
 		if n > 0 {
-			if pe := guard("par.For", 0, Range{Start: 0, End: n}, body); pe != nil {
+			if pe := guard("par.For", 0, chunk{Start: 0, End: n}, body); pe != nil {
 				return pe
 			}
 		}
 		return nil
 	}
-	ranges := Split(n, workers)
+	ranges := split(n, workers)
 	if len(ranges) == 1 {
 		if pe := guard("par.For", 0, ranges[0], body); pe != nil {
 			return pe
@@ -278,7 +278,7 @@ func recordImbalance(o *obs.Observer, prefix string, durs []time.Duration) {
 	reg.Histogram(prefix+".imbalance_hist", imbalanceBounds...).Observe(ratio)
 }
 
-// FixedShards partitions [0, n) into shards of exactly `shardSize`
+// FixedShardsCtx partitions [0, n) into shards of exactly `shardSize`
 // indices (the last shard may be shorter) — boundaries depend only on
 // n and shardSize, never on the worker count — and runs body once per
 // shard across the pool. The shard index lets the body write into a
@@ -286,32 +286,16 @@ func recordImbalance(o *obs.Observer, prefix string, durs []time.Duration) {
 // afterwards yields bit-identical floating-point results regardless
 // of parallelism. It returns the number of shards.
 //
-// Like For, a body panic is contained and re-raised on the calling
-// goroutine as a *PanicError with the offending shard's identity.
-func FixedShards(workers, n, shardSize int, body func(shard, start, end int)) int {
-	shards, err := fixedShardsCtx(context.Background(), workers, n, shardSize, body)
-	if err != nil {
-		panic(err)
-	}
-	return shards
-}
-
-// FixedShardsCtx is FixedShards with cooperative cancellation and
-// panic containment: once ctx fires no further shard starts and ctx's
-// error is returned (partial output must be discarded); a body panic
-// is returned as a *PanicError. Cancellation granularity is one shard
-// — much finer than ForCtx's one chunk per worker — which makes this
-// the preferred fan-out for deadline-sensitive kernels. With a
-// context that never fires the shard boundaries, assignment and
-// results are bit-identical to FixedShards.
+// Once ctx fires no further shard starts and ctx's error is returned
+// (partial output must be discarded); a body panic is returned as a
+// *PanicError with the offending shard's identity. Cancellation
+// granularity is one shard — much finer than ForCtx's one chunk per
+// worker — which makes this the preferred fan-out for
+// deadline-sensitive kernels.
 func FixedShardsCtx(ctx context.Context, workers, n, shardSize int, body func(shard, start, end int)) (int, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return fixedShardsCtx(ctx, workers, n, shardSize, body)
-}
-
-func fixedShardsCtx(ctx context.Context, workers, n, shardSize int, body func(shard, start, end int)) (int, error) {
 	if n <= 0 {
 		return 0, nil
 	}
@@ -356,7 +340,7 @@ func fixedShardsCtx(ctx context.Context, workers, n, shardSize int, body func(sh
 		}
 		return guardShard("par.FixedShards", shard, start, end, body)
 	}
-	// The observer gate costs one atomic load per FixedShards call;
+	// The observer gate costs one atomic load per FixedShardsCtx call;
 	// when active, per-shard wall times feed the shard-imbalance
 	// metrics. Shard assignment is the same static interleave either
 	// way — worker w owns shards w, w+W, w+2W, … — and shard

@@ -1,6 +1,7 @@
 package par
 
 import (
+	"context"
 	"sync/atomic"
 	"testing"
 )
@@ -21,31 +22,31 @@ func TestResolve(t *testing.T) {
 func TestSplitCoversExactly(t *testing.T) {
 	for n := 0; n <= 40; n++ {
 		for parts := 1; parts <= 10; parts++ {
-			ranges := Split(n, parts)
+			ranges := split(n, parts)
 			next := 0
 			for _, r := range ranges {
 				if r.Start != next {
-					t.Fatalf("Split(%d,%d): range starts at %d, want %d", n, parts, r.Start, next)
+					t.Fatalf("split(%d,%d): range starts at %d, want %d", n, parts, r.Start, next)
 				}
 				if r.End <= r.Start {
-					t.Fatalf("Split(%d,%d): empty range %+v", n, parts, r)
+					t.Fatalf("split(%d,%d): empty range %+v", n, parts, r)
 				}
 				next = r.End
 			}
 			if next != n {
-				t.Fatalf("Split(%d,%d): covers [0,%d), want [0,%d)", n, parts, next, n)
+				t.Fatalf("split(%d,%d): covers [0,%d), want [0,%d)", n, parts, next, n)
 			}
 			if n > 0 && len(ranges) > parts {
-				t.Fatalf("Split(%d,%d): %d ranges", n, parts, len(ranges))
+				t.Fatalf("split(%d,%d): %d ranges", n, parts, len(ranges))
 			}
 		}
 	}
 }
 
 func TestSplitBalance(t *testing.T) {
-	for _, r := range Split(10, 3) {
+	for _, r := range split(10, 3) {
 		if size := r.End - r.Start; size < 3 || size > 4 {
-			t.Errorf("Split(10,3): unbalanced range %+v", r)
+			t.Errorf("split(10,3): unbalanced range %+v", r)
 		}
 	}
 }
@@ -74,13 +75,16 @@ func TestFixedShardsBoundariesIndependentOfWorkers(t *testing.T) {
 		got := map[int][2]int{}
 		var mu chan struct{} = make(chan struct{}, 1)
 		mu <- struct{}{}
-		shards := FixedShards(workers, n, shardSize, func(shard, start, end int) {
+		shards, err := FixedShardsCtx(context.Background(), workers, n, shardSize, func(shard, start, end int) {
 			<-mu
 			got[shard] = [2]int{start, end}
 			mu <- struct{}{}
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if want := (n + shardSize - 1) / shardSize; shards != want {
-			t.Fatalf("FixedShards returned %d shards, want %d", shards, want)
+			t.Fatalf("FixedShardsCtx returned %d shards, want %d", shards, want)
 		}
 		return got
 	}
@@ -101,11 +105,13 @@ func TestFixedShardsBoundariesIndependentOfWorkers(t *testing.T) {
 func TestFixedShardsCoverage(t *testing.T) {
 	const n, shardSize = 50, 7
 	visits := make([]int32, n)
-	FixedShards(4, n, shardSize, func(_, start, end int) {
+	if _, err := FixedShardsCtx(context.Background(), 4, n, shardSize, func(_, start, end int) {
 		for i := start; i < end; i++ {
 			atomic.AddInt32(&visits[i], 1)
 		}
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	for i, v := range visits {
 		if v != 1 {
 			t.Fatalf("index %d visited %d times", i, v)

@@ -37,19 +37,3 @@ func TestMeasuredSpeedupsCtx(t *testing.T) {
 		t.Fatalf("cancelled campaign: error %v, want context.Canceled", err)
 	}
 }
-
-func TestMeasuredSpeedupsParallelCtx(t *testing.T) {
-	ws := suite(t)
-	got, err := MeasuredSpeedupsParallelCtx(context.Background(), ws, MachineA(), Reference(), 10, 7, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(ws) {
-		t.Fatalf("got %d speedups for %d workloads", len(got), len(ws))
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := MeasuredSpeedupsParallelCtx(ctx, ws, MachineA(), Reference(), 10, 7, 4); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled campaign: error %v, want context.Canceled", err)
-	}
-}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 
-	"hmeans/internal/obs"
 	"hmeans/internal/rng"
 	"hmeans/internal/stat"
 )
@@ -86,16 +85,4 @@ func MeasureTimeStats(w *Workload, m Machine, runs int, level float64, r *rng.So
 // the measurement campaign reproducible.
 func MeasuredSpeedups(ws []Workload, target, ref Machine, runs int, seed uint64) ([]float64, error) {
 	return MeasuredSpeedupsCtx(context.Background(), ws, target, ref, runs, seed)
-}
-
-// recordCampaign folds one measurement campaign into the registry:
-// campaigns run and simulated executions performed (each workload runs
-// `runs` times on both machines).
-func recordCampaign(o *obs.Observer, workloads, runs int) {
-	if !o.Active() {
-		return
-	}
-	reg := o.Metrics()
-	reg.Counter("simbench.campaigns").Add(1)
-	reg.Counter("simbench.executions").Add(int64(2 * workloads * runs))
 }

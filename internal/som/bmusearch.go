@@ -8,10 +8,11 @@ import (
 	"hmeans/internal/vecmath"
 )
 
-// bmuSearch selects the best-matching-unit search strategy — the
-// innermost loop of training, placement and the quality measures.
-// Both concrete strategies return identical results, so the choice
-// trades speed only.
+// bmuSearch selects the best-matching-unit search strategy of a
+// trained map: placement, HitMap and the quality measures. Training
+// itself always runs the brute scan, because its weights change at
+// every step. Both concrete strategies return identical results, so
+// the choice trades speed only.
 type bmuSearch int
 
 const (
@@ -40,9 +41,8 @@ const bmuPruneMinUnits = 64
 
 // bmuIndex is the pruned search's precomputed view of a frozen weight
 // array: unit norms ascending, with the owning unit of each entry.
-// Weights mutate during training, so the index is rebuilt at every
-// safe point (each batch epoch boundary, end of training) and must
-// never exist while weights are being written.
+// Weights mutate during training, so the index is built once training
+// ends and must never exist while weights are being written.
 type bmuIndex struct {
 	norms []float64
 	ids   []int
@@ -74,23 +74,16 @@ func (m *Map) buildBMUIndex() *bmuIndex {
 	return &bmuIndex{norms: norms, ids: ids}
 }
 
-// resolveBMUSearch collapses bmuSearchAuto to a concrete mode for this
-// map's size.
-func (m *Map) resolveBMUSearch(mode bmuSearch) bmuSearch {
-	if mode != bmuSearchAuto {
-		return mode
-	}
-	if len(m.weights) >= bmuPruneMinUnits {
-		return bmuSearchPruned
-	}
-	return bmuSearchBrute
-}
-
 // setBMUSearch selects the BMU search strategy for subsequent queries
 // (Position, Placements, the quality measures) on the now-frozen
 // weights, building or dropping the pruned index as needed.
+// bmuSearchAuto picks the pruned search at bmuPruneMinUnits units or
+// more.
 func (m *Map) setBMUSearch(mode bmuSearch) {
-	if m.resolveBMUSearch(mode) == bmuSearchPruned {
+	if mode == bmuSearchAuto && len(m.weights) >= bmuPruneMinUnits {
+		mode = bmuSearchPruned
+	}
+	if mode == bmuSearchPruned {
 		m.index = m.buildBMUIndex()
 	} else {
 		m.index = nil

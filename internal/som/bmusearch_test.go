@@ -1,7 +1,7 @@
 package som
 
 import (
-	"context"
+	"reflect"
 	"testing"
 
 	"hmeans/internal/rng"
@@ -65,24 +65,38 @@ func TestPrunedBMUMatchesBrute(t *testing.T) {
 }
 
 // TestTrainedMapIdenticalAcrossExactModes proves the search modes
-// interchangeable end to end: batch training under brute, pruned and
-// auto must converge to bit-identical weights.
+// interchangeable for the queries production makes: a trained map of
+// at least bmuPruneMinUnits units serves placement, HitMap and
+// quantization error through the pruned index, and each must equal
+// the brute scan's answer exactly.
 func TestTrainedMapIdenticalAcrossExactModes(t *testing.T) {
 	samples := benchSamples(160, 8)
-	cfg := Config{Rows: 12, Cols: 10, Seed: 7, Algorithm: Batch}
-	ref, err := train(context.Background(), cfg, samples, bmuSearchBrute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, mode := range []bmuSearch{bmuSearchPruned, bmuSearchAuto} {
-		got, err := train(context.Background(), cfg, samples, mode)
+	for seed := uint64(1); seed <= 5; seed++ {
+		m, err := Train(Config{Rows: 12, Cols: 10, Steps: 12000, Seed: seed}, samples)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, v := range got.flat {
-			if v != ref.flat[i] {
-				t.Fatalf("mode %v: weight %d = %v, want %v (not bit-identical)", mode, i, v, ref.flat[i])
-			}
+		if m.index == nil {
+			t.Fatalf("seed %d: trained %d-unit map has no pruned index", seed, len(m.weights))
+		}
+		type answers struct {
+			places []vecmath.Vector
+			hits   [][]int
+			qe     float64
+		}
+		query := func(mode bmuSearch) answers {
+			m.setBMUSearch(mode)
+			return answers{m.PlacementsP(samples, 2), m.HitMap(samples), m.QuantizationError(samples)}
+		}
+		pruned, brute := query(bmuSearchPruned), query(bmuSearchBrute)
+		if !reflect.DeepEqual(pruned.places, brute.places) {
+			t.Fatalf("seed %d: pruned placements differ from brute", seed)
+		}
+		if !reflect.DeepEqual(pruned.hits, brute.hits) {
+			t.Fatalf("seed %d: pruned hit map %v, brute %v", seed, pruned.hits, brute.hits)
+		}
+		if pruned.qe != brute.qe {
+			t.Fatalf("seed %d: pruned quantization error %v, brute %v", seed, pruned.qe, brute.qe)
 		}
 	}
 }

@@ -18,23 +18,21 @@ func ctxSamples() []vecmath.Vector {
 
 // TestTrainCtxBitIdentical proves the ctx-aware entry point trains
 // exactly the same map as Train when the context never fires, for
-// both algorithms and several worker counts.
+// several worker counts.
 func TestTrainCtxBitIdentical(t *testing.T) {
 	samples := ctxSamples()
-	for _, alg := range []Algorithm{Batch, Sequential} {
-		for _, workers := range []int{1, 4} {
-			cfg := Config{Rows: 4, Cols: 5, Seed: 2007, Algorithm: alg, Parallelism: workers}
-			plain, err := Train(cfg, samples)
-			if err != nil {
-				t.Fatal(err)
-			}
-			withCtx, err := TrainCtx(context.Background(), cfg, samples)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !plain.Equal(withCtx) {
-				t.Fatalf("alg=%v workers=%d: TrainCtx(Background) diverged from Train", alg, workers)
-			}
+	for _, workers := range []int{1, 4} {
+		cfg := Config{Rows: 4, Cols: 5, Seed: 2007, Parallelism: workers}
+		plain, err := Train(cfg, samples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		withCtx, err := TrainCtx(context.Background(), cfg, samples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !plain.Equal(withCtx) {
+			t.Fatalf("workers=%d: TrainCtx(Background) diverged from Train", workers)
 		}
 	}
 }
@@ -42,10 +40,8 @@ func TestTrainCtxBitIdentical(t *testing.T) {
 func TestTrainCtxCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, alg := range []Algorithm{Batch, Sequential} {
-		_, err := TrainCtx(ctx, Config{Rows: 4, Cols: 4, Seed: 1, Algorithm: alg}, ctxSamples())
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("alg=%v: error %v, want context.Canceled", alg, err)
-		}
+	_, err := TrainCtx(ctx, Config{Rows: 4, Cols: 4, Seed: 1}, ctxSamples())
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("error %v, want context.Canceled", err)
 	}
 }

@@ -13,7 +13,7 @@ import (
 func validMapJSON(tb testing.TB) string {
 	tb.Helper()
 	samples := []vecmath.Vector{{0, 0, 1}, {1, 0, 0}, {0, 1, 0}, {1, 1, 1}}
-	m, err := Train(Config{Rows: 3, Cols: 3, Seed: 7, BatchEpochs: 5}, samples)
+	m, err := Train(Config{Rows: 3, Cols: 3, Seed: 7}, samples)
 	if err != nil {
 		tb.Fatal(err)
 	}

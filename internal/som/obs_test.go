@@ -15,50 +15,6 @@ func obsSamples() []vecmath.Vector {
 	}
 }
 
-// TestBatchTrainingEmitsEpochs checks that batch training reports one
-// som.epoch event per epoch with a finite, eventually-decreasing
-// quantization error.
-func TestBatchTrainingEmitsEpochs(t *testing.T) {
-	col := obs.NewCollector()
-	o := obs.New(col)
-	cfg := Config{
-		Rows: 4, Cols: 4, Algorithm: Batch, BatchEpochs: 20, Seed: 3, Obs: o,
-	}
-	if _, err := Train(cfg, obsSamples()); err != nil {
-		t.Fatal(err)
-	}
-	tr := col.Trace()
-	var qes []float64
-	for _, e := range tr.Events {
-		if e.Name != "som.epoch" {
-			continue
-		}
-		for _, a := range e.Attrs {
-			if a.Key == "qe" {
-				qes = append(qes, a.Val.(float64))
-			}
-		}
-	}
-	if len(qes) != 20 {
-		t.Fatalf("som.epoch events = %d, want 20", len(qes))
-	}
-	if first, last := qes[0], qes[len(qes)-1]; !(last < first) {
-		t.Fatalf("quantization error did not decrease: first %v, last %v", first, last)
-	}
-	if got := o.Metrics().Counter("som.epochs").Value(); got != 20 {
-		t.Fatalf("som.epochs counter = %d", got)
-	}
-	var trainSpans int
-	for _, s := range tr.Spans {
-		if s.Name == "som.train" {
-			trainSpans++
-		}
-	}
-	if trainSpans != 1 {
-		t.Fatalf("som.train spans = %d", trainSpans)
-	}
-}
-
 // TestSequentialTrainingEmitsCheckpoints checks the som.step
 // checkpoint events of the on-line loop: ~32 of them, with the
 // learning rate annealing downward.
@@ -70,8 +26,18 @@ func TestSequentialTrainingEmitsCheckpoints(t *testing.T) {
 	if _, err := Train(cfg, obsSamples()); err != nil {
 		t.Fatal(err)
 	}
+	tr := col.Trace()
+	var trainSpans int
+	for _, s := range tr.Spans {
+		if s.Name == "som.train" {
+			trainSpans++
+		}
+	}
+	if trainSpans != 1 {
+		t.Fatalf("som.train spans = %d", trainSpans)
+	}
 	var alphas []float64
-	for _, e := range col.Trace().Events {
+	for _, e := range tr.Events {
 		if e.Name != "som.step" {
 			continue
 		}
@@ -90,34 +56,32 @@ func TestSequentialTrainingEmitsCheckpoints(t *testing.T) {
 }
 
 // TestInstrumentationPreservesWeights pins the "never affects the
-// trained weights" contract for both algorithms.
+// trained weights" contract.
 func TestInstrumentationPreservesWeights(t *testing.T) {
-	for _, alg := range []Algorithm{Sequential, Batch} {
-		cfg := Config{Rows: 4, Cols: 4, Steps: 640, BatchEpochs: 20, Algorithm: alg, Seed: 7}
-		bare, err := Train(cfg, obsSamples())
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Obs = obs.New(obs.NewCollector())
-		traced, err := Train(cfg, obsSamples())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for u := range bare.weights {
-			for j := range bare.weights[u] {
-				if bare.weights[u][j] != traced.weights[u][j] {
-					t.Fatalf("%v: weight [%d][%d] differs: %v vs %v",
-						alg, u, j, bare.weights[u][j], traced.weights[u][j])
-				}
+	cfg := Config{Rows: 4, Cols: 4, Steps: 640, Seed: 7}
+	bare, err := Train(cfg, obsSamples())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Obs = obs.New(obs.NewCollector())
+	traced, err := Train(cfg, obsSamples())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for u := range bare.weights {
+		for j := range bare.weights[u] {
+			if bare.weights[u][j] != traced.weights[u][j] {
+				t.Fatalf("weight [%d][%d] differs: %v vs %v",
+					u, j, bare.weights[u][j], traced.weights[u][j])
 			}
 		}
 	}
 }
 
 // TestTrainSpanRecordsTrainDim checks that the som.train span names the
-// dimension training ran in: the span rank on the sequential PCA path
-// when the samples span fewer dimensions than they have, the input
-// dimension on every other path.
+// dimension training ran in: the span rank on the PCA path when the
+// samples span fewer dimensions than they have, the input dimension
+// on every other path.
 func TestTrainSpanRecordsTrainDim(t *testing.T) {
 	counters := caseStudyCounters(t, 1)
 	n, d := len(counters), len(counters[0])
@@ -129,7 +93,6 @@ func TestTrainSpanRecordsTrainDim(t *testing.T) {
 	}{
 		{"span", Config{Rows: 5, Cols: 4, Steps: 500}, counters, n - 1},
 		{"random init", Config{Rows: 5, Cols: 4, Steps: 500, Init: InitRandom}, counters, d},
-		{"batch", Config{Rows: 5, Cols: 4, Algorithm: Batch, BatchEpochs: 2}, counters, d},
 		{"full rank", Config{Rows: 4, Cols: 4, Steps: 500}, obsSamples(), 2},
 	} {
 		col := obs.NewCollector()

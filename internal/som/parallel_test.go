@@ -6,9 +6,7 @@ import (
 )
 
 // equalMaps reports whether two maps hold bit-identical weights —
-// Float64bits equality, not approximate comparison, because the
-// parallel batch path promises an exact reproduction of the serial
-// reduction order.
+// Float64bits equality, not approximate comparison.
 func equalMaps(t *testing.T, a, b *Map) bool {
 	t.Helper()
 	if a.Rows() != b.Rows() || a.Cols() != b.Cols() || a.Dim() != b.Dim() {
@@ -27,66 +25,11 @@ func equalMaps(t *testing.T, a, b *Map) bool {
 	return true
 }
 
-// TestBatchTrainingParallelDeterminism is the determinism property
-// the parallel layer is built around: for any fixed seed the batch
-// algorithm converges to a bit-identical map whether it runs on 1, 2
-// or 8 workers. The sample count spans several accumulation shards so
-// the cross-shard reduction path is actually exercised.
-func TestBatchTrainingParallelDeterminism(t *testing.T) {
-	for seed := uint64(1); seed <= 5; seed++ {
-		samples, _ := twoBlobs(45, 12, 6, seed) // 90 samples: 3 shards
-		cfg := Config{
-			Rows: 7, Cols: 6, Algorithm: Batch, BatchEpochs: 30,
-			Seed: seed, Parallelism: 1,
-		}
-		base, err := Train(cfg, samples)
-		if err != nil {
-			t.Fatal(err)
-		}
-		basePlaces := base.Placements(samples)
-		for _, workers := range []int{1, 2, 8} {
-			cfg.Parallelism = workers
-			m, err := Train(cfg, samples)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !equalMaps(t, base, m) {
-				t.Fatalf("seed %d: %d-worker batch map differs from serial", seed, workers)
-			}
-			places := m.PlacementsP(samples, workers)
-			for i := range places {
-				if places[i][0] != basePlaces[i][0] || places[i][1] != basePlaces[i][1] {
-					t.Fatalf("seed %d workers %d: placement %d = %v, serial %v",
-						seed, workers, i, places[i], basePlaces[i])
-				}
-			}
-		}
-	}
-}
-
-// TestBatchEpochsOverride checks BatchEpochs wins over the
-// Steps-derived epoch count: two configs that differ only in Steps
-// but share BatchEpochs must converge identically.
-func TestBatchEpochsOverride(t *testing.T) {
-	samples, _ := twoBlobs(10, 6, 5, 3)
-	a, err := Train(Config{Rows: 5, Cols: 5, Algorithm: Batch, BatchEpochs: 25, Steps: 100, Seed: 9}, samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Train(Config{Rows: 5, Cols: 5, Algorithm: Batch, BatchEpochs: 25, Steps: 90000, Seed: 9}, samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !equalMaps(t, a, b) {
-		t.Fatal("BatchEpochs did not override Steps-derived epoch count")
-	}
-}
-
 // TestSoftPlacementsParallelMatchSerial pins the bulk placement
 // helpers to their serial outputs for every worker count.
 func TestSoftPlacementsParallelMatchSerial(t *testing.T) {
 	samples, _ := twoBlobs(20, 8, 6, 7)
-	m, err := Train(Config{Rows: 6, Cols: 6, Algorithm: Batch, BatchEpochs: 20, Seed: 7}, samples)
+	m, err := Train(Config{Rows: 6, Cols: 6, Steps: 3000, Seed: 7}, samples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,30 +42,6 @@ func TestSoftPlacementsParallelMatchSerial(t *testing.T) {
 					t.Fatalf("workers %d: soft placement %d = %v, serial %v", workers, i, got[i], serial[i])
 				}
 			}
-		}
-	}
-}
-
-// TestParallelBatchMatchesSingleShardSerial guards the backwards
-// compatibility claim in batchShardSize's doc: a sample set that fits
-// one shard must accumulate exactly like the historical serial code,
-// independent of the configured parallelism.
-func TestParallelBatchMatchesSingleShardSerial(t *testing.T) {
-	samples, _ := twoBlobs(12, 10, 6, 11) // 24 samples: fits one shard
-	if len(samples) > batchShardSize {
-		t.Fatalf("test wants a single shard, got %d samples > %d", len(samples), batchShardSize)
-	}
-	base, err := Train(Config{Rows: 5, Cols: 5, Algorithm: Batch, Seed: 11}, samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 8} {
-		m, err := Train(Config{Rows: 5, Cols: 5, Algorithm: Batch, Seed: 11, Parallelism: workers}, samples)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !equalMaps(t, base, m) {
-			t.Fatalf("single-shard batch with %d workers diverged from serial", workers)
 		}
 	}
 }

@@ -95,31 +95,6 @@ func TestComponentPlane(t *testing.T) {
 	}
 }
 
-func TestBatchTraining(t *testing.T) {
-	samples, _ := twoBlobs(10, 4, 8, 33)
-	cfg := Config{Rows: 5, Cols: 5, Seed: 1, Algorithm: Batch}
-	m1, err := Train(cfg, samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Batch training is deterministic even across seeds when PCA
-	// init succeeds (the seed only matters for random init and
-	// sample order, neither used here).
-	cfg.Seed = 999
-	m2, err := Train(cfg, samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !m1.Equal(m2) {
-		t.Error("batch training with PCA init should be seed-independent")
-	}
-	// And it must separate the blobs like sequential training does.
-	q := m1.QuantizationError(samples)
-	if q > 1 {
-		t.Errorf("batch quantization error %v too high", q)
-	}
-}
-
 func TestSoftPositionStability(t *testing.T) {
 	samples, _ := twoBlobs(8, 4, 8, 35)
 	m, err := Train(Config{Rows: 5, Cols: 5, Steps: 3000, Seed: 2}, samples)

@@ -53,55 +53,16 @@ type Config struct {
 	// weight surface smoother, which limits how much grid area a
 	// tight blob of samples can claim.
 	SigmaFinal float64
-	// Algorithm selects the training algorithm: Sequential is the
-	// paper's classic on-line competitive loop; Batch recomputes all
-	// weights per epoch as kernel-weighted sample means, is fully
-	// deterministic, and avoids grid-magnification of tight sample
-	// blobs (see trainBatch). Default Sequential.
-	Algorithm Algorithm
-	// BatchEpochs fixes the number of batch epochs directly. Zero
-	// derives the epoch count from Steps (Steps / len(samples),
-	// clamped to [10, 200]). Sequential training ignores it.
-	BatchEpochs int
-	// Parallelism is the worker count for batch training (and the
-	// bulk placement helpers). Values <= 1 run serially. Batch
-	// accumulation uses fixed shards reduced in index order, so the
-	// trained map is bit-identical for every parallelism level —
-	// Parallelism trades wall-clock time only, never results.
-	// Sequential training is inherently order-dependent and ignores
-	// this field.
+	// Parallelism is ignored: the on-line training loop is
+	// order-dependent and runs serially, and the bulk placement
+	// helpers take their worker count as an argument.
 	Parallelism int
 	// Seed drives sample-selection order and random initialization.
 	Seed uint64
-	// Obs receives training telemetry: a som.train span plus
-	// per-epoch events (quantization error, neighbourhood radius)
-	// for batch training and periodic som.step events for sequential
-	// training. Nil falls back to the process-default observer;
-	// instrumentation never affects the trained weights.
+	// Obs receives training telemetry: a som.train span plus periodic
+	// som.step events. Nil falls back to the process-default
+	// observer; instrumentation never affects the trained weights.
 	Obs *obs.Observer
-}
-
-// Algorithm selects the SOM training procedure.
-type Algorithm int
-
-const (
-	// Sequential is classic on-line competitive learning (the
-	// paper's pseudo code).
-	Sequential Algorithm = iota
-	// Batch is the deterministic batch-update variant.
-	Batch
-)
-
-// String returns the algorithm's name.
-func (a Algorithm) String() string {
-	switch a {
-	case Sequential:
-		return "sequential"
-	case Batch:
-		return "batch"
-	default:
-		return "unknown"
-	}
 }
 
 // InitMode selects the weight initialization strategy.
@@ -144,8 +105,7 @@ func GridFor(n int) (rows, cols int) {
 // The unit weights live in one contiguous []float64 backing array
 // (unit u occupies flat[u*dim : (u+1)*dim]); weights[u] is a view
 // into it. Contiguous storage keeps the BMU scan — the innermost loop
-// of both training algorithms — walking a single cache-friendly
-// array, and makes the whole grid one allocation instead of
+// of training — walking a single cache-friendly array, and makes the whole grid one allocation instead of
 // rows×cols+1.
 type Map struct {
 	rows, cols int
@@ -160,8 +120,8 @@ type Map struct {
 	locations []vecmath.Vector
 	// index is the pruned search's norm-sorted view of the weights;
 	// non-nil exactly while the pruned search is selected AND the
-	// weights are frozen. Training drops and rebuilds it around weight
-	// updates. Nil selects the brute scan.
+	// weights are frozen. Training builds it after the last weight
+	// update. Nil selects the brute scan.
 	index *bmuIndex
 }
 
@@ -245,10 +205,8 @@ func (m *Map) BMU(x vecmath.Vector) (row, col int) {
 }
 
 // bmu returns the best matching unit's index and its squared
-// Euclidean distance to x — the distance feeds the per-epoch
-// quantization-error telemetry without a second scan. It dispatches
-// on the map's selected search; brute and pruned return identical
-// results, see bmuSearch.
+// Euclidean distance to x. It dispatches on the map's selected
+// search; brute and pruned return identical results, see bmuSearch.
 func (m *Map) bmu(x vecmath.Vector) (unit int, sqDist float64) {
 	if m.index != nil {
 		return m.bmuPruned(x)

@@ -1,10 +1,8 @@
 package som
 
 import (
-	"fmt"
 	"testing"
 
-	"hmeans/internal/par"
 	"hmeans/internal/vecmath"
 )
 
@@ -45,47 +43,6 @@ func BenchmarkTrainSequentialCaseStudy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Train(cfg, samples); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTrainBatchSuiteScale(b *testing.B) {
-	b.ReportAllocs()
-	samples := benchSamples(14, 160)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Train(Config{Rows: 5, Cols: 4, Seed: 1, Algorithm: Batch}, samples); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTrainBatchSerialVsParallel compares the deterministic
-// batch trainer at 1 worker against the full machine, from the
-// paper's 13-workload suite up to the big-suite regime the parallel
-// layer targets. Both arms produce bit-identical maps.
-func BenchmarkTrainBatchSerialVsParallel(b *testing.B) {
-	b.ReportAllocs()
-	for _, n := range []int{13, 200, 1000} {
-		samples := benchSamplesExact(n, 16)
-		rows, cols := GridFor(n)
-		for _, arm := range []struct {
-			name    string
-			workers int
-		}{{"serial", 1}, {"parallel", par.Auto()}} {
-			b.Run(fmt.Sprintf("n=%d/%s", n, arm.name), func(b *testing.B) {
-				b.ReportAllocs()
-				cfg := Config{
-					Rows: rows, Cols: cols, Algorithm: Batch,
-					BatchEpochs: 20, Seed: 1, Parallelism: arm.workers,
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := Train(cfg, samples); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
 		}
 	}
 }

@@ -18,20 +18,11 @@ func Train(cfg Config, samples []vecmath.Vector) (*Map, error) {
 	return TrainCtx(context.Background(), cfg, samples)
 }
 
-// TrainCtx is Train with cooperative cancellation: batch training
-// checks the context at every epoch boundary (its natural checkpoint
-// — each epoch is one full pass plus a reduction) and inside the
-// sharded accumulation, sequential training every few hundred steps.
-// On cancellation the partially trained map is discarded and the
-// context's error returned. A context that never fires leaves the
-// trained weights bit-identical to Train.
+// TrainCtx is Train with cooperative cancellation: training checks
+// the context every few hundred steps. On cancellation the partially
+// trained map is discarded and the context's error returned. A context
+// that never fires leaves the trained weights bit-identical to Train.
 func TrainCtx(ctx context.Context, cfg Config, samples []vecmath.Vector) (*Map, error) {
-	return train(ctx, cfg, samples, bmuSearchAuto)
-}
-
-// train is TrainCtx with the BMU search pinned to mode, so tests can
-// prove the brute and pruned searches train bit-identical maps.
-func train(ctx context.Context, cfg Config, samples []vecmath.Vector, mode bmuSearch) (*Map, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -50,7 +41,6 @@ func train(ctx context.Context, cfg Config, samples []vecmath.Vector, mode bmuSe
 	c := cfg.withDefaults()
 	o := obs.Or(c.Obs)
 	sp := o.StartSpan("som.train",
-		obs.KV("algorithm", c.Algorithm.String()),
 		obs.KV("rows", c.Rows), obs.KV("cols", c.Cols),
 		obs.KV("samples", len(samples)), obs.KV("dim", dim))
 	defer sp.End()
@@ -63,11 +53,11 @@ func train(ctx context.Context, cfg Config, samples []vecmath.Vector, mode bmuSe
 	}
 
 	// A PCA-initialized map starts inside the samples' affine span, so
-	// sequential training can run on span coordinates (see spanBasis)
-	// whenever that span is narrower than the input. Random weights
-	// scatter across every dimension; batch training keeps its path.
+	// training can run on span coordinates (see spanBasis) whenever
+	// that span is narrower than the input. Random weights scatter
+	// across every dimension.
 	var span *spanBasis
-	if c.Algorithm != Batch && pcaInit {
+	if pcaInit {
 		span = newSpanBasis(samples, m.weights)
 	}
 	trainDim := dim
@@ -76,281 +66,16 @@ func train(ctx context.Context, cfg Config, samples []vecmath.Vector, mode bmuSe
 	}
 	sp.SetAttr("train_dim", trainDim)
 	var err error
-	switch {
-	case c.Algorithm == Batch:
-		err = m.trainBatch(ctx, c, samples, mode, o, sp)
-	case span != nil:
+	if span != nil {
 		err = m.trainSequentialInSpan(ctx, c, samples, span, r, o, sp)
-	default:
+	} else {
 		err = m.trainSequential(ctx, c, samples, r, o, sp)
 	}
 	if err != nil {
 		return nil, err
 	}
-	m.setBMUSearch(mode)
+	m.setBMUSearch(bmuSearchAuto)
 	return m, nil
-}
-
-// kernelCutoff is the smallest neighbourhood-kernel value that
-// participates in a batch update; see trainBatch for why far tails
-// must not capture unvisited units.
-const kernelCutoff = 0.05
-
-// batchShardSize is the fixed accumulation-shard width of batch
-// training. Shard boundaries depend only on the sample count — never
-// on Config.Parallelism — so the shard-order reduction makes the
-// trained map bit-identical for every worker count. Sample sets no
-// larger than one shard accumulate in exactly the historical serial
-// order.
-const batchShardSize = 32
-
-// batchEpochs returns the epoch count for batch training: an explicit
-// BatchEpochs wins, otherwise Steps is reinterpreted as sample
-// presentations and clamped to a practical epoch range.
-func batchEpochs(c Config, nSamples int) int {
-	if c.BatchEpochs > 0 {
-		return c.BatchEpochs
-	}
-	epochs := c.Steps / maxInt(1, nSamples)
-	if epochs < 10 {
-		epochs = 10
-	}
-	if epochs > 200 {
-		epochs = 200
-	}
-	return epochs
-}
-
-// batchRun is the reusable working set of one batch-training run: the
-// shard-private numerator/denominator accumulators, the per-reduction-
-// shard scratch, and the fan-out bodies themselves. Everything is
-// allocated exactly once (by newBatchRun) and reused across epochs, so
-// a steady-state epoch performs zero heap allocations: the accumulator
-// planes are flat []float64 arenas indexed by (shard, unit, dim), and
-// the shard bodies are method values bound once — not closures rebuilt
-// per epoch.
-type batchRun struct {
-	m       *Map
-	samples []vecmath.Vector
-	// shards is the sample-accumulation shard count; rshards the
-	// unit-reduction shard count. Both use batchShardSize, so both
-	// partitions depend only on problem size, never on worker count.
-	shards, rshards int
-	units, dim      int
-	// num[(s*units+u)*dim : …+dim] is shard s's numerator for unit u;
-	// den[s*units+u] its denominator.
-	num, den []float64
-	// scratch[r*dim : (r+1)*dim] is reduction shard r's private numSum.
-	scratch []float64
-	// qe[s] is shard s's quantization-error sum; nil when no observer
-	// is active.
-	qe []float64
-	// inv2s2 carries the per-epoch kernel parameter 1/(2σ²) into the
-	// shard bodies without a per-epoch closure.
-	inv2s2 float64
-	// accumulate/reduce are method values bound once so the per-epoch
-	// fan-outs pass a reused func value instead of allocating one.
-	accumulate func(shard, start, end int)
-	reduce     func(shard, start, end int)
-}
-
-func newBatchRun(m *Map, samples []vecmath.Vector, withQE bool) *batchRun {
-	units, dim := len(m.weights), m.dim
-	b := &batchRun{
-		m:       m,
-		samples: samples,
-		shards:  (len(samples) + batchShardSize - 1) / batchShardSize,
-		rshards: (units + batchShardSize - 1) / batchShardSize,
-		units:   units,
-		dim:     dim,
-	}
-	b.num = make([]float64, b.shards*units*dim)
-	b.den = make([]float64, b.shards*units)
-	b.scratch = make([]float64, b.rshards*dim)
-	if withQE {
-		b.qe = make([]float64, b.shards)
-	}
-	b.accumulate = b.accumulateShard
-	b.reduce = b.reduceShard
-	return b
-}
-
-// accumulateShard zeroes shard `shard`'s accumulators, then folds
-// samples[start:end] into them: each sample adds h·x to the numerator
-// and h to the denominator of every unit inside its BMU's effective
-// neighbourhood. The arithmetic (w[j] += h·x[j], in index order) is
-// exactly the AXPY of the historical per-unit-vector layout.
-func (b *batchRun) accumulateShard(shard, start, end int) {
-	m, dim := b.m, b.dim
-	snum := b.num[shard*b.units*dim : (shard+1)*b.units*dim]
-	sden := b.den[shard*b.units : (shard+1)*b.units]
-	for i := range snum {
-		snum[i] = 0
-	}
-	for i := range sden {
-		sden[i] = 0
-	}
-	inv2s2 := b.inv2s2
-	var qeSum float64
-	for _, x := range b.samples[start:end] {
-		bu, d2 := m.bmu(x)
-		if b.qe != nil {
-			qeSum += math.Sqrt(d2)
-		}
-		br, bc := bu/m.cols, bu%m.cols
-		for gr := 0; gr < m.rows; gr++ {
-			for gc := 0; gc < m.cols; gc++ {
-				dr, dc := float64(gr-br), float64(gc-bc)
-				h := math.Exp(-(dr*dr + dc*dc) * inv2s2)
-				if h < kernelCutoff {
-					continue
-				}
-				u := gr*m.cols + gc
-				w := snum[u*dim : (u+1)*dim]
-				for j, xj := range x {
-					w[j] += h * xj
-				}
-				sden[u] += h
-			}
-		}
-	}
-	if b.qe != nil {
-		b.qe[shard] = qeSum
-	}
-}
-
-// reduceShard sums every accumulation shard's slot for units
-// [start, end) in ascending shard order — so the float sums do not
-// depend on which worker filled which shard — and applies the weight
-// update. numSum[j] += v is bit-identical to the historical
-// AXPYInPlace(1, ·) because 1·v == v exactly.
-func (b *batchRun) reduceShard(shard, start, end int) {
-	dim := b.dim
-	numSum := b.scratch[shard*dim : (shard+1)*dim]
-	for u := start; u < end; u++ {
-		denSum := 0.0
-		for j := range numSum {
-			numSum[j] = 0
-		}
-		for s := 0; s < b.shards; s++ {
-			sv := b.num[(s*b.units+u)*dim : (s*b.units+u+1)*dim]
-			for j, v := range sv {
-				numSum[j] += v
-			}
-			denSum += b.den[s*b.units+u]
-		}
-		if denSum < kernelCutoff {
-			// The unit is outside every sample's effective
-			// neighbourhood this epoch. Keep its weight: far
-			// units must retain the ordered (PCA-interpolated)
-			// surface rather than be captured by whichever
-			// sample's kernel tail happens to dominate — that
-			// capture is what creates grid-wide weight plateaus
-			// and scatters near-identical samples' BMUs.
-			continue
-		}
-		w := b.m.weights[u]
-		for j := range w {
-			w[j] = numSum[j] / denSum
-		}
-	}
-}
-
-// epoch runs one batch epoch at neighbourhood radius sigma:
-// shard-parallel accumulation, then the shard-order reduction and
-// weight update. The reduction is not cancellable mid-flight — a
-// partial weight update would leave the map inconsistent — so the
-// caller's next epoch checkpoint handles a fired context.
-func (b *batchRun) epoch(ctx context.Context, workers int, sigma float64) error {
-	b.inv2s2 = 1 / (2 * sigma * sigma)
-	if _, err := par.FixedShardsCtx(ctx, workers, len(b.samples), batchShardSize, b.accumulate); err != nil {
-		return err
-	}
-	_, _ = par.FixedShardsCtx(context.Background(), workers, b.units, batchShardSize, b.reduce)
-	return nil
-}
-
-// epochQE returns the epoch's mean sample→BMU distance from the
-// per-shard sums gathered during accumulation.
-func (b *batchRun) epochQE() float64 {
-	var total float64
-	for _, v := range b.qe {
-		total += v
-	}
-	return total / float64(len(b.samples))
-}
-
-// trainBatch runs the batch SOM algorithm: each epoch assigns every
-// sample to its BMU, then recomputes every unit's weight as the
-// kernel-weighted mean of all samples,
-//
-//	w_i = Σ_j h(i, c_j) x_j / Σ_j h(i, c_j),
-//
-// with the neighbourhood radius annealed across epochs. Batch
-// training is deterministic (no sample-order randomness), converges
-// in tens of epochs, and — because each unit's weight is a smooth
-// kernel average — does not magnify tight sample blobs across the
-// grid the way a fully converged sequential run does. That makes it
-// the right default for the paper's use case: tiny sample counts
-// (one vector per workload) where BMU geometry is the product the
-// clustering stage consumes.
-//
-// The per-epoch accumulation is partitioned into fixed-size sample
-// shards (batchShardSize) spread across Config.Parallelism workers.
-// Each shard owns private numerator/denominator accumulators; one
-// reduction per epoch sums them in shard-index order, so the weight
-// update — and therefore the converged map — is bit-identical for
-// any worker count. The BMU searches inside a shard only read the
-// previous epoch's weights, which are frozen until the reduction.
-// All working memory lives in a batchRun allocated once up front;
-// see that type for the allocation discipline.
-//
-// When an observer is active each epoch additionally accumulates the
-// quantization error (mean sample→BMU distance) per shard — the BMU
-// distances are already computed, so the extra cost is one sqrt and
-// add per sample — and emits a som.epoch event with the annealed
-// radius and the epoch's QE.
-func (m *Map) trainBatch(ctx context.Context, c Config, samples []vecmath.Vector, mode bmuSearch, o *obs.Observer, sp *obs.Span) error {
-	floor := c.SigmaFinal
-	if floor <= 0 {
-		floor = sigmaFloor
-	}
-	epochs := batchEpochs(c, len(samples))
-	workers := par.Resolve(c.Parallelism)
-	b := newBatchRun(m, samples, o.Active())
-	// The pruned index is valid for exactly one epoch (the reduction
-	// rewrites the weights) and is rebuilt at each epoch's start,
-	// while the BMU scans inside the epoch read only the frozen
-	// previous-epoch weights.
-	usePruned := m.resolveBMUSearch(mode) == bmuSearchPruned
-	var qeGauge, sigmaGauge *obs.Gauge
-	if o.Active() {
-		qeGauge = o.Metrics().Gauge("som.qe")
-		sigmaGauge = o.Metrics().Gauge("som.sigma")
-		o.Metrics().Counter("som.epochs").Add(int64(epochs))
-	}
-	for e := 0; e < epochs; e++ {
-		// The per-epoch checkpoint: a fired context abandons training
-		// between epochs, so the caller never sees a half-reduced map.
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("som: training cancelled at epoch %d of %d: %w", e, epochs, err)
-		}
-		t := float64(e) / float64(epochs)
-		sigma := c.RadiusDecay.value(c.Sigma0, floor, t)
-		if usePruned {
-			m.index = m.buildBMUIndex()
-		}
-		if err := b.epoch(ctx, workers, sigma); err != nil {
-			return fmt.Errorf("som: epoch %d accumulation: %w", e, err)
-		}
-		if b.qe != nil {
-			epochQE := b.epochQE()
-			qeGauge.Set(epochQE)
-			sigmaGauge.Set(sigma)
-			sp.Event("som.epoch", obs.KV("epoch", e), obs.KV("qe", epochQE), obs.KV("sigma", sigma))
-		}
-	}
-	return nil
 }
 
 // cancelCheckSteps is the sequential-training cancellation stride:
