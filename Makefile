@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt lint staticcheck bench bench-json bench-gate bench-baseline bench-large memprofile trace chaos chaos-service fuzz serve-smoke cluster-smoke load-gate perfbench-check cover ci tidy-check
+.PHONY: all build test race repeat vet fmt lint staticcheck bench bench-json bench-gate bench-baseline bench-large memprofile trace chaos chaos-service fuzz serve-smoke cluster-smoke load-gate perfbench-check cover ci tidy-check
 
 all: build
 
@@ -15,6 +15,11 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# repeat mirrors the CI repeat job: the packages it names must pass 20
+# runs in a row, one package at a time.
+repeat:
+	$(GO) test -count=20 -p 1 ./internal/cluster ./internal/core ./internal/service
 
 vet:
 	$(GO) vet ./...
@@ -63,7 +68,7 @@ trace:
 # refresh the baseline after an intentional performance change:
 # `make bench-baseline` on the reference hardware and commit
 # BENCH_BASELINE.json (see README "Benchmark regression gate").
-BENCH_PATTERN := ^(BenchmarkHGM|BenchmarkHAM|BenchmarkHHM|BenchmarkPlainGM|BenchmarkBMU|BenchmarkQuantizationError|BenchmarkCutK|BenchmarkSilhouette|BenchmarkRecommendK|BenchmarkTrainSequentialCaseStudy|BenchmarkNewDendrogramSuiteScale|BenchmarkNewDendrogramLarge|BenchmarkServiceScoreDark|BenchmarkServiceScoreLogged)$$
+BENCH_PATTERN := ^(BenchmarkHGM|BenchmarkHAM|BenchmarkHHM|BenchmarkPlainGM|BenchmarkBMU|BenchmarkQuantizationError|BenchmarkCutK|BenchmarkSilhouette|BenchmarkQualitySweep|BenchmarkRecommendK|BenchmarkTrainSequentialCaseStudy|BenchmarkNewDendrogramSuiteScale|BenchmarkNewDendrogramLarge|BenchmarkServiceScoreDark|BenchmarkServiceScoreLogged)$$
 
 bench-json:
 	$(GO) test -bench '$(BENCH_PATTERN)' -benchmem -benchtime 50ms -count 5 -run '^$$' ./... | tee bench-raw.txt
@@ -175,4 +180,4 @@ fuzz:
 	$(GO) test -fuzz FuzzLoadDendrogram -fuzztime $(FUZZTIME) ./internal/cluster
 	$(GO) test -fuzz FuzzRestoreSnapshot -fuzztime $(FUZZTIME) ./internal/service
 
-ci: build lint tidy-check test race chaos chaos-service fuzz bench trace bench-gate serve-smoke cluster-smoke load-gate perfbench-check cover
+ci: build lint tidy-check test race repeat chaos chaos-service fuzz bench trace bench-gate serve-smoke cluster-smoke load-gate perfbench-check cover

@@ -126,27 +126,6 @@ func (d *Dendrogram) assignment(applied int) Assignment {
 	return Assignment{Labels: labels, K: next}
 }
 
-// CutsByK returns assignments for every k in [kMin, kMax]
-// (inclusive), clamped to the valid range — the sweep the paper's
-// Tables IV–VI report (2..8 clusters).
-func (d *Dendrogram) CutsByK(kMin, kMax int) (map[int]Assignment, error) {
-	if kMin > kMax {
-		return nil, &CutError{N: d.n, Reason: fmt.Sprintf("empty cut range [%d, %d]", kMin, kMax)}
-	}
-	out := make(map[int]Assignment)
-	for k := kMin; k <= kMax; k++ {
-		if k < 1 || k > d.n {
-			continue
-		}
-		a, err := d.CutK(k)
-		if err != nil {
-			return nil, err
-		}
-		out[k] = a
-	}
-	return out, nil
-}
-
 // KAtDistance returns how many clusters a cut at maxDist produces.
 func (d *Dendrogram) KAtDistance(maxDist float64) int {
 	return d.CutDistance(maxDist).K
@@ -163,9 +142,17 @@ func (d *Dendrogram) DistanceForK(k int) (dist, lo, hi float64, ok bool) {
 	}
 	heights := d.MergeDistances()
 	sort.Float64s(heights)
+	return plateau(heights, k)
+}
+
+// plateau is DistanceForK over the dendrogram's merge heights sorted
+// ascending, for 1 <= k <= n. Sweeps sort the heights once and call it
+// per k.
+func plateau(heights []float64, k int) (dist, lo, hi float64, ok bool) {
+	n := len(heights) + 1
 	// Cutting strictly below heights[n-k] but at/above heights[n-k-1]
 	// yields k clusters.
-	if k == d.n {
+	if k == n {
 		if len(heights) == 0 {
 			return 0, 0, 0, true
 		}

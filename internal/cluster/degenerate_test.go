@@ -75,13 +75,13 @@ func TestSinglePointDendrogramDegenerates(t *testing.T) {
 	}
 }
 
-func TestCutsByKEmptyRangeTyped(t *testing.T) {
+func TestEachCutEmptyRangeTyped(t *testing.T) {
 	d, err := NewDendrogramOpts(identicalPoints(4), vecmath.Euclidean, Complete, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.CutsByK(5, 2); !errors.Is(err, ErrDegenerateCut) {
-		t.Errorf("CutsByK(5,2): error %v, want ErrDegenerateCut", err)
+	if err := d.EachCut(5, 2, func(Assignment) error { return nil }); !errors.Is(err, ErrDegenerateCut) {
+		t.Errorf("EachCut(5,2): error %v, want ErrDegenerateCut", err)
 	}
 }
 
@@ -130,7 +130,9 @@ func TestSilhouetteAndDaviesBouldinDegenerate(t *testing.T) {
 }
 
 func TestLinkageCancellation(t *testing.T) {
-	pts := make([]vecmath.Vector, 300)
+	// 1,000 points take tens of milliseconds to link, so the 1 ms
+	// deadline below fires mid-build rather than after it.
+	pts := make([]vecmath.Vector, 1000)
 	for i := range pts {
 		pts[i] = vecmath.Vector{float64(i), float64(i % 7)}
 	}

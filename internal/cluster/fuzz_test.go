@@ -26,7 +26,8 @@ func validDendrogramJSON(tb testing.TB) string {
 
 // FuzzLoadDendrogram asserts the dendrogram loader never panics on
 // corrupted input, and that anything it accepts is structurally sound:
-// cuts at every k succeed and the save/load round trip is stable.
+// cuts at every k succeed, EachCut's walk agrees with them and the
+// save/load round trip is stable.
 func FuzzLoadDendrogram(f *testing.F) {
 	valid := validDendrogramJSON(f)
 	f.Add(valid)
@@ -40,6 +41,7 @@ func FuzzLoadDendrogram(f *testing.F) {
 	f.Add(``)
 	f.Add(`null`)
 	f.Add(`{"n":9999999,"merges":[]}`)
+	f.Add(`{"n":4,"merges":[{"A":2,"B":0,"Distance":1,"Size":9},{"A":3,"B":1,"Distance":1,"Size":0},{"A":5,"B":4,"Distance":2,"Size":1}]}`) // wrong sizes, A > B
 	f.Fuzz(func(t *testing.T, input string) {
 		d, err := LoadDendrogram(strings.NewReader(input))
 		if err != nil {
@@ -66,6 +68,10 @@ func FuzzLoadDendrogram(f *testing.F) {
 				t.Fatalf("CutK(%d) produced %d clusters", k, a.K)
 			}
 		}
+		// The walk must agree with CutK on every accepted tree; it
+		// derives cluster sizes from the tree, because Merge.Size is
+		// not validated.
+		assertEachCutMatchesCutK(t, d, 1, maxK)
 		d.CutDistance(0)
 		// Round trip: what Save emits must load back equal.
 		var buf bytes.Buffer

@@ -158,26 +158,33 @@ func TestCutDistance(t *testing.T) {
 	}
 }
 
-func TestCutsByK(t *testing.T) {
+func TestEachCutRange(t *testing.T) {
 	d, err := NewDendrogramOpts(fourPoints(), vecmath.Euclidean, Complete, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cuts, err := d.CutsByK(2, 8)
+	var ks []int
+	err = d.EachCut(2, 8, func(a Assignment) error {
+		if len(ks) > 0 && a.K != ks[len(ks)-1]+1 {
+			t.Fatalf("cut K=%d after K=%d, want increasing k", a.K, ks[len(ks)-1])
+		}
+		ks = append(ks, a.K)
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Only k=2,3,4 are valid for 4 points.
-	if len(cuts) != 3 {
-		t.Fatalf("CutsByK returned %d cuts, want 3", len(cuts))
+	if len(ks) != 3 || ks[0] != 2 {
+		t.Fatalf("EachCut(2, 8) visited k=%v, want [2 3 4]", ks)
 	}
-	for k, a := range cuts {
-		if a.K != k {
-			t.Fatalf("cut for k=%d has K=%d", k, a.K)
-		}
-	}
-	if _, err := d.CutsByK(5, 2); err == nil {
+	if err := d.EachCut(5, 2, func(Assignment) error { return nil }); err == nil {
 		t.Error("inverted range accepted")
+	}
+	stop := errors.New("stop")
+	calls := 0
+	if err := d.EachCut(1, 4, func(Assignment) error { calls++; return stop }); !errors.Is(err, stop) || calls != 1 {
+		t.Errorf("EachCut returned %v after %d calls, want fn's error after 1", err, calls)
 	}
 }
 

@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"math"
+
+	"hmeans/internal/cluster"
 )
 
 // Diversity quantifies how much unique behaviour a suite actually
@@ -61,22 +63,20 @@ func AnalyzeDiversity(c Clustering) (Diversity, error) {
 
 // DiversitySweep analyzes every cut of the pipeline's dendrogram in
 // [kMin, kMax], tracing how the suite's effective diversity grows as
-// the clustering is refined.
+// the clustering is refined. The cuts come from one walk of the
+// dendrogram.
 func (p *Pipeline) DiversitySweep(kMin, kMax int) ([]Diversity, error) {
 	var out []Diversity
-	for k := kMin; k <= kMax && k <= p.Dendrogram.Len(); k++ {
-		if k < 1 {
-			continue
-		}
-		c, err := p.ClusteringAtK(k)
+	err := p.Dendrogram.EachCut(kMin, kMax, func(cut cluster.Assignment) error {
+		d, err := AnalyzeDiversity(Clustering{Labels: cut.Labels, K: cut.K})
 		if err != nil {
-			return nil, err
-		}
-		d, err := AnalyzeDiversity(c)
-		if err != nil {
-			return nil, err
+			return err
 		}
 		out = append(out, d)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if len(out) == 0 {
 		return nil, errors.New("core: empty diversity sweep")

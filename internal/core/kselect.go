@@ -61,11 +61,18 @@ func (p *Pipeline) RecommendKQuality(kMin, kMax int) (KRecommendation, error) {
 // cluster count where (1) the clustering is geometrically sound
 // (silhouette on the reduced positions) and (2) "the fluctuation of
 // ratio values tends to dampen". scoresA and scoresB are the two
-// machines' per-workload scores; the sweep covers [kMin, kMax].
+// machines' per-workload scores, aligned with AlignScores; the
+// candidates are [kMin, kMax] clamped to [2, n].
+//
+// The ratio at k is the hierarchical mean of kind over scoresA divided
+// by the one over scoresB, as ScoreAtK computes them, for every k in
+// [kMin-1, kMax+1] within [1, n]; one walk of the dendrogram's cuts
+// (cluster.Dendrogram.EachCut) with one Scorer yields them all, with no
+// per-k cut or means spans. The geometry comes from one QualitySweep.
 //
 // The combined criterion ranks candidates by silhouette and breaks
 // near-ties (within tol of the best silhouette) toward the smallest
-// ratio damping.
+// ratio damping, and toward the smaller k on equal damping.
 func (p *Pipeline) RecommendK(kind MeanKind, scoresA, scoresB []float64, kMin, kMax int) (KRecommendation, error) {
 	var rec KRecommendation
 	if kMin < 2 {
@@ -87,7 +94,9 @@ func (p *Pipeline) RecommendK(kind MeanKind, scoresA, scoresB []float64, kMin, k
 	rec.Quality = quality
 
 	// Ratio per k over the extended range [kMin-1, kMax+1] so the
-	// damping of edge candidates is well defined.
+	// damping of edge candidates is well defined. One walk of the
+	// dendrogram and one Scorer serve every k; the means equal
+	// ScoreAtK's bit for bit.
 	lo, hi := kMin-1, kMax+1
 	if lo < 1 {
 		lo = 1
@@ -95,31 +104,46 @@ func (p *Pipeline) RecommendK(kind MeanKind, scoresA, scoresB []float64, kMin, k
 	if hi > n {
 		hi = n
 	}
-	ratio := make(map[int]float64)
-	for k := lo; k <= hi; k++ {
-		a, err := p.ScoreAtK(kind, scoresA, k)
-		if err != nil {
-			return rec, err
+	if scoresA, err = p.AlignScores(scoresA); err != nil {
+		return rec, err
+	}
+	if scoresB, err = p.AlignScores(scoresB); err != nil {
+		return rec, err
+	}
+	ratio := make([]float64, hi-lo+1)
+	var sc Scorer
+	err = p.Dendrogram.EachCut(lo, hi, func(cut cluster.Assignment) error {
+		if err := sc.Reset(Clustering{Labels: cut.Labels, K: cut.K}); err != nil {
+			return err
 		}
-		b, err := p.ScoreAtK(kind, scoresB, k)
+		a, err := sc.Mean(kind, scoresA)
 		if err != nil {
-			return rec, err
+			return err
+		}
+		b, err := sc.Mean(kind, scoresB)
+		if err != nil {
+			return err
 		}
 		if b <= 0 {
-			return rec, errors.New("core: non-positive score ratio denominator")
+			return errors.New("core: non-positive score ratio denominator")
 		}
-		ratio[k] = a / b
+		ratio[cut.K-lo] = a / b
+		return nil
+	})
+	if err != nil {
+		return rec, err
 	}
 	rec.RatioDamping = make(map[int]float64)
 	for k := kMin; k <= kMax; k++ {
 		var sum float64
 		var terms int
-		if r, ok := ratio[k-1]; ok {
-			sum += math.Abs(ratio[k] - r)
+		r := ratio[k-lo]
+		if k-1 >= lo {
+			sum += math.Abs(r - ratio[k-1-lo])
 			terms++
 		}
-		if r, ok := ratio[k+1]; ok {
-			sum += math.Abs(ratio[k] - r)
+		if k+1 <= hi {
+			sum += math.Abs(r - ratio[k+1-lo])
 			terms++
 		}
 		if terms > 0 {

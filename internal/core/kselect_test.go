@@ -1,9 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
+	"hmeans/internal/cluster"
+	"hmeans/internal/rng"
 	"hmeans/internal/vecmath"
 )
 
@@ -157,5 +161,124 @@ func TestSubsetErrorBoundedOnRealisticSpread(t *testing.T) {
 	// approximation must stay within a few percent.
 	if e > 0.1 {
 		t.Fatalf("subset error = %v, suspiciously large", e)
+	}
+}
+
+// referenceRecommendK is RecommendK's definition: the quality sweep,
+// then the A/B ratio at every k in [kMin-1, kMax+1] from ScoreAtK,
+// one fresh cut and scorer per call, and the same ranking.
+func referenceRecommendK(p *Pipeline, kind MeanKind, scoresA, scoresB []float64, kMin, kMax int) (KRecommendation, error) {
+	var rec KRecommendation
+	kMin = max(kMin, 2)
+	n := p.Dendrogram.Len()
+	kMax = min(kMax, n)
+	quality, err := p.Dendrogram.QualitySweep(p.Positions, kMin, kMax)
+	if err != nil {
+		return rec, err
+	}
+	rec.Quality = quality
+	lo, hi := max(kMin-1, 1), min(kMax+1, n)
+	ratio := make(map[int]float64)
+	for k := lo; k <= hi; k++ {
+		a, err := p.ScoreAtK(kind, scoresA, k)
+		if err != nil {
+			return rec, err
+		}
+		b, err := p.ScoreAtK(kind, scoresB, k)
+		if err != nil {
+			return rec, err
+		}
+		ratio[k] = a / b
+	}
+	rec.RatioDamping = make(map[int]float64)
+	for k := kMin; k <= kMax; k++ {
+		var sum float64
+		var terms int
+		if r, ok := ratio[k-1]; ok {
+			sum += math.Abs(ratio[k] - r)
+			terms++
+		}
+		if r, ok := ratio[k+1]; ok {
+			sum += math.Abs(ratio[k] - r)
+			terms++
+		}
+		if terms > 0 {
+			rec.RatioDamping[k] = sum / float64(terms)
+		}
+	}
+	const tol = 0.05
+	bestSil := math.Inf(-1)
+	for _, q := range quality {
+		if q.Silhouette > bestSil {
+			bestSil = q.Silhouette
+		}
+	}
+	bestK, bestDamp := 0, math.Inf(1)
+	for _, q := range quality {
+		if q.Silhouette < bestSil-tol {
+			continue
+		}
+		d, ok := rec.RatioDamping[q.K]
+		if !ok {
+			d = math.Inf(1)
+		}
+		if d < bestDamp {
+			bestK, bestDamp = q.K, d
+		}
+	}
+	if bestK == 0 {
+		bestK = quality[0].K
+	}
+	rec.K = bestK
+	return rec, nil
+}
+
+// TestRecommendKMatchesScoreAtK pins the walk-based ratio loop to its
+// definition: on SOM-grid suites with tied positions, under every
+// linkage and all three mean families, the recommended k and every
+// ratio damping equal the ScoreAtK reference bit for bit.
+func TestRecommendKMatchesScoreAtK(t *testing.T) {
+	linkages := []cluster.Linkage{cluster.Complete, cluster.Single, cluster.Average, cluster.Ward}
+	for seed := uint64(1); seed <= 24; seed++ {
+		r := rng.New(seed)
+		n := 3 + r.Intn(70)
+		cells := 2 + r.Intn(7)
+		p := &Pipeline{Positions: make([]vecmath.Vector, n), Workloads: make([]string, n)}
+		a, b := make([]float64, n), make([]float64, n)
+		for i := range p.Positions {
+			p.Positions[i] = vecmath.Vector{float64(r.Intn(cells)), float64(r.Intn(cells))}
+			p.Workloads[i] = fmt.Sprintf("w%d", i)
+			a[i] = 0.5 + 2*r.Float64()
+			b[i] = 0.5 + 2*r.Float64()
+		}
+		var err error
+		algo := cluster.AlgoScan
+		if seed%2 == 0 {
+			algo = cluster.AlgoNNChain
+		}
+		l := linkages[seed%4]
+		if p.Dendrogram, err = cluster.NewDendrogramOpts(p.Positions, vecmath.Euclidean, l, cluster.Options{Algorithm: algo}); err != nil {
+			t.Fatal(err)
+		}
+		kMin := 1 + r.Intn(n)
+		kMax := kMin + r.Intn(n+1-kMin)
+		kind := MeanKind(seed % 3)
+		got, err := p.RecommendK(kind, a, b, kMin, kMax)
+		want, werr := referenceRecommendK(p, kind, a, b, kMin, kMax)
+		name := fmt.Sprintf("seed %d n=%d %v/%v %v [%d, %d]", seed, n, l, algo, kind, kMin, kMax)
+		if (err != nil) != (werr != nil) {
+			t.Fatalf("%s: error %v, reference %v", name, err, werr)
+		}
+		if err != nil {
+			continue
+		}
+		if got.K != want.K || len(got.RatioDamping) != len(want.RatioDamping) || !reflect.DeepEqual(got.Quality, want.Quality) {
+			t.Fatalf("%s: k=%d (%d dampings), reference k=%d (%d dampings)", name, got.K, len(got.RatioDamping), want.K, len(want.RatioDamping))
+		}
+		for k, w := range want.RatioDamping {
+			if g, ok := got.RatioDamping[k]; !ok || math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("%s: damping at k=%d is %v, reference %v", name, k, g, w)
+			}
+		}
 	}
 }

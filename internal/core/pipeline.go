@@ -329,21 +329,31 @@ func (p *Pipeline) ScoreAtK(kind MeanKind, scores []float64, k int) (float64, er
 
 // ScoreSweep computes the hierarchical mean for every k in
 // [kMin, kMax] (clamped to the valid range), the sweep of the paper's
-// Tables IV–VI. The returned map is keyed by k.
+// Tables IV–VI, on one walk of the dendrogram's cuts. Each value
+// equals ScoreAtK's. The returned map is keyed by k.
 func (p *Pipeline) ScoreSweep(kind MeanKind, scores []float64, kMin, kMax int) (map[int]float64, error) {
 	if kMin > kMax {
 		return nil, fmt.Errorf("core: empty sweep range [%d, %d]", kMin, kMax)
 	}
+	scores, err := p.AlignScores(scores)
+	if err != nil {
+		return nil, err
+	}
 	out := make(map[int]float64)
-	for k := kMin; k <= kMax; k++ {
-		if k < 1 || k > p.Dendrogram.Len() {
-			continue
+	var sc Scorer
+	err = p.Dendrogram.EachCut(kMin, kMax, func(cut cluster.Assignment) error {
+		if err := sc.Reset(Clustering{Labels: cut.Labels, K: cut.K}); err != nil {
+			return err
 		}
-		s, err := p.ScoreAtK(kind, scores, k)
+		s, err := sc.Mean(kind, scores)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out[k] = s
+		out[cut.K] = s
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -1,43 +1,15 @@
 package service
 
 import (
-	"fmt"
 	"net/http"
 	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"hmeans/internal/obs"
 )
-
-// slowRequest builds a request big enough (n workloads, full k-sweep)
-// that its pipeline run reliably outlasts scheduling quanta — the
-// occupancy anchor the overload rounds below hold the pool with.
-func slowRequest(seed uint64) *Request {
-	const n, f = 40, 6
-	req := &Request{
-		Config: ConfigJSON{Seed: seed},
-		Scores: map[string][]float64{"A": make([]float64, n)},
-	}
-	for i := 0; i < n; i++ {
-		req.Table.Workloads = append(req.Table.Workloads, fmt.Sprintf("wl%02d", i))
-		row := make([]float64, f)
-		for j := 0; j < f; j++ {
-			base := 1.0
-			if i >= n/2 {
-				base = 9.0
-			}
-			row[j] = base + 0.1*float64(i) + 0.01*float64(j*i)
-		}
-		req.Table.Rows = append(req.Table.Rows, row)
-		req.Scores["A"][i] = 1.0 + 0.25*float64(i)
-	}
-	for j := 0; j < f; j++ {
-		req.Table.Features = append(req.Table.Features, fmt.Sprintf("feat%d", j))
-	}
-	return req
-}
 
 // TestShedSustainedOverload holds the worker pool saturated for many
 // consecutive rounds — not the one-shot burst the PR 4 stress test
@@ -47,10 +19,10 @@ func slowRequest(seed uint64) *Request {
 // actually sheds, and the queue accounting drains back to zero
 // between rounds (no leaked waiter slots that would turn sustained
 // load into permanent 429s). Saturation is deterministic, not a
-// timing race: each round first occupies every pool slot with a slow
-// computation and only bursts once srv.Inflight() confirms the pool
-// is full, so the test holds on any CPU count. Runs under -race in
-// CI via the race job.
+// timing race: each round's anchors block in the compute hook, so they
+// hold every pool slot until each burst request has either been
+// answered or sits in the queue, whatever the speed of the pipeline or
+// the CPU count. Runs under -race in CI via the race job.
 func TestShedSustainedOverload(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sustained overload test skipped in -short mode")
@@ -60,6 +32,9 @@ func TestShedSustainedOverload(t *testing.T) {
 		queueDepth  = 2
 		rounds      = 5
 		burst       = 12 // per round; far beyond pool+queue
+		// anchorSeed marks the anchors' requests: the burst's seeds
+		// stay below it.
+		anchorSeed = 1000
 	)
 	// A deployed daemon is never single-threaded; on a 1-CPU CI box
 	// GOMAXPROCS=1 would let each handler run to completion and the
@@ -73,17 +48,38 @@ func TestShedSustainedOverload(t *testing.T) {
 		CacheSize:   0, // every request must contend for a slot
 		Obs:         o,
 	})
+	// The hook runs inside the pool slot: an anchor waits there on its
+	// round's gate, and every other request passes straight through.
+	var gate atomic.Pointer[chan struct{}]
+	srv.computeHook = func(req *Request) {
+		if req.Config.Seed >= anchorSeed {
+			<-*gate.Load()
+		}
+	}
+	// A failed round must not strand its anchors: the server's Close
+	// waits for their handlers. This cleanup runs before that one.
+	t.Cleanup(func() {
+		if g := gate.Load(); g != nil {
+			select {
+			case <-*g:
+			default:
+				close(*g)
+			}
+		}
+	})
 
 	var ok, shed int
 	for round := 0; round < rounds; round++ {
-		// Fill every pool slot with a slow distinct computation, and
-		// do not burst until the pool is provably full.
+		release := make(chan struct{})
+		gate.Store(&release)
+		// Fill every pool slot with a blocked computation, and do not
+		// burst until the pool is provably full.
 		var anchors sync.WaitGroup
 		for a := 0; a < maxInflight; a++ {
 			anchors.Add(1)
 			go func(a int) {
 				defer anchors.Done()
-				req := slowRequest(uint64(1000 + round*maxInflight + a))
+				req := testRequest(uint64(anchorSeed + round*maxInflight + a))
 				r, raw := postScore(t, ts.URL, req)
 				if r.StatusCode != http.StatusOK {
 					t.Errorf("round %d: anchor %d got %d (body %s)", round, a, r.StatusCode, raw)
@@ -98,6 +94,7 @@ func TestShedSustainedOverload(t *testing.T) {
 			body       []byte
 		}
 		replies := make(chan reply, burst)
+		var replied atomic.Int64
 		var wg sync.WaitGroup
 		for c := 0; c < burst; c++ {
 			wg.Add(1)
@@ -108,9 +105,14 @@ func TestShedSustainedOverload(t *testing.T) {
 				// about.
 				req := testRequest(uint64(1 + round*burst + c))
 				r, raw := postScore(t, ts.URL, req)
+				replied.Add(1)
 				replies <- reply{r.StatusCode, r.Header.Get("Retry-After"), raw}
 			}(c)
 		}
+		// The anchors hold the pool until every burst request has been
+		// shed (and answered) or queued; only then may the queue drain.
+		waitForCond(t, func() bool { return replied.Load()+srv.Queued() == burst }, "burst shed or queued")
+		close(release)
 		wg.Wait()
 		close(replies)
 		anchors.Wait()

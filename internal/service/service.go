@@ -304,32 +304,36 @@ func (s *Server) compute(ctx context.Context, req *Request) (*Response, error) {
 	}
 	resp.Cut = CutJSON{K: cutK, Labels: cut.Labels, Members: members}
 
-	// One pooled scorer serves the whole sweep: Reset re-plans it per
-	// k and each Mean call is allocation-free, so the k×vectors×3
-	// mean evaluations of a cache-miss request cost O(results)
-	// allocations, not O(evaluations).
-	sc := scorerPool.Get().(*core.Scorer)
-	defer scorerPool.Put(sc)
-	for k := kMin; k <= kMax; k++ {
-		c, err := p.ClusteringAtK(k)
+	// One walk of the dendrogram's cuts and one pooled scorer serve the
+	// whole sweep: the walk relabels in place from k to k+1, Reset
+	// re-plans the scorer per k and each Mean call is allocation-free,
+	// so the k×vectors×3 mean evaluations of a cache-miss request cost
+	// O(results) allocations, not O(evaluations).
+	if kMin <= kMax {
+		sc := scorerPool.Get().(*core.Scorer)
+		defer scorerPool.Put(sc)
+		err := p.Dendrogram.EachCut(kMin, kMax, func(cut cluster.Assignment) error {
+			if err := sc.Reset(core.Clustering{Labels: cut.Labels, K: cut.K}); err != nil {
+				return err
+			}
+			for _, name := range names {
+				m := KMeans{K: cut.K, Vector: name}
+				var err error
+				if m.HGM, err = sc.Mean(core.Geometric, aligned[name]); err != nil {
+					return err
+				}
+				if m.HAM, err = sc.Mean(core.Arithmetic, aligned[name]); err != nil {
+					return err
+				}
+				if m.HHM, err = sc.Mean(core.Harmonic, aligned[name]); err != nil {
+					return err
+				}
+				resp.Means = append(resp.Means, m)
+			}
+			return nil
+		})
 		if err != nil {
 			return nil, err
-		}
-		if err := sc.Reset(c); err != nil {
-			return nil, err
-		}
-		for _, name := range names {
-			m := KMeans{K: k, Vector: name}
-			if m.HGM, err = sc.Mean(core.Geometric, aligned[name]); err != nil {
-				return nil, err
-			}
-			if m.HAM, err = sc.Mean(core.Arithmetic, aligned[name]); err != nil {
-				return nil, err
-			}
-			if m.HHM, err = sc.Mean(core.Harmonic, aligned[name]); err != nil {
-				return nil, err
-			}
-			resp.Means = append(resp.Means, m)
 		}
 	}
 	for _, name := range names {

@@ -5,12 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"hmeans/internal/core"
 	"hmeans/internal/obs"
 	"hmeans/internal/simbench"
 )
@@ -458,5 +460,67 @@ func TestQuarantineRoundTrip(t *testing.T) {
 	}
 	if len(resp.Workloads) != 7 {
 		t.Fatalf("%d surviving workloads, want 7", len(resp.Workloads))
+	}
+}
+
+// TestSweepMeansMatchClusteringAtK pins the walk-based means sweep to
+// its definition at suite scale: for a 200-workload suite, every per-k
+// hierarchical mean in the response equals ClusteringAtK(k) scored by
+// a fresh Scorer, bit for bit.
+func TestSweepMeansMatchClusteringAtK(t *testing.T) {
+	const n, dims = 200, 8
+	req := &Request{
+		Config: ConfigJSON{Seed: 3},
+		Scores: map[string][]float64{"A": make([]float64, n), "B": make([]float64, n)},
+	}
+	for j := 0; j < dims; j++ {
+		req.Table.Features = append(req.Table.Features, fmt.Sprintf("c%d", j))
+	}
+	for i, p := range (simbench.SyntheticSpec{N: n, Dims: dims, Clusters: 12, Seed: 3}).Points() {
+		req.Table.Workloads = append(req.Table.Workloads, fmt.Sprintf("w%03d", i))
+		req.Table.Rows = append(req.Table.Rows, []float64(p))
+		req.Scores["A"][i] = 1 + float64(i%12) + 0.01*float64(i)
+		req.Scores["B"][i] = 2 + float64(i%7) + 0.02*float64(i)
+	}
+	raw, _, err := New(Config{}).Score(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resp Response
+	if err := json.Unmarshal(raw, &resp); err != nil {
+		t.Fatal(err)
+	}
+	tab, err := req.table()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := core.DetectClusters(tab, req.pipelineConfig(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Means) != 2*(n-1) {
+		t.Fatalf("%d per-k means, want %d", len(resp.Means), 2*(n-1))
+	}
+	for _, m := range resp.Means {
+		c, err := p.ClusteringAtK(m.K)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc, err := core.NewScorer(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range []struct {
+			kind core.MeanKind
+			got  float64
+		}{{core.Geometric, m.HGM}, {core.Arithmetic, m.HAM}, {core.Harmonic, m.HHM}} {
+			want, err := sc.Mean(f.kind, req.Scores[m.Vector])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(f.got) != math.Float64bits(want) {
+				t.Fatalf("k=%d vector %s %v: served %v, ClusteringAtK %v", m.K, m.Vector, f.kind, f.got, want)
+			}
+		}
 	}
 }
