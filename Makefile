@@ -19,7 +19,7 @@ race:
 # repeat mirrors the CI repeat job: the packages it names must pass 20
 # runs in a row, one package at a time.
 repeat:
-	$(GO) test -count=20 -p 1 ./internal/cluster ./internal/core ./internal/service
+	$(GO) test -count=20 -p 1 ./internal/cluster ./internal/core ./internal/service ./internal/vecmath ./internal/resilience
 
 vet:
 	$(GO) vet ./...

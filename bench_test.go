@@ -7,6 +7,7 @@
 package hmeans_test
 
 import (
+	"context"
 	"io"
 	"testing"
 
@@ -206,7 +207,7 @@ func BenchmarkAblationReduction(b *testing.B) {
 	b.Run("som", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			m, err := som.Train(som.Config{Seed: 2007, Rows: 5, Cols: 4}, vectors)
+			m, err := som.TrainCtx(context.Background(), som.Config{Seed: 2007, Rows: 5, Cols: 4}, vectors)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -256,7 +257,7 @@ func BenchmarkAblationGridSize(b *testing.B) {
 		b.Run(gridName(g.r, g.c), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := som.Train(som.Config{Rows: g.r, Cols: g.c, Seed: 1}, vectors); err != nil {
+				if _, err := som.TrainCtx(context.Background(), som.Config{Rows: g.r, Cols: g.c, Seed: 1}, vectors); err != nil {
 					b.Fatal(err)
 				}
 			}

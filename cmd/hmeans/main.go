@@ -27,7 +27,6 @@ import (
 	"hmeans/internal/cliutil"
 	"hmeans/internal/dataio"
 	"hmeans/internal/obs"
-	"hmeans/internal/par"
 	"hmeans/internal/som"
 	"hmeans/internal/viz"
 )
@@ -48,7 +47,6 @@ func run(args []string, stdout io.Writer) error {
 		meanName     = fs.String("mean", "geometric", "mean family: geometric, arithmetic or harmonic")
 		k            = fs.Int("k", 0, "cluster count to cut at (0 with -chars: sweep 2..n)")
 		seed         = fs.Uint64("seed", 2007, "SOM training seed")
-		parallel     = fs.Int("parallel", 1, "worker count for SOM placement and the distance matrix (0 = all CPUs); SOM training and merging are serial; results are identical for every value")
 		quarantine   = fs.Bool("quarantine", false, "drop workloads with non-finite characterization values and score the survivors instead of failing")
 	)
 	timeout := cliutil.RegisterTimeout(fs)
@@ -58,9 +56,6 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if obsFlags.PrintVersion(stdout, "hmeans") {
 		return nil
-	}
-	if err := cliutil.ValidateParallel(*parallel); err != nil {
-		return err
 	}
 
 	if *scoresPath == "" {
@@ -83,7 +78,6 @@ func run(args []string, stdout io.Writer) error {
 		meanName:     *meanName,
 		k:            *k,
 		seed:         *seed,
-		parallel:     *parallel,
 		quarantine:   *quarantine,
 	}, stdout)
 	if cerr := sess.Close(); err == nil {
@@ -99,7 +93,6 @@ type scoreArgs struct {
 	kind, meanName                      string
 	k                                   int
 	seed                                uint64
-	parallel                            int
 	quarantine                          bool
 }
 
@@ -141,15 +134,10 @@ func score(ctx context.Context, a scoreArgs, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	workers := a.parallel
-	if workers <= 0 {
-		workers = par.Auto()
-	}
 	p, err := hmeans.DetectClustersCtx(ctx, table, hmeans.PipelineConfig{
-		Kind:        kindVal,
-		SOM:         som.Config{Seed: a.seed},
-		Parallelism: workers,
-		Quarantine:  a.quarantine,
+		Kind:       kindVal,
+		SOM:        som.Config{Seed: a.seed},
+		Quarantine: a.quarantine,
 	})
 	if err != nil {
 		return err

@@ -11,16 +11,23 @@ import (
 	"hmeans/internal/obs"
 )
 
-func TestRunRejectsNegativeParallel(t *testing.T) {
+// TestRunRejectsRemovedParallelFlag: -parallel is gone (every run
+// uses one goroutine), so a script still passing it fails as a usage
+// mistake (exit 2) that names the flag.
+func TestRunRejectsRemovedParallelFlag(t *testing.T) {
 	scores := writeTemp(t, "scores.csv", "workload,score\na,4\nb,1\n")
-	var out strings.Builder
-	err := run([]string{"-scores", scores, "-parallel", "-3"}, &out)
+	var stderr strings.Builder
+	var err error
+	code := cliutil.Run("hmeans", &stderr, func() error {
+		err = run([]string{"-scores", scores, "-chars", scores, "-parallel", "2"}, &strings.Builder{})
+		return err
+	})
 	var ue *cliutil.UsageError
-	if !errors.As(err, &ue) {
-		t.Fatalf("err = %v, want UsageError", err)
+	if !errors.As(err, &ue) || code != 2 {
+		t.Fatalf("err = %v, exit %d; want a *cliutil.UsageError and exit 2", err, code)
 	}
-	if !strings.Contains(err.Error(), "-parallel") {
-		t.Fatalf("usage error does not name the flag: %v", err)
+	if !strings.Contains(stderr.String(), "parallel") {
+		t.Fatalf("stderr %q does not name the flag", stderr.String())
 	}
 }
 

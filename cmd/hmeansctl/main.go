@@ -22,10 +22,9 @@
 //
 // Resilience: -retries retries transient failures (shed 429s,
 // draining 503s, network errors, integrity failures) with seeded
-// jittered backoff, honoring the server's Retry-After; -hedge races a
-// second request when the first is slow. Response bodies are verified
-// against the daemon's X-Hmeans-Digest header, so a corrupted byte
-// stream is an error, never a silently wrong score.
+// jittered backoff, honoring the server's Retry-After. Response
+// bodies are verified against the daemon's X-Hmeans-Digest header, so
+// a corrupted byte stream is an error, never a silently wrong score.
 //
 // Exit codes: 0 ok, 1 internal/timeout, 2 usage, 3 invalid input
 // (HTTP 400), 4 service unavailable (HTTP 429/503 after retries),
@@ -78,7 +77,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		retries    = fs.Int("retries", 0, "retry transient failures (429/503, network errors) up to this many times")
 		retryBase  = fs.Duration("retry.base", 100*time.Millisecond, "base backoff between retries (doubles per attempt, ±25% seeded jitter)")
 		retrySeed  = fs.Uint64("retry.seed", 2007, "seed for the retry jitter (deterministic schedules for scripted runs)")
-		hedge      = fs.Duration("hedge", 0, "race a second identical request if the first has not answered after this long (0 disables)")
 	)
 	timeout := cliutil.RegisterTimeout(fs)
 	obsFlags := obs.RegisterFlags(fs)
@@ -93,9 +91,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if *retryBase < 0 {
 		return cliutil.Usagef("-retry.base must be >= 0, got %v", *retryBase)
-	}
-	if *hedge < 0 {
-		return cliutil.Usagef("-hedge must be >= 0, got %v", *hedge)
 	}
 	ctx, cancel := cliutil.WithTimeout(*timeout)
 	defer cancel()
@@ -126,6 +121,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *verbose {
 		fmt.Fprintf(stderr, "request: %s\n", id)
 	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		return fmt.Errorf("encoding request: %w", err)
+	}
 	rt := resilience.NewRetryer(resilience.Policy{
 		MaxRetries: *retries,
 		BaseDelay:  *retryBase,
@@ -133,7 +132,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}, *retrySeed)
 	var res postResult
 	err = rt.Do(ctx, func(ctx context.Context) error {
-		r, err := post(ctx, base+"/v1/score", id, req, *hedge)
+		r, err := post(ctx, base+"/v1/score", id, body)
 		if err != nil {
 			return err
 		}
@@ -296,22 +295,12 @@ type postResult struct {
 	route   string
 }
 
-// post sends the score request once (plus an optional hedge) and
-// classifies every failure mode: network errors and integrity
-// mismatches become transportError, non-200s become remoteError with
-// the Retry-After hint attached, and a 200 body must match its
-// X-Hmeans-Digest before it counts as an answer.
-func post(ctx context.Context, url, requestID string, req *service.Request, hedge time.Duration) (postResult, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return postResult{}, err
-	}
-	return resilience.Hedged(ctx, hedge, func(ctx context.Context) (postResult, error) {
-		return postOnce(ctx, url, requestID, body)
-	})
-}
-
-func postOnce(ctx context.Context, url, requestID string, body []byte) (postResult, error) {
+// post sends the encoded score request once and classifies every
+// failure mode: network errors and integrity mismatches become
+// transportError, non-200s become remoteError with the Retry-After
+// hint attached, and a 200 body must match its X-Hmeans-Digest before
+// it counts as an answer.
+func post(ctx context.Context, url, requestID string, body []byte) (postResult, error) {
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
 		return postResult{}, err

@@ -309,38 +309,17 @@ func TestIntegrityMismatchIsTransport(t *testing.T) {
 	}
 }
 
-// TestHedgeRescuesSlowRequest stalls the first attempt until the
-// hedge has answered; the run must succeed via the hedge.
-func TestHedgeRescuesSlowRequest(t *testing.T) {
+// TestRunRejectsRemovedHedgeFlag: -hedge is gone, so a script still
+// passing it fails as a usage mistake (exit 2) that names the flag,
+// before any request is sent.
+func TestRunRejectsRemovedHedgeFlag(t *testing.T) {
 	scoresPath, charsPath := writeInputs(t)
-	o := obs.New()
-	srv := service.New(service.Config{Obs: o, CacheSize: 8})
-	mux := srv.Handler()
-	var calls atomic.Int64
-	stall := make(chan struct{})
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) == 1 {
-			// First attempt stalls until the hedge wins (its context
-			// is cancelled) or the test tears down.
-			select {
-			case <-r.Context().Done():
-			case <-stall:
-			}
-			return
-		}
-		mux.ServeHTTP(w, r)
-	}))
-	defer ts.Close()
-	defer close(stall)
-	code, stdout, stderr := exec(t, "-addr", ts.URL, "-scores", scoresPath, "-chars", charsPath,
-		"-hedge", "20ms", "-k", "2")
-	if code != 0 {
-		t.Fatalf("exit %d, stderr %q", code, stderr)
+	code, _, stderr := exec(t, "-addr", startDaemon(t), "-scores", scoresPath, "-chars", charsPath,
+		"-hedge", "20ms")
+	if code != 2 {
+		t.Fatalf("exit %d, want 2; stderr %q", code, stderr)
 	}
-	if !strings.Contains(stdout, "hierarchical geometric mean") {
-		t.Fatalf("hedged run produced no result: %q", stdout)
-	}
-	if got := calls.Load(); got < 2 {
-		t.Fatalf("daemon saw %d calls, want the hedge to have fired", got)
+	if !strings.Contains(stderr, "-hedge") {
+		t.Fatalf("stderr %q does not name the flag", stderr)
 	}
 }

@@ -80,7 +80,6 @@ func run(args []string, stdout io.Writer) error {
 		queueDepth  = fs.Int("queue-depth", service.DefaultQueueDepth, "max requests queued for a computation slot before shedding with 429")
 		cacheSize   = fs.Int("cache-size", 128, "content-addressed result cache entries (0 disables)")
 		reqTimeout  = fs.Duration("request-timeout", 0, "per-request compute deadline (e.g. 30s); 0 = none")
-		parallel    = fs.Int("parallel", 1, "worker count per pipeline run (0 = all CPUs); results are identical for every value")
 		accessLog   = fs.String("access-log", "", "structured request log destination: a file path, or - for stderr (empty disables)")
 		sampleEvery = fs.Duration("runtime-sample", 5*time.Second, "runtime metrics sampling interval (goroutines, heap, GC pauses); 0 disables")
 		snapshot    = fs.String("snapshot", "", "durable cache snapshot file: restored on boot, written on graceful shutdown (empty disables)")
@@ -94,9 +93,6 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if obsFlags.PrintVersion(stdout, "hmeansd") {
 		return nil
-	}
-	if err := cliutil.ValidateParallel(*parallel); err != nil {
-		return err
 	}
 	if err := cliutil.ValidateMin("-max-inflight", *maxInflight, 0); err != nil {
 		return err
@@ -134,7 +130,6 @@ func run(args []string, stdout io.Writer) error {
 		queueDepth:  *queueDepth,
 		cacheSize:   *cacheSize,
 		reqTimeout:  *reqTimeout,
-		parallel:    *parallel,
 		accessLog:   *accessLog,
 		sampleEvery: *sampleEvery,
 		snapshot:    *snapshot,
@@ -154,7 +149,6 @@ type serveArgs struct {
 	queueDepth  int
 	cacheSize   int
 	reqTimeout  time.Duration
-	parallel    int
 	accessLog   string
 	sampleEvery time.Duration
 	snapshot    string
@@ -193,7 +187,6 @@ func serve(ctx context.Context, a serveArgs, stdout io.Writer) error {
 		QueueDepth:  a.queueDepth,
 		CacheSize:   a.cacheSize,
 		Timeout:     a.reqTimeout,
-		Parallelism: a.parallel,
 		Obs:         a.obs,
 		AccessLog:   logger,
 	})

@@ -52,14 +52,15 @@ func TestFlagValidation(t *testing.T) {
 		{"-max-inflight", "-1"},
 		{"-queue-depth", "-1"},
 		{"-cache-size", "-1"},
-		{"-parallel", "-2"},
+		{"-parallel", "-2"}, // removed flag
 		{"-request-timeout", "-1s"},
 		{"-snapshot.interval", "-1s"},
 		{"-snapshot.interval", "1s"}, // requires -snapshot
 		{"-drain.timeout", "0s"},
-		{"-parallel", "abc"},      // malformed value
+		{"-parallel", "abc"},      // removed flag
 		{"-linkage-algo", "fast"}, // removed flag
 	}
+	removed := map[string]bool{"-parallel": true, "-linkage-algo": true}
 	for _, args := range cases {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {
 			var out syncBuffer
@@ -69,6 +70,9 @@ func TestFlagValidation(t *testing.T) {
 			}
 			if !strings.Contains(stderr, "usage") {
 				t.Fatalf("no usage hint in %q", stderr)
+			}
+			if removed[args[0]] && !strings.Contains(stderr, args[0]) {
+				t.Fatalf("removed flag %s not named in %q", args[0], stderr)
 			}
 		})
 	}

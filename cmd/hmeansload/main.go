@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"strings"
 
 	"hmeans/internal/cliutil"
@@ -161,7 +162,8 @@ func run(args []string, stdout io.Writer) error {
 	defer cancel()
 
 	target := strings.TrimSuffix(*addr, "/")
-	if target == "" {
+	selfManaged := target == ""
+	if selfManaged {
 		selfCfg := service.Config{
 			MaxInflight: *selfInfl,
 			QueueDepth:  *selfQueue,
@@ -215,6 +217,16 @@ func run(args []string, stdout io.Writer) error {
 	})
 	if err != nil {
 		return err
+	}
+	rep.Config.Workloads = len(base.Table.Workloads)
+	if selfManaged {
+		rep.Config.SelfManaged = true
+		// The effective pool size: service.New sizes 0 to the CPU count.
+		rep.Config.MaxInflight = *selfInfl
+		if rep.Config.MaxInflight <= 0 {
+			rep.Config.MaxInflight = runtime.NumCPU()
+		}
+		rep.Config.QueueDepth = *selfQueue
 	}
 	return report(rep, *outPath, *table, *checkPath, stdout)
 }

@@ -170,3 +170,26 @@ func TestRecheckExistingReport(t *testing.T) {
 		t.Fatalf("breach does not name p99: %q", stderr)
 	}
 }
+
+// TestReportEchoesRunConfig: the JSON artifact records what was
+// loaded and, for a self-managed run, how that daemon was sized — the
+// base request's workload count, self_managed, max_inflight and
+// queue_depth.
+func TestReportEchoesRunConfig(t *testing.T) {
+	goConcurrency(t)
+	report := filepath.Join(t.TempDir(), "report.json")
+	code, stdout, stderr := exec(t, "-n", "8", "-rps", "200", "-seed", "5", "-workloads", "9",
+		"-self.max-inflight", "2", "-self.queue-depth", "5", "-o", report, "-table=false")
+	if code != 0 {
+		t.Fatalf("exit %d\nstdout: %s\nstderr: %s", code, stdout, stderr)
+	}
+	raw, err := os.ReadFile(report)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`"workloads": 9`, `"self_managed": true`, `"max_inflight": 2`, `"queue_depth": 5`} {
+		if !strings.Contains(string(raw), want) {
+			t.Errorf("report lacks %s:\n%s", want, raw)
+		}
+	}
+}

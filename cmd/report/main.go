@@ -240,7 +240,7 @@ func renderTimings(path, requestID string, stdout io.Writer) error {
 	if len(spans) == 0 {
 		return fmt.Errorf("%s: trace has no spans", path)
 	}
-	t := viz.NewTable("stage", "count", "wall", "cpu", "min", "max")
+	t := viz.NewTable("stage", "count", "wall", "proc cpu", "min", "max")
 	for _, st := range obs.Summarize(spans) {
 		if err := t.AddRow(st.Name, fmt.Sprintf("%d", st.Count),
 			fmtDur(st.Wall), fmtDur(st.CPU), fmtDur(st.Min), fmtDur(st.Max)); err != nil {

@@ -123,11 +123,9 @@ const (
 
 // PipelineConfig configures cluster detection; the zero value uses
 // the paper's choices (counter preprocessing, SOM reduction sized to
-// the sample count, complete linkage, Euclidean distance). Set
-// Parallelism to shard SOM placement, the distance matrix and the
-// linkage's validation pass across that many workers; SOM training
-// and the agglomeration stay serial. Every parallel kernel is
-// deterministic, so results are bit-identical for any worker count.
+// the sample count, complete linkage, Euclidean distance). A pipeline
+// runs on the calling goroutine; callers that score many suites run
+// pipelines side by side.
 type PipelineConfig = core.PipelineConfig
 
 // Pipeline is a completed cluster detection: preprocessed table,

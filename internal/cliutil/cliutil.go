@@ -119,16 +119,6 @@ func Run(name string, stderr io.Writer, fn func() error) int {
 	return 1
 }
 
-// ValidateParallel checks a -parallel flag value: 0 means "all CPUs"
-// and positive values are worker counts, but negative values are
-// always a mistake.
-func ValidateParallel(v int) error {
-	if v < 0 {
-		return Usagef("-parallel must be >= 0 (0 = all CPUs), got %d", v)
-	}
-	return nil
-}
-
 // ValidatePositiveFloat checks a float flag that must be strictly
 // positive and finite — rates like -rps, where 0, negatives, NaN and
 // ±Inf are all usage mistakes rather than extreme settings.

@@ -28,8 +28,8 @@ func TestRunExitCodes(t *testing.T) {
 		{"nil", nil, 0, ""},
 		{"help", flag.ErrHelp, 0, ""},
 		{"wrapped-help", fmt.Errorf("parse: %w", flag.ErrHelp), 0, ""},
-		{"usage", Usagef("-parallel must be >= 0 (0 = all CPUs), got %d", -2), 2,
-			"tool: -parallel must be >= 0 (0 = all CPUs), got -2 (run 'tool -h' for usage)\n"},
+		{"usage", Usagef("-retries must be >= 0, got %d", -2), 2,
+			"tool: -retries must be >= 0, got -2 (run 'tool -h' for usage)\n"},
 		{"wrapped-usage", fmt.Errorf("outer: %w", Usagef("bad value")), 2,
 			"tool: bad value (run 'tool -h' for usage)\n"},
 		{"plain", errors.New("boom"), 1, "tool: boom\n"},
@@ -51,19 +51,6 @@ func TestRunExitCodes(t *testing.T) {
 				t.Fatalf("stderr = %q, want %q", sb.String(), tc.wantOut)
 			}
 		})
-	}
-}
-
-func TestValidateParallel(t *testing.T) {
-	for _, ok := range []int{0, 1, 8} {
-		if err := ValidateParallel(ok); err != nil {
-			t.Fatalf("ValidateParallel(%d) = %v", ok, err)
-		}
-	}
-	err := ValidateParallel(-1)
-	var ue *UsageError
-	if !errors.As(err, &ue) {
-		t.Fatalf("ValidateParallel(-1) = %v, want UsageError", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -15,7 +16,10 @@ import (
 // short of exhausting it.
 func TestNNChainStepAllocationFree(t *testing.T) {
 	pts := randomPoints(200, 3, 11)
-	cm := vecmath.CondensedDistanceMatrixP(vecmath.Euclidean, pts, 1)
+	cm, err := vecmath.CondensedDistanceMatrixCtx(context.Background(), vecmath.Euclidean, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	st := newNNChainState(cm, Complete)
 	// A full run takes at least 2(n-1) steps (every merge needs at
 	// least one chain extension), so 101 measured steps cannot finish
@@ -34,7 +38,10 @@ func TestNNChainStepAllocationFree(t *testing.T) {
 func TestMergeUpdateAllocationFree(t *testing.T) {
 	pts := randomPoints(64, 3, 12)
 	for _, l := range []Linkage{Complete, Single, Average, Ward} {
-		w := vecmath.CondensedDistanceMatrixP(vecmath.Euclidean, pts, 1)
+		w, err := vecmath.CondensedDistanceMatrixCtx(context.Background(), vecmath.Euclidean, pts)
+		if err != nil {
+			t.Fatal(err)
+		}
 		active := make([]bool, 64)
 		size := make([]int, 64)
 		for i := range active {

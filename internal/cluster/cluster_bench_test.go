@@ -1,11 +1,9 @@
 package cluster
 
 import (
-	"fmt"
 	"os"
 	"testing"
 
-	"hmeans/internal/par"
 	"hmeans/internal/simbench"
 	"hmeans/internal/vecmath"
 )
@@ -35,32 +33,6 @@ func BenchmarkDendrogramLarge(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := NewDendrogramOpts(pts, vecmath.Euclidean, Complete, Options{}); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDendrogramSerialVsParallel compares one worker against the
-// full machine at the paper's suite size and two production-scale
-// sizes. Both arms produce bit-identical merge sequences. Workers
-// shard only the condensed distance build and the validation pass;
-// the agglomeration (scan at n ≤ 128, NN-chain above) is serial in
-// both arms.
-func BenchmarkDendrogramSerialVsParallel(b *testing.B) {
-	b.ReportAllocs()
-	for _, n := range []int{13, 200, 1000} {
-		pts := randomPoints(n, 2, uint64(n))
-		for _, arm := range []struct {
-			name    string
-			workers int
-		}{{"serial", 1}, {"parallel", par.Auto()}} {
-			b.Run(fmt.Sprintf("n=%d/%s", n, arm.name), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := NewDendrogramOpts(pts, vecmath.Euclidean, Complete, Options{Workers: arm.workers}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
 		}
 	}
 }

@@ -145,7 +145,7 @@ func TestLinkageCancellation(t *testing.T) {
 	ctx2, cancel2 := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel2()
 	start := time.Now()
-	_, err := NewDendrogramOpts(pts, vecmath.Euclidean, Complete, Options{Ctx: ctx2, Workers: 2})
+	_, err := NewDendrogramOpts(pts, vecmath.Euclidean, Complete, Options{Ctx: ctx2})
 	if err == nil {
 		// Tiny inputs can legitimately finish inside the deadline on a
 		// fast machine; only a hang is a failure.
@@ -166,11 +166,11 @@ func TestLinkageCtxBitIdentical(t *testing.T) {
 	for i := range pts {
 		pts[i] = vecmath.Vector{float64(i * i % 13), float64(i % 5)}
 	}
-	plain, err := NewDendrogramOpts(pts, vecmath.Euclidean, Complete, Options{Workers: 4})
+	plain, err := NewDendrogramOpts(pts, vecmath.Euclidean, Complete, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	withCtx, err := NewDendrogramOpts(pts, vecmath.Euclidean, Complete, Options{Workers: 4, Ctx: context.Background()})
+	withCtx, err := NewDendrogramOpts(pts, vecmath.Euclidean, Complete, Options{Ctx: context.Background()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"math"
 
 	"hmeans/internal/obs"
-	"hmeans/internal/par"
 	"hmeans/internal/vecmath"
 )
 
@@ -39,16 +38,16 @@ type Dendrogram struct {
 
 // Options bundles the optional knobs of dendrogram construction.
 type Options struct {
-	// Workers is the goroutine count for the tiled distance build and
-	// the validation pass over it, the O(n²) parts; <= 1 runs
-	// serially. The agglomeration itself is serial. Results are
-	// identical for every value.
+	// Workers is ignored: construction runs on one goroutine.
+	//
+	// Deprecated: kept only because perfbench/replay.go sets it; it
+	// goes with the next benchmark change.
 	Workers int
 	// Ctx cancels the construction cooperatively: the matrix build
-	// stops dispatching row shards and the agglomeration stops between
-	// merge steps once the context fires, returning its error. Nil
-	// means no cancellation; a context that never fires leaves the
-	// result bit-identical.
+	// stops between tile pairs, the validation pass between rows and
+	// the agglomeration between merge steps once the context fires,
+	// returning its error. Nil means no cancellation; a context that
+	// never fires leaves the result bit-identical.
 	Ctx context.Context
 	// Obs receives a cluster.linkage span and the merge-distance
 	// histogram. Nil falls back to the process-default observer.
@@ -71,10 +70,7 @@ type Options struct {
 // the closest pair until one cluster remains. The pairwise distances
 // are built directly in condensed (upper-triangle) form — n(n−1)/2
 // floats instead of n² — and the agglomeration runs natively on that
-// layout; no dense matrix is ever materialized. The distance build and
-// the validation pass shard across opt.Workers goroutines; the merge
-// sequence is bit-identical for any worker count, because distances
-// are pure per-pair functions and the agglomeration runs serially.
+// layout; no dense matrix is ever materialized.
 func NewDendrogramOpts(points []vecmath.Vector, m vecmath.Metric, l Linkage, opt Options) (*Dendrogram, error) {
 	if len(points) == 0 {
 		return nil, ErrNoPoints
@@ -83,7 +79,7 @@ func NewDendrogramOpts(points []vecmath.Vector, m vecmath.Metric, l Linkage, opt
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	cm, err := vecmath.CondensedDistanceMatrixCtx(ctx, m, points, opt.Workers)
+	cm, err := vecmath.CondensedDistanceMatrixCtx(ctx, m, points)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: distance matrix: %w", err)
 	}
@@ -109,11 +105,9 @@ func fromCondensed(w *vecmath.CondensedMatrix, l Linkage, opt Options) (*Dendrog
 	if err != nil {
 		return nil, err
 	}
-	workers := par.Resolve(opt.Workers)
 	o := obs.Or(opt.Obs)
 	sp := o.StartSpan("cluster.linkage",
-		obs.KV("n", n), obs.KV("linkage", l.String()), obs.KV("workers", workers),
-		obs.KV("algorithm", algo.String()))
+		obs.KV("n", n), obs.KV("linkage", l.String()), obs.KV("algorithm", algo.String()))
 	defer sp.End()
 	var mergeHist *obs.Histogram
 	if o.Active() {
@@ -129,29 +123,21 @@ func fromCondensed(w *vecmath.CondensedMatrix, l Linkage, opt Options) (*Dendrog
 	// w holds the working pairwise distances between *active*
 	// clusters, indexed by slot in [0, n); slot i initially holds leaf
 	// i. After a merge the merged cluster reuses the lower slot and
-	// the higher slot is deactivated. Row tails validate
-	// independently, so the validation/Ward-squaring pass shards
-	// cleanly; rowErr collects at most one error per row.
-	rowErr := make([]error, n)
-	if err := par.ForCtx(ctx, workers, n-1, func(start, end int) {
-		for i := start; i < end; i++ {
-			row := w.RowTail(i)
-			for t, v := range row {
-				if v < 0 || math.IsNaN(v) {
-					rowErr[i] = fmt.Errorf("cluster: invalid distance %v at (%d,%d)", v, i, i+1+t)
-					break
-				}
-				if l == Ward {
-					row[t] = v * v
-				}
-			}
+	// the higher slot is deactivated. One pass over the row tails
+	// validates every distance (the first invalid one in row order is
+	// the error) and squares it for Ward.
+	for i := 0; i < n-1; i++ {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("cluster: building working distances: %w", err)
 		}
-	}); err != nil {
-		return nil, fmt.Errorf("cluster: building working distances: %w", err)
-	}
-	for _, err := range rowErr {
-		if err != nil {
-			return nil, err
+		row := w.RowTail(i)
+		for t, v := range row {
+			if v < 0 || math.IsNaN(v) {
+				return nil, fmt.Errorf("cluster: invalid distance %v at (%d,%d)", v, i, i+1+t)
+			}
+			if l == Ward {
+				row[t] = v * v
+			}
 		}
 	}
 	// Long agglomerations advertise a coarse completion fraction so a

@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -74,6 +76,34 @@ func TestErrors(t *testing.T) {
 	}
 	if _, err := fromCondensed(condensedOf(2, -1), Complete, Options{}); err == nil {
 		t.Error("negative distances accepted")
+	}
+}
+
+// TestFromCondensedValidation: the validation pass rejects a negative
+// or NaN distance, for both the plain and the Ward-squaring linkages,
+// with an error naming the first invalid entry in row order; and it
+// returns the context's error once the context has fired.
+func TestFromCondensedValidation(t *testing.T) {
+	for _, tc := range []struct {
+		n       int
+		entries []float64
+		want    string
+	}{
+		{3, []float64{0.5, 1, -1}, "(1,2)"},
+		{4, []float64{1, 1, 1, 1, math.NaN(), 1}, "(1,3)"},
+		{3, []float64{1, -2, math.NaN()}, "(0,2)"},
+	} {
+		for _, l := range []Linkage{Complete, Ward} {
+			_, err := fromCondensed(condensedOf(tc.n, tc.entries...), l, Options{})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("%v %v: error %v, want one naming %s", l, tc.entries, err, tc.want)
+			}
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := fromCondensed(condensedOf(3, 1, 2, 3), Average, Options{Ctx: ctx}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled validation: error %v, want context.Canceled", err)
 	}
 }
 

@@ -88,7 +88,7 @@ func TestMergeEventsGated(t *testing.T) {
 }
 
 // TestInstrumentationPreservesMerges pins determinism: the merge
-// sequence with a live observer (detail on, parallel scan) matches
+// sequence with a live observer (detail on) matches
 // the bare serial run exactly.
 func TestInstrumentationPreservesMerges(t *testing.T) {
 	bare, err := NewDendrogramOpts(obsPoints(), vecmath.Euclidean, Average, Options{})
@@ -97,7 +97,7 @@ func TestInstrumentationPreservesMerges(t *testing.T) {
 	}
 	o := obs.New(obs.NewCollector())
 	o.SetDetail(true)
-	traced, err := NewDendrogramOpts(obsPoints(), vecmath.Euclidean, Average, Options{Workers: 4, Obs: o})
+	traced, err := NewDendrogramOpts(obsPoints(), vecmath.Euclidean, Average, Options{Obs: o})
 	if err != nil {
 		t.Fatal(err)
 	}

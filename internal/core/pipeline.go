@@ -8,7 +8,6 @@ import (
 	"hmeans/internal/chars"
 	"hmeans/internal/cluster"
 	"hmeans/internal/obs"
-	"hmeans/internal/par"
 	"hmeans/internal/som"
 	"hmeans/internal/vecmath"
 )
@@ -61,12 +60,10 @@ type PipelineConfig struct {
 	// exactly zero — useful when the downstream analysis needs
 	// within-cell structure. Ignored with SkipSOM.
 	SoftPlacement bool
-	// Parallelism is the worker count for the pipeline's sharded
-	// kernels: SOM placement, the pairwise distance build and the
-	// linkage's validation pass; values <= 1 run them serially. SOM
-	// training and the agglomeration are always serial. Every
-	// parallel kernel is deterministic, so results are bit-identical
-	// for any worker count.
+	// Parallelism is ignored: the pipeline runs on one goroutine.
+	//
+	// Deprecated: kept only because perfbench/replay.go sets it; it
+	// goes with the next benchmark change.
 	Parallelism int
 	// Quarantine enables graceful degradation: workloads carrying
 	// non-finite characterization values are dropped (and recorded in
@@ -215,7 +212,6 @@ func DetectClustersCtx(ctx context.Context, table *chars.Table, cfg PipelineConf
 		return nil, fmt.Errorf("core: preprocessing discarded every feature; nothing to cluster on: %w",
 			&DataError{Index: -1, Err: ErrZeroVariance})
 	}
-	workers := par.Resolve(cfg.Parallelism)
 	vectors := p.Prepared.Vectors()
 	stage(3)
 	sp = root.Child("reduce")
@@ -240,9 +236,9 @@ func DetectClustersCtx(ctx context.Context, table *chars.Table, cfg PipelineConf
 		}
 		p.Map = m
 		if cfg.SoftPlacement {
-			p.Positions = m.SoftPlacementsP(vectors, workers)
+			p.Positions = m.SoftPlacements(vectors)
 		} else {
-			p.Positions = m.PlacementsP(vectors, workers)
+			p.Positions = m.Placements(vectors)
 		}
 		sp.SetAttr("grid", fmt.Sprintf("%dx%d", m.Rows(), m.Cols()))
 		sp.End()
@@ -250,7 +246,6 @@ func DetectClustersCtx(ctx context.Context, table *chars.Table, cfg PipelineConf
 	stage(4)
 	sp = root.Child("cluster", obs.KV("points", len(p.Positions)))
 	d, err := cluster.NewDendrogramOpts(p.Positions, cfg.Metric, cfg.Linkage, cluster.Options{
-		Workers:   workers,
 		Obs:       o,
 		Ctx:       ctx,
 		Algorithm: cfg.LinkageAlgorithm,

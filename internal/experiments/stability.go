@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -57,7 +58,7 @@ func (s *Suite) Stability(ch Characterization, seeds int) (StabilityResult, erro
 	)
 	for seed := 0; seed < seeds; seed++ {
 		rows, cols := som.GridFor(len(vectors))
-		m, err := som.Train(som.Config{Rows: rows, Cols: cols, Seed: uint64(seed) + 1}, vectors)
+		m, err := som.TrainCtx(context.Background(), som.Config{Rows: rows, Cols: cols, Seed: uint64(seed) + 1}, vectors)
 		if err != nil {
 			return res, err
 		}

@@ -17,7 +17,6 @@ import (
 	"hmeans/internal/core"
 	"hmeans/internal/faultinject"
 	"hmeans/internal/obs"
-	"hmeans/internal/par"
 	"hmeans/internal/simbench"
 	"hmeans/internal/som"
 	"hmeans/internal/vecmath"
@@ -107,54 +106,11 @@ func TestChaosPoisonedTableQuarantine(t *testing.T) {
 	}
 }
 
-// TestChaosWorkerPanicContained: a panicking shard becomes a
-// *par.PanicError naming the shard — an error from the Ctx variants,
-// a recoverable panic from the plain ones. The process never dies.
-func TestChaosWorkerPanicContained(t *testing.T) {
-	body := faultinject.PanicOnShard(13, "injected shard failure", func(start, end int) {})
-	err := par.ForCtx(context.Background(), 4, 100, body)
-	var pe *par.PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("ForCtx error %v (%T), want *par.PanicError", err, err)
-	}
-	if pe.Start > 13 || pe.End <= 13 {
-		t.Fatalf("panic reported on [%d,%d), want a range containing 13", pe.Start, pe.End)
-	}
-
-	recovered := func() (r any) {
-		defer func() { r = recover() }()
-		par.For(4, 100, body)
-		return nil
-	}()
-	if _, ok := recovered.(*par.PanicError); !ok {
-		t.Fatalf("For recovered %T, want *par.PanicError", recovered)
-	}
-}
-
-// TestChaosSlowShardDeadline: a straggler shard cannot stall the
-// dispatch loop past its deadline — the call returns promptly with
-// context.DeadlineExceeded instead of hanging.
-func TestChaosSlowShardDeadline(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	slow := faultinject.SlowShard(0, 100*time.Millisecond, func(start, end int) {})
-	start := time.Now()
-	_, err := par.FixedShardsCtx(ctx, 2, 64, 1, func(shard, s, e int) { slow(s, e) })
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("error %v, want context.DeadlineExceeded", err)
-	}
-	// In-flight shards finish (no abandonment) but nothing new is
-	// dispatched: well under a second, never a hang.
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("dispatch kept running %v past the deadline", elapsed)
-	}
-}
-
 // TestChaosCorruptedSOM: truncated and bit-flipped SOM artifacts must
 // load with an error or load as a fully usable map — never panic.
 func TestChaosCorruptedSOM(t *testing.T) {
 	samples := []vecmath.Vector{{0, 0, 1}, {1, 0, 0}, {0, 1, 0}, {1, 1, 1}}
-	m, err := som.Train(som.Config{Rows: 3, Cols: 3, Seed: 7}, samples)
+	m, err := som.TrainCtx(context.Background(), som.Config{Rows: 3, Cols: 3, Seed: 7}, samples)
 	if err != nil {
 		t.Fatal(err)
 	}

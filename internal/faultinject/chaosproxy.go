@@ -23,8 +23,8 @@ const (
 	// upstream — a reset before any byte of the answer.
 	FaultDrop FaultKind = "drop"
 	// FaultSlow relays the request, then stalls SlowDelay before
-	// relaying the response — a straggler that trips client timeouts
-	// and hedges.
+	// relaying the response — a straggler that trips client
+	// timeouts.
 	FaultSlow FaultKind = "slow"
 	// FaultTruncate relays the request, buffers the full response, and
 	// forwards only the first half before closing — a torn answer.

@@ -1,8 +1,8 @@
 // Package faultinject provides deterministic, seeded fault injection
 // for the robustness test suite: poisoned characterization values,
-// corrupted serialized artifacts, and panicking or slow parallel
-// shards. Every fault is a pure function of the injector's seed, so a
-// failing chaos test replays exactly.
+// corrupted serialized artifacts, and a chaos proxy that damages
+// network traffic. Every fault is a pure function of the injector's
+// seed, so a failing chaos test replays exactly.
 //
 // The package deliberately lives under internal/ and is imported
 // only from tests: production code paths never depend on it.
@@ -10,7 +10,6 @@ package faultinject
 
 import (
 	"math"
-	"time"
 
 	"hmeans/internal/chars"
 	"hmeans/internal/rng"
@@ -87,26 +86,4 @@ func (in *Injector) FlipBytes(b []byte, n int) []byte {
 		out[pos] ^= mask
 	}
 	return out
-}
-
-// PanicOnShard wraps a par.For body so the chunk containing `index`
-// panics with msg before doing any work. Other chunks run normally.
-func PanicOnShard(index int, msg string, body func(start, end int)) func(start, end int) {
-	return func(start, end int) {
-		if start <= index && index < end {
-			panic(msg)
-		}
-		body(start, end)
-	}
-}
-
-// SlowShard wraps a par.For body so the chunk containing `index`
-// sleeps for d before running — a straggler that outlives deadlines.
-func SlowShard(index int, d time.Duration, body func(start, end int)) func(start, end int) {
-	return func(start, end int) {
-		if start <= index && index < end {
-			time.Sleep(d)
-		}
-		body(start, end)
-	}
 }

@@ -34,7 +34,6 @@ import (
 
 	"hmeans/internal/obs"
 	"hmeans/internal/resilience"
-	"hmeans/internal/rng"
 	"hmeans/internal/service"
 )
 
@@ -234,7 +233,7 @@ func runClosed(ctx context.Context, client *http.Client, url string, cfg Config,
 			// Each worker jitters its waits from its own seeded stream:
 			// the run stays replayable from -seed alone, but workers
 			// that shed together do not wake in lockstep and re-shed.
-			jr := rng.New(cfg.Seed + 0x9E3779B97F4A7C15*uint64(w+1))
+			jr := retryJitter(cfg.Seed + 0x9E3779B97F4A7C15*uint64(w+1))
 			for {
 				i := int(next.Add(1) - 1)
 				if i >= len(ps.Bodies) || ctx.Err() != nil {
@@ -259,7 +258,7 @@ func runClosed(ctx context.Context, client *http.Client, url string, cfg Config,
 					if status != 0 && status != http.StatusTooManyRequests {
 						break // a real answer, even a 4xx/5xx: the request resolved
 					}
-					if attempt >= cfg.MaxRetries || !sleep(ctx, service.RetryAfterJitter(jr)) {
+					if attempt >= cfg.MaxRetries || !sleep(ctx, jr.Delay(1)) {
 						switch {
 						case blocked:
 							rec.dropBlocked()
@@ -285,15 +284,23 @@ func runClosed(ctx context.Context, client *http.Client, url string, cfg Config,
 // contract into a base wait, used as the breaker cooldown. The daemon
 // always sends whole seconds (service.RetryAfter); parsing the shared
 // constant instead of the response header keeps the delay
-// deterministic and pins the two sides together at compile^W test
-// time. Worker sleeps jitter around this base via
-// service.RetryAfterJitter.
+// deterministic and pins the two sides together. Worker sleeps jitter
+// around this base via retryJitter.
 func retryAfterDelay() time.Duration {
 	secs, err := strconv.Atoi(service.RetryAfter)
 	if err != nil || secs < 1 {
 		secs = 1
 	}
 	return time.Duration(secs) * time.Second
+}
+
+// retryJitter returns a closed-loop worker's wait source: each
+// Delay(1) is the Retry-After base spread by a seeded ±25%, one draw
+// from the seed's stream per call, so a fleet of shed clients retrying
+// "after 1 second" does not reconverge on the same instant and shed
+// again.
+func retryJitter(seed uint64) *resilience.Retryer {
+	return resilience.NewRetryer(resilience.Policy{BaseDelay: retryAfterDelay(), Jitter: 0.25}, seed)
 }
 
 // RequestID is the deterministic correlation ID the harness sends as

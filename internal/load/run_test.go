@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"hmeans/internal/service"
 )
@@ -168,6 +169,27 @@ func TestClosedLoopHonorsRetryAfter(t *testing.T) {
 	}
 	if rep.Totals.Errors != 0 {
 		t.Fatalf("closed loop with retry budget still errored: %+v", rep.Totals)
+	}
+}
+
+// TestRetryAfterJitterGolden pins the closed loop's jittered retry
+// schedule for a fixed seed, and its contract: always within ±25% of
+// the 1-second Retry-After, deterministic per seed, divergent across
+// seeds.
+func TestRetryAfterJitterGolden(t *testing.T) {
+	golden := []time.Duration{1100288241, 889375614, 1169813730}
+	jr := retryJitter(7)
+	for i, want := range golden {
+		if got := jr.Delay(1); got != want {
+			t.Fatalf("draw %d: %v, want %v", i, got, want)
+		}
+	}
+	jr = retryJitter(99)
+	for i := 0; i < 100; i++ {
+		d := jr.Delay(1)
+		if d < 750*time.Millisecond || d >= 1250*time.Millisecond {
+			t.Fatalf("draw %d: %v outside ±25%% of 1s", i, d)
+		}
 	}
 }
 

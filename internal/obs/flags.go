@@ -83,7 +83,7 @@ type Session struct {
 // Start builds the Session described by the flags: sinks, profiles
 // and the HTTP server. It installs the observer as the process
 // default (see SetDefault) so configuration-less call paths
-// (internal/par, internal/simbench) report into it too.
+// (internal/simbench) report into it too.
 func (f *Flags) Start() (*Session, error) {
 	s := &Session{}
 	if !f.Enabled() {

@@ -8,8 +8,8 @@
 // receiver for every method. Instrumented code therefore never
 // branches on "is observability on"; it calls straight through, and
 // the disabled path costs a nil check. Hot kernels that would pay
-// even for that (per-sample accumulation, per-shard timestamps) gate
-// on Observer.Active instead.
+// even for that (per-sample accumulation, per-step gauges) gate on
+// Observer.Active instead.
 //
 // obs depends only on the standard library, so every other package in
 // the module may import it without cycles.
@@ -174,8 +174,9 @@ func (o *Observer) emitEvent(span uint64, name string, attrs []Attr) {
 }
 
 // End closes the span and hands it to the sink. CPU is the
-// process-wide CPU time consumed while the span was open — on
-// parallel stages CPU/wall approximates the effective parallelism.
+// process-wide CPU time consumed while the span was open: every
+// goroutine's work is charged, so a daemon serving requests side by
+// side charges each request span for its neighbours' CPU too.
 func (s *Span) End() {
 	if s == nil {
 		return
@@ -192,9 +193,9 @@ func (s *Span) End() {
 }
 
 // defaultObs is the process-wide observer used by packages whose
-// call paths carry no configuration struct (internal/par's worker
-// pools, internal/simbench's measurement campaigns) and as the
-// fallback for configs whose Obs field is nil.
+// call paths carry no configuration struct (internal/simbench's
+// measurement campaigns) and as the fallback for configs whose Obs
+// field is nil.
 var defaultObs atomic.Pointer[Observer]
 
 // SetDefault installs o as the process-default observer and returns

@@ -12,8 +12,9 @@ type SpanData struct {
 	// Dur is the span's wall-clock duration.
 	Dur time.Duration
 	// CPU is the process-wide CPU time (user+system, all threads)
-	// consumed while the span was open; zero on platforms without
-	// rusage support.
+	// consumed while the span was open, not this span's own CPU:
+	// concurrent spans are charged for each other's work. Zero on
+	// platforms without rusage support.
 	CPU   time.Duration
 	Attrs []Attr
 }

@@ -1,10 +1,9 @@
 // Package resilience provides the client-side resilience primitives
 // the scoring tier's clients share: bounded retry with seeded,
-// jittered exponential backoff; a half-open circuit breaker; and
-// hedged requests. cmd/hmeansctl and internal/load's closed-loop
-// workers build their transport behavior from these three pieces so
-// the policies — and the failure vocabulary — stay identical across
-// every client of hmeansd.
+// jittered exponential backoff, and a half-open circuit breaker.
+// cmd/hmeansctl and internal/load's closed-loop workers build their
+// transport behavior from these two pieces so the policies — and the
+// failure vocabulary — stay identical across every client of hmeansd.
 //
 // Determinism follows the same discipline as internal/rng: every
 // delay is a pure function of (Policy, Seed, call order), never of

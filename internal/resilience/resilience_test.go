@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -220,61 +219,5 @@ func TestBreakerSuccessResetsStreak(t *testing.T) {
 	b.Record(true)
 	if got := b.State(); got != "closed" {
 		t.Fatalf("state %q, want closed (streak was broken)", got)
-	}
-}
-
-func TestHedgedFirstWins(t *testing.T) {
-	calls := 0
-	v, err := Hedged(context.Background(), time.Hour, func(context.Context) (int, error) {
-		calls++
-		return 7, nil
-	})
-	if err != nil || v != 7 || calls != 1 {
-		t.Fatalf("v=%d err=%v calls=%d", v, err, calls)
-	}
-}
-
-// TestHedgedSecondRescues blocks the first attempt until cancelled
-// and lets the hedge answer: the caller gets the hedge's result.
-func TestHedgedSecondRescues(t *testing.T) {
-	first := make(chan struct{})
-	var attempt atomic.Int64
-	v, err := Hedged(context.Background(), time.Millisecond, func(ctx context.Context) (string, error) {
-		if attempt.Add(1) == 1 {
-			<-first // blocks until the winner's defer cancels hctx... released below
-			select {
-			case <-ctx.Done():
-				return "", ctx.Err()
-			default:
-				return "slow", nil
-			}
-		}
-		return "hedge", nil
-	})
-	close(first)
-	if err != nil || v != "hedge" {
-		t.Fatalf("v=%q err=%v, want the hedge's result", v, err)
-	}
-}
-
-func TestHedgedBothFail(t *testing.T) {
-	boom := errors.New("boom")
-	_, err := Hedged(context.Background(), time.Microsecond, func(ctx context.Context) (int, error) {
-		time.Sleep(2 * time.Millisecond)
-		return 0, boom
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
-	}
-}
-
-func TestHedgedDisabled(t *testing.T) {
-	calls := 0
-	_, err := Hedged(context.Background(), 0, func(context.Context) (int, error) {
-		calls++
-		return 0, nil
-	})
-	if err != nil || calls != 1 {
-		t.Fatalf("err=%v calls=%d", err, calls)
 	}
 }

@@ -25,10 +25,7 @@ const canonicalVersion = "hmeansd-req/2"
 //   - score vectors are encoded in sorted name order, so JSON object
 //     key order on the wire is irrelevant;
 //   - every result-changing config knob (kind, seed, skip_som,
-//     soft_placement, quarantine, k, k_min, k_max) is encoded;
-//   - worker counts are NOT encoded: the parallel kernels are proven
-//     bit-identical for every worker count (PR 1), so two deployments
-//     with different -parallel settings may share cache entries.
+//     soft_placement, quarantine, k, k_min, k_max) is encoded.
 func (r *Request) CacheKey() [sha256.Size]byte {
 	h := sha256.New()
 	writeString(h, canonicalVersion)

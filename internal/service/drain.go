@@ -3,10 +3,6 @@ package service
 import (
 	"errors"
 	"fmt"
-	"strconv"
-	"time"
-
-	"hmeans/internal/rng"
 )
 
 // ErrDraining reports that the server has begun draining for shutdown
@@ -41,18 +37,3 @@ type PanicError struct {
 }
 
 func (e *PanicError) Error() string { return fmt.Sprintf("service: internal panic: %v", e.Value) }
-
-// RetryAfterJitter turns the service's whole-second Retry-After
-// contract into a client-side wait with seeded ±25% jitter, so a
-// fleet of shed clients retrying "after 1 second" does not reconverge
-// on the same instant and shed again. Deterministic for a given
-// source state — same discipline as every other random draw in this
-// codebase.
-func RetryAfterJitter(r *rng.Source) time.Duration {
-	sec, err := strconv.Atoi(RetryAfter)
-	if err != nil || sec <= 0 {
-		sec = 1
-	}
-	base := time.Duration(sec) * time.Second
-	return time.Duration(float64(base) * (0.75 + 0.5*r.Float64()))
-}

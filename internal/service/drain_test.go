@@ -8,8 +8,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"hmeans/internal/rng"
 )
 
 func get(t *testing.T, url string) *http.Response {
@@ -205,25 +203,5 @@ func TestScoreDigestHeader(t *testing.T) {
 	// Absent header (older server) passes: the check is opportunistic.
 	if err := VerifyDigest("", []byte("anything")); err != nil {
 		t.Fatalf("empty digest must verify trivially, got %v", err)
-	}
-}
-
-// TestRetryAfterJitterGolden pins the jittered retry schedule for a
-// fixed seed, and its contract: always within ±25% of the 1-second
-// Retry-After, deterministic per seed, divergent across seeds.
-func TestRetryAfterJitterGolden(t *testing.T) {
-	golden := []time.Duration{1100288241, 889375614, 1169813730}
-	r := rng.New(7)
-	for i, want := range golden {
-		if got := RetryAfterJitter(r); got != want {
-			t.Fatalf("draw %d: %v, want %v", i, got, want)
-		}
-	}
-	r = rng.New(99)
-	for i := 0; i < 100; i++ {
-		d := RetryAfterJitter(r)
-		if d < 750*time.Millisecond || d >= 1250*time.Millisecond {
-			t.Fatalf("draw %d: %v outside ±25%% of 1s", i, d)
-		}
 	}
 }

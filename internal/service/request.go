@@ -29,10 +29,7 @@ import (
 
 // Request is the JSON body of POST /v1/score: one characterization
 // table, any number of named score vectors, and the pipeline knobs
-// that change results. Worker counts are deliberately absent — every
-// parallel kernel is bit-identical for any worker count, so
-// parallelism is a server-side deployment choice, not part of the
-// request (or of its cache key).
+// that change results.
 type Request struct {
 	// Table is the raw characterization matrix.
 	Table TableJSON `json:"table"`
@@ -230,13 +227,11 @@ func (r *Request) kind() core.CharKind {
 }
 
 // pipelineConfig assembles the core config for this request.
-// parallelism comes from the server, never the request.
-func (r *Request) pipelineConfig(parallelism int) core.PipelineConfig {
+func (r *Request) pipelineConfig() core.PipelineConfig {
 	cfg := core.PipelineConfig{
-		Kind:        r.kind(),
-		Quarantine:  r.Config.Quarantine,
-		SkipSOM:     r.Config.SkipSOM,
-		Parallelism: parallelism,
+		Kind:       r.kind(),
+		Quarantine: r.Config.Quarantine,
+		SkipSOM:    r.Config.SkipSOM,
 	}
 	cfg.SoftPlacement = r.Config.SoftPlacement
 	cfg.SOM.Seed = r.Config.Seed

@@ -47,9 +47,11 @@ type Config struct {
 	// computation only, not time spent queued — queued callers are
 	// still bounded by their own HTTP request contexts.
 	Timeout time.Duration
-	// Parallelism is the worker count each pipeline run uses
-	// (core.PipelineConfig.Parallelism). Results are bit-identical
-	// for every value, which is why it is not part of the cache key.
+	// Parallelism is ignored: each request runs its pipeline on one
+	// goroutine, and MaxInflight is the server's only concurrency.
+	//
+	// Deprecated: kept only because perfbench/tier.go sets it; it goes
+	// with the next benchmark change.
 	Parallelism int
 	// LinkageAlgorithm selects the agglomeration algorithm for every
 	// pipeline run (core.PipelineConfig.LinkageAlgorithm). It is not
@@ -232,7 +234,7 @@ func (s *Server) compute(ctx context.Context, req *Request) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := req.pipelineConfig(s.cfg.Parallelism)
+	cfg := req.pipelineConfig()
 	cfg.LinkageAlgorithm = s.cfg.LinkageAlgorithm
 	cfg.Obs = s.obs
 	p, err := core.DetectClustersCtx(ctx, t, cfg)

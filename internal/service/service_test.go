@@ -165,13 +165,12 @@ func suiteRequest(n int, seed uint64) *Request {
 	return req
 }
 
-// TestServedBytesIndependentOfParallelism pins that served bytes
-// depend only on the request: -parallel, the one process-level knob
-// outside the content key, must not change a response. Replicas at
-// one and two workers score SOM requests with hard and soft
-// placement: the case study (brute BMU search, scan linkage) and a
-// 200-workload suite past both auto thresholds (pruned BMU search,
-// NN-chain linkage).
+// TestServedBytesIndependentOfParallelism pins that the deprecated
+// Config.Parallelism stays inert: served bytes depend only on the
+// request. Replicas configured with 1 and 2 score SOM requests with
+// hard and soft placement: the case study (brute BMU search, scan
+// linkage) and a 200-workload suite past both auto thresholds (pruned
+// BMU search, NN-chain linkage).
 func TestServedBytesIndependentOfParallelism(t *testing.T) {
 	_, serial := newTestServer(t, Config{Parallelism: 1})
 	_, parallel := newTestServer(t, Config{Parallelism: 2})
@@ -190,7 +189,7 @@ func TestServedBytesIndependentOfParallelism(t *testing.T) {
 				t.Fatalf("%s soft=%v: status %d / %d, bodies %s / %s", in.name, soft, r1.StatusCode, r2.StatusCode, raw1, raw2)
 			}
 			if !bytes.Equal(raw1, raw2) {
-				t.Fatalf("%s soft=%v: 2-worker response differs from the 1-worker response", in.name, soft)
+				t.Fatalf("%s soft=%v: Parallelism 2 response differs from Parallelism 1", in.name, soft)
 			}
 		}
 	}
@@ -494,7 +493,7 @@ func TestSweepMeansMatchClusteringAtK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := core.DetectClusters(tab, req.pipelineConfig(0))
+	p, err := core.DetectClusters(tab, req.pipelineConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

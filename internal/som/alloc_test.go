@@ -1,12 +1,15 @@
 package som
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // TestBMUAllocationFree pins the BMU scan — the innermost loop of
 // training — at zero heap allocations.
 func TestBMUAllocationFree(t *testing.T) {
 	samples := benchSamples(14, 160)
-	m, err := Train(Config{Rows: 10, Cols: 10, Steps: 500, Seed: 1}, samples)
+	m, err := TrainCtx(context.Background(), Config{Rows: 10, Cols: 10, Steps: 500, Seed: 1}, samples)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package som
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -72,7 +73,7 @@ func TestPrunedBMUMatchesBrute(t *testing.T) {
 func TestTrainedMapIdenticalAcrossExactModes(t *testing.T) {
 	samples := benchSamples(160, 8)
 	for seed := uint64(1); seed <= 5; seed++ {
-		m, err := Train(Config{Rows: 12, Cols: 10, Steps: 12000, Seed: seed}, samples)
+		m, err := TrainCtx(context.Background(), Config{Rows: 12, Cols: 10, Steps: 12000, Seed: seed}, samples)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +87,7 @@ func TestTrainedMapIdenticalAcrossExactModes(t *testing.T) {
 		}
 		query := func(mode bmuSearch) answers {
 			m.setBMUSearch(mode)
-			return answers{m.PlacementsP(samples, 2), m.HitMap(samples), m.QuantizationError(samples)}
+			return answers{m.Placements(samples), m.HitMap(samples), m.QuantizationError(samples)}
 		}
 		pruned, brute := query(bmuSearchPruned), query(bmuSearchBrute)
 		if !reflect.DeepEqual(pruned.places, brute.places) {

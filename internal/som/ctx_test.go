@@ -16,24 +16,23 @@ func ctxSamples() []vecmath.Vector {
 	return out
 }
 
-// TestTrainCtxBitIdentical proves the ctx-aware entry point trains
-// exactly the same map as Train when the context never fires, for
-// several worker counts.
+// TestTrainCtxBitIdentical proves a live cancellable context that
+// never fires trains exactly the same map as context.Background.
 func TestTrainCtxBitIdentical(t *testing.T) {
 	samples := ctxSamples()
-	for _, workers := range []int{1, 4} {
-		cfg := Config{Rows: 4, Cols: 5, Seed: 2007, Parallelism: workers}
-		plain, err := Train(cfg, samples)
-		if err != nil {
-			t.Fatal(err)
-		}
-		withCtx, err := TrainCtx(context.Background(), cfg, samples)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !plain.Equal(withCtx) {
-			t.Fatalf("workers=%d: TrainCtx(Background) diverged from Train", workers)
-		}
+	cfg := Config{Rows: 4, Cols: 5, Seed: 2007}
+	plain, err := TrainCtx(context.Background(), cfg, samples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	withCtx, err := TrainCtx(ctx, cfg, samples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !plain.Equal(withCtx) {
+		t.Fatal("TrainCtx with a live context diverged from context.Background")
 	}
 }
 

@@ -2,6 +2,7 @@ package som
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -13,7 +14,7 @@ import (
 func validMapJSON(tb testing.TB) string {
 	tb.Helper()
 	samples := []vecmath.Vector{{0, 0, 1}, {1, 0, 0}, {0, 1, 0}, {1, 1, 1}}
-	m, err := Train(Config{Rows: 3, Cols: 3, Seed: 7}, samples)
+	m, err := TrainCtx(context.Background(), Config{Rows: 3, Cols: 3, Seed: 7}, samples)
 	if err != nil {
 		tb.Fatal(err)
 	}

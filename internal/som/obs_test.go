@@ -1,6 +1,7 @@
 package som
 
 import (
+	"context"
 	"testing"
 
 	"hmeans/internal/obs"
@@ -23,7 +24,7 @@ func TestSequentialTrainingEmitsCheckpoints(t *testing.T) {
 	cfg := Config{
 		Rows: 4, Cols: 4, Steps: 640, Seed: 3, Obs: obs.New(col),
 	}
-	if _, err := Train(cfg, obsSamples()); err != nil {
+	if _, err := TrainCtx(context.Background(), cfg, obsSamples()); err != nil {
 		t.Fatal(err)
 	}
 	tr := col.Trace()
@@ -59,12 +60,12 @@ func TestSequentialTrainingEmitsCheckpoints(t *testing.T) {
 // trained weights" contract.
 func TestInstrumentationPreservesWeights(t *testing.T) {
 	cfg := Config{Rows: 4, Cols: 4, Steps: 640, Seed: 7}
-	bare, err := Train(cfg, obsSamples())
+	bare, err := TrainCtx(context.Background(), cfg, obsSamples())
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Obs = obs.New(obs.NewCollector())
-	traced, err := Train(cfg, obsSamples())
+	traced, err := TrainCtx(context.Background(), cfg, obsSamples())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestTrainSpanRecordsTrainDim(t *testing.T) {
 	} {
 		col := obs.NewCollector()
 		tc.cfg.Obs = obs.New(col)
-		if _, err := Train(tc.cfg, tc.samples); err != nil {
+		if _, err := TrainCtx(context.Background(), tc.cfg, tc.samples); err != nil {
 			t.Fatal(err)
 		}
 		got := -1

@@ -2,13 +2,14 @@ package som
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	samples, _ := twoBlobs(8, 4, 6, 21)
-	m, err := Train(Config{Rows: 4, Cols: 5, Steps: 2000, Seed: 13}, samples)
+	m, err := TrainCtx(context.Background(), Config{Rows: 4, Cols: 5, Steps: 2000, Seed: 13}, samples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,9 +50,9 @@ func TestLoadRejectsGarbage(t *testing.T) {
 
 func TestEqual(t *testing.T) {
 	samples, _ := twoBlobs(5, 3, 5, 27)
-	a, _ := Train(Config{Rows: 3, Cols: 3, Steps: 500, Seed: 1}, samples)
-	b, _ := Train(Config{Rows: 3, Cols: 3, Steps: 500, Seed: 1}, samples)
-	c, _ := Train(Config{Rows: 3, Cols: 3, Steps: 500, Seed: 2}, samples)
+	a, _ := TrainCtx(context.Background(), Config{Rows: 3, Cols: 3, Steps: 500, Seed: 1}, samples)
+	b, _ := TrainCtx(context.Background(), Config{Rows: 3, Cols: 3, Steps: 500, Seed: 1}, samples)
+	c, _ := TrainCtx(context.Background(), Config{Rows: 3, Cols: 3, Steps: 500, Seed: 2}, samples)
 	if !a.Equal(b) {
 		t.Error("same-seed maps differ")
 	}
@@ -61,7 +62,7 @@ func TestEqual(t *testing.T) {
 	if a.Equal(nil) {
 		t.Error("nil map equal")
 	}
-	d, _ := Train(Config{Rows: 2, Cols: 3, Steps: 500, Seed: 1}, samples)
+	d, _ := TrainCtx(context.Background(), Config{Rows: 2, Cols: 3, Steps: 500, Seed: 1}, samples)
 	if a.Equal(d) {
 		t.Error("different-shape maps equal")
 	}
@@ -69,7 +70,7 @@ func TestEqual(t *testing.T) {
 
 func TestComponentPlane(t *testing.T) {
 	samples, _ := twoBlobs(6, 3, 5, 31)
-	m, err := Train(Config{Rows: 3, Cols: 4, Steps: 1000, Seed: 3}, samples)
+	m, err := TrainCtx(context.Background(), Config{Rows: 3, Cols: 4, Steps: 1000, Seed: 3}, samples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestComponentPlane(t *testing.T) {
 
 func TestSoftPositionStability(t *testing.T) {
 	samples, _ := twoBlobs(8, 4, 8, 35)
-	m, err := Train(Config{Rows: 5, Cols: 5, Steps: 3000, Seed: 2}, samples)
+	m, err := TrainCtx(context.Background(), Config{Rows: 5, Cols: 5, Steps: 3000, Seed: 2}, samples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestSoftPositionStability(t *testing.T) {
 
 func TestSoftPlacementsMatchesPerSample(t *testing.T) {
 	samples, _ := twoBlobs(5, 3, 5, 37)
-	m, err := Train(Config{Rows: 4, Cols: 4, Steps: 800, Seed: 4}, samples)
+	m, err := TrainCtx(context.Background(), Config{Rows: 4, Cols: 4, Steps: 800, Seed: 4}, samples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestSoftPlacementsMatchesPerSample(t *testing.T) {
 
 func TestSoftPositionDimMismatchPanics(t *testing.T) {
 	samples, _ := twoBlobs(5, 3, 5, 39)
-	m, _ := Train(Config{Rows: 3, Cols: 3, Steps: 300, Seed: 5}, samples)
+	m, _ := TrainCtx(context.Background(), Config{Rows: 3, Cols: 3, Steps: 300, Seed: 5}, samples)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic on dim mismatch")

@@ -53,9 +53,11 @@ type Config struct {
 	// weight surface smoother, which limits how much grid area a
 	// tight blob of samples can claim.
 	SigmaFinal float64
-	// Parallelism is ignored: the on-line training loop is
-	// order-dependent and runs serially, and the bulk placement
-	// helpers take their worker count as an argument.
+	// Parallelism is ignored: training and placement run on one
+	// goroutine.
+	//
+	// Deprecated: kept only because perfbench/replay.go sets it; it
+	// goes with the next benchmark change.
 	Parallelism int
 	// Seed drives sample-selection order and random initialization.
 	Seed uint64

@@ -1,6 +1,7 @@
 package som
 
 import (
+	"context"
 	"testing"
 
 	"hmeans/internal/vecmath"
@@ -24,7 +25,7 @@ func BenchmarkTrainSequentialSuiteScale(b *testing.B) {
 	samples := benchSamples(14, 160)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Train(Config{Rows: 5, Cols: 4, Seed: 1}, samples); err != nil {
+		if _, err := TrainCtx(context.Background(), Config{Rows: 5, Cols: 4, Seed: 1}, samples); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -41,7 +42,7 @@ func BenchmarkTrainSequentialCaseStudy(b *testing.B) {
 	cfg := Config{Rows: 5, Cols: 4, Steps: 10000, Seed: 7}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Train(cfg, samples); err != nil {
+		if _, err := TrainCtx(context.Background(), cfg, samples); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -50,7 +51,7 @@ func BenchmarkTrainSequentialCaseStudy(b *testing.B) {
 func BenchmarkBMU(b *testing.B) {
 	b.ReportAllocs()
 	samples := benchSamples(14, 160)
-	m, err := Train(Config{Rows: 10, Cols: 10, Steps: 2000, Seed: 1}, samples)
+	m, err := TrainCtx(context.Background(), Config{Rows: 10, Cols: 10, Steps: 2000, Seed: 1}, samples)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func BenchmarkBMU(b *testing.B) {
 func BenchmarkQuantizationError(b *testing.B) {
 	b.ReportAllocs()
 	samples := benchSamples(14, 160)
-	m, err := Train(Config{Rows: 6, Cols: 6, Steps: 2000, Seed: 1}, samples)
+	m, err := TrainCtx(context.Background(), Config{Rows: 6, Cols: 6, Steps: 2000, Seed: 1}, samples)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func BenchmarkQuantizationError(b *testing.B) {
 func BenchmarkUMatrix(b *testing.B) {
 	b.ReportAllocs()
 	samples := benchSamples(14, 160)
-	m, err := Train(Config{Rows: 10, Cols: 10, Steps: 2000, Seed: 1}, samples)
+	m, err := TrainCtx(context.Background(), Config{Rows: 10, Cols: 10, Steps: 2000, Seed: 1}, samples)
 	if err != nil {
 		b.Fatal(err)
 	}

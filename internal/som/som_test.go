@@ -1,6 +1,7 @@
 package som
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -27,13 +28,13 @@ func twoBlobs(nPer, dim int, sep float64, seed uint64) (samples []vecmath.Vector
 }
 
 func TestTrainErrors(t *testing.T) {
-	if _, err := Train(Config{}, nil); !errors.Is(err, ErrNoData) {
+	if _, err := TrainCtx(context.Background(), Config{}, nil); !errors.Is(err, ErrNoData) {
 		t.Errorf("empty input err = %v, want ErrNoData", err)
 	}
-	if _, err := Train(Config{}, []vecmath.Vector{{}}); err == nil {
+	if _, err := TrainCtx(context.Background(), Config{}, []vecmath.Vector{{}}); err == nil {
 		t.Error("zero-dim samples accepted")
 	}
-	if _, err := Train(Config{}, []vecmath.Vector{{1, 2}, {1}}); err == nil {
+	if _, err := TrainCtx(context.Background(), Config{}, []vecmath.Vector{{1, 2}, {1}}); err == nil {
 		t.Error("ragged samples accepted")
 	}
 }
@@ -54,11 +55,11 @@ func TestConfigDefaults(t *testing.T) {
 func TestTrainDeterministic(t *testing.T) {
 	samples, _ := twoBlobs(10, 4, 5, 1)
 	cfg := Config{Rows: 6, Cols: 6, Steps: 2000, Seed: 42}
-	m1, err := Train(cfg, samples)
+	m1, err := TrainCtx(context.Background(), cfg, samples)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := Train(cfg, samples)
+	m2, err := TrainCtx(context.Background(), cfg, samples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestTrainDeterministic(t *testing.T) {
 
 func TestTrainSeparatesBlobs(t *testing.T) {
 	samples, labels := twoBlobs(12, 6, 8, 3)
-	m, err := Train(Config{Rows: 8, Cols: 8, Steps: 8000, Seed: 7}, samples)
+	m, err := TrainCtx(context.Background(), Config{Rows: 8, Cols: 8, Steps: 8000, Seed: 7}, samples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestIdenticalSamplesShareCell(t *testing.T) {
 		base.Clone(), base.Clone(), base.Clone(),
 		{10, 10, 10, 10}, {-5, 0, 5, 0}, {0, 9, 1, 7},
 	}
-	m, err := Train(Config{Rows: 7, Cols: 7, Steps: 4000, Seed: 5}, samples)
+	m, err := TrainCtx(context.Background(), Config{Rows: 7, Cols: 7, Steps: 4000, Seed: 5}, samples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestIdenticalSamplesShareCell(t *testing.T) {
 
 func TestBMUDimMismatchPanics(t *testing.T) {
 	samples, _ := twoBlobs(5, 3, 4, 9)
-	m, err := Train(Config{Rows: 3, Cols: 3, Steps: 200, Seed: 1}, samples)
+	m, err := TrainCtx(context.Background(), Config{Rows: 3, Cols: 3, Steps: 200, Seed: 1}, samples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,11 +149,11 @@ func TestBMUDimMismatchPanics(t *testing.T) {
 
 func TestTrainingReducesQuantizationError(t *testing.T) {
 	samples, _ := twoBlobs(15, 5, 6, 11)
-	short, err := Train(Config{Rows: 6, Cols: 6, Steps: 30, Seed: 2, Init: InitRandom}, samples)
+	short, err := TrainCtx(context.Background(), Config{Rows: 6, Cols: 6, Steps: 30, Seed: 2, Init: InitRandom}, samples)
 	if err != nil {
 		t.Fatal(err)
 	}
-	long, err := Train(Config{Rows: 6, Cols: 6, Steps: 6000, Seed: 2, Init: InitRandom}, samples)
+	long, err := TrainCtx(context.Background(), Config{Rows: 6, Cols: 6, Steps: 6000, Seed: 2, Init: InitRandom}, samples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestTrainingReducesQuantizationError(t *testing.T) {
 
 func TestHitMapCountsSamples(t *testing.T) {
 	samples, _ := twoBlobs(8, 4, 6, 13)
-	m, err := Train(Config{Rows: 5, Cols: 5, Steps: 2000, Seed: 3}, samples)
+	m, err := TrainCtx(context.Background(), Config{Rows: 5, Cols: 5, Steps: 2000, Seed: 3}, samples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +187,7 @@ func TestHitMapCountsSamples(t *testing.T) {
 
 func TestPlacementsMatchBMU(t *testing.T) {
 	samples, _ := twoBlobs(6, 3, 5, 17)
-	m, err := Train(Config{Rows: 4, Cols: 4, Steps: 1000, Seed: 8}, samples)
+	m, err := TrainCtx(context.Background(), Config{Rows: 4, Cols: 4, Steps: 1000, Seed: 8}, samples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +202,7 @@ func TestPlacementsMatchBMU(t *testing.T) {
 
 func TestQualityMeasuresInRange(t *testing.T) {
 	samples, _ := twoBlobs(10, 4, 5, 19)
-	m, err := Train(Config{Rows: 6, Cols: 6, Steps: 4000, Seed: 4}, samples)
+	m, err := TrainCtx(context.Background(), Config{Rows: 6, Cols: 6, Steps: 4000, Seed: 4}, samples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +223,7 @@ func TestQualityMeasuresInRange(t *testing.T) {
 
 func TestQualityOnEmptyInput(t *testing.T) {
 	samples, _ := twoBlobs(5, 3, 5, 23)
-	m, err := Train(Config{Rows: 3, Cols: 3, Steps: 100, Seed: 6}, samples)
+	m, err := TrainCtx(context.Background(), Config{Rows: 3, Cols: 3, Steps: 100, Seed: 6}, samples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +234,7 @@ func TestQualityOnEmptyInput(t *testing.T) {
 
 func TestUMatrixShapeAndPositivity(t *testing.T) {
 	samples, _ := twoBlobs(10, 4, 8, 29)
-	m, err := Train(Config{Rows: 6, Cols: 5, Steps: 3000, Seed: 9}, samples)
+	m, err := TrainCtx(context.Background(), Config{Rows: 6, Cols: 5, Steps: 3000, Seed: 9}, samples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +254,7 @@ func TestUMatrixShapeAndPositivity(t *testing.T) {
 func TestInitModes(t *testing.T) {
 	samples, _ := twoBlobs(10, 4, 6, 31)
 	for _, mode := range []InitMode{InitPCA, InitRandom} {
-		m, err := Train(Config{Rows: 5, Cols: 5, Steps: 2000, Seed: 10, Init: mode}, samples)
+		m, err := TrainCtx(context.Background(), Config{Rows: 5, Cols: 5, Steps: 2000, Seed: 10, Init: mode}, samples)
 		if err != nil {
 			t.Fatalf("init %v: %v", mode, err)
 		}
@@ -264,9 +265,9 @@ func TestInitModes(t *testing.T) {
 }
 
 func TestPCAInitFallsBackOnTinyData(t *testing.T) {
-	// Two samples cannot support a PCA plane; Train must still work.
+	// Two samples cannot support a PCA plane; TrainCtx must still work.
 	samples := []vecmath.Vector{{1, 2, 3}, {4, 5, 6}}
-	m, err := Train(Config{Rows: 3, Cols: 3, Steps: 300, Seed: 12, Init: InitPCA}, samples)
+	m, err := TrainCtx(context.Background(), Config{Rows: 3, Cols: 3, Steps: 300, Seed: 12, Init: InitPCA}, samples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +278,7 @@ func TestPCAInitFallsBackOnTinyData(t *testing.T) {
 
 func TestOneDimensionalInput(t *testing.T) {
 	samples := []vecmath.Vector{{0}, {0.1}, {5}, {5.1}, {10}}
-	m, err := Train(Config{Rows: 4, Cols: 4, Steps: 1500, Seed: 14}, samples)
+	m, err := TrainCtx(context.Background(), Config{Rows: 4, Cols: 4, Steps: 1500, Seed: 14}, samples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +337,7 @@ func TestDecayString(t *testing.T) {
 
 func TestLocationVectors(t *testing.T) {
 	samples, _ := twoBlobs(5, 3, 5, 37)
-	m, err := Train(Config{Rows: 3, Cols: 4, Steps: 100, Seed: 15}, samples)
+	m, err := TrainCtx(context.Background(), Config{Rows: 3, Cols: 4, Steps: 100, Seed: 15}, samples)
 	if err != nil {
 		t.Fatal(err)
 	}

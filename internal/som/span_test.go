@@ -47,7 +47,7 @@ func caseStudyBits(tb testing.TB) []vecmath.Vector {
 	return prepared.Vectors()
 }
 
-// pcaInitMap returns the untrained map Train starts from on its PCA
+// pcaInitMap returns the untrained map TrainCtx starts from on its PCA
 // path. The initialization depends on the grid and the samples but not
 // on the seed, so tests build it once per sample set.
 func pcaInitMap(tb testing.TB, cfg Config, samples []vecmath.Vector) *Map {
@@ -165,7 +165,7 @@ func TestSpanTrainingMatchesFullDimension(t *testing.T) {
 		for _, st := range steps {
 			cfg := Config{Rows: rows, Cols: cols, Steps: st, Seed: uint64(seed)}
 			for _, in := range []input{inputs[0], inputs[1+(seed-1)%20]} {
-				got, err := Train(cfg, in.samples)
+				got, err := TrainCtx(context.Background(), cfg, in.samples)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -189,7 +189,7 @@ func TestSpanTrainingClonedWorkload(t *testing.T) {
 		if r := spanRank(init, samples); r != len(base)-1 {
 			t.Fatalf("seed %d: span rank %d with clones, want %d", seed, r, len(base)-1)
 		}
-		got, err := Train(cfg, samples)
+		got, err := TrainCtx(context.Background(), cfg, samples)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,7 +211,7 @@ func TestSpanTrainingCollinearSamples(t *testing.T) {
 	if r := spanRank(init, samples); r != 2 {
 		t.Fatalf("span rank %d, want 2 (the samples' line plus the init's second axis)", r)
 	}
-	got, err := Train(cfg, samples)
+	got, err := TrainCtx(context.Background(), cfg, samples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestFullRankSequentialUnchanged(t *testing.T) {
 		if b := newSpanBasis(samples, init.weights); b != nil {
 			t.Fatalf("seed %d: full-rank samples gave a %d-vector basis", seed, len(b.q))
 		}
-		got, err := Train(cfg, samples)
+		got, err := TrainCtx(context.Background(), cfg, samples)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,7 +255,7 @@ func TestTinySampleSetsFallBackToRandomInit(t *testing.T) {
 	if err := want.trainSequential(context.Background(), c, samples, r, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Train(cfg, samples)
+	got, err := TrainCtx(context.Background(), cfg, samples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,5 +306,42 @@ func TestSpanTrainingCancelled(t *testing.T) {
 	const want = "som: training cancelled at step 1024 of 10000: context canceled"
 	if err.Error() != want {
 		t.Fatalf("error %q, want %q", err, want)
+	}
+}
+
+// equalMaps reports whether two maps hold bit-identical weights —
+// Float64bits equality, not approximate comparison.
+func equalMaps(t *testing.T, a, b *Map) bool {
+	t.Helper()
+	if a.Rows() != b.Rows() || a.Cols() != b.Cols() || a.Dim() != b.Dim() {
+		return false
+	}
+	for r := 0; r < a.Rows(); r++ {
+		for c := 0; c < a.Cols(); c++ {
+			wa, wb := a.Weight(r, c), b.Weight(r, c)
+			for j := range wa {
+				if math.Float64bits(wa[j]) != math.Float64bits(wb[j]) {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// TestSequentialIgnoresParallelism: training runs on one goroutine;
+// the deprecated Parallelism field must not change its result.
+func TestSequentialIgnoresParallelism(t *testing.T) {
+	samples, _ := twoBlobs(10, 6, 5, 2)
+	a, err := TrainCtx(context.Background(), Config{Rows: 5, Cols: 4, Steps: 3000, Seed: 4}, samples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := TrainCtx(context.Background(), Config{Rows: 5, Cols: 4, Steps: 3000, Seed: 4, Parallelism: 8}, samples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !equalMaps(t, a, b) {
+		t.Fatal("sequential training changed under Parallelism")
 	}
 }

@@ -6,22 +6,16 @@ import (
 	"math"
 
 	"hmeans/internal/obs"
-	"hmeans/internal/par"
 	"hmeans/internal/rng"
 	"hmeans/internal/vecmath"
 )
 
-// Train builds and trains a map on the sample set according to cfg.
-// Samples must be non-empty and rectangular. The input slices are
-// read but never modified or retained.
-func Train(cfg Config, samples []vecmath.Vector) (*Map, error) {
-	return TrainCtx(context.Background(), cfg, samples)
-}
-
-// TrainCtx is Train with cooperative cancellation: training checks
-// the context every few hundred steps. On cancellation the partially
-// trained map is discarded and the context's error returned. A context
-// that never fires leaves the trained weights bit-identical to Train.
+// TrainCtx builds and trains a map on the sample set according to
+// cfg. Samples must be non-empty and rectangular. The input slices are
+// read but never modified or retained. Training checks the context
+// every few hundred steps; on cancellation the partially trained map
+// is discarded and the context's error returned. A nil context never
+// fires.
 func TrainCtx(ctx context.Context, cfg Config, samples []vecmath.Vector) (*Map, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -169,20 +163,20 @@ func minInt(a, b int) int {
 // Placements maps every sample to its BMU grid position. The result
 // is the 2-D point set handed to hierarchical clustering.
 func (m *Map) Placements(samples []vecmath.Vector) []vecmath.Vector {
-	return m.PlacementsP(samples, 1)
+	out := make([]vecmath.Vector, len(samples))
+	for i, s := range samples {
+		out[i] = m.Position(s)
+	}
+	return out
 }
 
-// PlacementsP is Placements across a worker pool. Every sample's BMU
-// is independent of the others, so the result is identical for any
-// worker count.
+// PlacementsP is Placements; workers is ignored.
+//
+// Deprecated: placement runs on one goroutine. Use Placements. Kept
+// only because perfbench/replay.go calls it; it goes with the next
+// benchmark change.
 func (m *Map) PlacementsP(samples []vecmath.Vector, workers int) []vecmath.Vector {
-	out := make([]vecmath.Vector, len(samples))
-	par.For(workers, len(samples), func(start, end int) {
-		for i := start; i < end; i++ {
-			out[i] = m.Position(samples[i])
-		}
-	})
-	return out
+	return m.Placements(samples)
 }
 
 // SoftPosition returns an interpolated grid position for x: the
@@ -219,18 +213,10 @@ func (m *Map) SoftPosition(x vecmath.Vector) vecmath.Vector {
 // SoftPlacements maps every sample to its soft (interpolated) grid
 // position; see SoftPosition.
 func (m *Map) SoftPlacements(samples []vecmath.Vector) []vecmath.Vector {
-	return m.SoftPlacementsP(samples, 1)
-}
-
-// SoftPlacementsP is SoftPlacements across a worker pool; like
-// PlacementsP the result is identical for any worker count.
-func (m *Map) SoftPlacementsP(samples []vecmath.Vector, workers int) []vecmath.Vector {
 	out := make([]vecmath.Vector, len(samples))
-	par.For(workers, len(samples), func(start, end int) {
-		for i := start; i < end; i++ {
-			out[i] = m.SoftPosition(samples[i])
-		}
-	})
+	for i, s := range samples {
+		out[i] = m.SoftPosition(s)
+	}
 	return out
 }
 

@@ -3,8 +3,6 @@ package vecmath
 import (
 	"context"
 	"fmt"
-
-	"hmeans/internal/par"
 )
 
 // CondensedMatrix stores the strict upper triangle of an n×n
@@ -100,46 +98,36 @@ func (c *CondensedMatrix) Data() []float64 { return c.data }
 // owning it), so the build is bit-identical to the row-major one.
 const condensedTile = 128
 
-// condensedTileShardPairs is the tile-pair shard width of the parallel
-// tiled build: small shards interleave across workers so the lighter
-// diagonal tiles (half the pairs of an off-diagonal tile) cannot
-// unbalance the fan-out.
-const condensedTileShardPairs = 4
-
-// CondensedDistanceMatrixP returns the pairwise distances of points
-// under metric m in condensed form, sharded across `workers`
-// goroutines: each of the n(n−1)/2 pairs is computed exactly once, in
-// cache-friendly (i, j)-tiles (see condensedTile), one tile pair owned
-// by exactly one shard. Every entry is a pure function of one point
-// pair and each pair is written exactly once, so the matrix is
-// identical for any worker count.
+// CondensedDistanceMatrixP is CondensedDistanceMatrixCtx without
+// cancellation; workers is ignored.
+//
+// Deprecated: the build runs on one goroutine. Use
+// CondensedDistanceMatrixCtx. Kept only because perfbench/replay.go
+// calls it; it goes with the next benchmark change.
 func CondensedDistanceMatrixP(m Metric, points []Vector, workers int) *CondensedMatrix {
-	out, _ := CondensedDistanceMatrixCtx(context.Background(), m, points, workers)
+	out, _ := CondensedDistanceMatrixCtx(context.Background(), m, points)
 	return out
 }
 
-// CondensedDistanceMatrixCtx is CondensedDistanceMatrixP with
-// cooperative cancellation: tile shards not yet started when ctx
-// fires are skipped and the context's error returned (the partial
-// matrix must be discarded). With a context that never fires it is
-// bit-identical to CondensedDistanceMatrixP.
-func CondensedDistanceMatrixCtx(ctx context.Context, m Metric, points []Vector, workers int) (*CondensedMatrix, error) {
+// CondensedDistanceMatrixCtx returns the pairwise distances of points
+// under metric m in condensed form. Each of the n(n−1)/2 pairs is
+// computed exactly once, in cache-friendly (i, j)-tiles (see
+// condensedTile), walking the tile pairs (a, b), a ≤ b, in row-major
+// order. The context is checked before each tile pair; once it fires
+// the partial matrix is discarded and the context's error returned.
+func CondensedDistanceMatrixCtx(ctx context.Context, m Metric, points []Vector) (*CondensedMatrix, error) {
 	n := len(points)
 	out := NewCondensedMatrix(n)
 	// Resolve the metric kernel once: the inner loop runs one indirect
 	// call per pair instead of re-dispatching the metric switch.
 	kern := m.Kernel()
 	nt := (n + condensedTile - 1) / condensedTile
-	pairs := make([][2]int, 0, nt*(nt+1)/2)
 	for a := 0; a < nt; a++ {
+		i1 := min(n, (a+1)*condensedTile)
 		for b := a; b < nt; b++ {
-			pairs = append(pairs, [2]int{a, b})
-		}
-	}
-	_, err := par.FixedShardsCtx(ctx, workers, len(pairs), condensedTileShardPairs, func(_, start, end int) {
-		for p := start; p < end; p++ {
-			a, b := pairs[p][0], pairs[p][1]
-			i1 := min(n, (a+1)*condensedTile)
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 			j0, j1 := b*condensedTile, min(n, (b+1)*condensedTile)
 			for i := a * condensedTile; i < i1; i++ {
 				js := j0
@@ -159,9 +147,6 @@ func CondensedDistanceMatrixCtx(ctx context.Context, m Metric, points []Vector, 
 				}
 			}
 		}
-	})
-	if err != nil {
-		return nil, err
 	}
 	return out, nil
 }

@@ -1,6 +1,7 @@
 package vecmath
 
 import (
+	"context"
 	"testing"
 
 	"hmeans/internal/rng"
@@ -88,19 +89,19 @@ func TestCondensedPanics(t *testing.T) {
 
 // TestCondensedDistanceMatrixMatchesDense proves the condensed build
 // produces bit-identical distances to the dense build for every
-// metric and worker count.
+// metric.
 func TestCondensedDistanceMatrixMatchesDense(t *testing.T) {
 	pts := condensedTestPoints(23, 4, 8)
 	for _, m := range []Metric{Euclidean, Manhattan, Chebyshev, Cosine} {
 		dense := DistanceMatrix(m, pts)
-		for _, workers := range []int{1, 2, 8} {
-			cm := CondensedDistanceMatrixP(m, pts, workers)
-			for i := 0; i < len(pts); i++ {
-				for j := i + 1; j < len(pts); j++ {
-					if cm.At(i, j) != dense.At(i, j) {
-						t.Fatalf("%v workers=%d: (%d,%d) %v != %v",
-							m, workers, i, j, cm.At(i, j), dense.At(i, j))
-					}
+		cm, err := CondensedDistanceMatrixCtx(context.Background(), m, pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < len(pts); i++ {
+			for j := i + 1; j < len(pts); j++ {
+				if cm.At(i, j) != dense.At(i, j) {
+					t.Fatalf("%v: (%d,%d) %v != %v", m, i, j, cm.At(i, j), dense.At(i, j))
 				}
 			}
 		}

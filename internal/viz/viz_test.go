@@ -1,6 +1,7 @@
 package viz
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -15,7 +16,7 @@ func trainedMap(t *testing.T) (*som.Map, []string, []vecmath.Vector) {
 		{0, 0, 1}, {0.1, 0, 1}, {5, 5, 0}, {9, 1, 4},
 	}
 	names := []string{"suite.alpha", "suite.beta", "suite.gamma", "suite.delta"}
-	m, err := som.Train(som.Config{Rows: 4, Cols: 4, Steps: 2000, Seed: 3}, samples)
+	m, err := som.TrainCtx(context.Background(), som.Config{Rows: 4, Cols: 4, Steps: 2000, Seed: 3}, samples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestSOMMapNameMismatch(t *testing.T) {
 func TestHitSummaryListsSharedCells(t *testing.T) {
 	samples := []vecmath.Vector{{1, 1}, {1, 1}, {9, 9}}
 	names := []string{"aaa", "bbb", "zzz"}
-	m, err := som.Train(som.Config{Rows: 3, Cols: 3, Steps: 1000, Seed: 1}, samples)
+	m, err := som.TrainCtx(context.Background(), som.Config{Rows: 3, Cols: 3, Steps: 1000, Seed: 1}, samples)
 	if err != nil {
 		t.Fatal(err)
 	}
