@@ -254,17 +254,9 @@ func readTable(path, kind string, scores dataio.Scores) (*hmeans.Table, hmeans.C
 	if err != nil {
 		return nil, 0, err
 	}
-	rowOf := make(map[string][]float64, len(m.Workloads))
-	for i, name := range m.Workloads {
-		rowOf[name] = m.Rows[i]
-	}
-	rows := make([][]float64, len(scores.Workloads))
-	for i, name := range scores.Workloads {
-		row, ok := rowOf[name]
-		if !ok {
-			return nil, 0, fmt.Errorf("workload %q has a score but no characterization row", name)
-		}
-		rows[i] = row
+	rows, err := m.RowsFor(scores.Workloads)
+	if err != nil {
+		return nil, 0, err
 	}
 	t, err := hmeans.NewTable(scores.Workloads, m.Features, rows)
 	return t, kindVal, err

@@ -20,11 +20,13 @@
 // when omitted); -v prints it, and the daemon logs and traces the
 // same ID, so one key correlates client output with server telemetry.
 //
-// Resilience: -retries retries transient failures (shed 429s,
-// draining 503s, network errors, integrity failures) with seeded
-// jittered backoff, honoring the server's Retry-After. Response
-// bodies are verified against the daemon's X-Hmeans-Digest header, so
-// a corrupted byte stream is an error, never a silently wrong score.
+// Requests go through service.Remote, the one client of the scoring
+// protocol, which the gateway and hmeansload use too. -retries
+// retries transient failures (shed 429s, draining 503s, network
+// errors, integrity failures) with seeded jittered backoff, honoring
+// the server's Retry-After. Response bodies are verified against the
+// daemon's X-Hmeans-Digest header, so a corrupted byte stream is an
+// error, never a silently wrong score.
 //
 // Exit codes: 0 ok, 1 internal/timeout, 2 usage, 3 invalid input
 // (HTTP 400), 4 service unavailable (HTTP 429/503 after retries),
@@ -32,7 +34,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -41,12 +42,12 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
 	"hmeans/internal/cliutil"
-	"hmeans/internal/dataio"
+	"hmeans/internal/gateway"
+	"hmeans/internal/load"
 	"hmeans/internal/obs"
 	"hmeans/internal/resilience"
 	"hmeans/internal/service"
@@ -107,10 +108,16 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *scoresPath == "" || *charsPath == "" {
 		return cliutil.Usagef("-scores and -chars are both required")
 	}
-	req, err := buildRequest(*scoresPath, *charsPath, *kind, *seed, *k)
+	switch *kind {
+	case "counters", "bits":
+	default:
+		return cliutil.Usagef("unknown characterization kind %q (want counters or bits)", *kind)
+	}
+	req, err := load.BaseRequestFromCSV(*scoresPath, *charsPath, *kind, *seed)
 	if err != nil {
 		return err
 	}
+	req.K = *k
 	// The correlation ID is decided client-side (or generated here) so
 	// it is known even when the daemon never answers: the same ID then
 	// names this request in the daemon's access log and trace.
@@ -125,38 +132,60 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("encoding request: %w", err)
 	}
-	rt := resilience.NewRetryer(resilience.Policy{
-		MaxRetries: *retries,
-		BaseDelay:  *retryBase,
-		Jitter:     0.25,
-	}, *retrySeed)
-	var res postResult
-	err = rt.Do(ctx, func(ctx context.Context) error {
-		r, err := post(ctx, base+"/v1/score", id, body)
-		if err != nil {
-			return err
-		}
-		res = r
-		return nil
-	}, retryable)
+	remote := service.NewRemote(service.RemoteConfig{
+		BaseURL: base,
+		Retry: resilience.Policy{
+			MaxRetries: *retries,
+			BaseDelay:  *retryBase,
+			Jitter:     0.25,
+		},
+		Seed: *retrySeed,
+	})
+	raw, hdr, err := remote.Post(service.WithRequestID(ctx, id), body)
 	if err != nil {
-		return err
+		return withExitCode(err)
 	}
 	if *verbose {
-		fmt.Fprintf(stderr, "cache: %s\n", res.cacheStatus)
-		if res.replica != "" {
-			fmt.Fprintf(stderr, "replica: %s (route %s)\n", res.replica, res.route)
+		fmt.Fprintf(stderr, "cache: %s\n", hdr.Get(service.HeaderCache))
+		if replica := hdr.Get(gateway.HeaderReplica); replica != "" {
+			fmt.Fprintf(stderr, "replica: %s (route %s)\n", replica, hdr.Get(gateway.HeaderRoute))
 		}
 	}
 	if *rawJSON {
-		_, err := stdout.Write(res.raw)
+		_, err := stdout.Write(raw)
 		return err
 	}
 	var resp service.Response
-	if err := json.Unmarshal(res.raw, &resp); err != nil {
+	if err := json.Unmarshal(raw, &resp); err != nil {
 		return fmt.Errorf("decoding response: %w", err)
 	}
 	return render(&resp, *meanName, *k, stdout)
+}
+
+// exitError gives a failure the exit code scripts branch on.
+type exitError struct {
+	error
+	code int
+}
+
+func (e exitError) ExitCode() int { return e.code }
+func (e exitError) Unwrap() error { return e.error }
+
+// withExitCode maps a failed post onto hmeansctl's exit codes: a
+// service that will take the work later (429 shed, 503 draining)
+// exits 4, a transport failure (integrity mismatches included) exits
+// 5. A 400 needs no mapping — UpstreamError marks it as invalid input,
+// which exits 3 — and everything else exits 1.
+func withExitCode(err error) error {
+	var ue *service.UpstreamError
+	var te *service.TransportError
+	switch {
+	case errors.As(err, &ue) && (ue.Status == http.StatusTooManyRequests || ue.Status == http.StatusServiceUnavailable):
+		return exitError{err, cliutil.ExitUnavailable}
+	case errors.As(err, &te):
+		return exitError{err, cliutil.ExitTransport}
+	}
+	return err
 }
 
 func checkHealth(ctx context.Context, base string, stdout io.Writer) error {
@@ -174,181 +203,6 @@ func checkHealth(ctx context.Context, base string, stdout io.Writer) error {
 	}
 	_, err = io.Copy(stdout, resp.Body)
 	return err
-}
-
-// buildRequest loads the CSVs and assembles the service request, with
-// the characterization rows aligned to the score order the same way
-// the batch CLI aligns them.
-func buildRequest(scoresPath, charsPath, kind string, seed uint64, k int) (*service.Request, error) {
-	sf, err := os.Open(scoresPath)
-	if err != nil {
-		return nil, err
-	}
-	defer sf.Close()
-	scores, err := dataio.ReadScores(sf)
-	if err != nil {
-		return nil, err
-	}
-	cf, err := os.Open(charsPath)
-	if err != nil {
-		return nil, err
-	}
-	defer cf.Close()
-	m, err := dataio.ReadMatrix(cf)
-	if err != nil {
-		return nil, err
-	}
-	rowOf := make(map[string][]float64, len(m.Workloads))
-	for i, name := range m.Workloads {
-		rowOf[name] = m.Rows[i]
-	}
-	rows := make([][]float64, len(scores.Workloads))
-	for i, name := range scores.Workloads {
-		row, ok := rowOf[name]
-		if !ok {
-			return nil, fmt.Errorf("workload %q has a score but no characterization row", name)
-		}
-		rows[i] = row
-	}
-	switch kind {
-	case "counters", "bits":
-	default:
-		return nil, cliutil.Usagef("unknown characterization kind %q (want counters or bits)", kind)
-	}
-	return &service.Request{
-		Table: service.TableJSON{
-			Workloads: scores.Workloads,
-			Features:  m.Features,
-			Rows:      rows,
-		},
-		Scores: map[string][]float64{"scores": scores.Values},
-		Config: service.ConfigJSON{Kind: kind, Seed: seed},
-		K:      k,
-	}, nil
-}
-
-// remoteError carries an error reported by the daemon. 400s mark
-// invalid input, so hmeansctl exits with the same status 3 the batch
-// CLI uses for bad data; 429 (shed) and 503 (draining) mark a service
-// that will take the work later, so they exit 4 — distinct from both
-// bad data and real failures.
-type remoteError struct {
-	status     int
-	msg        string
-	retryAfter time.Duration
-}
-
-func (e *remoteError) Error() string { return fmt.Sprintf("%s (HTTP %d)", e.msg, e.status) }
-
-// DataError implements cliutil's marker for invalid-input errors.
-func (e *remoteError) DataError() bool { return e.status == http.StatusBadRequest }
-
-// ExitCode implements cliutil.ExitCoder: 4 for "unavailable, retry
-// later" statuses, the conventional 1 for everything else. (400 never
-// reaches this — the DataError mapping to 3 wins first.)
-func (e *remoteError) ExitCode() int {
-	if e.status == http.StatusTooManyRequests || e.status == http.StatusServiceUnavailable {
-		return cliutil.ExitUnavailable
-	}
-	return 1
-}
-
-// RetryAfter feeds the server's Retry-After hint to the retryer.
-func (e *remoteError) RetryAfter() time.Duration { return e.retryAfter }
-
-// transportError marks a network-level failure: the request may never
-// have reached the daemon, or the response never cleanly arrived
-// (connection errors, torn reads, integrity mismatches). Exit code 5.
-type transportError struct{ err error }
-
-func (e *transportError) Error() string { return fmt.Sprintf("transport: %v", e.err) }
-func (e *transportError) Unwrap() error { return e.err }
-func (e *transportError) ExitCode() int { return cliutil.ExitTransport }
-
-// retryable says which failures a retry can plausibly fix: transport
-// damage and "come back later" statuses. Invalid input and server
-// bugs fail the same way every time — retrying them is noise.
-func retryable(err error) bool {
-	var te *transportError
-	if errors.As(err, &te) {
-		return true
-	}
-	var re *remoteError
-	if errors.As(err, &re) {
-		switch re.status {
-		case http.StatusTooManyRequests, http.StatusServiceUnavailable,
-			http.StatusBadGateway, http.StatusGatewayTimeout:
-			return true
-		}
-	}
-	return false
-}
-
-type postResult struct {
-	raw         []byte
-	cacheStatus string
-	// replica and route are set when the answer came through a gateway
-	// (X-Hmeans-Replica / X-Hmeans-Route): which replica computed the
-	// bytes, and whether this request led, followed or took over the
-	// cross-replica singleflight lease.
-	replica string
-	route   string
-}
-
-// post sends the encoded score request once and classifies every
-// failure mode: network errors and integrity mismatches become
-// transportError, non-200s become remoteError with the Retry-After
-// hint attached, and a 200 body must match its X-Hmeans-Digest before
-// it counts as an answer.
-func post(ctx context.Context, url, requestID string, body []byte) (postResult, error) {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return postResult{}, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	hreq.Header.Set(service.HeaderRequestID, requestID)
-	resp, err := http.DefaultClient.Do(hreq)
-	if err != nil {
-		if ctx.Err() != nil {
-			return postResult{}, ctx.Err()
-		}
-		return postResult{}, &transportError{err: err}
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		if ctx.Err() != nil {
-			return postResult{}, ctx.Err()
-		}
-		return postResult{}, &transportError{err: err}
-	}
-	if resp.StatusCode != http.StatusOK {
-		msg := strings.TrimSpace(string(raw))
-		var werr struct {
-			Error string `json:"error"`
-		}
-		if json.Unmarshal(raw, &werr) == nil && werr.Error != "" {
-			msg = werr.Error
-		}
-		re := &remoteError{status: resp.StatusCode, msg: msg}
-		if ra := resp.Header.Get("Retry-After"); ra != "" {
-			msg += " (retry after " + ra + "s)"
-			re.msg = msg
-			if sec, err := strconv.Atoi(ra); err == nil && sec > 0 {
-				re.retryAfter = time.Duration(sec) * time.Second
-			}
-		}
-		return postResult{}, re
-	}
-	if err := service.VerifyDigest(resp.Header.Get(service.HeaderDigest), raw); err != nil {
-		return postResult{}, &transportError{err: err}
-	}
-	return postResult{
-		raw:         raw,
-		cacheStatus: resp.Header.Get("X-Hmeans-Cache"),
-		replica:     resp.Header.Get("X-Hmeans-Replica"),
-		route:       resp.Header.Get("X-Hmeans-Route"),
-	}, nil
 }
 
 // render prints the response in the batch CLI's format: the same

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"hmeans/internal/cliutil"
+	"hmeans/internal/gateway"
 	"hmeans/internal/obs"
 	"hmeans/internal/service"
 )
@@ -181,6 +182,30 @@ func TestRequestIDFlag(t *testing.T) {
 	}
 	if !strings.Contains(stderr, "request: r-") {
 		t.Fatalf("-v did not report a generated request id: %q", stderr)
+	}
+}
+
+// TestGatewayVerboseNamesReplica checks -v through a gateway: besides
+// the request ID and cache status, stderr names the replica that
+// served the bytes and the lease role the request took.
+func TestGatewayVerboseNamesReplica(t *testing.T) {
+	replica := startDaemon(t)
+	gw, err := gateway.New(gateway.Config{Replicas: []string{replica}, Obs: obs.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(gw.Handler())
+	t.Cleanup(ts.Close)
+	scoresPath, charsPath := writeInputs(t)
+	code, _, stderr := exec(t, "-gateway", ts.URL,
+		"-scores", scoresPath, "-chars", charsPath, "-k", "2", "-v")
+	if code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, stderr)
+	}
+	for _, want := range []string{"request: r-", "cache: miss\n", "replica: " + replica + " (route leader)\n"} {
+		if !strings.Contains(stderr, want) {
+			t.Fatalf("-v stderr %q lacks %q", stderr, want)
+		}
 	}
 }
 

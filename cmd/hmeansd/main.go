@@ -157,27 +157,10 @@ type serveArgs struct {
 	obs         *obs.Observer
 }
 
-// openAccessLog builds the slog JSON access logger for the -access-log
-// flag: nil for "", stderr for "-", an append-mode file otherwise.
-// The returned closer is a no-op unless a file was opened.
-func openAccessLog(dest string) (*slog.Logger, func() error, error) {
-	switch dest {
-	case "":
-		return nil, func() error { return nil }, nil
-	case "-":
-		return slog.New(slog.NewJSONHandler(os.Stderr, nil)), func() error { return nil }, nil
-	}
-	f, err := os.OpenFile(dest, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("opening -access-log: %w", err)
-	}
-	return slog.New(slog.NewJSONHandler(f, nil)), f.Close, nil
-}
-
 // serve runs the daemon until ctx fires or a termination signal
 // arrives; both are planned shutdowns, so it returns nil for them.
 func serve(ctx context.Context, a serveArgs, stdout io.Writer) error {
-	logger, closeLog, err := openAccessLog(a.accessLog)
+	logger, closeLog, err := cliutil.OpenAccessLog(a.accessLog)
 	if err != nil {
 		return err
 	}

@@ -132,6 +132,26 @@ func ReadMatrix(r io.Reader) (Matrix, error) {
 	return out, nil
 }
 
+// RowsFor returns the matrix rows in the order of workloads — the
+// order of a score vector, which is how every tool pairs a
+// characterization with its scores. A workload without a row is an
+// error; rows for workloads not asked for are ignored.
+func (m Matrix) RowsFor(workloads []string) ([][]float64, error) {
+	rowOf := make(map[string][]float64, len(m.Workloads))
+	for i, name := range m.Workloads {
+		rowOf[name] = m.Rows[i]
+	}
+	rows := make([][]float64, len(workloads))
+	for i, name := range workloads {
+		row, ok := rowOf[name]
+		if !ok {
+			return nil, fmt.Errorf("workload %q has a score but no characterization row", name)
+		}
+		rows[i] = row
+	}
+	return rows, nil
+}
+
 // WriteMatrix writes a characterization matrix with a header row.
 func WriteMatrix(w io.Writer, m Matrix) error {
 	cw := csv.NewWriter(w)

@@ -125,3 +125,22 @@ func TestBlankLinesSkipped(t *testing.T) {
 		t.Fatalf("parsed %+v, %v", s, err)
 	}
 }
+
+func TestRowsForFollowsScoreOrder(t *testing.T) {
+	m := Matrix{
+		Workloads: []string{"a", "b", "c"},
+		Features:  []string{"f"},
+		Rows:      [][]float64{{1}, {2}, {3}},
+	}
+	rows, err := m.RowsFor([]string{"c", "a"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 2 || rows[0][0] != 3 || rows[1][0] != 1 {
+		t.Fatalf("rows = %v, want [[3] [1]]", rows)
+	}
+	_, err = m.RowsFor([]string{"a", "zeta"})
+	if err == nil || err.Error() != `workload "zeta" has a score but no characterization row` {
+		t.Fatalf("missing row: err = %v", err)
+	}
+}

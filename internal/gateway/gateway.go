@@ -306,31 +306,27 @@ func (g *Gateway) handleScore(w http.ResponseWriter, r *http.Request) {
 		if v := recover(); v != nil {
 			err := &service.PanicError{Value: v, Stack: debug.Stack()}
 			g.count("gateway.panic")
-			g.writeError(w, sp, http.StatusInternalServerError, err)
+			service.WriteError(w, sp, http.StatusInternalServerError, err)
 			g.logAccess(r, reqID, http.StatusInternalServerError, "", "", "", start, err)
 		}
 	}()
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		err := fmt.Errorf("use POST")
-		g.writeError(w, sp, http.StatusMethodNotAllowed, err)
+		service.WriteError(w, sp, http.StatusMethodNotAllowed, err)
 		g.logAccess(r, reqID, http.StatusMethodNotAllowed, "", "", "", start, err)
 		return
 	}
 	if g.Draining() {
 		g.count("gateway.draining")
-		g.writeError(w, sp, http.StatusServiceUnavailable, errDrainingGateway)
+		service.WriteError(w, sp, http.StatusServiceUnavailable, errDrainingGateway)
 		g.logAccess(r, reqID, http.StatusServiceUnavailable, "", "", "", start, errDrainingGateway)
 		return
 	}
-	var req service.Request
-	body := http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	req, err := service.DecodeRequest(w, r, g.cfg.MaxBodyBytes)
+	if err != nil {
 		g.count("gateway.invalid")
-		err = fmt.Errorf("decoding request: %w", err)
-		g.writeError(w, sp, http.StatusBadRequest, err)
+		service.WriteError(w, sp, http.StatusBadRequest, err)
 		g.logAccess(r, reqID, http.StatusBadRequest, "", "", "", start, err)
 		return
 	}
@@ -339,7 +335,7 @@ func (g *Gateway) handleScore(w http.ResponseWriter, r *http.Request) {
 	// same message a replica's would (same Validate).
 	if err := req.Validate(); err != nil {
 		g.count("gateway.invalid")
-		g.writeError(w, sp, http.StatusBadRequest, err)
+		service.WriteError(w, sp, http.StatusBadRequest, err)
 		g.logAccess(r, reqID, http.StatusBadRequest, "", "", "", start, err)
 		return
 	}
@@ -348,19 +344,19 @@ func (g *Gateway) handleScore(w http.ResponseWriter, r *http.Request) {
 
 	ctx := service.WithRequestID(r.Context(), reqID)
 	res, role := g.leases.do(ctx, key, func(ctx context.Context) leaseResult {
-		return g.dispatch(ctx, key, &req)
+		return g.dispatch(ctx, key, req)
 	})
 	g.count("gateway.lease." + role)
 	sp.SetAttr("route", role)
 	sp.SetAttr("replica", res.replica)
 	if res.err != nil {
-		code := g.httpStatus(res.err)
-		g.writeError(w, sp, code, res.err)
+		code := httpStatus(res.err)
+		service.WriteError(w, sp, code, res.err)
 		g.logAccess(r, reqID, code, res.replica, role, res.status, start, res.err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Hmeans-Cache", res.status)
+	w.Header().Set(service.HeaderCache, res.status)
 	w.Header().Set("X-Hmeans-Key", hex.EncodeToString(key[:8]))
 	w.Header().Set(HeaderReplica, res.replica)
 	w.Header().Set(HeaderRoute, role)
@@ -380,52 +376,20 @@ func (g *Gateway) handleScore(w http.ResponseWriter, r *http.Request) {
 // shutdown.
 var errDrainingGateway = errors.New("gateway: draining, not accepting new requests")
 
-// httpStatus maps dispatch failures onto the service's status
-// vocabulary: upstream answers relay their own status, total
-// unavailability is 503 (typed, Retry-After), context expiry is 504.
-func (g *Gateway) httpStatus(err error) int {
+// httpStatus adds routing's answers to the service's status mapping:
+// a replica's answer relays its own status, and an exhausted walk or
+// the gateway's own drain is 503 (typed, Retry-After). Everything else
+// — invalid input, context expiry (an HTTP client timeout included),
+// bugs — maps exactly as on a replica.
+func httpStatus(err error) int {
 	var ue *service.UpstreamError
-	if errors.As(err, &ue) {
-		return ue.Status
-	}
-	var br *service.BadRequestError
-	if errors.As(err, &br) {
-		return http.StatusBadRequest
-	}
-	var de interface {
-		error
-		DataError() bool
-	}
-	if errors.As(err, &de) && de.DataError() {
-		return http.StatusBadRequest
-	}
 	switch {
+	case errors.As(err, &ue):
+		return ue.Status
 	case errors.Is(err, ErrNoReplica), errors.Is(err, errDrainingGateway):
 		return http.StatusServiceUnavailable
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout
-	case errors.Is(err, context.Canceled):
-		return http.StatusServiceUnavailable
 	}
-	var te *service.TransportError
-	if errors.As(err, &te) {
-		// Every replica transport-failed and the walk exhausted: the
-		// fleet is unreachable, not broken — same contract as
-		// ErrNoReplica.
-		return http.StatusServiceUnavailable
-	}
-	return http.StatusInternalServerError
-}
-
-func (g *Gateway) writeError(w http.ResponseWriter, sp *obs.Span, status int, err error) {
-	sp.SetAttr("status", status)
-	sp.SetAttr("error", err.Error())
-	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", service.RetryAfter)
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
+	return service.HTTPStatus(err)
 }
 
 // replicaReady is one replica's readiness probe outcome.

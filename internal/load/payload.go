@@ -229,17 +229,9 @@ func BaseRequestFromCSV(scoresPath, charsPath, kind string, seed uint64) (*servi
 	if err != nil {
 		return nil, err
 	}
-	rowOf := make(map[string][]float64, len(m.Workloads))
-	for i, name := range m.Workloads {
-		rowOf[name] = m.Rows[i]
-	}
-	rows := make([][]float64, len(scores.Workloads))
-	for i, name := range scores.Workloads {
-		row, ok := rowOf[name]
-		if !ok {
-			return nil, fmt.Errorf("workload %q has a score but no characterization row", name)
-		}
-		rows[i] = row
+	rows, err := m.RowsFor(scores.Workloads)
+	if err != nil {
+		return nil, err
 	}
 	return &service.Request{
 		Table: service.TableJSON{

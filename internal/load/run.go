@@ -22,10 +22,9 @@
 package load
 
 import (
-	"bytes"
 	"context"
+	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -132,7 +131,10 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	defer sp.End()
 
 	rec := newRecorder()
-	url := cfg.BaseURL + "/v1/score"
+	// One Remote posts every request of the run. Its retry policy is
+	// the zero value: the closed loop keeps its own retry and breaker
+	// accounting.
+	remote := service.NewRemote(service.RemoteConfig{BaseURL: cfg.BaseURL, Client: client})
 	// Correlation IDs are precomputed so the hot loop only indexes:
 	// request i of a run is always RequestID(seed, i), which makes a
 	// report's slowest-request IDs reproducible run over run and
@@ -144,9 +146,9 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	start := time.Now()
 	switch cfg.Mode {
 	case Open:
-		runOpen(ctx, client, url, cfg.Payloads, ids, schedule, rec)
+		runOpen(ctx, remote, cfg.Payloads, ids, schedule, rec)
 	default:
-		runClosed(ctx, client, url, cfg, ids, schedule, rec)
+		runClosed(ctx, remote, cfg, ids, schedule, rec)
 	}
 	wall := time.Since(start)
 
@@ -169,7 +171,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 // runOpen fires request i at schedule[i] no matter what came back
 // earlier. A 429 is terminal here: an open-loop client that re-queued
 // sheds would change the arrival process it is supposed to hold fixed.
-func runOpen(ctx context.Context, client *http.Client, url string, ps *PayloadSet, ids []string, schedule []time.Duration, rec *recorder) {
+func runOpen(ctx context.Context, remote *service.Remote, ps *PayloadSet, ids []string, schedule []time.Duration, rec *recorder) {
 	start := time.Now()
 	timer := time.NewTimer(0)
 	defer timer.Stop()
@@ -191,7 +193,7 @@ func runOpen(ctx context.Context, client *http.Client, url string, ps *PayloadSe
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			status := send(ctx, client, url, ids[i], ps.Bodies[i], ps.Expect[i], rec)
+			status := send(ctx, remote, ids[i], ps.Bodies[i], ps.Expect[i], rec)
 			switch {
 			case status == 0:
 				rec.dropFailed() // open loop never retries: terminal
@@ -209,7 +211,7 @@ func runOpen(ctx context.Context, client *http.Client, url string, ps *PayloadSe
 // failure, up to cfg.MaxRetries. With BreakerThreshold > 0 the workers
 // share one circuit breaker: consecutive transport failures open it,
 // and workers then back off instead of hammering a dead daemon.
-func runClosed(ctx context.Context, client *http.Client, url string, cfg Config, ids []string, schedule []time.Duration, rec *recorder) {
+func runClosed(ctx context.Context, remote *service.Remote, cfg Config, ids []string, schedule []time.Duration, rec *recorder) {
 	ps := cfg.Payloads
 	var br *resilience.Breaker
 	if cfg.BreakerThreshold > 0 {
@@ -250,7 +252,7 @@ func runClosed(ctx context.Context, client *http.Client, url string, cfg Config,
 						// Retries reuse the same ID: they are the same
 						// logical request, and the server-side log then
 						// shows every attempt under one correlation key.
-						status = send(ctx, client, url, ids[i], ps.Bodies[i], ps.Expect[i], rec)
+						status = send(ctx, remote, ids[i], ps.Bodies[i], ps.Expect[i], rec)
 						if br != nil {
 							br.Record(status == 0)
 						}
@@ -313,43 +315,33 @@ func RequestID(seed uint64, i int) string {
 }
 
 // send issues one request and records the outcome. It returns the
-// HTTP status, or 0 on a transport error.
-func send(ctx context.Context, client *http.Client, url, id string, body []byte, expect int, rec *recorder) int {
+// HTTP status, or 0 when no trustworthy answer arrived.
+func send(ctx context.Context, remote *service.Remote, id string, body []byte, expect int, rec *recorder) int {
 	rec.sent.Add(1)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		rec.transport.Add(1)
-		return 0
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(service.HeaderRequestID, id)
 	t0 := time.Now()
-	resp, err := client.Do(req)
-	if err != nil {
+	// Post reads the full body, so the connection is reusable and the
+	// timing covers the whole response — what a client experiences —
+	// and checks a 200's bytes against their digest.
+	_, _, err := remote.Post(service.WithRequestID(ctx, id), body)
+	status := http.StatusOK
+	var ue *service.UpstreamError
+	switch {
+	case errors.As(err, &ue):
+		status = ue.Status
+	case err != nil:
+		// No trustworthy answer: a network failure, a torn read, or a
+		// corrupted 200. The last is worse than no answer, so it counts
+		// as an integrity failure AND a transport error (never as
+		// done): it is retried and can never pass as a good response.
+		var ie *service.IntegrityError
+		if errors.As(err, &ie) {
+			rec.integrity.Add(1)
+		}
 		rec.transport.Add(1)
 		return 0
 	}
-	// Read the full body so the connection is reusable and the timing
-	// covers the whole response — that is what a client experiences —
-	// and so a 200's bytes can be checked against their digest.
-	raw, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		rec.transport.Add(1) // torn mid-body: no trustworthy answer
-		return 0
-	}
-	if resp.StatusCode == http.StatusOK {
-		if service.VerifyDigest(resp.Header.Get(service.HeaderDigest), raw) != nil {
-			// A corrupted 200 is worse than no answer: count it as an
-			// integrity failure AND a transport error (never as done),
-			// so it is retried and can never pass as a good response.
-			rec.integrity.Add(1)
-			rec.transport.Add(1)
-			return 0
-		}
-	}
-	rec.observe(id, resp.StatusCode, expect, float64(time.Since(t0))/float64(time.Millisecond))
-	return resp.StatusCode
+	rec.observe(id, status, expect, float64(time.Since(t0))/float64(time.Millisecond))
+	return status
 }
 
 // sleep waits d or until ctx fires; it reports whether the full wait

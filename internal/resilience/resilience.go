@@ -1,9 +1,10 @@
 // Package resilience provides the client-side resilience primitives
-// the scoring tier's clients share: bounded retry with seeded,
-// jittered exponential backoff, and a half-open circuit breaker.
-// cmd/hmeansctl and internal/load's closed-loop workers build their
-// transport behavior from these two pieces so the policies — and the
-// failure vocabulary — stay identical across every client of hmeansd.
+// of the scoring tier: bounded retry with seeded, jittered exponential
+// backoff, and a half-open circuit breaker. service.Remote — the one
+// client of POST /v1/score, shared by hmeansctl, hmeansload and the
+// gateway — retries through a Retryer; internal/load's closed loop
+// adds its own Retry-After waits and shared Breaker on top, and the
+// gateway keeps a Breaker per replica.
 //
 // Determinism follows the same discipline as internal/rng: every
 // delay is a pure function of (Policy, Seed, call order), never of
@@ -21,23 +22,17 @@ import (
 	"hmeans/internal/rng"
 )
 
-// Policy shapes a Retryer: how many retries, and how the pauses
-// between them grow. The zero value retries nothing and sleeps
+// Policy shapes a Retryer: how many retries, and how long the pauses
+// between them are. The zero value retries nothing and sleeps
 // nothing — bit-identical to calling the attempt function once.
 type Policy struct {
 	// MaxRetries bounds re-attempts after the first try; <= 0 means a
 	// single attempt.
 	MaxRetries int
 	// BaseDelay is the backoff before the first retry; each further
-	// retry multiplies it by Multiplier. Zero disables sleeping
-	// entirely (and draws no jitter), keeping tests instant and
-	// rand-free.
+	// retry doubles it. Zero disables sleeping entirely (and draws no
+	// jitter), keeping tests instant and rand-free.
 	BaseDelay time.Duration
-	// MaxDelay caps the grown backoff before jitter; 0 means no cap.
-	MaxDelay time.Duration
-	// Multiplier is the per-retry growth factor; values <= 1 default
-	// to 2 (plain exponential doubling).
-	Multiplier float64
 	// Jitter spreads each delay by ±Jitter (a fraction, e.g. 0.25 for
 	// ±25%), drawn from the Retryer's seeded stream. 0 means none.
 	// Values outside [0, 1) are clamped into it.
@@ -56,9 +51,6 @@ type Retryer struct {
 // NewRetryer builds a Retryer whose jitter stream depends only on
 // seed.
 func NewRetryer(p Policy, seed uint64) *Retryer {
-	if p.Multiplier <= 1 {
-		p.Multiplier = 2
-	}
 	if p.Jitter < 0 {
 		p.Jitter = 0
 	}
@@ -72,9 +64,9 @@ func NewRetryer(p Policy, seed uint64) *Retryer {
 // whether the full wait completed (false: ctx fired).
 func (rt *Retryer) SetSleep(fn func(ctx context.Context, d time.Duration) bool) { rt.sleep = fn }
 
-// Delay returns the pause before retry `attempt` (1-based): an
-// exponential series on BaseDelay, capped at MaxDelay, then spread by
-// ±Jitter from the seeded stream. It consumes one jitter draw per
+// Delay returns the pause before retry `attempt` (1-based): BaseDelay
+// doubled per earlier retry, then spread by ±Jitter from the seeded
+// stream. It consumes one jitter draw per
 // call when Jitter > 0, so the schedule is reproducible only when
 // attempts are made in order — which a single-owner Retryer
 // guarantees.
@@ -85,14 +77,7 @@ func (rt *Retryer) Delay(attempt int) time.Duration {
 	}
 	d := float64(p.BaseDelay)
 	for i := 1; i < attempt; i++ {
-		d *= p.Multiplier
-		if p.MaxDelay > 0 && d >= float64(p.MaxDelay) {
-			d = float64(p.MaxDelay)
-			break
-		}
-	}
-	if p.MaxDelay > 0 && d > float64(p.MaxDelay) {
-		d = float64(p.MaxDelay)
+		d *= 2
 	}
 	if p.Jitter > 0 {
 		// Uniform in [1-Jitter, 1+Jitter).

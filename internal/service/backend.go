@@ -19,27 +19,16 @@ import (
 // Backend executes one score request and returns the encoded response
 // bytes plus the cache status that produced them. It is the seam
 // between "where a score is asked for" and "where it is computed": the
-// same request can run in-process (Local, wrapping a Server) or on a
-// remote replica over HTTP (Remote), and the caller — the gateway, a
-// test, an embedding — cannot tell the difference, because both paths
-// serve the same canonical bytes for the same content address.
+// gateway dispatches through it, production over HTTP (Remote) and
+// tests in-process (a *Server is itself a Backend), and cannot tell
+// the difference, because both serve the same canonical bytes for the
+// same content address.
 type Backend interface {
 	Score(ctx context.Context, req *Request) ([]byte, string, error)
 }
 
 // Server is itself the in-process backend.
 var _ Backend = (*Server)(nil)
-
-// Local adapts a Server to the Backend seam explicitly. Functionally
-// identical to using the Server directly; it exists so call sites that
-// mix local and remote execution name which one they mean.
-type Local struct{ Srv *Server }
-
-// Score answers the request in-process through the wrapped server's
-// cache, singleflight group and worker pool.
-func (l Local) Score(ctx context.Context, req *Request) ([]byte, string, error) {
-	return l.Srv.Score(ctx, req)
-}
 
 // RemoteConfig configures a Remote backend.
 type RemoteConfig struct {
@@ -54,19 +43,21 @@ type RemoteConfig struct {
 	// integrity mismatches). The zero value dispatches exactly once —
 	// routing-level failover across replicas is the caller's job.
 	Retry resilience.Policy
-	// Seed derives the retry jitter streams; per-call retryers are
-	// seeded with Seed + the call ordinal so concurrent dispatches do
-	// not share a (non-concurrency-safe) jitter stream.
+	// Seed derives the retry jitter streams: call i (counting from 0)
+	// draws from Seed+i, so concurrent dispatches do not share a
+	// (non-concurrency-safe) jitter stream and a one-call client
+	// jitters exactly from Seed.
 	Seed uint64
 }
 
-// Remote dispatches score requests to one replica over HTTP, with the
-// PR 8 resilience stack applied: bounded seeded retry, Retry-After
-// honoring, and digest verification of every 200 body — a corrupted
-// wire can produce a typed IntegrityError, never a silently wrong
-// score. Safe for concurrent use.
+// Remote is the one client of the scoring protocol, POST /v1/score:
+// hmeansctl, hmeansload and the gateway all send through it. Every
+// call gets bounded seeded retry, Retry-After honoring, and digest
+// verification of every 200 body — a corrupted wire can produce a
+// typed IntegrityError, never a silently wrong score. Safe for
+// concurrent use.
 type Remote struct {
-	base   string
+	url    string
 	client *http.Client
 	retry  resilience.Policy
 	seed   uint64
@@ -80,46 +71,51 @@ func NewRemote(cfg RemoteConfig) *Remote {
 		client = http.DefaultClient
 	}
 	return &Remote{
-		base:   strings.TrimSuffix(cfg.BaseURL, "/"),
+		url:    strings.TrimSuffix(cfg.BaseURL, "/") + "/v1/score",
 		client: client,
 		retry:  cfg.Retry,
 		seed:   cfg.Seed,
 	}
 }
 
-// BaseURL reports the replica this backend targets.
-func (r *Remote) BaseURL() string { return r.base }
-
-// Score marshals the request, POSTs it to the replica's /v1/score
-// (forwarding any correlation ID carried by ctx via WithRequestID),
-// and classifies every failure mode: network damage and integrity
-// mismatches become *TransportError, non-200 statuses become
-// *UpstreamError with the Retry-After hint attached. Transient
-// failures are retried per the configured policy; the returned bytes
-// of a success are digest-verified.
+// Score marshals the request and posts it (see Post), reporting the
+// replica's cache status.
 func (r *Remote) Score(ctx context.Context, req *Request) ([]byte, string, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return nil, "", fmt.Errorf("service: encoding remote request: %w", err)
 	}
-	rt := resilience.NewRetryer(r.retry, r.seed+r.calls.Add(1))
-	var raw []byte
-	var status string
-	err = rt.Do(ctx, func(ctx context.Context) error {
-		var aerr error
-		raw, status, aerr = r.scoreOnce(ctx, body)
-		return aerr
-	}, RetryableUpstream)
+	raw, hdr, err := r.Post(ctx, body)
 	if err != nil {
 		return nil, "", err
 	}
-	return raw, status, nil
+	return raw, hdr.Get(HeaderCache), nil
 }
 
-func (r *Remote) scoreOnce(ctx context.Context, body []byte) ([]byte, string, error) {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, r.base+"/v1/score", bytes.NewReader(body))
+// Post sends an encoded score request to /v1/score (forwarding any
+// correlation ID carried by ctx via WithRequestID) and returns the
+// digest-verified response bytes with the response header. Every
+// failure is classified: network damage and integrity mismatches
+// become *TransportError, non-200 statuses become *UpstreamError with
+// the Retry-After hint attached, and a context that fired is returned
+// as itself. Failures RetryableUpstream accepts are retried per the
+// configured policy.
+func (r *Remote) Post(ctx context.Context, body []byte) ([]byte, http.Header, error) {
+	rt := resilience.NewRetryer(r.retry, r.seed+r.calls.Add(1)-1)
+	var raw []byte
+	var hdr http.Header
+	err := rt.Do(ctx, func(ctx context.Context) error {
+		var aerr error
+		raw, hdr, aerr = r.postOnce(ctx, body)
+		return aerr
+	}, RetryableUpstream)
+	return raw, hdr, err
+}
+
+func (r *Remote) postOnce(ctx context.Context, body []byte) ([]byte, http.Header, error) {
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, r.url, bytes.NewReader(body))
 	if err != nil {
-		return nil, "", err
+		return nil, nil, err
 	}
 	hreq.Header.Set("Content-Type", "application/json")
 	if id := RequestIDFrom(ctx); id != "" {
@@ -128,27 +124,27 @@ func (r *Remote) scoreOnce(ctx context.Context, body []byte) ([]byte, string, er
 	resp, err := r.client.Do(hreq)
 	if err != nil {
 		if ctx.Err() != nil {
-			return nil, "", ctx.Err()
+			return nil, nil, ctx.Err()
 		}
-		return nil, "", &TransportError{Err: err}
+		return nil, nil, &TransportError{Err: err}
 	}
 	defer resp.Body.Close()
 	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
 		if ctx.Err() != nil {
-			return nil, "", ctx.Err()
+			return nil, nil, ctx.Err()
 		}
-		return nil, "", &TransportError{Err: err}
+		return nil, nil, &TransportError{Err: err}
 	}
 	if resp.StatusCode != http.StatusOK {
-		return nil, "", upstreamError(resp, raw)
+		return nil, nil, upstreamError(resp, raw)
 	}
 	if err := VerifyDigest(resp.Header.Get(HeaderDigest), raw); err != nil {
 		// Damaged in flight: the replica's copy is fine, so this is
 		// transport-shaped and retryable, exactly like a torn read.
-		return nil, "", &TransportError{Err: err}
+		return nil, nil, &TransportError{Err: err}
 	}
-	return raw, resp.Header.Get("X-Hmeans-Cache"), nil
+	return raw, resp.Header, nil
 }
 
 // UpstreamError is a non-200 answer from a replica, preserved so the

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"net/http"
@@ -12,24 +11,37 @@ import (
 	"hmeans/internal/resilience"
 )
 
-// TestLocalBackendMatchesServer pins that the Local adapter is the
-// server: same bytes, same cache status.
-func TestLocalBackendMatchesServer(t *testing.T) {
-	srv := New(Config{CacheSize: 4})
-	req := testRequest(1)
-	direct, directStatus, err := srv.Score(context.Background(), req)
+// TestRemotePostReturnsHeader pins what Post hands back: the
+// digest-verified bytes and the replica's whole response header, so a
+// caller can read the routing headers a gateway adds (replica, route)
+// as well as the cache status.
+func TestRemotePostReturnsHeader(t *testing.T) {
+	const payload = `{"score":7}`
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set(HeaderDigest, Digest([]byte(payload)))
+		w.Header().Set(HeaderCache, CacheHit)
+		w.Header().Set("X-Hmeans-Replica", "http://replica-2")
+		w.Header().Set("X-Hmeans-Route", "follower")
+		w.Write([]byte(payload))
+	}))
+	defer ts.Close()
+
+	raw, hdr, err := NewRemote(RemoteConfig{BaseURL: ts.URL + "/"}).Post(context.Background(), []byte(`{}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaLocal, localStatus, err := Local{Srv: srv}.Score(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
+	if string(raw) != payload {
+		t.Fatalf("raw = %s", raw)
 	}
-	if !bytes.Equal(direct, viaLocal) {
-		t.Fatal("Local bytes differ from Server bytes")
-	}
-	if directStatus != CacheMiss || localStatus != CacheHit {
-		t.Fatalf("statuses = %q then %q, want miss then hit", directStatus, localStatus)
+	for name, want := range map[string]string{
+		HeaderCache:        CacheHit,
+		"X-Hmeans-Replica": "http://replica-2",
+		"X-Hmeans-Route":   "follower",
+		HeaderDigest:       Digest([]byte(payload)),
+	} {
+		if got := hdr.Get(name); got != want {
+			t.Errorf("header %s = %q, want %q", name, got, want)
+		}
 	}
 }
 
@@ -42,7 +54,7 @@ func TestRemoteScore(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		gotID.Store(r.Header.Get(HeaderRequestID))
 		w.Header().Set(HeaderDigest, Digest([]byte(payload)))
-		w.Header().Set("X-Hmeans-Cache", CacheMiss)
+		w.Header().Set(HeaderCache, CacheMiss)
 		w.Write([]byte(payload))
 	}))
 	defer ts.Close()

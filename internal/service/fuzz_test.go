@@ -2,6 +2,9 @@ package service
 
 import (
 	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"hmeans/internal/faultinject"
@@ -54,6 +57,64 @@ func FuzzRestoreSnapshot(f *testing.F) {
 		}
 		if got := dst.CacheLen(); got > 8 {
 			t.Fatalf("restore overflowed the cache capacity: %d entries", got)
+		}
+	})
+}
+
+// FuzzDecodeRequest drives the network decode of POST /v1/score —
+// DecodeRequest, Validate, CacheKey, the path both the gateway and a
+// replica take — with hostile bodies. No input may panic; every
+// request Validate refuses must be a *BadRequestError (answered 400);
+// and an accepted request, re-encoded with json.Marshal as
+// Remote.Score forwards it to a replica, must decode to the same
+// content address, or the gateway and the replica would disagree on
+// the key they cache under.
+func FuzzDecodeRequest(f *testing.F) {
+	for _, seed := range []uint64{1, 7} {
+		valid, err := json.Marshal(testRequest(seed))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(valid)
+	}
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`{"table":{"workloads":["a","b"],"features":["f"],"rows":[[1],[2]]},"scores":{"m":[1,2]},"k":-1}`))
+	f.Add([]byte(`{"table":{"workloads":["a","a"],"features":["f"],"rows":[[1],[1]]},"scores":{"m":[0,2]}}`))
+	f.Add([]byte(`{"table":{"workloads":["a","b"],"features":["f"],"rows":[[1],[2]]},"scores":{"m":[1,2],"m":[3,4]},"config":{"kind":"bits","seed":18446744073709551615}}`))
+	f.Add([]byte(`{"table":{"workloads":["\u00e9","b"],"features":["f"],"rows":[[-0],[1e308]]},"scores":{"":[1,2]},"k_min":3,"k_max":2}`))
+	f.Add([]byte(`{"unknown":1}`))
+	f.Add([]byte(`{"table":null,"scores":null,"config":null}`))
+	f.Add([]byte(`[1,2,3]`))
+
+	decode := func(body []byte) (*Request, error) {
+		r := httptest.NewRequest(http.MethodPost, "/v1/score", bytes.NewReader(body))
+		return DecodeRequest(httptest.NewRecorder(), r, 1<<20)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		req, err := decode(data)
+		if err != nil {
+			return
+		}
+		if err := req.Validate(); err != nil {
+			if _, ok := err.(*BadRequestError); !ok {
+				t.Fatalf("Validate rejected with %T (%v), want *BadRequestError", err, err)
+			}
+			if code := HTTPStatus(err); code != http.StatusBadRequest {
+				t.Fatalf("Validate rejection maps to %d, want 400", code)
+			}
+			return
+		}
+		key := req.CacheKey()
+		fwd, err := json.Marshal(req)
+		if err != nil {
+			t.Fatalf("accepted request does not re-encode: %v", err)
+		}
+		again, err := decode(fwd)
+		if err != nil {
+			t.Fatalf("re-encoded request does not decode: %v\n%s", err, fwd)
+		}
+		if again.CacheKey() != key {
+			t.Fatalf("re-encoding moved the content address:\n%s\n%s", data, fwd)
 		}
 	})
 }

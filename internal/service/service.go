@@ -118,7 +118,11 @@ func New(cfg Config) *Server {
 // instead of re-parsing a magic number.
 const RetryAfter = "1"
 
-// Cache statuses reported in the X-Hmeans-Cache response header.
+// HeaderCache reports how the response was produced: one of the cache
+// statuses below.
+const HeaderCache = "X-Hmeans-Cache"
+
+// Cache statuses reported in the HeaderCache response header.
 const (
 	// CacheMiss marks the request that ran the pipeline.
 	CacheMiss = "miss"
@@ -427,42 +431,38 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 		if v := recover(); v != nil {
 			err := &PanicError{Value: v, Stack: debug.Stack()}
 			s.count("service.panic")
-			s.writeError(w, sp, http.StatusInternalServerError, err)
+			WriteError(w, sp, http.StatusInternalServerError, err)
 			s.logAccess(r, reqID, http.StatusInternalServerError, "", nil, st, start, err)
 		}
 	}()
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		err := fmt.Errorf("use POST")
-		s.writeError(w, sp, http.StatusMethodNotAllowed, err)
+		WriteError(w, sp, http.StatusMethodNotAllowed, err)
 		s.logAccess(r, reqID, http.StatusMethodNotAllowed, "", nil, st, start, err)
 		return
 	}
-	var req Request
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	req, err := DecodeRequest(w, r, s.cfg.MaxBodyBytes)
+	if err != nil {
 		s.count("service.invalid")
-		err = fmt.Errorf("decoding request: %w", err)
-		s.writeError(w, sp, http.StatusBadRequest, err)
+		WriteError(w, sp, http.StatusBadRequest, err)
 		s.logAccess(r, reqID, http.StatusBadRequest, "", nil, st, start, err)
 		return
 	}
 	sp.SetAttr("workloads", len(req.Table.Workloads))
 	sp.SetAttr("vectors", len(req.Scores))
 
-	raw, status, err := s.score(r.Context(), &req, st)
+	raw, status, err := s.score(r.Context(), req, st)
 	sp.SetAttr("cache", status)
 	if err != nil {
-		code := httpStatus(err)
-		s.writeError(w, sp, code, err)
+		code := HTTPStatus(err)
+		WriteError(w, sp, code, err)
 		s.logAccess(r, reqID, code, status, nil, st, start, err)
 		return
 	}
 	key := req.CacheKey()
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Hmeans-Cache", status)
+	w.Header().Set(HeaderCache, status)
 	w.Header().Set("X-Hmeans-Key", hex.EncodeToString(key[:8]))
 	w.Header().Set(HeaderDigest, Digest(raw))
 	w.Write(raw)
@@ -474,11 +474,24 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	s.logAccess(r, reqID, http.StatusOK, status, key[:8], st, start, nil)
 }
 
-// httpStatus maps the error taxonomy to HTTP statuses, mirroring the
+// DecodeRequest reads a POST /v1/score body the way every hop of the
+// tier does: at most maxBytes, unknown fields rejected. A failure is
+// invalid input, which the caller answers with 400.
+func DecodeRequest(w http.ResponseWriter, r *http.Request, maxBytes int64) (*Request, error) {
+	req := new(Request)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(req); err != nil {
+		return nil, fmt.Errorf("decoding request: %w", err)
+	}
+	return req, nil
+}
+
+// HTTPStatus maps the error taxonomy to HTTP statuses, mirroring the
 // CLI exit codes (usage/invalid input → 400 like exit 2/3, timeout →
 // 504 like the "timed out" exit 1 path, overload → 429, the rest →
 // 500).
-func httpStatus(err error) int {
+func HTTPStatus(err error) int {
 	var br *BadRequestError
 	if errors.As(err, &br) {
 		return http.StatusBadRequest
@@ -503,7 +516,10 @@ func httpStatus(err error) int {
 	return http.StatusInternalServerError
 }
 
-func (s *Server) writeError(w http.ResponseWriter, sp *obs.Span, status int, err error) {
+// WriteError answers a failed request: the status, the Retry-After
+// contract on 429 and 503, and the JSON error body {"error": "..."}
+// that clients decode into UpstreamError. sp records both.
+func WriteError(w http.ResponseWriter, sp *obs.Span, status int, err error) {
 	sp.SetAttr("status", status)
 	sp.SetAttr("error", err.Error())
 	// 429 (shed) and 503 (draining) are both "come back shortly"
@@ -523,7 +539,7 @@ func (s *Server) count(name string) {
 }
 
 func (s *Server) countErr(err error) {
-	switch httpStatus(err) {
+	switch HTTPStatus(err) {
 	case http.StatusTooManyRequests:
 		s.count("service.rejected")
 	case http.StatusGatewayTimeout:
