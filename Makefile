@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race repeat vet fmt lint staticcheck bench bench-json bench-gate bench-baseline bench-large memprofile trace chaos chaos-service fuzz serve-smoke cluster-smoke load-gate perfbench-check cover ci tidy-check
+.PHONY: all build test race repeat vet fmt lint staticcheck bench bench-json bench-gate bench-baseline memprofile trace chaos chaos-service fuzz serve-smoke cluster-smoke load-gate perfbench-check cover ci tidy-check
 
 all: build
 
@@ -80,16 +80,6 @@ bench-gate: bench-json
 bench-baseline:
 	$(GO) test -bench '$(BENCH_PATTERN)' -benchmem -benchtime 50ms -count 5 -run '^$$' ./... | tee bench-raw.txt
 	$(GO) run ./cmd/benchdiff -parse bench-raw.txt -o BENCH_BASELINE.json
-
-# bench-large runs the opt-in large-n measurement that is far too slow
-# for CI: the n=10000 reference scan (minutes). It skips unless
-# HMEANS_BENCH_LARGE is set, so it never fires from `make bench` or the
-# gate; record wall-clock results in EXPERIMENTS.md ("Large-n
-# campaign"), not in BENCH_BASELINE.json.
-bench-large:
-	HMEANS_BENCH_LARGE=1 $(GO) test ./internal/cluster \
-		-bench '^BenchmarkNewDendrogramScanLarge$$' \
-		-benchmem -benchtime 1x -count 1 -run '^$$' -timeout 120m | tee bench-large.txt
 
 # memprofile captures heap profiles of the hot-kernel benchmarks for
 # `go tool pprof`. All artifacts (*.prof, *.test) are gitignored.
@@ -168,8 +158,9 @@ chaos:
 chaos-service:
 	$(GO) test -race -count=1 -run ChaosService ./internal/faultinject/
 
-# fuzz smoke-runs every serialization fuzz target (the CI fuzz-smoke
-# job). Go permits one -fuzz pattern per invocation, so one line per
+# fuzz smoke-runs every fuzz target (the CI fuzz-smoke job): the
+# serialization loaders, and the agglomeration loop against its scan
+# oracle. Go permits one -fuzz pattern per invocation, so one line per
 # target; raise FUZZTIME for a real fuzzing session.
 FUZZTIME ?= 20s
 fuzz:
@@ -178,6 +169,7 @@ fuzz:
 	$(GO) test -fuzz FuzzReadClusters -fuzztime $(FUZZTIME) ./internal/dataio
 	$(GO) test -fuzz FuzzLoadMap -fuzztime $(FUZZTIME) ./internal/som
 	$(GO) test -fuzz FuzzLoadDendrogram -fuzztime $(FUZZTIME) ./internal/cluster
+	$(GO) test -fuzz FuzzAgglomerate -fuzztime $(FUZZTIME) ./internal/cluster
 	$(GO) test -fuzz FuzzRestoreSnapshot -fuzztime $(FUZZTIME) ./internal/service
 	$(GO) test -fuzz FuzzDecodeRequest -fuzztime $(FUZZTIME) ./internal/service
 

@@ -25,6 +25,9 @@ func TestExitCodes(t *testing.T) {
 		"workload,f1,f2\na,9,1\nb,9.1,1.1\nc,2,8\nd,1,9\n")
 	nanChars := writeTemp(t, "nan-chars.csv",
 		"workload,f1,f2\na,9,1\nb,NaN,1.1\nc,2,8\nd,1,9\n")
+	// Finite, but f1's variance overflows, so b's z-score is NaN.
+	hugeChars := writeTemp(t, "huge-chars.csv",
+		"workload,f1,f2\na,1.7e308,1\nb,-1.7e308,2\nc,1.7e308,3\nd,0,4\n")
 
 	t.Run("success is 0", func(t *testing.T) {
 		code, _, stderr := exec(t, "-scores", scores, "-chars", chars)
@@ -79,6 +82,16 @@ func TestExitCodes(t *testing.T) {
 		code, _, stderr := exec(t, "-scores", scores, "-chars", nanChars)
 		if code != 3 {
 			t.Fatalf("exit %d, want 3; stderr: %s", code, stderr)
+		}
+	})
+
+	t.Run("overflowing standardization is 3", func(t *testing.T) {
+		code, _, stderr := exec(t, "-scores", scores, "-chars", hugeChars)
+		if code != 3 {
+			t.Fatalf("exit %d, want 3; stderr: %s", code, stderr)
+		}
+		if !strings.Contains(stderr, `workload "b"`) || !strings.Contains(stderr, `feature "f1"`) {
+			t.Fatalf("stderr %q should name workload b and feature f1", stderr)
 		}
 	})
 

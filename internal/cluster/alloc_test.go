@@ -9,49 +9,23 @@ import (
 	"hmeans/internal/vecmath"
 )
 
-// TestNNChainStepAllocationFree pins one NN-chain step — a chain
-// extension or a reciprocal-pair merge with its in-place
-// Lance–Williams update — at zero heap allocations. The state is
-// preallocated for the whole run, so the measured steps stay well
-// short of exhausting it.
-func TestNNChainStepAllocationFree(t *testing.T) {
-	pts := randomPoints(200, 3, 11)
-	cm, err := vecmath.CondensedDistanceMatrixCtx(context.Background(), vecmath.Euclidean, pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := newNNChainState(cm, Complete)
-	// A full run takes at least 2(n-1) steps (every merge needs at
-	// least one chain extension), so 101 measured steps cannot finish
-	// the clustering.
-	if avg := testing.AllocsPerRun(100, st.step); avg != 0 {
-		t.Errorf("NN-chain step: %v allocs/op, want 0", avg)
-	}
-	if st.remaining <= 1 {
-		t.Fatal("measurement exhausted the chain; enlarge the point set")
-	}
-}
-
-// TestMergeUpdateAllocationFree pins the shared Lance–Williams update
-// pass (mergeUpdateCondensed, run by both agglomeration algorithms) at
-// zero allocations for every linkage.
+// TestMergeUpdateAllocationFree pins one merge step — the pick, the
+// Lance–Williams walk and the cached-minimum upkeep — at zero heap
+// allocations for every linkage. 101 measured merges leave most of
+// the 256 slots active.
 func TestMergeUpdateAllocationFree(t *testing.T) {
-	pts := randomPoints(64, 3, 12)
-	for _, l := range []Linkage{Complete, Single, Average, Ward} {
+	pts := randomPoints(256, 3, 12)
+	for _, l := range allLinkages {
 		w, err := vecmath.CondensedDistanceMatrixCtx(context.Background(), vecmath.Euclidean, pts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		active := make([]bool, 64)
-		size := make([]int, 64)
-		for i := range active {
-			active[i] = true
-			size[i] = 1
-		}
+		g := newAgglomeration(w)
 		if avg := testing.AllocsPerRun(100, func() {
-			mergeUpdateCondensed(l, w, active, size, 3, 17)
+			lo := g.closest()
+			g.merge(l, lo, g.nbr[lo])
 		}); avg != 0 {
-			t.Errorf("%v mergeUpdateCondensed: %v allocs/op, want 0", l, avg)
+			t.Errorf("%v merge: %v allocs/op, want 0", l, avg)
 		}
 	}
 }

@@ -1,7 +1,7 @@
 package cluster
 
 import (
-	"os"
+	"fmt"
 	"testing"
 
 	"hmeans/internal/simbench"
@@ -21,19 +21,6 @@ func BenchmarkDendrogramSuiteScale(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-func BenchmarkDendrogramLarge(b *testing.B) {
-	b.ReportAllocs()
-	// 200 points: the O(n³) naive agglomeration at a size well past
-	// any benchmark suite, to keep the scaling behaviour visible.
-	pts := randomPoints(200, 4, 2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := NewDendrogramOpts(pts, vecmath.Euclidean, Complete, Options{}); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 
@@ -85,54 +72,19 @@ func BenchmarkKMeansSuiteScale(b *testing.B) {
 
 // BenchmarkNewDendrogramSuiteScale measures the full condensed-native
 // pipeline (distance build + agglomeration) from the paper's
-// 13-workload suite up through production sizes; it is part of the
-// allocs/op regression gate. The n=1000 pair keeps the scan-vs-chain
-// speed gap continuously measured in the committed baseline; at
-// n=10000 only the NN-chain runs in the gate (the scan there takes
-// minutes — its one-time measurement lives in EXPERIMENTS.md and the
-// env-gated BenchmarkNewDendrogramScanLarge below).
+// 13-workload suite up through large suites; it is part of the
+// allocs/op regression gate.
 func BenchmarkNewDendrogramSuiteScale(b *testing.B) {
-	for _, arm := range []struct {
-		name string
-		n    int
-		algo Algorithm
-	}{
-		{"n=13", 13, AlgoAuto},
-		{"n=1000/scan", 1000, AlgoScan},
-		{"n=1000/nnchain", 1000, AlgoNNChain},
-		{"n=10000/nnchain", 10000, AlgoNNChain},
-	} {
-		pts := simbench.SyntheticSpec{N: arm.n, Dims: 3, Clusters: 16, Seed: 1}.Points()
-		b.Run(arm.name, func(b *testing.B) {
+	for _, n := range []int{13, 1000, 10000} {
+		pts := simbench.SyntheticSpec{N: n, Dims: 3, Clusters: 16, Seed: 1}.Points()
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := NewDendrogramOpts(pts, vecmath.Euclidean, Complete, Options{Algorithm: arm.algo}); err != nil {
+				if _, err := NewDendrogramOpts(pts, vecmath.Euclidean, Complete, Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
-	}
-}
-
-// benchLargeEnv is the opt-in switch for the long benchmark below: it
-// runs only under `make bench-large`, never in CI or `make bench`
-// (which runs every non-gated benchmark at -benchtime=1x).
-const benchLargeEnv = "HMEANS_BENCH_LARGE"
-
-// BenchmarkNewDendrogramScanLarge is the one-time oracle measurement
-// behind the EXPERIMENTS.md scan-vs-chain table: the retained
-// reference scan at n=10000, minutes per op.
-func BenchmarkNewDendrogramScanLarge(b *testing.B) {
-	if os.Getenv(benchLargeEnv) == "" {
-		b.Skipf("set %s=1 (make bench-large) to run the n=10000 scan oracle", benchLargeEnv)
-	}
-	b.ReportAllocs()
-	pts := simbench.SyntheticSpec{N: 10000, Dims: 3, Clusters: 16, Seed: 1}.Points()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := NewDendrogramOpts(pts, vecmath.Euclidean, Complete, Options{Algorithm: AlgoScan}); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -92,3 +92,40 @@ func FuzzLoadDendrogram(f *testing.F) {
 		}
 	})
 }
+
+// FuzzAgglomerate checks the one agglomeration loop against the O(n³)
+// scan on adversarial ties. The first byte picks n (2–40), the second
+// the linkage, and each later byte gives four distances from
+// {0, 1, 2, 3}, reused cyclically, so nearly every merge height ties.
+// The merges must equal the scan's bit for bit.
+func FuzzAgglomerate(f *testing.F) {
+	f.Add([]byte{3, 0, 0x1b})
+	f.Add([]byte{11, 1, 0x00})
+	f.Add([]byte{38, 2, 0xe4, 0x1b, 0x55})
+	f.Add([]byte{38, 3, 0x93, 0x0f, 0xc6, 0x01})
+	// Average linkage where a merged cluster's new distance ties a
+	// row's cached minimum at a later slot, so only the offer's
+	// tie-break keeps the scan's order.
+	f.Add([]byte{38, 2, 0x30})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) < 3 {
+			return
+		}
+		n := 2 + int(in[0])%39
+		l := allLinkages[int(in[1])%len(allLinkages)]
+		digits := in[2:]
+		cm := vecmath.NewCondensedMatrix(n)
+		for s := range cm.Data() {
+			b := digits[(s/4)%len(digits)]
+			cm.Data()[s] = float64(b >> (2 * (s % 4)) & 3)
+		}
+		want := scanMerges(cloneCondensed(cm), l)
+		d, err := fromCondensed(cm, l, Options{})
+		if err != nil {
+			t.Fatalf("n=%d %v: %v", n, l, err)
+		}
+		if i := sameMerges(d.Merges(), want); i >= 0 {
+			t.Fatalf("n=%d %v: merge %d is %+v, scan %+v", n, l, i, d.Merges()[i], want[i])
+		}
+	})
+}

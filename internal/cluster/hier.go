@@ -52,17 +52,32 @@ type Options struct {
 	// Obs receives a cluster.linkage span and the merge-distance
 	// histogram. Nil falls back to the process-default observer.
 	Obs *obs.Observer
-	// Algorithm selects the agglomeration strategy. The default
-	// AlgoAuto runs the historical O(n³) nearest-pair scan up to
-	// autoThreshold points and the O(n²) NN-chain above it; AlgoScan
-	// and AlgoNNChain force one path. The two algorithms produce
-	// identical merge sequences whenever pairwise merge heights are
-	// distinct; with ties (common for integer SOM grid positions) they
-	// build equivalent trees — same height multiset, possibly
-	// different ids — that can cut differently, which is why auto
-	// keeps small suites on the scan's historical output.
+	// Algorithm is ignored: every run uses the one agglomeration loop
+	// (see fromCondensed).
+	//
+	// Deprecated: kept only because perfbench/replay.go sets it; it
+	// goes with the next benchmark change.
 	Algorithm Algorithm
 }
+
+// Algorithm is not read: one agglomeration loop runs at every n. It
+// stays only because perfbench/tier.go and perfbench/replay.go compile
+// against it, until the next benchmark change. It is not marked
+// Deprecated because the deprecated LinkageAlgorithm fields of
+// core.PipelineConfig and service.Config name it, and staticcheck
+// (SA1019) would report those uses.
+type Algorithm int
+
+// AlgoAuto is the zero Algorithm.
+//
+// Deprecated: kept only because perfbench/tier.go sets it.
+const AlgoAuto Algorithm = 0
+
+// String returns "auto".
+//
+// Deprecated: kept only because perfbench/tier.go prints it in its
+// config line.
+func (Algorithm) String() string { return "auto" }
 
 // NewDendrogramOpts runs bottom-up agglomerative clustering over the
 // given points under metric m and the selected linkage, following the
@@ -91,6 +106,11 @@ func NewDendrogramOpts(points []vecmath.Vector, m vecmath.Metric, l Linkage, opt
 // every merge overwrites it. Ward linkage interprets the entries as
 // Euclidean distances (they are squared internally and merge heights
 // are reported back on the original scale).
+//
+// Every step merges the closest active pair, and among equal
+// distances the first pair in row-major slot order: the rule of the
+// O(n³) scan, the tests' oracle. The loop makes exactly the scan's
+// picks and updates from cached row minima (see agglomeration).
 func fromCondensed(w *vecmath.CondensedMatrix, l Linkage, opt Options) (*Dendrogram, error) {
 	ctx := opt.Ctx
 	if ctx == nil {
@@ -101,13 +121,8 @@ func fromCondensed(w *vecmath.CondensedMatrix, l Linkage, opt Options) (*Dendrog
 	if n == 1 {
 		return d, nil
 	}
-	algo, err := opt.effectiveAlgorithm(n)
-	if err != nil {
-		return nil, err
-	}
 	o := obs.Or(opt.Obs)
-	sp := o.StartSpan("cluster.linkage",
-		obs.KV("n", n), obs.KV("linkage", l.String()), obs.KV("algorithm", algo.String()))
+	sp := o.StartSpan("cluster.linkage", obs.KV("n", n), obs.KV("linkage", l.String()))
 	defer sp.End()
 	var mergeHist *obs.Histogram
 	if o.Active() {
@@ -120,23 +135,21 @@ func fromCondensed(w *vecmath.CondensedMatrix, l Linkage, opt Options) (*Dendrog
 	// toggle.
 	mergeEvents := o.Detail()
 
-	// w holds the working pairwise distances between *active*
-	// clusters, indexed by slot in [0, n); slot i initially holds leaf
-	// i. After a merge the merged cluster reuses the lower slot and
-	// the higher slot is deactivated. One pass over the row tails
-	// validates every distance (the first invalid one in row order is
-	// the error) and squares it for Ward.
+	// One pass over the row tails validates every distance (the first
+	// invalid one in row order is the error) and squares it for Ward.
+	// +Inf is invalid, and so is a distance whose Ward square
+	// overflows: the loop marks the pairs of inactive slots with +Inf.
 	for i := 0; i < n-1; i++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("cluster: building working distances: %w", err)
 		}
 		row := w.RowTail(i)
 		for t, v := range row {
-			if v < 0 || math.IsNaN(v) {
-				return nil, fmt.Errorf("cluster: invalid distance %v at (%d,%d)", v, i, i+1+t)
-			}
 			if l == Ward {
 				row[t] = v * v
+			}
+			if v < 0 || math.IsNaN(v) || math.IsInf(row[t], 1) {
+				return nil, fmt.Errorf("cluster: invalid distance %v at (%d,%d)", v, i, i+1+t)
 			}
 		}
 	}
@@ -147,80 +160,35 @@ func fromCondensed(w *vecmath.CondensedMatrix, l Linkage, opt Options) (*Dendrog
 		progGauge = o.Metrics().Gauge("cluster.progress")
 		progGauge.Set(0)
 	}
-	if algo == AlgoNNChain {
-		var progress func(done, total int)
-		if progGauge != nil {
-			progress = func(done, total int) { progGauge.Set(float64(done) / float64(total)) }
-		}
-		if err := nnChainAgglomerate(ctx, w, l, d, progress); err != nil {
-			return nil, err
-		}
-		for step, mg := range d.merges {
-			mergeHist.Observe(mg.Distance)
-			if mergeEvents {
-				sp.Event("cluster.merge", obs.KV("step", step), obs.KV("a", mg.A), obs.KV("b", mg.B),
-					obs.KV("distance", mg.Distance), obs.KV("size", mg.Size))
-			}
-		}
-		progGauge.Set(1)
-		return d, nil
-	}
-	active := make([]bool, n)
-	id := make([]int, n)   // cluster id held by each slot
-	size := make([]int, n) // leaf count per slot
-	for i := range active {
-		active[i] = true
-		id[i] = i
-		size[i] = 1
-	}
-
-	nextID := n
-	progEvery := progressStride(n - 1)
+	g := newAgglomeration(w)
+	progEvery := max(1, (n-1)/64) // about 64 progress reports per run
 	for step := 0; step < n-1; step++ {
-		// The agglomeration cancels between merge steps: each step is
-		// one O(n²) scan, so this is the natural checkpoint spacing.
+		// Cancel between merge steps, each O(n) work.
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("cluster: linkage cancelled at step %d of %d: %w", step, n-1, err)
 		}
-		// Find the closest active pair: the first strictly minimal
-		// pair in row-major order. Row i's tail is contiguous: entry t
-		// is pair (i, i+1+t).
-		bi, bj, best := -1, -1, math.Inf(1)
-		for i := 0; i < n; i++ {
-			if !active[i] {
-				continue
-			}
-			row := w.RowTail(i)
-			for t, dv := range row {
-				if !active[i+1+t] {
-					continue
-				}
-				if dv < best {
-					bi, bj, best = i, i+1+t, dv
-				}
-			}
+		lo := g.closest()
+		if lo < 0 {
+			return nil, fmt.Errorf("cluster: no finite distance left at step %d of %d (a Lance–Williams update overflowed)", step, n-1)
 		}
-		// Update distances from the merged cluster (slot bi) to every
-		// other active cluster via Lance–Williams.
-		mergeUpdateCondensed(l, w, active, size, bi, bj)
+		hi, best := g.nbr[lo], g.mind[lo]
+		a, b := g.id[lo], g.id[hi]
+		if a > b {
+			a, b = b, a
+		}
+		size := g.size[lo] + g.size[hi]
+		g.merge(l, lo, hi)
+		g.id[lo] = n + step
 		height := best
 		if l == Ward {
 			height = math.Sqrt(best)
 		}
-		a, b := id[bi], id[bj]
-		if a > b {
-			a, b = b, a
-		}
-		d.merges = append(d.merges, Merge{A: a, B: b, Distance: height, Size: size[bi] + size[bj]})
+		d.merges = append(d.merges, Merge{A: a, B: b, Distance: height, Size: size})
 		mergeHist.Observe(height)
 		if mergeEvents {
 			sp.Event("cluster.merge", obs.KV("step", step), obs.KV("a", a), obs.KV("b", b),
-				obs.KV("distance", height), obs.KV("size", size[bi]+size[bj]))
+				obs.KV("distance", height), obs.KV("size", size))
 		}
-		size[bi] += size[bj]
-		id[bi] = nextID
-		nextID++
-		active[bj] = false
 		if progGauge != nil && (step+1)%progEvery == 0 {
 			progGauge.Set(float64(step+1) / float64(n-1))
 		}
@@ -229,14 +197,143 @@ func fromCondensed(w *vecmath.CondensedMatrix, l Linkage, opt Options) (*Dendrog
 	return d, nil
 }
 
-// progressStride spaces progress reports over total units of work:
-// roughly 64 updates per run, never more often than every unit.
-func progressStride(total int) int {
-	stride := total / 64
-	if stride < 1 {
-		stride = 1
+// agglomeration is the working state of the merge loop: the
+// nearest-neighbour-list form of the generic algorithm (Müllner,
+// arXiv:1109.2378), kept exact for the scan's row-major tie-break.
+// Slot i starts as leaf i; a merge keeps the lower slot.
+//
+// The invariant, for every active slot i: nbr[i] is the first active
+// slot j > i at which d(i, j) is smallest, counting only values below
+// +Inf (a NaN never wins, as in the scan's strict comparison), and
+// mind[i] is that distance; a row with no such slot has nbr −1 and
+// mind +Inf. The scan's pick is then the first row with the smallest
+// mind and that row's nbr. Inactive slots have size 0 and mind +Inf,
+// and every pair of an inactive slot with an active lower slot holds
+// +Inf, so a rescan reads a row tail with no activity test.
+type agglomeration struct {
+	w    *vecmath.CondensedMatrix
+	id   []int // cluster id held by each slot
+	size []int // leaf count per slot; 0 marks an inactive slot
+	nbr  []int
+	mind []float64
+}
+
+// newAgglomeration starts n singleton slots over the validated working
+// matrix w, carving id, size and nbr out of one allocation.
+func newAgglomeration(w *vecmath.CondensedMatrix) agglomeration {
+	n := w.N()
+	ints := make([]int, 3*n)
+	g := agglomeration{
+		w:    w,
+		id:   ints[:n:n],
+		size: ints[n : 2*n : 2*n],
+		nbr:  ints[2*n:],
+		mind: make([]float64, n),
 	}
-	return stride
+	for i := range g.id {
+		g.id[i], g.size[i] = i, 1
+		g.rescan(i)
+	}
+	return g
+}
+
+// rescan rebuilds row k's cached minimum from its tail.
+func (g *agglomeration) rescan(k int) {
+	j, best := -1, math.Inf(1)
+	for t, v := range g.w.RowTail(k) {
+		if v < best {
+			j, best = k+1+t, v
+		}
+	}
+	g.nbr[k], g.mind[k] = j, best
+}
+
+// closest returns the slot whose row holds the closest pair, the
+// first among equals, or −1 when no finite distance is left.
+func (g *agglomeration) closest() int {
+	lo, best := -1, math.Inf(1)
+	for i, v := range g.mind {
+		if v < best {
+			lo, best = i, v
+		}
+	}
+	return lo
+}
+
+// merge joins slots lo < hi: lo takes the merged cluster and hi goes
+// inactive. One ascending walk over the other active slots k applies
+// the Lance–Williams update to pair (lo, k) — the scan's calls, with
+// its arguments — and keeps every cached minimum exact:
+//
+//   - k < lo: the new d(k, lo) is offered to row k. A row whose
+//     minimum sat at lo or hi takes lo if the new distance is no
+//     larger (every slot before its old minimum was strictly farther)
+//     and is rescanned otherwise; any other row takes lo only if it is
+//     strictly closer, or equally close and earlier.
+//   - lo < k < hi: row k loses hi and is rescanned if its minimum sat
+//     there.
+//   - k > hi: row k holds neither slot and keeps its minimum.
+//   - Row lo's minimum is rebuilt from the updated distances.
+//
+// The addressing is incremental: below lo, pairs (k, lo) and (k, hi)
+// walk down columns lo and hi (stride n−k−2); between the two, (lo, k)
+// runs along lo's row tail while (k, hi) keeps walking down column
+// hi; above hi, both run along row tails. The walk allocates nothing.
+func (g *agglomeration) merge(l Linkage, lo, hi int) {
+	data, n := g.w.Data(), len(g.mind)
+	inf := math.Inf(1)
+	loBase := g.w.Index0(lo) - lo - 1 // idx(lo, k) = loBase + k
+	dab := data[loBase+hi]
+	data[loBase+hi] = inf
+	na, nb := g.size[lo], g.size[hi]
+	g.size[lo], g.size[hi] = na+nb, 0
+	g.nbr[hi], g.mind[hi] = -1, inf
+
+	kLo, kHi := lo-1, hi-1 // idx(0, lo), idx(0, hi)
+	for k := 0; k < lo; k++ {
+		if nc := g.size[k]; nc > 0 {
+			v := l.update(data[kLo], data[kHi], dab, na, nb, nc)
+			data[kLo], data[kHi] = v, inf
+			switch j := g.nbr[k]; {
+			case j == lo || j == hi:
+				if v <= g.mind[k] {
+					g.nbr[k], g.mind[k] = lo, v
+				} else {
+					g.rescan(k)
+				}
+			case v < g.mind[k] || (v == g.mind[k] && lo < j):
+				g.nbr[k], g.mind[k] = lo, v
+			}
+		}
+		kLo += n - k - 2
+		kHi += n - k - 2
+	}
+	j, best := -1, inf
+	kHi = g.w.Index0(lo+1) + hi - lo - 2 // idx(lo+1, hi)
+	for k := lo + 1; k < hi; k++ {
+		if nc := g.size[k]; nc > 0 {
+			v := l.update(data[loBase+k], data[kHi], dab, na, nb, nc)
+			data[loBase+k], data[kHi] = v, inf
+			if v < best {
+				j, best = k, v
+			}
+			if g.nbr[k] == hi {
+				g.rescan(k)
+			}
+		}
+		kHi += n - k - 2
+	}
+	hiBase := g.w.Index0(hi) - hi - 1 // idx(hi, k) = hiBase + k
+	for k := hi + 1; k < n; k++ {
+		if nc := g.size[k]; nc > 0 {
+			v := l.update(data[loBase+k], data[hiBase+k], dab, na, nb, nc)
+			data[loBase+k] = v
+			if v < best {
+				j, best = k, v
+			}
+		}
+	}
+	g.nbr[lo], g.mind[lo] = j, best
 }
 
 // Len returns the number of clustered points (leaves).

@@ -79,10 +79,11 @@ func TestErrors(t *testing.T) {
 	}
 }
 
-// TestFromCondensedValidation: the validation pass rejects a negative
-// or NaN distance, for both the plain and the Ward-squaring linkages,
-// with an error naming the first invalid entry in row order; and it
-// returns the context's error once the context has fired.
+// TestFromCondensedValidation: the validation pass rejects a
+// negative, NaN or +Inf distance, for both the plain and the
+// Ward-squaring linkages, with an error naming the first invalid entry
+// in row order; and it returns the context's error once the context
+// has fired.
 func TestFromCondensedValidation(t *testing.T) {
 	for _, tc := range []struct {
 		n       int
@@ -92,6 +93,8 @@ func TestFromCondensedValidation(t *testing.T) {
 		{3, []float64{0.5, 1, -1}, "(1,2)"},
 		{4, []float64{1, 1, 1, 1, math.NaN(), 1}, "(1,3)"},
 		{3, []float64{1, -2, math.NaN()}, "(0,2)"},
+		// Three points, one with a +Inf coordinate.
+		{3, []float64{1, math.Inf(1), math.Inf(1)}, "(0,2)"},
 	} {
 		for _, l := range []Linkage{Complete, Ward} {
 			_, err := fromCondensed(condensedOf(tc.n, tc.entries...), l, Options{})
@@ -99,6 +102,20 @@ func TestFromCondensedValidation(t *testing.T) {
 				t.Fatalf("%v %v: error %v, want one naming %s", l, tc.entries, err, tc.want)
 			}
 		}
+	}
+	// Ward squares its distances, so one whose square overflows is
+	// invalid there and valid elsewhere.
+	if _, err := fromCondensed(condensedOf(3, 1, 1e200, 2), Ward, Options{}); err == nil || !strings.Contains(err.Error(), "(0,2)") {
+		t.Fatalf("Ward with an overflowing square: error %v, want one naming (0,2)", err)
+	}
+	if _, err := fromCondensed(condensedOf(3, 1, 1e200, 2), Complete, Options{}); err != nil {
+		t.Fatalf("Complete with a large distance: %v", err)
+	}
+	// A Ward update can still overflow: after (0,1) merges, the
+	// squared distances 1.69e308 to point 2 sum past MaxFloat64, and
+	// no finite pair is left to merge.
+	if _, err := fromCondensed(condensedOf(3, 1, 1.3e154, 1.3e154), Ward, Options{}); err == nil || !strings.Contains(err.Error(), "no finite distance") {
+		t.Fatalf("Ward update overflow: error %v, want no finite distance", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

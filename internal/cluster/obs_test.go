@@ -53,36 +53,34 @@ func TestLinkageSpanAndHistogram(t *testing.T) {
 }
 
 // TestMergeEventsGated checks that the observer detail toggle turns
-// on exactly one event per merge, on both algorithms, carrying the
-// same heights as the dendrogram.
+// on exactly one event per merge, carrying the same heights as the
+// dendrogram.
 func TestMergeEventsGated(t *testing.T) {
-	for _, algo := range []Algorithm{AlgoScan, AlgoNNChain} {
-		col := obs.NewCollector()
-		o := obs.New(col)
-		o.SetDetail(true)
-		d, err := NewDendrogramOpts(obsPoints(), vecmath.Euclidean, Complete, Options{Obs: o, Algorithm: algo})
-		if err != nil {
-			t.Fatal(err)
+	col := obs.NewCollector()
+	o := obs.New(col)
+	o.SetDetail(true)
+	d, err := NewDendrogramOpts(obsPoints(), vecmath.Euclidean, Complete, Options{Obs: o})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var heights []float64
+	for _, e := range col.Trace().Events {
+		if e.Name != "cluster.merge" {
+			continue
 		}
-		var heights []float64
-		for _, e := range col.Trace().Events {
-			if e.Name != "cluster.merge" {
-				continue
-			}
-			for _, a := range e.Attrs {
-				if a.Key == "distance" {
-					heights = append(heights, a.Val.(float64))
-				}
+		for _, a := range e.Attrs {
+			if a.Key == "distance" {
+				heights = append(heights, a.Val.(float64))
 			}
 		}
-		merges := d.Merges()
-		if len(heights) != len(merges) {
-			t.Fatalf("%v: merge events = %d, merges = %d", algo, len(heights), len(merges))
-		}
-		for i, m := range merges {
-			if heights[i] != m.Distance {
-				t.Fatalf("%v: event %d height %v != merge height %v", algo, i, heights[i], m.Distance)
-			}
+	}
+	merges := d.Merges()
+	if len(heights) != len(merges) {
+		t.Fatalf("merge events = %d, merges = %d", len(heights), len(merges))
+	}
+	for i, m := range merges {
+		if heights[i] != m.Distance {
+			t.Fatalf("event %d height %v != merge height %v", i, heights[i], m.Distance)
 		}
 	}
 }

@@ -77,18 +77,8 @@ func sweepSuite(seed uint64) []vecmath.Vector {
 	}
 }
 
-var sweepBuilds = []struct {
-	l    Linkage
-	algo Algorithm
-}{
-	{Complete, AlgoScan}, {Complete, AlgoNNChain},
-	{Single, AlgoScan}, {Single, AlgoNNChain},
-	{Average, AlgoScan}, {Average, AlgoNNChain},
-	{Ward, AlgoScan}, {Ward, AlgoNNChain},
-}
-
 // TestQualitySweepMatchesPointwise pins the walk's exactness: on
-// seeded suites under every linkage and both algorithms, over random
+// seeded suites under every linkage, over random
 // [kMin, kMax] ranges, every KQuality field has the pointwise
 // definition's bits, and an empty range fails the same way.
 func TestQualitySweepMatchesPointwise(t *testing.T) {
@@ -100,8 +90,8 @@ func TestQualitySweepMatchesPointwise(t *testing.T) {
 		pts := sweepSuite(seed)
 		n := len(pts)
 		r := rng.New(seed ^ 0x5eed)
-		for _, b := range sweepBuilds {
-			d, err := NewDendrogramOpts(pts, vecmath.Euclidean, b.l, Options{Algorithm: b.algo})
+		for _, l := range allLinkages {
+			d, err := NewDendrogramOpts(pts, vecmath.Euclidean, l, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -110,7 +100,7 @@ func TestQualitySweepMatchesPointwise(t *testing.T) {
 			if r.Intn(4) == 0 {
 				kMin, kMax = 2, n
 			}
-			name := fmt.Sprintf("seed %d n=%d %v/%v [%d, %d]", seed, n, b.l, b.algo, kMin, kMax)
+			name := fmt.Sprintf("seed %d n=%d %v [%d, %d]", seed, n, l, kMin, kMax)
 			want, werr := pointwiseQualitySweep(d, pts, kMin, kMax)
 			got, gerr := d.QualitySweep(pts, kMin, kMax)
 			if (werr != nil) != (gerr != nil) || (werr != nil && werr.Error() != gerr.Error()) {
@@ -140,8 +130,8 @@ func TestEachCutMatchesCutK(t *testing.T) {
 		pts := sweepSuite(seed)
 		n := len(pts)
 		r := rng.New(seed)
-		for _, b := range sweepBuilds {
-			d, err := NewDendrogramOpts(pts, vecmath.Euclidean, b.l, Options{Algorithm: b.algo})
+		for _, l := range allLinkages {
+			d, err := NewDendrogramOpts(pts, vecmath.Euclidean, l, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -221,8 +211,8 @@ func TestQualitySweepRescansNearest(t *testing.T) {
 	// The silhouette sum can round a one-ulp difference in i's term
 	// away, so the walk's nearest means are compared directly.
 	dm := vecmath.DistanceMatrix(vecmath.Euclidean, pts)
-	for _, b := range sweepBuilds {
-		d, err := NewDendrogramOpts(pts, vecmath.Euclidean, b.l, Options{Algorithm: b.algo})
+	for _, l := range allLinkages {
+		d, err := NewDendrogramOpts(pts, vecmath.Euclidean, l, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,7 +228,7 @@ func TestQualitySweepRescansNearest(t *testing.T) {
 					continue
 				}
 				if want := pointwiseNear(dm, a, sizes, i); !sameBits(got, want) {
-					t.Fatalf("%v/%v k=%d: point %d's nearest mean %v, pointwise %v", b.l, b.algo, a.K, i, got, want)
+					t.Fatalf("%v k=%d: point %d's nearest mean %v, pointwise %v", l, a.K, i, got, want)
 				}
 			}
 			if q.w.k == len(pts) {

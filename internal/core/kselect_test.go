@@ -252,12 +252,8 @@ func TestRecommendKMatchesScoreAtK(t *testing.T) {
 			b[i] = 0.5 + 2*r.Float64()
 		}
 		var err error
-		algo := cluster.AlgoScan
-		if seed%2 == 0 {
-			algo = cluster.AlgoNNChain
-		}
 		l := linkages[seed%4]
-		if p.Dendrogram, err = cluster.NewDendrogramOpts(p.Positions, vecmath.Euclidean, l, cluster.Options{Algorithm: algo}); err != nil {
+		if p.Dendrogram, err = cluster.NewDendrogramOpts(p.Positions, vecmath.Euclidean, l, cluster.Options{}); err != nil {
 			t.Fatal(err)
 		}
 		kMin := 1 + r.Intn(n)
@@ -265,7 +261,7 @@ func TestRecommendKMatchesScoreAtK(t *testing.T) {
 		kind := MeanKind(seed % 3)
 		got, err := p.RecommendK(kind, a, b, kMin, kMax)
 		want, werr := referenceRecommendK(p, kind, a, b, kMin, kMax)
-		name := fmt.Sprintf("seed %d n=%d %v/%v %v [%d, %d]", seed, n, l, algo, kind, kMin, kMax)
+		name := fmt.Sprintf("seed %d n=%d %v %v [%d, %d]", seed, n, l, kind, kMin, kMax)
 		if (err != nil) != (werr != nil) {
 			t.Fatalf("%s: error %v, reference %v", name, err, werr)
 		}

@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"hmeans/internal/cluster"
 	"hmeans/internal/obs"
 )
 
@@ -107,15 +106,11 @@ func TestPipelineUninstrumented(t *testing.T) {
 // TestPipelineProgressGauges checks the stage-boundary gauges a
 // /metrics scrape sees during a run: after completion pipeline.stage
 // sits at the last stage, and both the pipeline-level and the cluster
-// stage's merge-fraction progress gauges read 1. It also pins the
-// PipelineConfig → cluster.Options algorithm plumbing via the
-// linkage span's algorithm attribute.
+// stage's merge-fraction progress gauges read 1.
 func TestPipelineProgressGauges(t *testing.T) {
-	col := obs.NewCollector()
-	o := obs.New(col)
+	o := obs.New(obs.NewCollector())
 	cfg := pipelineConfig()
 	cfg.Obs = o
-	cfg.LinkageAlgorithm = cluster.AlgoNNChain
 	if _, err := DetectClusters(syntheticSuite(t), cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -127,20 +122,6 @@ func TestPipelineProgressGauges(t *testing.T) {
 	}
 	if got := o.Metrics().Gauge("cluster.progress").Value(); got != 1 {
 		t.Fatalf("cluster.progress gauge = %v, want 1", got)
-	}
-	found := false
-	for _, s := range col.Trace().Spans {
-		if s.Name != "cluster.linkage" {
-			continue
-		}
-		for _, a := range s.Attrs {
-			if a.Key == "algorithm" && a.Val == "nnchain" {
-				found = true
-			}
-		}
-	}
-	if !found {
-		t.Fatal("no cluster.linkage span advertising algorithm=nnchain")
 	}
 }
 

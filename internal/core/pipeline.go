@@ -37,14 +37,11 @@ type PipelineConfig struct {
 	// Linkage is the cluster-to-cluster distance (default Complete,
 	// the paper's choice).
 	Linkage cluster.Linkage
-	// LinkageAlgorithm selects the agglomeration algorithm (default
-	// AlgoAuto: the reference scan up to 128 points, the O(n²)
-	// NN-chain above). When pairwise merge heights are distinct the
-	// two algorithms produce identical merges. With ties — common
-	// among SOM grid positions — they build equivalent trees that can
-	// cut into different clusters, so outputs are only reproducible
-	// under one fixed choice; the CLIs and the scoring service always
-	// run AlgoAuto.
+	// LinkageAlgorithm is ignored: there is one agglomeration
+	// algorithm.
+	//
+	// Deprecated: kept only because perfbench/replay.go sets it; it
+	// goes with the next benchmark change.
 	LinkageAlgorithm cluster.Algorithm
 	// Metric is the point-to-point distance (default Euclidean, the
 	// paper's choice).
@@ -212,6 +209,12 @@ func DetectClustersCtx(ctx context.Context, table *chars.Table, cfg PipelineConf
 		return nil, fmt.Errorf("core: preprocessing discarded every feature; nothing to cluster on: %w",
 			&DataError{Index: -1, Err: ErrZeroVariance})
 	}
+	// Finite input can still overflow standardization: a column's
+	// variance or a deviation past the float64 range turns its
+	// z-scores into NaN, which is invalid input, not a map to train.
+	if err := ValidateTable(p.Prepared); err != nil {
+		return nil, fmt.Errorf("core: standardization overflowed: %w", err)
+	}
 	vectors := p.Prepared.Vectors()
 	stage(3)
 	sp = root.Child("reduce")
@@ -245,11 +248,7 @@ func DetectClustersCtx(ctx context.Context, table *chars.Table, cfg PipelineConf
 	}
 	stage(4)
 	sp = root.Child("cluster", obs.KV("points", len(p.Positions)))
-	d, err := cluster.NewDendrogramOpts(p.Positions, cfg.Metric, cfg.Linkage, cluster.Options{
-		Obs:       o,
-		Ctx:       ctx,
-		Algorithm: cfg.LinkageAlgorithm,
-	})
+	d, err := cluster.NewDendrogramOpts(p.Positions, cfg.Metric, cfg.Linkage, cluster.Options{Obs: o, Ctx: ctx})
 	sp.End()
 	if err != nil {
 		return nil, fmt.Errorf("core: clustering: %w", err)

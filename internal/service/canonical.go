@@ -13,8 +13,10 @@ import (
 // snapshot's included) can never be returned for a request they no
 // longer describe. Version 2: sequential SOM training runs in the
 // samples' span, which moves soft_placement positions in the last
-// bits.
-const canonicalVersion = "hmeansd-req/2"
+// bits. Version 3: suites above 128 workloads merge in the scan's
+// tie-break order instead of NN-chain's, which moves the dendrogram,
+// the cuts and the per-k means wherever merge heights tie.
+const canonicalVersion = "hmeansd-req/3"
 
 // CacheKey returns the content address of a request: the SHA-256 of
 // its canonical encoding. Two requests share a key exactly when the

@@ -228,7 +228,7 @@ func TestCacheKeyPinned(t *testing.T) {
 	req := caseStudyRequest(t, 7)
 	req.K = 4
 	key := req.CacheKey()
-	const want = "99ab867cec3d507019e25aae35ff32a4d67025f51ab5c0f3c1498f4afe954d4b"
+	const want = "1dac7f39e0d7fd07f4e3a4ccc6b0071a87f8371ac26582b52caa3f4d29117c6a"
 	if got := hex.EncodeToString(key[:]); got != want {
 		t.Fatalf("case-study cache key = %s, want %s", got, want)
 	}

@@ -53,15 +53,11 @@ type Config struct {
 	// Deprecated: kept only because perfbench/tier.go sets it; it goes
 	// with the next benchmark change.
 	Parallelism int
-	// LinkageAlgorithm selects the agglomeration algorithm for every
-	// pipeline run (core.PipelineConfig.LinkageAlgorithm). It is not
-	// part of the request or its cache key, so it is not a free
-	// deployment choice: the algorithms produce identical merges only
-	// when merge heights are distinct. With ties — common among SOM
-	// grid positions — they build equivalent trees that can cut into
-	// different clusters, and a replica on another algorithm would
-	// serve different bytes under the same content key. hmeansd
-	// therefore only serves AlgoAuto, the zero value.
+	// LinkageAlgorithm is ignored: there is one agglomeration
+	// algorithm.
+	//
+	// Deprecated: kept only because perfbench/tier.go sets it; it goes
+	// with the next benchmark change.
 	LinkageAlgorithm cluster.Algorithm
 	// MaxBodyBytes bounds the request body; <= 0 defaults to 64 MiB.
 	MaxBodyBytes int64
@@ -239,7 +235,6 @@ func (s *Server) compute(ctx context.Context, req *Request) (*Response, error) {
 		return nil, err
 	}
 	cfg := req.pipelineConfig()
-	cfg.LinkageAlgorithm = s.cfg.LinkageAlgorithm
 	cfg.Obs = s.obs
 	p, err := core.DetectClustersCtx(ctx, t, cfg)
 	if err != nil {

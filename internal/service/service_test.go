@@ -168,9 +168,8 @@ func suiteRequest(n int, seed uint64) *Request {
 // TestServedBytesIndependentOfParallelism pins that the deprecated
 // Config.Parallelism stays inert: served bytes depend only on the
 // request. Replicas configured with 1 and 2 score SOM requests with
-// hard and soft placement: the case study (brute BMU search, scan
-// linkage) and a 200-workload suite past both auto thresholds (pruned
-// BMU search, NN-chain linkage).
+// hard and soft placement: the case study (brute BMU search) and a
+// 200-workload suite past the BMU auto threshold (pruned BMU search).
 func TestServedBytesIndependentOfParallelism(t *testing.T) {
 	_, serial := newTestServer(t, Config{Parallelism: 1})
 	_, parallel := newTestServer(t, Config{Parallelism: 2})
@@ -247,6 +246,16 @@ func TestScoreResponseShape(t *testing.T) {
 
 func TestScoreBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
+	// Finite values that pass Validate, but f1's variance overflows to
+	// +Inf and w1's deviation to −Inf, so w1's z-score would be NaN:
+	// the pipeline must reject the table, not fail on it (500) or
+	// train a map on it (200).
+	overflow := func(r *Request) {
+		r.Table.Workloads = []string{"w0", "w1", "w2", "w3"}
+		r.Table.Features = []string{"f1", "f2"}
+		r.Table.Rows = [][]float64{{1.7e308, 1}, {-1.7e308, 2}, {1.7e308, 3}, {0, 4}}
+		r.Scores = map[string][]float64{"A": {1, 2, 3, 4}}
+	}
 	cases := []struct {
 		name   string
 		mutate func(*Request)
@@ -258,6 +267,8 @@ func TestScoreBadRequests(t *testing.T) {
 		{"unknown kind", func(r *Request) { r.Config.Kind = "widgets" }},
 		{"k beyond n", func(r *Request) { r.K = 99 }},
 		{"inverted sweep", func(r *Request) { r.KMin = 5; r.KMax = 3 }},
+		{"overflowing standardization", overflow},
+		{"overflowing standardization, skip_som", func(r *Request) { overflow(r); r.Config.SkipSOM = true }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
