@@ -19,7 +19,7 @@ race:
 # repeat mirrors the CI repeat job: the packages it names must pass 20
 # runs in a row, one package at a time.
 repeat:
-	$(GO) test -count=20 -p 1 ./internal/cluster ./internal/core ./internal/service ./internal/vecmath ./internal/resilience
+	$(GO) test -count=20 -p 1 ./internal/cluster ./internal/core ./internal/service ./internal/gateway ./internal/vecmath ./internal/resilience
 
 vet:
 	$(GO) vet ./...
@@ -68,7 +68,7 @@ trace:
 # refresh the baseline after an intentional performance change:
 # `make bench-baseline` on the reference hardware and commit
 # BENCH_BASELINE.json (see README "Benchmark regression gate").
-BENCH_PATTERN := ^(BenchmarkHGM|BenchmarkHAM|BenchmarkHHM|BenchmarkPlainGM|BenchmarkBMU|BenchmarkQuantizationError|BenchmarkCutK|BenchmarkSilhouette|BenchmarkQualitySweep|BenchmarkRecommendK|BenchmarkTrainSequentialCaseStudy|BenchmarkNewDendrogramSuiteScale|BenchmarkNewDendrogramLarge|BenchmarkServiceScoreDark|BenchmarkServiceScoreLogged)$$
+BENCH_PATTERN := ^(BenchmarkHGM|BenchmarkHAM|BenchmarkHHM|BenchmarkPlainGM|BenchmarkBMU|BenchmarkQuantizationError|BenchmarkCutK|BenchmarkSilhouette|BenchmarkQualitySweep|BenchmarkRecommendK|BenchmarkTrainSequentialCaseStudy|BenchmarkNewDendrogramSuiteScale|BenchmarkNewDendrogramLarge|BenchmarkServiceScoreDark|BenchmarkServiceScoreLogged|BenchmarkServiceScoreDecoded|BenchmarkCacheKeyCaseStudy)$$
 
 bench-json:
 	$(GO) test -bench '$(BENCH_PATTERN)' -benchmem -benchtime 50ms -count 5 -run '^$$' ./... | tee bench-raw.txt

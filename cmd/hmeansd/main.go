@@ -78,7 +78,7 @@ func run(args []string, stdout io.Writer) error {
 		addr        = fs.String("addr", "127.0.0.1:8080", "listen address (host:port; :0 picks a free port)")
 		maxInflight = fs.Int("max-inflight", 0, "max concurrent pipeline computations (0 = CPU count)")
 		queueDepth  = fs.Int("queue-depth", service.DefaultQueueDepth, "max requests queued for a computation slot before shedding with 429")
-		cacheSize   = fs.Int("cache-size", 128, "content-addressed result cache entries (0 disables)")
+		cacheSize   = fs.Int("cache-size", service.DefaultCacheSize, "content-addressed result cache entries, and as many raw-body aliases (0 disables both)")
 		reqTimeout  = fs.Duration("request-timeout", 0, "per-request compute deadline (e.g. 30s); 0 = none")
 		accessLog   = fs.String("access-log", "", "structured request log destination: a file path, or - for stderr (empty disables)")
 		sampleEvery = fs.Duration("runtime-sample", 5*time.Second, "runtime metrics sampling interval (goroutines, heap, GC pauses); 0 disables")

@@ -72,7 +72,7 @@ func run(args []string, stdout io.Writer) error {
 		inputPath  = fs.String("input", "", "re-check an existing report instead of running (requires -check)")
 		selfInfl   = fs.Int("self.max-inflight", 0, "self-managed daemon: max concurrent computations (0 = CPU count)")
 		selfQueue  = fs.Int("self.queue-depth", service.DefaultQueueDepth, "self-managed daemon: queued requests before shedding with 429")
-		selfCache  = fs.Int("self.cache-size", 128, "self-managed daemon: content-addressed cache entries (0 disables)")
+		selfCache  = fs.Int("self.cache-size", service.DefaultCacheSize, "self-managed daemon: content-addressed cache entries (0 disables)")
 		selfRepl   = fs.Int("self.replicas", 1, "self-managed mode: boot this many replicas behind an in-process hmeansgw gateway (1 = single daemon, no gateway)")
 	)
 	timeout := cliutil.RegisterTimeout(fs)

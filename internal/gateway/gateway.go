@@ -93,8 +93,8 @@ type Config struct {
 	// one with keep-alives sized for the replica count.
 	Client *http.Client
 	// Dial builds the backend for a replica address. Nil uses
-	// service.NewRemote — the production path. Tests inject in-process
-	// backends here.
+	// service.NewRemote — the production path. Tests inject stubs
+	// here.
 	Dial func(addr string) service.Backend
 	// Obs receives request spans and the gateway counters. Nil falls
 	// back to the process-default observer.
@@ -111,6 +111,7 @@ type Gateway struct {
 	obs      *obs.Observer
 	ring     *Ring
 	leases   *leaseTable
+	aliases  *service.Aliases
 	breakers *resilience.BreakerSet
 	client   *http.Client
 
@@ -165,6 +166,7 @@ func New(cfg Config) (*Gateway, error) {
 		obs:      obs.Or(cfg.Obs),
 		ring:     ring,
 		leases:   newLeaseTable(cfg.LeaseTTL),
+		aliases:  service.NewAliases(service.DefaultCacheSize * len(cfg.Replicas)),
 		breakers: resilience.NewBreakerSet(cfg.BreakerThreshold, cfg.BreakerCooldown),
 		client:   client,
 		backends: make(map[string]service.Backend, len(cfg.Replicas)),
@@ -215,15 +217,15 @@ func (g *Gateway) BeginDrain() {
 // Draining reports whether BeginDrain has been called.
 func (g *Gateway) Draining() bool { return g.draining.Load() }
 
-// dispatch walks the ring candidates for key and executes the request
-// on the first available replica. Retryable failures (transport
+// dispatch walks the ring candidates for key and posts the client's
+// body to the first available replica. Retryable failures (transport
 // damage, sheds, drains, integrity mismatches) move the walk to the
 // next candidate — replica failure is a routing event; non-retryable
 // failures (invalid input, deterministic server errors) are returned
 // as-is, because every replica would answer identically. A draining
 // replica trips its breaker outright (it told us it will refuse work
 // until restart); other failures count toward the threshold.
-func (g *Gateway) dispatch(ctx context.Context, key [32]byte, req *service.Request) leaseResult {
+func (g *Gateway) dispatch(ctx context.Context, key [32]byte, body []byte) leaseResult {
 	var lastErr error
 	for _, addr := range g.ring.Candidates(key) {
 		br := g.breakers.Get(addr)
@@ -231,10 +233,10 @@ func (g *Gateway) dispatch(ctx context.Context, key [32]byte, req *service.Reque
 			g.count("gateway.route.breaker_skip")
 			continue
 		}
-		raw, status, err := g.backend(addr).Score(ctx, req)
+		raw, hdr, err := g.backend(addr).Post(ctx, body)
 		if err == nil {
 			br.Record(false)
-			return leaseResult{raw: raw, status: status, replica: addr}
+			return leaseResult{raw: raw, status: hdr.Get(service.HeaderCache), replica: addr}
 		}
 		if !service.RetryableUpstream(err) {
 			// The replica answered authoritatively (or our own context
@@ -323,28 +325,25 @@ func (g *Gateway) handleScore(w http.ResponseWriter, r *http.Request) {
 		g.logAccess(r, reqID, http.StatusServiceUnavailable, "", "", "", start, errDrainingGateway)
 		return
 	}
-	req, err := service.DecodeRequest(w, r, g.cfg.MaxBodyBytes)
+	// Read, hash and (unless these exact bytes were keyed before)
+	// decode, validate and key, before touching ring or lease: a
+	// malformed request must not consume routing state, and the
+	// gateway's 400 carries the same message a replica's would.
+	body, key, req, err := service.ReadRequest(w, r, g.cfg.MaxBodyBytes, g.aliases, nil)
 	if err != nil {
 		g.count("gateway.invalid")
 		service.WriteError(w, sp, http.StatusBadRequest, err)
 		g.logAccess(r, reqID, http.StatusBadRequest, "", "", "", start, err)
 		return
 	}
-	// Validate here, before touching ring or lease: a malformed request
-	// must not consume routing state, and the gateway's 400 carries the
-	// same message a replica's would (same Validate).
-	if err := req.Validate(); err != nil {
-		g.count("gateway.invalid")
-		service.WriteError(w, sp, http.StatusBadRequest, err)
-		g.logAccess(r, reqID, http.StatusBadRequest, "", "", "", start, err)
-		return
+	if req == nil {
+		g.count("gateway.alias.hit")
 	}
-	key := req.CacheKey()
 	sp.SetAttr("key", hex.EncodeToString(key[:8]))
 
 	ctx := service.WithRequestID(r.Context(), reqID)
 	res, role := g.leases.do(ctx, key, func(ctx context.Context) leaseResult {
-		return g.dispatch(ctx, key, req)
+		return g.dispatch(ctx, key, body)
 	})
 	g.count("gateway.lease." + role)
 	sp.SetAttr("route", role)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -92,6 +93,12 @@ func postScore(t *testing.T, url string, req *service.Request) (*http.Response, 
 	if err != nil {
 		t.Fatal(err)
 	}
+	return postBody(t, url, body)
+}
+
+// postBody posts body to url as it is.
+func postBody(t *testing.T, url string, body []byte) (*http.Response, []byte) {
+	t.Helper()
 	resp, err := http.Post(url+"/v1/score", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatalf("POST /v1/score: %v", err)
@@ -388,16 +395,16 @@ type countingBackend struct {
 	gate  chan struct{} // dispatches block on it when non-nil
 }
 
-func (b *countingBackend) Score(ctx context.Context, req *service.Request) ([]byte, string, error) {
+func (b *countingBackend) Post(ctx context.Context, body []byte) ([]byte, http.Header, error) {
 	b.calls.Add(1)
 	if b.gate != nil {
 		select {
 		case <-b.gate:
 		case <-ctx.Done():
-			return nil, "", ctx.Err()
+			return nil, nil, ctx.Err()
 		}
 	}
-	return []byte(`{"from":"` + b.addr + `"}`), "miss", nil
+	return []byte(`{"from":"` + b.addr + `"}`), cacheHeader(service.CacheMiss), nil
 }
 
 // TestGatewayCrossReplicaSingleflight is the lease proof at the HTTP
@@ -487,17 +494,17 @@ func TestGatewayLeaseTakeoverByteIdentical(t *testing.T) {
 		LeaseTTL: 50 * time.Millisecond,
 		Obs:      o,
 		Dial: func(addr string) service.Backend {
-			return backendFunc(func(ctx context.Context, req *service.Request) ([]byte, string, error) {
+			return backendFunc(func(ctx context.Context, body []byte) ([]byte, http.Header, error) {
 				if dialCount.Add(1) == 1 {
 					// First dispatch: the doomed leader. Hang far past
 					// the TTL, then answer anyway.
 					select {
 					case <-stuck:
 					case <-ctx.Done():
-						return nil, "", ctx.Err()
+						return nil, nil, ctx.Err()
 					}
 				}
-				return []byte(`{"score":1}`), "miss", nil
+				return []byte(`{"score":1}`), cacheHeader(service.CacheMiss), nil
 			})
 		},
 	})
@@ -562,10 +569,17 @@ func TestGatewayLeaseTakeoverByteIdentical(t *testing.T) {
 }
 
 // backendFunc adapts a function to service.Backend.
-type backendFunc func(ctx context.Context, req *service.Request) ([]byte, string, error)
+type backendFunc func(ctx context.Context, body []byte) ([]byte, http.Header, error)
 
-func (f backendFunc) Score(ctx context.Context, req *service.Request) ([]byte, string, error) {
-	return f(ctx, req)
+func (f backendFunc) Post(ctx context.Context, body []byte) ([]byte, http.Header, error) {
+	return f(ctx, body)
+}
+
+// cacheHeader is a stub replica's response header: its cache status.
+func cacheHeader(status string) http.Header {
+	h := http.Header{}
+	h.Set(service.HeaderCache, status)
+	return h
 }
 
 // TestGatewayRingEndpoint pins the /ring debug surface: every replica
@@ -618,5 +632,140 @@ func TestGatewayConfigValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Replicas: []string{"a"}, Quorum: 2}); err == nil {
 		t.Fatal("quorum above replica count accepted")
+	}
+}
+
+// TestGatewayForwardsClientBytes: the replica receives exactly the
+// bytes the client sent, not a re-encoding of the decoded request.
+func TestGatewayForwardsClientBytes(t *testing.T) {
+	var mu sync.Mutex
+	var received [][]byte
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		b, err := io.ReadAll(r.Body)
+		if err != nil {
+			t.Error(err)
+		}
+		mu.Lock()
+		received = append(received, b)
+		mu.Unlock()
+		raw := []byte("{\"score\":1}\n")
+		w.Header().Set(service.HeaderCache, service.CacheMiss)
+		w.Header().Set(service.HeaderDigest, service.Digest(raw))
+		w.Write(raw)
+	}))
+	t.Cleanup(stub.Close)
+	gw, err := New(Config{Replicas: []string{stub.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(gw.Handler())
+	t.Cleanup(ts.Close)
+
+	body, err := json.MarshalIndent(gwTestRequest(9), "", "\t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, raw := postBody(t, ts.URL, body); resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d (%s)", resp.StatusCode, raw)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(received) != 1 || !bytes.Equal(received[0], body) {
+		t.Fatalf("replica received %d bodies; first differs from the client's bytes", len(received))
+	}
+}
+
+// TestGatewayAliasReplayRoutesHome: a byte-identical replay is keyed
+// from the gateway's alias table, without a second decode, and is
+// routed to the same home and leased as leader like the first.
+func TestGatewayAliasReplayRoutesHome(t *testing.T) {
+	o := obs.New()
+	var mu sync.Mutex
+	var dispatched []string
+	gw, err := New(Config{
+		Replicas: []string{"http://b0", "http://b1", "http://b2"},
+		Obs:      o,
+		Dial: func(addr string) service.Backend {
+			return backendFunc(func(ctx context.Context, body []byte) ([]byte, http.Header, error) {
+				mu.Lock()
+				dispatched = append(dispatched, addr)
+				mu.Unlock()
+				return []byte(`{"score":1}`), cacheHeader(service.CacheHit), nil
+			})
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(gw.Handler())
+	t.Cleanup(ts.Close)
+
+	req := gwTestRequest(10)
+	home := gw.Ring().Home(req.CacheKey())
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, wantAlias := range []int64{0, 1} {
+		resp, raw := postBody(t, ts.URL, body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: status %d (%s)", i, resp.StatusCode, raw)
+		}
+		if got := resp.Header.Get(HeaderRoute); got != RoleLeader {
+			t.Fatalf("request %d: route %q, want %q", i, got, RoleLeader)
+		}
+		if got := resp.Header.Get(HeaderReplica); got != home {
+			t.Fatalf("request %d: served by %s, ring home is %s", i, got, home)
+		}
+		if got := o.Metrics().Counter("gateway.alias.hit").Value(); got != wantAlias {
+			t.Fatalf("after request %d: gateway.alias.hit = %d, want %d", i, got, wantAlias)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(dispatched) != 2 || dispatched[0] != home || dispatched[1] != home {
+		t.Fatalf("dispatched to %v, want the home %s twice", dispatched, home)
+	}
+	if got := o.Metrics().Counter("gateway.lease.leader").Value(); got != 2 {
+		t.Fatalf("gateway.lease.leader = %d, want 2", got)
+	}
+}
+
+// TestGatewayBodyLimitCoversWholeBody: MaxBodyBytes bounds the whole
+// body, not just its first JSON value, and a refused body reaches no
+// replica.
+func TestGatewayBodyLimitCoversWholeBody(t *testing.T) {
+	backend := &countingBackend{addr: "http://b0"}
+	body, err := json.Marshal(gwTestRequest(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw, err := New(Config{
+		Replicas:     []string{"http://b0"},
+		MaxBodyBytes: int64(len(body)) + 16,
+		Dial:         func(string) service.Backend { return backend },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(gw.Handler())
+	t.Cleanup(ts.Close)
+
+	padded := append(append([]byte{}, body...), strings.Repeat(" ", 4096)...)
+	resp, raw := postBody(t, ts.URL, padded)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("oversized body: status %d, want 400 (%s)", resp.StatusCode, raw)
+	}
+	var werr struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(raw, &werr); err != nil || werr.Error != "decoding request: http: request body too large" {
+		t.Fatalf("oversized body: error %q (%v)", werr.Error, err)
+	}
+	if n := backend.calls.Load(); n != 0 {
+		t.Fatalf("oversized body was dispatched %d times", n)
+	}
+	if resp, raw := postBody(t, ts.URL, body); resp.StatusCode != http.StatusOK {
+		t.Fatalf("body within the limit: status %d (%s)", resp.StatusCode, raw)
 	}
 }

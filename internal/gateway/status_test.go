@@ -25,8 +25,8 @@ func (dataErr) DataError() bool { return true }
 func TestGatewayStatusPerErrorClass(t *testing.T) {
 	failing := func(err error) func(string) service.Backend {
 		return func(string) service.Backend {
-			return backendFunc(func(context.Context, *service.Request) ([]byte, string, error) {
-				return nil, "", err
+			return backendFunc(func(context.Context, []byte) ([]byte, http.Header, error) {
+				return nil, nil, err
 			})
 		}
 	}

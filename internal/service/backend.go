@@ -16,19 +16,17 @@ import (
 	"hmeans/internal/resilience"
 )
 
-// Backend executes one score request and returns the encoded response
-// bytes plus the cache status that produced them. It is the seam
-// between "where a score is asked for" and "where it is computed": the
-// gateway dispatches through it, production over HTTP (Remote) and
-// tests in-process (a *Server is itself a Backend), and cannot tell
-// the difference, because both serve the same canonical bytes for the
-// same content address.
+// Backend posts one encoded score request and returns the
+// digest-verified response bytes with the response header, whose
+// HeaderCache names the cache status that produced them. It is the
+// seam between "where a score is asked for" and "where it is
+// computed": the gateway forwards each client's own bytes through it,
+// production over HTTP (Remote) and tests to stubs, and cannot tell
+// the difference, because every replica serves the same canonical
+// bytes for the same content address.
 type Backend interface {
-	Score(ctx context.Context, req *Request) ([]byte, string, error)
+	Post(ctx context.Context, body []byte) ([]byte, http.Header, error)
 }
-
-// Server is itself the in-process backend.
-var _ Backend = (*Server)(nil)
 
 // RemoteConfig configures a Remote backend.
 type RemoteConfig struct {
@@ -80,6 +78,11 @@ func NewRemote(cfg RemoteConfig) *Remote {
 
 // Score marshals the request and posts it (see Post), reporting the
 // replica's cache status.
+//
+// Deprecated: nothing in this module calls Score outside its test;
+// the gateway (with the client's own bytes), hmeansctl and
+// internal/load call Post. It stays only because perfbench/replay.go
+// calls it, and goes with the next benchmark change.
 func (r *Remote) Score(ctx context.Context, req *Request) ([]byte, string, error) {
 	body, err := json.Marshal(req)
 	if err != nil {

@@ -3,7 +3,6 @@ package service
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"hash"
 	"math"
 )
 
@@ -29,71 +28,86 @@ const canonicalVersion = "hmeansd-req/3"
 //   - every result-changing config knob (kind, seed, skip_som,
 //     soft_placement, quarantine, k, k_min, k_max) is encoded.
 func (r *Request) CacheKey() [sha256.Size]byte {
-	h := sha256.New()
-	writeString(h, canonicalVersion)
-	writeString(h, r.Config.Kind)
-	writeUint64(h, r.Config.Seed)
-	writeBool(h, r.Config.SkipSOM)
-	writeBool(h, r.Config.SoftPlacement)
-	writeBool(h, r.Config.Quarantine)
-	writeUint64(h, uint64(r.K))
-	writeUint64(h, uint64(r.KMin))
-	writeUint64(h, uint64(r.KMax))
+	names := r.vectorNames()
+	return sha256.Sum256(r.appendCanonical(make([]byte, 0, r.canonicalSize(names)), names))
+}
 
-	writeUint64(h, uint64(len(r.Table.Workloads)))
+// appendCanonical appends the canonical encoding of r to b, with the
+// score vectors in names order (r.vectorNames). Every string carries a
+// length prefix, which separates ["ab","c"] from ["a","bc"]; every
+// number is 8 little-endian bytes, a float as its exact IEEE-754 bit
+// pattern, so 0.1 encodes as the double the client sent, not as any
+// decimal rendering of it. The row count is not written: Validate
+// pins it to the workload count, and only validated requests are
+// keyed.
+func (r *Request) appendCanonical(b []byte, names []string) []byte {
+	b = appendString(b, canonicalVersion)
+	b = appendString(b, r.Config.Kind)
+	b = binary.LittleEndian.AppendUint64(b, r.Config.Seed)
+	b = append(b, boolByte(r.Config.SkipSOM), boolByte(r.Config.SoftPlacement), boolByte(r.Config.Quarantine))
+	b = binary.LittleEndian.AppendUint64(b, uint64(r.K))
+	b = binary.LittleEndian.AppendUint64(b, uint64(r.KMin))
+	b = binary.LittleEndian.AppendUint64(b, uint64(r.KMax))
+
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(r.Table.Workloads)))
 	for _, w := range r.Table.Workloads {
-		writeString(h, w)
+		b = appendString(b, w)
 	}
-	writeUint64(h, uint64(len(r.Table.Features)))
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(r.Table.Features)))
 	for _, f := range r.Table.Features {
-		writeString(h, f)
+		b = appendString(b, f)
 	}
 	for _, row := range r.Table.Rows {
-		writeUint64(h, uint64(len(row)))
-		for _, v := range row {
-			writeFloat(h, v)
-		}
+		b = appendFloats(b, row)
 	}
 
-	names := r.vectorNames()
-	writeUint64(h, uint64(len(names)))
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(names)))
 	for _, name := range names {
-		writeString(h, name)
-		v := r.Scores[name]
-		writeUint64(h, uint64(len(v)))
-		for _, s := range v {
-			writeFloat(h, s)
-		}
+		b = appendString(b, name)
+		b = appendFloats(b, r.Scores[name])
 	}
-
-	var key [sha256.Size]byte
-	h.Sum(key[:0])
-	return key
+	return b
 }
 
-// writeString writes a length-prefixed string: the prefix prevents
-// ambiguity between ["ab","c"] and ["a","bc"].
-func writeString(h hash.Hash, s string) {
-	writeUint64(h, uint64(len(s)))
-	h.Write([]byte(s))
-}
-
-func writeUint64(h hash.Hash, v uint64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	h.Write(buf[:])
-}
-
-// writeFloat writes the exact IEEE-754 bit pattern, so 0.1 hashes as
-// the double the client sent, not as any decimal rendering of it.
-func writeFloat(h hash.Hash, v float64) {
-	writeUint64(h, math.Float64bits(v))
-}
-
-func writeBool(h hash.Hash, b bool) {
-	if b {
-		h.Write([]byte{1})
-	} else {
-		h.Write([]byte{0})
+// canonicalSize is the exact length of r's canonical encoding, so
+// CacheKey fills one buffer without growing it.
+func (r *Request) canonicalSize(names []string) int {
+	n := 8 + len(canonicalVersion) + 8 + len(r.Config.Kind) + 8 + 3 + 3*8
+	n += 8
+	for _, w := range r.Table.Workloads {
+		n += 8 + len(w)
 	}
+	n += 8
+	for _, f := range r.Table.Features {
+		n += 8 + len(f)
+	}
+	for _, row := range r.Table.Rows {
+		n += 8 + 8*len(row)
+	}
+	n += 8
+	for _, name := range names {
+		n += 8 + len(name) + 8 + 8*len(r.Scores[name])
+	}
+	return n
+}
+
+func appendString(b []byte, s string) []byte {
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(s)))
+	return append(b, s...)
+}
+
+// appendFloats appends a length-prefixed float64 slice.
+func appendFloats(b []byte, v []float64) []byte {
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(v)))
+	for _, x := range v {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+	}
+	return b
+}
+
+func boolByte(v bool) byte {
+	if v {
+		return 1
+	}
+	return 0
 }

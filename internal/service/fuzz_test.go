@@ -2,9 +2,15 @@ package service
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strings"
 	"testing"
 
 	"hmeans/internal/faultinject"
@@ -61,14 +67,21 @@ func FuzzRestoreSnapshot(f *testing.F) {
 	})
 }
 
-// FuzzDecodeRequest drives the network decode of POST /v1/score —
-// DecodeRequest, Validate, CacheKey, the path both the gateway and a
-// replica take — with hostile bodies. No input may panic; every
-// request Validate refuses must be a *BadRequestError (answered 400);
-// and an accepted request, re-encoded with json.Marshal as
-// Remote.Score forwards it to a replica, must decode to the same
-// content address, or the gateway and the replica would disagree on
-// the key they cache under.
+// FuzzDecodeRequest drives the network read of POST /v1/score —
+// ReadRequest's decode, Validate and CacheKey, the path both the
+// gateway and a replica take — with hostile bodies. No input may
+// panic, and every rejection must be invalid input: a
+// *BadRequestError (answered 400) or a "decoding request:" error.
+// An accepted request must key the same way three more times:
+//
+//   - its canonical encoding parses back (parseCanonical) to every
+//     keyed field unchanged, so the encoding is injective and equal
+//     keys imply equal canonical requests;
+//   - a second read of the same bytes hits the alias the first read
+//     recorded and returns the decoded key, while a rejected body
+//     leaves the table empty;
+//   - re-encoded with json.Marshal, as Remote.Score posts it, it
+//     decodes to the same content address.
 func FuzzDecodeRequest(f *testing.F) {
 	for _, seed := range []uint64{1, 7} {
 		valid, err := json.Marshal(testRequest(seed))
@@ -85,36 +98,193 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add([]byte(`{"unknown":1}`))
 	f.Add([]byte(`{"table":null,"scores":null,"config":null}`))
 	f.Add([]byte(`[1,2,3]`))
+	f.Add([]byte(`{"table":{"workloads":["","b"],"features":["","f"],"rows":[[-0,0],[5e-324,1]]},"scores":{"":[1,2],"x":[3,4]},"config":{"skip_som":true,"quarantine":true},"k":2,"k_min":2,"k_max":2}`))
 
-	decode := func(body []byte) (*Request, error) {
+	read := func(aliases *Aliases, body []byte) ([32]byte, *Request, error) {
 		r := httptest.NewRequest(http.MethodPost, "/v1/score", bytes.NewReader(body))
-		return DecodeRequest(httptest.NewRecorder(), r, 1<<20)
+		_, key, req, err := ReadRequest(httptest.NewRecorder(), r, 1<<20, aliases, nil)
+		return key, req, err
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		req, err := decode(data)
+		aliases := NewAliases(4)
+		key, req, err := read(aliases, data)
 		if err != nil {
+			if n := aliases.len(); n != 0 {
+				t.Fatalf("rejected body left %d aliases", n)
+			}
+			var br *BadRequestError
+			if errors.As(err, &br) {
+				if code := HTTPStatus(err); code != http.StatusBadRequest {
+					t.Fatalf("Validate rejection maps to %d, want 400", code)
+				}
+			} else if !strings.HasPrefix(err.Error(), "decoding request: ") {
+				t.Fatalf("rejected with %T (%v), want *BadRequestError or a decoding error", err, err)
+			}
 			return
 		}
-		if err := req.Validate(); err != nil {
-			if _, ok := err.(*BadRequestError); !ok {
-				t.Fatalf("Validate rejected with %T (%v), want *BadRequestError", err, err)
-			}
-			if code := HTTPStatus(err); code != http.StatusBadRequest {
-				t.Fatalf("Validate rejection maps to %d, want 400", code)
-			}
-			return
+		if req == nil {
+			t.Fatal("first read of a body hit an alias")
 		}
-		key := req.CacheKey()
+		if key != req.CacheKey() {
+			t.Fatal("ReadRequest's key is not the request's CacheKey")
+		}
+
+		names := req.vectorNames()
+		back, err := parseCanonical(req.appendCanonical(nil, names))
+		if err != nil {
+			t.Fatalf("canonical encoding does not parse back: %v\n%s", err, data)
+		}
+		if diff := keyedDiff(req, back); diff != "" {
+			t.Fatalf("canonical encoding lost %s:\n%s", diff, data)
+		}
+
+		again, areq, err := read(aliases, data)
+		if err != nil || areq != nil || again != key {
+			t.Fatalf("replayed body: key match %v, decoded %v, err %v; want the alias's key, no decode", again == key, areq != nil, err)
+		}
+
 		fwd, err := json.Marshal(req)
 		if err != nil {
 			t.Fatalf("accepted request does not re-encode: %v", err)
 		}
-		again, err := decode(fwd)
+		rekeyed, _, err := read(NewAliases(0), fwd)
 		if err != nil {
 			t.Fatalf("re-encoded request does not decode: %v\n%s", err, fwd)
 		}
-		if again.CacheKey() != key {
+		if rekeyed != key {
 			t.Fatalf("re-encoding moved the content address:\n%s\n%s", data, fwd)
 		}
 	})
+}
+
+// parseCanonical is the inverse of appendCanonical: it reads a
+// canonical encoding back into the keyed fields of a Request and
+// fails on any byte it cannot account for. The row count is the
+// workload count, as Validate requires of every keyed request.
+func parseCanonical(b []byte) (*Request, error) {
+	p := &canonicalParser{b: b}
+	if v := p.string(); v != canonicalVersion {
+		return nil, fmt.Errorf("version %q, want %q", v, canonicalVersion)
+	}
+	r := &Request{}
+	r.Config.Kind = p.string()
+	r.Config.Seed = p.uint64()
+	r.Config.SkipSOM = p.bool()
+	r.Config.SoftPlacement = p.bool()
+	r.Config.Quarantine = p.bool()
+	r.K = int(p.uint64())
+	r.KMin = int(p.uint64())
+	r.KMax = int(p.uint64())
+	n := p.count(8)
+	for i := 0; i < n; i++ {
+		r.Table.Workloads = append(r.Table.Workloads, p.string())
+	}
+	for i, f := 0, p.count(8); i < f; i++ {
+		r.Table.Features = append(r.Table.Features, p.string())
+	}
+	for i := 0; i < n; i++ {
+		r.Table.Rows = append(r.Table.Rows, p.floats())
+	}
+	r.Scores = map[string][]float64{}
+	for i, m := 0, p.count(16); i < m; i++ {
+		name := p.string()
+		if _, dup := r.Scores[name]; dup {
+			p.fail("vector %q encoded twice", name)
+		}
+		r.Scores[name] = p.floats()
+	}
+	if p.err == nil && len(p.b) != 0 {
+		p.fail("%d trailing bytes", len(p.b))
+	}
+	return r, p.err
+}
+
+// canonicalParser consumes a canonical encoding front to back; the
+// first short read sets err and every later read returns zero.
+type canonicalParser struct {
+	b   []byte
+	err error
+}
+
+func (p *canonicalParser) fail(format string, args ...any) {
+	if p.err == nil {
+		p.err = fmt.Errorf(format, args...)
+	}
+	p.b = nil
+}
+
+func (p *canonicalParser) take(n int) []byte {
+	if p.err != nil || n < 0 || n > len(p.b) {
+		p.fail("short encoding")
+		return nil
+	}
+	out := p.b[:n]
+	p.b = p.b[n:]
+	return out
+}
+
+func (p *canonicalParser) uint64() uint64 {
+	if b := p.take(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
+	}
+	return 0
+}
+
+func (p *canonicalParser) bool() bool {
+	b := p.take(1)
+	if b != nil && b[0] > 1 {
+		p.fail("bool byte %d", b[0])
+	}
+	return b != nil && b[0] == 1
+}
+
+// count reads a length prefix of items at least minBytes long each,
+// refusing one the remaining bytes cannot hold.
+func (p *canonicalParser) count(minBytes int) int {
+	n := p.uint64()
+	if n > uint64(len(p.b)/minBytes) {
+		p.fail("length %d overruns the encoding", n)
+		return 0
+	}
+	return int(n)
+}
+
+func (p *canonicalParser) string() string { return string(p.take(p.count(1))) }
+
+func (p *canonicalParser) floats() []float64 {
+	out := make([]float64, p.count(8))
+	for i := range out {
+		out[i] = math.Float64frombits(p.uint64())
+	}
+	return out
+}
+
+// keyedDiff names the first keyed field where a and b differ, or
+// returns "" when every field CacheKey encodes is equal (floats bit
+// for bit, score vectors by name).
+func keyedDiff(a, b *Request) string {
+	switch {
+	case a.Config != b.Config:
+		return "config"
+	case a.K != b.K || a.KMin != b.KMin || a.KMax != b.KMax:
+		return "k bounds"
+	case !slices.Equal(a.Table.Workloads, b.Table.Workloads):
+		return "workloads"
+	case !slices.Equal(a.Table.Features, b.Table.Features):
+		return "features"
+	case !slices.EqualFunc(a.Table.Rows, b.Table.Rows, sameBits):
+		return "rows"
+	case len(a.Scores) != len(b.Scores):
+		return "score vector count"
+	}
+	for name, v := range a.Scores {
+		if w, ok := b.Scores[name]; !ok || !sameBits(v, w) {
+			return fmt.Sprintf("score vector %q", name)
+		}
+	}
+	return ""
+}
+
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }

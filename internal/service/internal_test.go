@@ -17,7 +17,7 @@ func key(b byte) cacheKey {
 }
 
 func TestCacheLRUEviction(t *testing.T) {
-	c := newCache(2)
+	c := newCache[[]byte](2)
 	c.put(key(1), []byte("one"))
 	c.put(key(2), []byte("two"))
 	if _, ok := c.get(key(1)); !ok {
@@ -40,7 +40,7 @@ func TestCacheLRUEviction(t *testing.T) {
 }
 
 func TestCacheRefreshExistingKey(t *testing.T) {
-	c := newCache(2)
+	c := newCache[[]byte](2)
 	c.put(key(1), []byte("a"))
 	c.put(key(1), []byte("b"))
 	if c.len() != 1 {
@@ -52,7 +52,7 @@ func TestCacheRefreshExistingKey(t *testing.T) {
 }
 
 func TestCacheDisabled(t *testing.T) {
-	c := newCache(0)
+	c := newCache[[]byte](0)
 	c.put(key(1), []byte("x"))
 	if _, ok := c.get(key(1)); ok {
 		t.Fatal("disabled cache returned a value")

@@ -8,7 +8,9 @@
 //
 //   - a content-addressed result cache keyed by the SHA-256 of the
 //     canonicalized request, with singleflight-style coalescing so
-//     identical in-flight requests train the SOM once;
+//     identical in-flight requests train the SOM once, and a table
+//     from each raw body's SHA-256 to that key, so a byte-identical
+//     replay is answered without a decode;
 //   - a bounded worker pool with queueing and backpressure (429 +
 //     Retry-After on overflow) and per-request compute deadlines via
 //     core.DetectClustersCtx;

@@ -1,7 +1,9 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -28,6 +30,13 @@ import (
 // the SLO before the limiter starts saying 429.
 const DefaultQueueDepth = 64
 
+// DefaultCacheSize is the -cache-size default shared by cmd/hmeansd
+// and hmeansload's self-managed daemon: the result cache's entries,
+// and as many aliases (Aliases) next to them. The gateway keeps
+// DefaultCacheSize aliases per replica, one for each result the fleet
+// caches at this default.
+const DefaultCacheSize = 128
+
 // Config configures a scoring server. The zero value is usable:
 // worker pool sized to the CPU count, no queue, no cache, no compute
 // deadline.
@@ -39,8 +48,9 @@ type Config struct {
 	// arrivals beyond pool+queue are rejected with 429. Negative
 	// values mean no queue.
 	QueueDepth int
-	// CacheSize bounds the content-addressed result cache (entries);
-	// <= 0 disables caching.
+	// CacheSize bounds the content-addressed result cache (entries)
+	// and, at the same size, the table of raw-body aliases; <= 0
+	// disables both.
 	CacheSize int
 	// Timeout is the per-request compute deadline enforced through
 	// core.DetectClustersCtx; 0 means none. The deadline covers the
@@ -75,11 +85,12 @@ type Config struct {
 // Score is the in-process equivalent the tests and any future
 // embedding use.
 type Server struct {
-	cfg   Config
-	obs   *obs.Observer
-	cache *cache
-	group *group
-	lim   *limiter
+	cfg     Config
+	obs     *obs.Observer
+	cache   *cache[[]byte]
+	aliases *Aliases
+	group   *group
+	lim     *limiter
 	// draining flips on BeginDrain: /readyz answers 503 and new
 	// scoring work is refused while admitted requests finish.
 	draining atomic.Bool
@@ -98,11 +109,12 @@ func New(cfg Config) *Server {
 		cfg.MaxBodyBytes = 64 << 20
 	}
 	return &Server{
-		cfg:   cfg,
-		obs:   obs.Or(cfg.Obs),
-		cache: newCache(cfg.CacheSize),
-		group: newGroup(),
-		lim:   newLimiter(cfg.MaxInflight, cfg.QueueDepth),
+		cfg:     cfg,
+		obs:     obs.Or(cfg.Obs),
+		cache:   newCache[[]byte](cfg.CacheSize),
+		aliases: NewAliases(cfg.CacheSize),
+		group:   newGroup(),
+		lim:     newLimiter(cfg.MaxInflight, cfg.QueueDepth),
 	}
 }
 
@@ -135,14 +147,6 @@ const (
 // requests) plus the cache status. ctx bounds queue waiting and — for
 // a leader — is superseded by the server's compute deadline.
 func (s *Server) Score(ctx context.Context, req *Request) ([]byte, string, error) {
-	return s.score(ctx, req, nil)
-}
-
-// score is Score with optional per-request timing collection: when st
-// is non-nil the leader records queue wait and compute time into it
-// for the access log. A nil st (the dark path, and every coalesced
-// follower or cache hit) skips all clock reads.
-func (s *Server) score(ctx context.Context, req *Request, st *scoreStats) ([]byte, string, error) {
 	if s.draining.Load() {
 		s.count("service.draining")
 		return nil, "", ErrDraining
@@ -151,7 +155,15 @@ func (s *Server) score(ctx context.Context, req *Request, st *scoreStats) ([]byt
 		s.count("service.invalid")
 		return nil, "", err
 	}
-	key := req.CacheKey()
+	return s.score(ctx, req.CacheKey(), req, nil)
+}
+
+// score answers a validated request under its content key: from the
+// result cache, by joining an identical in-flight computation, or by
+// computing it. When st is non-nil the leader records queue wait and
+// compute time into it for the access log. A nil st (the dark path,
+// and every coalesced follower or cache hit) skips all clock reads.
+func (s *Server) score(ctx context.Context, key cacheKey, req *Request, st *scoreStats) ([]byte, string, error) {
 	if raw, ok := s.cache.get(key); ok {
 		s.count("service.cache.hit")
 		return raw, CacheHit, nil
@@ -437,17 +449,35 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 		s.logAccess(r, reqID, http.StatusMethodNotAllowed, "", nil, st, start, err)
 		return
 	}
-	req, err := DecodeRequest(w, r, s.cfg.MaxBodyBytes)
+	if s.draining.Load() {
+		s.count("service.draining")
+		WriteError(w, sp, http.StatusServiceUnavailable, ErrDraining)
+		s.logAccess(r, reqID, http.StatusServiceUnavailable, "", nil, st, start, ErrDraining)
+		return
+	}
+	// A byte-identical replay of a body this replica keyed before is
+	// served from its alias without a decode, as long as the result
+	// is still cached; otherwise the body is decoded again.
+	var raw []byte
+	_, key, req, err := ReadRequest(w, r, s.cfg.MaxBodyBytes, s.aliases, func(key cacheKey) (ok bool) {
+		raw, ok = s.cache.get(key)
+		return ok
+	})
 	if err != nil {
 		s.count("service.invalid")
 		WriteError(w, sp, http.StatusBadRequest, err)
 		s.logAccess(r, reqID, http.StatusBadRequest, "", nil, st, start, err)
 		return
 	}
-	sp.SetAttr("workloads", len(req.Table.Workloads))
-	sp.SetAttr("vectors", len(req.Scores))
-
-	raw, status, err := s.score(r.Context(), req, st)
+	status := CacheHit
+	if req == nil {
+		s.count("service.alias.hit")
+		s.count("service.cache.hit")
+	} else {
+		sp.SetAttr("workloads", len(req.Table.Workloads))
+		sp.SetAttr("vectors", len(req.Scores))
+		raw, status, err = s.score(r.Context(), key, req, st)
+	}
 	sp.SetAttr("cache", status)
 	if err != nil {
 		code := HTTPStatus(err)
@@ -455,7 +485,6 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 		s.logAccess(r, reqID, code, status, nil, st, start, err)
 		return
 	}
-	key := req.CacheKey()
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set(HeaderCache, status)
 	w.Header().Set("X-Hmeans-Key", hex.EncodeToString(key[:8]))
@@ -469,17 +498,36 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	s.logAccess(r, reqID, http.StatusOK, status, key[:8], st, start, nil)
 }
 
-// DecodeRequest reads a POST /v1/score body the way every hop of the
-// tier does: at most maxBytes, unknown fields rejected. A failure is
-// invalid input, which the caller answers with 400.
-func DecodeRequest(w http.ResponseWriter, r *http.Request, maxBytes int64) (*Request, error) {
-	req := new(Request)
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBytes))
+// ReadRequest reads a POST /v1/score body the way every hop of the
+// tier does: the whole body, at most maxBytes, hashed with SHA-256.
+// When aliases maps that hash to a content key and known accepts the
+// key (a nil known accepts any), it returns the key with a nil
+// Request and decodes nothing. Otherwise it decodes the body with
+// unknown fields rejected, validates and keys the request, and only
+// then records the alias, so a body that fails never enters the
+// table. Any failure is invalid input, which the caller answers with
+// 400. body is the client's bytes, to forward as they are.
+func ReadRequest(w http.ResponseWriter, r *http.Request, maxBytes int64, aliases *Aliases, known func(key [32]byte) bool) (body []byte, key [32]byte, req *Request, err error) {
+	body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, maxBytes))
+	if err != nil {
+		return nil, key, nil, fmt.Errorf("decoding request: %w", err)
+	}
+	sum := sha256.Sum256(body)
+	if k, ok := aliases.get(sum); ok && (known == nil || known(k)) {
+		return body, k, nil, nil
+	}
+	req = new(Request)
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(req); err != nil {
-		return nil, fmt.Errorf("decoding request: %w", err)
+		return nil, key, nil, fmt.Errorf("decoding request: %w", err)
 	}
-	return req, nil
+	if err := req.Validate(); err != nil {
+		return nil, key, nil, err
+	}
+	key = req.CacheKey()
+	aliases.put(sum, key)
+	return body, key, req, nil
 }
 
 // HTTPStatus maps the error taxonomy to HTTP statuses, mirroring the

@@ -65,6 +65,13 @@ func postScore(t *testing.T, url string, req *Request) (*http.Response, []byte) 
 	if err != nil {
 		t.Fatalf("marshal request: %v", err)
 	}
+	return postBody(t, url, body)
+}
+
+// postBody posts body as it is, so a test controls the exact bytes a
+// replica hashes.
+func postBody(t *testing.T, url string, body []byte) (*http.Response, []byte) {
+	t.Helper()
 	resp, err := http.Post(url+"/v1/score", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatalf("POST /v1/score: %v", err)
@@ -122,7 +129,7 @@ func TestScoreMissThenHitBitIdentical(t *testing.T) {
 
 // caseStudyRequest is the paper's 13-workload case study: SAR
 // counters sampled on machine A with measured speedup vectors A and B.
-func caseStudyRequest(t *testing.T, seed uint64) *Request {
+func caseStudyRequest(t testing.TB, seed uint64) *Request {
 	t.Helper()
 	ws, _, err := simbench.CalibratedSuite()
 	if err != nil {

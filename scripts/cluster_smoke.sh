@@ -51,6 +51,13 @@ wait_addr() {
     echo "$addr"
 }
 
+# counter ADDR NAME: the Prometheus counter NAME scraped from ADDR's
+# /metrics, 0 while the counter has never moved.
+counter() {
+    v="$(curl -sf -H 'Accept: text/plain' "$1/metrics" | sed -n "s/^$2 \([0-9]*\)\$/\1/p")"
+    echo "${v:-0}"
+}
+
 # -obs.trace turns recording on, so each replica's /metrics exposes
 # the service counters the singleflight leg sums (and the traces are
 # artifacts in their own right).
@@ -115,8 +122,12 @@ HOME_REPLICA="$(sed -n 's/^replica: \(http:\/\/[0-9.:]*\) .*/\1/p' "$SMOKE_DIR/g
     -json > "$SMOKE_DIR/direct.json"
 cmp "$SMOKE_DIR/gw1.json" "$SMOKE_DIR/direct.json" || {
     echo "cluster-smoke: gateway bytes differ from the direct replica bytes" >&2; exit 1; }
+GW_ALIAS0="$(counter "$GW" gateway_alias_hit)"
+HOME_ALIAS0="$(counter "$HOME_REPLICA" service_alias_hit)"
 "$SMOKE_DIR/hmeansctl" -gateway "$GW" -scores "$SMOKE_DIR/speedups.csv" -chars "$SMOKE_DIR/sar.csv" -k 6 \
     -json -v > "$SMOKE_DIR/gw2.json" 2> "$SMOKE_DIR/gw2.err"
+GW_ALIAS1="$(counter "$GW" gateway_alias_hit)"
+HOME_ALIAS1="$(counter "$HOME_REPLICA" service_alias_hit)"
 grep -q 'cache: hit' "$SMOKE_DIR/gw2.err" || {
     echo "cluster-smoke: gateway repeat was not a cache hit" >&2
     cat "$SMOKE_DIR/gw2.err" >&2; exit 1; }
@@ -125,7 +136,12 @@ grep -q "replica: $HOME_REPLICA " "$SMOKE_DIR/gw2.err" || {
     cat "$SMOKE_DIR/gw2.err" >&2; exit 1; }
 cmp "$SMOKE_DIR/gw1.json" "$SMOKE_DIR/gw2.json" || {
     echo "cluster-smoke: gateway cache-hit bytes differ" >&2; exit 1; }
-echo "cluster-smoke: byte identity holds through the proxy hop (home: $HOME_REPLICA)"
+# The gateway forwards the client's own bytes, so the repeat is keyed
+# from an alias on both hops: neither decodes it.
+[ $((GW_ALIAS1 - GW_ALIAS0)) -eq 1 ] && [ $((HOME_ALIAS1 - HOME_ALIAS0)) -eq 1 ] || {
+    echo "cluster-smoke: gateway repeat moved gateway_alias_hit by $((GW_ALIAS1 - GW_ALIAS0)) and the home replica's service_alias_hit by $((HOME_ALIAS1 - HOME_ALIAS0)), want 1 and 1" >&2
+    exit 1; }
+echo "cluster-smoke: byte identity holds through the proxy hop (home: $HOME_REPLICA); the repeat hit an alias on both hops"
 
 # Leg 3: cross-replica singleflight. A concurrent burst of one FRESH
 # request (new seed, never scored) must cost the fleet exactly one
@@ -134,9 +150,7 @@ echo "cluster-smoke: byte identity holds through the proxy hop (home: $HOME_REPL
 miss_total() {
     t=0
     for a in "$ADDR1" "$ADDR2"; do
-        m="$(curl -sf -H 'Accept: text/plain' "$a/metrics" \
-            | sed -n 's/^service_cache_miss \([0-9]*\)$/\1/p')"
-        t=$((t + ${m:-0}))
+        t=$((t + $(counter "$a" service_cache_miss)))
     done
     echo "$t"
 }

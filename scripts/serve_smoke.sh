@@ -76,17 +76,30 @@ case "$HGM" in
 esac
 echo "serve-smoke: service HGM matches batch CLI: $HGM"
 
+# alias_hits: the daemon's service_alias_hit counter (0 until the
+# first replay of a body it has keyed).
+alias_hits() {
+    n="$(curl -sf -H 'Accept: text/plain' "$ADDR/metrics" | sed -n 's/^service_alias_hit \([0-9]*\)$/\1/p')"
+    echo "${n:-0}"
+}
+
 # A repeat of the same request must be a cache hit with identical raw
-# bytes — the bit-identical-cache contract, over the wire.
+# bytes — the bit-identical-cache contract, over the wire. hmeansctl
+# sends the same bytes each time, so the repeat is answered from the
+# body's alias, without a decode.
 "$SMOKE_DIR/hmeansctl" -addr "$ADDR" -scores "$SMOKE_DIR/speedups.csv" -chars "$SMOKE_DIR/sar.csv" -k 6 \
     -json -v > "$SMOKE_DIR/raw1.json" 2> "$SMOKE_DIR/raw1.err"
+ALIAS_BEFORE="$(alias_hits)"
 "$SMOKE_DIR/hmeansctl" -addr "$ADDR" -scores "$SMOKE_DIR/speedups.csv" -chars "$SMOKE_DIR/sar.csv" -k 6 \
     -json -v > "$SMOKE_DIR/raw2.json" 2> "$SMOKE_DIR/raw2.err"
+ALIAS_AFTER="$(alias_hits)"
 grep -q 'cache: hit' "$SMOKE_DIR/raw2.err" || {
     echo "serve-smoke: repeat request was not a cache hit" >&2; cat "$SMOKE_DIR/raw2.err" >&2; exit 1; }
 cmp "$SMOKE_DIR/raw1.json" "$SMOKE_DIR/raw2.json" || {
     echo "serve-smoke: cache hit bytes differ from cold-path bytes" >&2; exit 1; }
-echo "serve-smoke: cache hit is byte-identical"
+[ $((ALIAS_AFTER - ALIAS_BEFORE)) -eq 1 ] || {
+    echo "serve-smoke: repeat moved service_alias_hit by $((ALIAS_AFTER - ALIAS_BEFORE)), want 1" >&2; exit 1; }
+echo "serve-smoke: cache hit is byte-identical and served from the body's alias"
 
 # A short load run against the same daemon: the report names its
 # slowest requests by the X-Request-IDs it sent, giving us a second,
