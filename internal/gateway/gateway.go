@@ -336,8 +336,11 @@ func (g *Gateway) handleScore(w http.ResponseWriter, r *http.Request) {
 		g.logAccess(r, reqID, http.StatusBadRequest, "", "", "", start, err)
 		return
 	}
+	g.add("gateway.read.bytes", len(body))
 	if req == nil {
 		g.count("gateway.alias.hit")
+	} else {
+		g.add("gateway.decode.bytes", len(body))
 	}
 	sp.SetAttr("key", hex.EncodeToString(key[:8]))
 
@@ -545,8 +548,12 @@ func (g *Gateway) logAccess(r *http.Request, reqID string, code int, replica, ro
 	l.LogAttrs(context.Background(), level, "request", attrs...)
 }
 
-func (g *Gateway) count(name string) {
+func (g *Gateway) count(name string) { g.add(name, 1) }
+
+// add is count by n: the byte counters (gateway.read.bytes,
+// gateway.decode.bytes) go through it.
+func (g *Gateway) add(name string, n int) {
 	if g.obs.Active() {
-		g.obs.Metrics().Counter(name).Add(1)
+		g.obs.Metrics().Counter(name).Add(int64(n))
 	}
 }

@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,6 +18,7 @@ import (
 
 	"hmeans/internal/obs"
 	"hmeans/internal/service"
+	"hmeans/internal/simbench"
 )
 
 // gwTestRequest mirrors the service package's test fixture: two clear
@@ -51,6 +54,7 @@ func gwTestRequest(seed uint64) *service.Request {
 type replicaFixture struct {
 	srv *service.Server
 	ts  *httptest.Server
+	obs *obs.Observer
 }
 
 func startReplica(t *testing.T, cfg service.Config) *replicaFixture {
@@ -61,7 +65,7 @@ func startReplica(t *testing.T, cfg service.Config) *replicaFixture {
 	srv := service.New(cfg)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
-	return &replicaFixture{srv: srv, ts: ts}
+	return &replicaFixture{srv: srv, ts: ts, obs: cfg.Obs}
 }
 
 // startCluster boots n replicas and a gateway over them, returning the
@@ -96,10 +100,22 @@ func postScore(t *testing.T, url string, req *service.Request) (*http.Response, 
 	return postBody(t, url, body)
 }
 
-// postBody posts body to url as it is.
+// postBody posts body to url as it is, with its Content-Length.
 func postBody(t *testing.T, url string, body []byte) (*http.Response, []byte) {
 	t.Helper()
-	resp, err := http.Post(url+"/v1/score", "application/json", bytes.NewReader(body))
+	return postReader(t, url, bytes.NewReader(body))
+}
+
+// postChunked posts body without a declared length: the client cannot
+// see the length behind the reader, so it sends the body chunked.
+func postChunked(t *testing.T, url string, body []byte) (*http.Response, []byte) {
+	t.Helper()
+	return postReader(t, url, io.MultiReader(bytes.NewReader(body)))
+}
+
+func postReader(t *testing.T, url string, body io.Reader) (*http.Response, []byte) {
+	t.Helper()
+	resp, err := http.Post(url+"/v1/score", "application/json", body)
 	if err != nil {
 		t.Fatalf("POST /v1/score: %v", err)
 	}
@@ -767,5 +783,157 @@ func TestGatewayBodyLimitCoversWholeBody(t *testing.T) {
 	}
 	if resp, raw := postBody(t, ts.URL, body); resp.StatusCode != http.StatusOK {
 		t.Fatalf("body within the limit: status %d (%s)", resp.StatusCode, raw)
+	}
+}
+
+// TestGatewayDeclaredLengthCapsPresize: a body that declares 64 MiB
+// and carries 10 bytes gets the usual decoding 400 from the gateway,
+// reaches no replica, and costs the gateway less than 1 MiB of
+// allocation, not the declared length.
+func TestGatewayDeclaredLengthCapsPresize(t *testing.T) {
+	backend := &countingBackend{addr: "http://b0"}
+	gw, err := New(Config{
+		Replicas: []string{"http://b0"},
+		Dial:     func(string) service.Backend { return backend },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := gw.Handler()
+	r := httptest.NewRequest(http.MethodPost, "/v1/score", strings.NewReader("0123456789"))
+	r.ContentLength = 64 << 20
+	w := httptest.NewRecorder()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	mux.ServeHTTP(w, r)
+	runtime.ReadMemStats(&after)
+	if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), `"decoding request: `) {
+		t.Fatalf("status %d (%s), want a decoding 400", w.Code, w.Body.String())
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("a 10-byte body declaring 64 MiB allocated %d bytes", grew)
+	}
+	if n := backend.calls.Load(); n != 0 {
+		t.Fatalf("refused body was dispatched %d times", n)
+	}
+}
+
+// caseStudyBody is the paper's 13-workload case study as a request
+// body of about 46.6 KB: SAR counters sampled on machine A with
+// measured speedup vectors A and B.
+func caseStudyBody(t *testing.T) []byte {
+	t.Helper()
+	const seed = 7
+	ws, _, err := simbench.CalibratedSuite()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, err := simbench.SARTable(ws, simbench.MachineA(), simbench.SARSpec{Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := &service.Request{
+		Config: service.ConfigJSON{Seed: seed},
+		Table:  service.TableJSON{Workloads: tab.Workloads, Features: tab.Features, Rows: tab.Rows},
+		Scores: map[string][]float64{},
+	}
+	for name, m := range map[string]simbench.Machine{"A": simbench.MachineA(), "B": simbench.MachineB()} {
+		if req.Scores[name], err = simbench.MeasuredSpeedups(ws, m, simbench.Reference(), 10, seed); err != nil {
+			t.Fatal(err)
+		}
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// TestGatewayChunkedBodyMatchesContentLength: a case-study body of
+// unknown length (chunked) is read into the same bytes as one with a
+// Content-Length. Sent over real listeners through a gateway to a
+// replica, it gets the same response, key and digest as the sized
+// body sent to another cluster. Its replay hits the alias on both
+// hops, which adds read bytes and no decode bytes on either; and sent
+// chunked straight to the home replica, it hits the alias that the
+// gateway's sized forward recorded there.
+func TestGatewayChunkedBodyMatchesContentLength(t *testing.T) {
+	body := caseStudyBody(t)
+	n := int64(len(body))
+	_, sized, _ := startCluster(t, 2, Config{})
+	wantResp, want := postBody(t, sized.URL, body)
+	if wantResp.StatusCode != http.StatusOK {
+		t.Fatalf("sized body: status %d (%s)", wantResp.StatusCode, want)
+	}
+
+	o := obs.New()
+	gw, _, replicas := startCluster(t, 2, Config{Obs: o})
+	var mu sync.Mutex
+	var declared []int64
+	mux := gw.Handler()
+	chunked := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		declared = append(declared, r.ContentLength)
+		mu.Unlock()
+		mux.ServeHTTP(w, r)
+	}))
+	t.Cleanup(chunked.Close)
+
+	// Bytes read and decoded: the gateway's, then the home replica's.
+	type byteCounts struct{ gwRead, gwDecoded, read, decoded int64 }
+	var home *replicaFixture
+	counted := func() byteCounts {
+		m := home.obs.Metrics()
+		return byteCounts{
+			o.Metrics().Counter("gateway.read.bytes").Value(), o.Metrics().Counter("gateway.decode.bytes").Value(),
+			m.Counter("service.read.bytes").Value(), m.Counter("service.decode.bytes").Value(),
+		}
+	}
+	for i, step := range []struct {
+		cache string
+		bytes byteCounts
+		alias int64
+	}{
+		{service.CacheMiss, byteCounts{n, n, n, n}, 0},
+		{service.CacheHit, byteCounts{2 * n, n, 2 * n, n}, 1},
+	} {
+		resp, got := postChunked(t, chunked.URL, body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("chunked request %d: status %d (%s)", i, resp.StatusCode, got)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("chunked request %d: response differs from the sized body's", i)
+		}
+		for _, h := range []string{"X-Hmeans-Key", service.HeaderDigest} {
+			if resp.Header.Get(h) != wantResp.Header.Get(h) {
+				t.Fatalf("chunked request %d: %s %q, sized body %q", i, h, resp.Header.Get(h), wantResp.Header.Get(h))
+			}
+		}
+		if got := resp.Header.Get(service.HeaderCache); got != step.cache {
+			t.Fatalf("chunked request %d: cache %q, want %q", i, got, step.cache)
+		}
+		home = replicaFor(t, replicas, resp.Header.Get(HeaderReplica))
+		if got := counted(); got != step.bytes {
+			t.Fatalf("after chunked request %d: bytes read/decoded %+v, want %+v", i, got, step.bytes)
+		}
+		gwAlias := o.Metrics().Counter("gateway.alias.hit").Value()
+		replicaAlias := home.obs.Metrics().Counter("service.alias.hit").Value()
+		if gwAlias != step.alias || replicaAlias != step.alias {
+			t.Fatalf("after chunked request %d: alias hits gateway %d, home replica %d; want %d on both", i, gwAlias, replicaAlias, step.alias)
+		}
+	}
+	mu.Lock()
+	seen := slices.Clone(declared)
+	mu.Unlock()
+	if !slices.Equal(seen, []int64{-1, -1}) {
+		t.Fatalf("gateway saw declared lengths %v, want -1 (chunked) twice", seen)
+	}
+
+	resp, got := postChunked(t, home.ts.URL, body)
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
+		t.Fatalf("chunked body straight to the home replica: status %d, same bytes %v", resp.StatusCode, bytes.Equal(got, want))
+	}
+	if n := home.obs.Metrics().Counter("service.alias.hit").Value(); n != 2 {
+		t.Fatalf("chunked body straight to the home replica: alias hits %d, want 2", n)
 	}
 }

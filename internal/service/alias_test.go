@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"log/slog"
 	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -173,5 +175,26 @@ func TestBodyLimitCoversWholeBody(t *testing.T) {
 	}
 	if r, raw := postBody(t, ts.URL, body); r.StatusCode != http.StatusOK {
 		t.Fatalf("body within the limit: status %d (%s)", r.StatusCode, raw)
+	}
+}
+
+// TestDeclaredLengthCapsPresize: a body that declares 64 MiB and
+// carries 10 bytes gets the usual decoding 400, and the replica
+// allocates at most maxPresize up front for it, not the declared
+// length.
+func TestDeclaredLengthCapsPresize(t *testing.T) {
+	mux := New(Config{CacheSize: 4}).Handler()
+	r := httptest.NewRequest(http.MethodPost, "/v1/score", strings.NewReader("0123456789"))
+	r.ContentLength = 64 << 20
+	w := httptest.NewRecorder()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	mux.ServeHTTP(w, r)
+	runtime.ReadMemStats(&after)
+	if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), `"decoding request: `) {
+		t.Fatalf("status %d (%s), want a decoding 400", w.Code, w.Body.String())
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("a 10-byte body declaring 64 MiB allocated %d bytes", grew)
 	}
 }

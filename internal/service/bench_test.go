@@ -10,10 +10,10 @@ import (
 	"testing"
 )
 
-// benchScore drives the HTTP cache-hit path — read, hash, cache
-// lookup, response write — with access logging either dark (nil) or
-// enabled. Unless decoded is set, every iteration replays the primed
-// body byte for byte, so the replica answers from its alias; with
+// benchScore drives the HTTP cache-hit path for req — read, hash,
+// cache lookup, response write — with access logging either dark
+// (nil) or enabled. Unless decoded is set, every iteration replays the
+// primed body byte for byte, so the replica answers from its alias; with
 // decoded set, each iteration sends a differently spaced body, so the
 // alias misses and the decode, Validate and CacheKey run before the
 // content cache hits. The variants are built up front and outnumber
@@ -22,10 +22,10 @@ import (
 // variant must stay inside the ns/op budget, and the dark variants'
 // allocs/op must not move at all, proving telemetry is free when
 // disabled.
-func benchScore(b *testing.B, logger *slog.Logger, decoded bool) {
+func benchScore(b *testing.B, req *Request, logger *slog.Logger, decoded bool) {
 	const cacheSize = 4
 	srv := New(Config{CacheSize: cacheSize, AccessLog: logger})
-	body, err := json.Marshal(testRequest(1))
+	body, err := json.Marshal(req)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -57,13 +57,20 @@ func benchScore(b *testing.B, logger *slog.Logger, decoded bool) {
 	}
 }
 
-func BenchmarkServiceScoreDark(b *testing.B) { benchScore(b, nil, false) }
+func BenchmarkServiceScoreDark(b *testing.B) { benchScore(b, testRequest(1), nil, false) }
 
 func BenchmarkServiceScoreLogged(b *testing.B) {
-	benchScore(b, slog.New(slog.NewJSONHandler(io.Discard, nil)), false)
+	benchScore(b, testRequest(1), slog.New(slog.NewJSONHandler(io.Discard, nil)), false)
 }
 
-func BenchmarkServiceScoreDecoded(b *testing.B) { benchScore(b, nil, true) }
+func BenchmarkServiceScoreDecoded(b *testing.B) { benchScore(b, testRequest(1), nil, true) }
+
+// BenchmarkServiceScoreCaseStudy replays the paper's 13-workload case
+// study (a 46,551-byte body) on the dark path: the body read, one
+// SHA-256 and an alias hit, at the size the scoring tier serves.
+func BenchmarkServiceScoreCaseStudy(b *testing.B) {
+	benchScore(b, caseStudyRequest(b, 7), nil, false)
+}
 
 var benchKey [32]byte
 

@@ -69,8 +69,12 @@ func FuzzRestoreSnapshot(f *testing.F) {
 
 // FuzzDecodeRequest drives the network read of POST /v1/score —
 // ReadRequest's decode, Validate and CacheKey, the path both the
-// gateway and a replica take — with hostile bodies. No input may
-// panic, and every rejection must be invalid input: a
+// gateway and a replica take — with hostile bodies. Each body is read
+// three ways: with its exact Content-Length, with an unknown length
+// (-1, a chunked body) and with a declared length 64 MiB beyond it.
+// The declared length only sizes the read buffer, so all three must
+// give the same key, the same error and the same alias table. No input
+// may panic, and every rejection must be invalid input: a
 // *BadRequestError (answered 400) or a "decoding request:" error.
 // An accepted request must key the same way three more times:
 //
@@ -100,14 +104,26 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add([]byte(`[1,2,3]`))
 	f.Add([]byte(`{"table":{"workloads":["","b"],"features":["","f"],"rows":[[-0,0],[5e-324,1]]},"scores":{"":[1,2],"x":[3,4]},"config":{"skip_som":true,"quarantine":true},"k":2,"k_min":2,"k_max":2}`))
 
-	read := func(aliases *Aliases, body []byte) ([32]byte, *Request, error) {
+	readDeclared := func(aliases *Aliases, body []byte, declared int64) ([32]byte, *Request, error) {
 		r := httptest.NewRequest(http.MethodPost, "/v1/score", bytes.NewReader(body))
+		r.ContentLength = declared
 		_, key, req, err := ReadRequest(httptest.NewRecorder(), r, 1<<20, aliases, nil)
 		return key, req, err
+	}
+	read := func(aliases *Aliases, body []byte) ([32]byte, *Request, error) {
+		return readDeclared(aliases, body, int64(len(body)))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		aliases := NewAliases(4)
 		key, req, err := read(aliases, data)
+		for _, declared := range []int64{-1, int64(len(data)) + 64<<20} {
+			other := NewAliases(4)
+			k, oreq, oerr := readDeclared(other, data, declared)
+			if k != key || (oreq == nil) != (req == nil) || fmt.Sprint(oerr) != fmt.Sprint(err) || other.len() != aliases.len() {
+				t.Fatalf("declared length %d: key match %v, decoded %v (exact length %v), error %v (exact length %v), %d aliases (exact length %d)",
+					declared, k == key, oreq != nil, req != nil, oerr, err, other.len(), aliases.len())
+			}
+		}
 		if err != nil {
 			if n := aliases.len(); n != 0 {
 				t.Fatalf("rejected body left %d aliases", n)
