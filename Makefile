@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race repeat vet fmt lint staticcheck bench bench-json bench-gate bench-baseline memprofile trace chaos chaos-service fuzz serve-smoke cluster-smoke load-gate perfbench-check cover ci tidy-check
+.PHONY: all build test race repeat vet fmt lint staticcheck bench bench-json bench-gate bench-baseline memprofile trace chaos chaos-service fuzz serve-smoke cluster-smoke load-gate perfbench-check cover ci tidy-check unreachable
 
 all: build
 
@@ -172,5 +172,13 @@ fuzz:
 	$(GO) test -fuzz FuzzAgglomerate -fuzztime $(FUZZTIME) ./internal/cluster
 	$(GO) test -fuzz FuzzRestoreSnapshot -fuzztime $(FUZZTIME) ./internal/service
 	$(GO) test -fuzz FuzzDecodeRequest -fuzztime $(FUZZTIME) ./internal/service
+
+# unreachable lists each library function that no cmd/ or examples/
+# binary links: every main is built with inlining off for the module's
+# packages, so a function a binary reaches keeps its own symbol in
+# `go tool nm`. Not a gate: a function only perfbench/ or tests call
+# shows up too, so read the list as leads for deletion.
+unreachable:
+	sh scripts/unreachable.sh
 
 ci: build lint tidy-check test race repeat chaos chaos-service fuzz bench trace bench-gate serve-smoke cluster-smoke load-gate perfbench-check cover

@@ -79,7 +79,7 @@ func BenchmarkFullCampaign(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := experiments.RunAll(s, io.Discard); err != nil {
+		if err := experiments.RunAllCtx(context.Background(), s, io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}

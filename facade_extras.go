@@ -12,9 +12,10 @@ import (
 )
 
 // SOMConfig configures the self-organizing-map stage of the pipeline
-// (grid shape, training length, schedules, initialization, seed).
-// The zero value uses the library defaults, including a grid sized to
-// the sample count.
+// (grid shape, training length, seed). Training always starts on the
+// plane of the two major principal components and anneals its
+// learning rate and radius exponentially. The zero value uses the
+// library defaults, including a grid sized to the sample count.
 type SOMConfig = som.Config
 
 // Interval is a two-sided confidence interval around a statistic.

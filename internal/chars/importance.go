@@ -80,19 +80,3 @@ func FeatureImportance(t *Table, labels []int) ([]FeatureScore, error) {
 	sort.SliceStable(out, func(a, b int) bool { return out[a].EtaSquared > out[b].EtaSquared })
 	return out, nil
 }
-
-// TopFeatures returns the n highest-η² features (fewer if the table
-// is narrower).
-func TopFeatures(t *Table, labels []int, n int) ([]FeatureScore, error) {
-	scores, err := FeatureImportance(t, labels)
-	if err != nil {
-		return nil, err
-	}
-	if n > len(scores) {
-		n = len(scores)
-	}
-	if n < 0 {
-		n = 0
-	}
-	return scores[:n], nil
-}

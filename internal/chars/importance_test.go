@@ -66,25 +66,3 @@ func TestFeatureImportanceErrors(t *testing.T) {
 		t.Error("negative label accepted")
 	}
 }
-
-func TestTopFeatures(t *testing.T) {
-	tab := mustTable(t,
-		[]string{"a", "b"},
-		[]string{"f0", "f1", "f2"},
-		[][]float64{{1, 2, 3}, {9, 2, 4}})
-	top, err := TopFeatures(tab, []int{0, 1}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(top) != 2 {
-		t.Fatalf("top = %d features", len(top))
-	}
-	all, err := TopFeatures(tab, []int{0, 1}, 99)
-	if err != nil || len(all) != 3 {
-		t.Fatalf("clamping failed: %d, %v", len(all), err)
-	}
-	none, err := TopFeatures(tab, []int{0, 1}, -1)
-	if err != nil || len(none) != 0 {
-		t.Fatalf("negative n: %d, %v", len(none), err)
-	}
-}

@@ -70,12 +70,3 @@ func RedundancySweep(kind MeanKind, scores []float64, c Clustering, victim, maxC
 	}
 	return out, nil
 }
-
-// Ratio returns a/b, the paper's machine-comparison statistic
-// (e.g. score(A)/score(B)). It errors on non-positive b.
-func Ratio(a, b float64) (float64, error) {
-	if b <= 0 {
-		return 0, fmt.Errorf("core: ratio denominator %v must be positive", b)
-	}
-	return a / b, nil
-}

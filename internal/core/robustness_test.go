@@ -87,16 +87,3 @@ func TestRedundancySweepAllKinds(t *testing.T) {
 		}
 	}
 }
-
-func TestRatio(t *testing.T) {
-	r, err := Ratio(2.10, 1.94)
-	if err != nil || !almostEqual(r, 2.10/1.94, 1e-12) {
-		t.Fatalf("Ratio = %v, %v", r, err)
-	}
-	if _, err := Ratio(1, 0); err == nil {
-		t.Error("zero denominator accepted")
-	}
-	if _, err := Ratio(1, -2); err == nil {
-		t.Error("negative denominator accepted")
-	}
-}

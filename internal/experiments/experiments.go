@@ -170,9 +170,6 @@ func (s *Suite) Pipeline(ch Characterization) (*core.Pipeline, error) {
 	return p, nil
 }
 
-// Names returns the workload names in order.
-func (s *Suite) Names() []string { return simbench.WorkloadNames(s.Workloads) }
-
 // RenderTableI writes the suite-composition table (paper Table I).
 func (s *Suite) RenderTableI(w io.Writer) error {
 	t := viz.NewTable("Workload", "Benchmark Suite", "Version", "Input Set")

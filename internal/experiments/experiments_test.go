@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"strings"
 	"sync"
@@ -175,13 +176,13 @@ func TestRenderersProduceOutput(t *testing.T) {
 func TestRunAll(t *testing.T) {
 	s := sharedSuite(t)
 	var sb strings.Builder
-	if err := RunAll(s, &sb); err != nil {
+	if err := RunAllCtx(context.Background(), s, &sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
 	for _, id := range []string{"tableIII", "fig7", "tableVI"} {
 		if !strings.Contains(out, "=== "+id) {
-			t.Fatalf("RunAll output missing %s", id)
+			t.Fatalf("RunAllCtx output missing %s", id)
 		}
 	}
 }

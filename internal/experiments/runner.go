@@ -101,14 +101,10 @@ func IDs() []string {
 	return out
 }
 
-// RunAll renders every experiment with headers.
-func RunAll(s *Suite, w io.Writer) error {
-	return RunAllCtx(context.Background(), s, w)
-}
-
-// RunAllCtx is RunAll with cooperative cancellation between
-// experiments: a fired context stops the sequence at the next
-// experiment boundary with a wrapped context error.
+// RunAllCtx renders every experiment with headers, with cooperative
+// cancellation between experiments: a fired context stops the
+// sequence at the next experiment boundary with a wrapped context
+// error.
 func RunAllCtx(ctx context.Context, s *Suite, w io.Writer) error {
 	if ctx == nil {
 		ctx = context.Background()

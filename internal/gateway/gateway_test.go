@@ -584,6 +584,91 @@ func TestGatewayLeaseTakeoverByteIdentical(t *testing.T) {
 	}
 }
 
+// TestGatewayFollowerOutlivesCancelledLeader: when a lease leader's
+// client leaves mid-dispatch, a parked follower whose own client is
+// still waiting dispatches itself (route takeover) and gets the
+// replica's answer, not the leader's context error.
+func TestGatewayFollowerOutlivesCancelledLeader(t *testing.T) {
+	var dispatches atomic.Int32
+	gw, err := New(Config{
+		Replicas: []string{"http://b0"},
+		LeaseTTL: time.Minute,
+		Dial: func(addr string) service.Backend {
+			return backendFunc(func(ctx context.Context, body []byte) ([]byte, http.Header, error) {
+				if dispatches.Add(1) == 1 {
+					// The leader's dispatch: held until its client leaves.
+					<-ctx.Done()
+					return nil, nil, ctx.Err()
+				}
+				return []byte(`{"score":1}`), cacheHeader(service.CacheMiss), nil
+			})
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(gw.Handler())
+	t.Cleanup(ts.Close)
+	body, _ := json.Marshal(gwTestRequest(9))
+
+	lctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	leaderDone := make(chan error, 1)
+	go func() {
+		req, _ := http.NewRequestWithContext(lctx, http.MethodPost, ts.URL+"/v1/score", bytes.NewReader(body))
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		leaderDone <- err
+	}()
+	waitFor(t, func() bool { return dispatches.Load() == 1 })
+
+	type result struct {
+		code  int
+		route string
+		raw   []byte
+		err   error
+	}
+	followerDone := make(chan result, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/score", "application/json", bytes.NewReader(body))
+		if err != nil {
+			followerDone <- result{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		followerDone <- result{resp.StatusCode, resp.Header.Get(HeaderRoute), raw, err}
+	}()
+	waitFor(t, func() bool { return gw.leases.waiting.Load() == 1 })
+
+	cancel()
+	if err := <-leaderDone; err == nil {
+		t.Fatal("cancelled leader's request succeeded")
+	}
+	select {
+	case got := <-followerDone:
+		if got.err != nil {
+			t.Fatal(got.err)
+		}
+		if got.code != http.StatusOK {
+			t.Fatalf("follower: status %d, body %s", got.code, got.raw)
+		}
+		if got.route != RoleTakeover {
+			t.Fatalf("follower route = %q, want %q", got.route, RoleTakeover)
+		}
+		if string(got.raw) != `{"score":1}` {
+			t.Fatalf("follower body %s", got.raw)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("follower never answered")
+	}
+	if n := dispatches.Load(); n != 2 {
+		t.Fatalf("%d dispatches, want 2", n)
+	}
+}
+
 // backendFunc adapts a function to service.Backend.
 type backendFunc func(ctx context.Context, body []byte) ([]byte, http.Header, error)
 

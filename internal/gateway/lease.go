@@ -39,6 +39,9 @@ type lease struct {
 	done    chan struct{}
 	expires time.Time
 	res     leaseResult
+	// left marks a lease whose dispatch failed after its leader's
+	// request context ended.
+	left bool
 }
 
 // leaseTable implements cross-replica singleflight: at most one
@@ -81,6 +84,11 @@ func (t *leaseTable) len() int {
 // "takeover") unless someone else already did. The returned role says
 // which path this caller took.
 //
+// A lease whose dispatch failed after its leader's request context
+// ended holds no answer for anyone else: each follower whose own
+// context is still live dispatches again, as a takeover, instead of
+// relaying a client's departure as its own 503.
+//
 // A usurped leader is not cancelled — if its dispatch eventually
 // returns, its own followers (those that joined before the takeover)
 // get its result. Both results decode from the same content-addressed
@@ -110,6 +118,10 @@ func (t *leaseTable) do(ctx context.Context, key [32]byte, fn func(ctx context.C
 			case <-l.done:
 				t.waiting.Add(-1)
 				timer.Stop()
+				if l.left && ctx.Err() == nil {
+					role = RoleTakeover
+					continue
+				}
 				return l.res, role
 			case <-ctx.Done():
 				t.waiting.Add(-1)
@@ -127,6 +139,7 @@ func (t *leaseTable) do(ctx context.Context, key [32]byte, fn func(ctx context.C
 		t.mu.Unlock()
 
 		l.res = fn(ctx)
+		l.left = l.res.err != nil && ctx.Err() != nil
 
 		t.mu.Lock()
 		if t.m[key] == l {

@@ -18,18 +18,17 @@ type StageSummary struct {
 
 // Aggregator is an in-memory sink that rolls finished spans up into
 // per-stage summaries without retaining the spans themselves, so it
-// is safe to leave attached for the life of a long process. Events
-// are counted by name.
+// is safe to leave attached for the life of a long process. It
+// ignores events.
 type Aggregator struct {
 	mu     sync.Mutex
 	stages map[string]*StageSummary
 	order  []string
-	events map[string]int
 }
 
 // NewAggregator builds an empty aggregator.
 func NewAggregator() *Aggregator {
-	return &Aggregator{stages: make(map[string]*StageSummary), events: make(map[string]int)}
+	return &Aggregator{stages: make(map[string]*StageSummary)}
 }
 
 // WriteSpan folds one span into its stage summary.
@@ -53,12 +52,8 @@ func (a *Aggregator) WriteSpan(s SpanData) {
 	}
 }
 
-// WriteEvent counts the event under its name.
-func (a *Aggregator) WriteEvent(e EventData) {
-	a.mu.Lock()
-	a.events[e.Name]++
-	a.mu.Unlock()
-}
+// WriteEvent discards the event.
+func (a *Aggregator) WriteEvent(EventData) {}
 
 // Summary returns the per-stage rollups in first-seen order.
 func (a *Aggregator) Summary() []StageSummary {
@@ -67,17 +62,6 @@ func (a *Aggregator) Summary() []StageSummary {
 	out := make([]StageSummary, 0, len(a.order))
 	for _, name := range a.order {
 		out = append(out, *a.stages[name])
-	}
-	return out
-}
-
-// EventCounts returns a copy of the per-name event counts.
-func (a *Aggregator) EventCounts() map[string]int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make(map[string]int, len(a.events))
-	for k, v := range a.events {
-		out[k] = v
 	}
 	return out
 }

@@ -64,8 +64,6 @@ type Session struct {
 	// Obs is nil when no observability flag was set, so an untouched
 	// command line keeps the zero-overhead path.
 	Obs *Observer
-	// Agg aggregates per-stage summaries for the life of the session.
-	Agg *Aggregator
 	// HTTPAddr is the bound address of the introspection server,
 	// empty when -obs.http was not set.
 	HTTPAddr string
@@ -90,8 +88,6 @@ func (f *Flags) Start() (*Session, error) {
 		return s, nil
 	}
 	var sinks []Sink
-	s.Agg = NewAggregator()
-	sinks = append(sinks, s.Agg)
 	if f.Trace != "" {
 		file, err := os.Create(f.Trace)
 		if err != nil {

@@ -209,12 +209,6 @@ func TestFlagsFullSession(t *testing.T) {
 			t.Fatalf("profile %s is empty", p)
 		}
 	}
-
-	// Aggregator kept the stage rollup.
-	sum := s.Agg.Summary()
-	if len(sum) != 1 || sum[0].Name != "stage" {
-		t.Fatalf("session aggregator: %+v", sum)
-	}
 }
 
 func TestFlagsBadPaths(t *testing.T) {

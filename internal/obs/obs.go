@@ -158,19 +158,7 @@ func (s *Span) Event(name string, attrs ...Attr) {
 	if s == nil {
 		return
 	}
-	s.o.emitEvent(s.id, name, attrs)
-}
-
-// Event records a point-in-time event outside any span.
-func (o *Observer) Event(name string, attrs ...Attr) {
-	if o == nil {
-		return
-	}
-	o.emitEvent(0, name, attrs)
-}
-
-func (o *Observer) emitEvent(span uint64, name string, attrs []Attr) {
-	o.sink.WriteEvent(EventData{Span: span, Name: name, Time: time.Now(), Attrs: attrs})
+	s.o.sink.WriteEvent(EventData{Span: s.id, Name: name, Time: time.Now(), Attrs: attrs})
 }
 
 // End closes the span and hands it to the sink. CPU is the

@@ -22,7 +22,6 @@ func TestNilSafety(t *testing.T) {
 	child := sp.Child("y")
 	child.End()
 	sp.End()
-	o.Event("free")
 	o.SetDetail(true)
 	if o.Detail() {
 		t.Fatal("nil observer has detail")
@@ -68,9 +67,6 @@ func TestSpanNestingAndAggregator(t *testing.T) {
 	}
 	if sum[1].Wall < sum[0].Wall {
 		t.Fatalf("root wall %v < child wall %v", sum[1].Wall, sum[0].Wall)
-	}
-	if got := agg.EventCounts()["tick"]; got != 3 {
-		t.Fatalf("tick events = %d, want 3", got)
 	}
 }
 
@@ -256,7 +252,7 @@ func TestJSONLRoundTripAndValidate(t *testing.T) {
 	child.Event("merge", KV("distance", 1.25))
 	child.End()
 	root.End()
-	o.Event("free-standing")
+	sink.WriteEvent(EventData{Name: "free-standing", Time: time.Now()})
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}

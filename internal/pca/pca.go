@@ -33,9 +33,6 @@ type Model struct {
 	// Variances holds the eigenvalue (variance along the axis) of
 	// each component, in the same order.
 	Variances []float64
-	// TotalVariance is the trace of the covariance matrix, i.e. the
-	// variance a full-rank basis would explain.
-	TotalVariance float64
 }
 
 // Fit computes the top-k principal components of the observation
@@ -60,13 +57,10 @@ func Fit(rows [][]float64, k int) (*Model, error) {
 		Components: make([]vecmath.Vector, k),
 		Variances:  make([]float64, k),
 	}
-	for i := 0; i < d; i++ {
-		m.TotalVariance += eig.Values[i]
-	}
 	for i := 0; i < k; i++ {
 		m.Components[i] = eig.Vectors[i]
 		// Covariance eigenvalues are non-negative up to rounding;
-		// clamp so ExplainedVariance ratios stay in [0, 1].
+		// clamp the rounding away.
 		if eig.Values[i] > 0 {
 			m.Variances[i] = eig.Values[i]
 		}
@@ -92,27 +86,11 @@ func (m *Model) Transform(rows [][]float64) ([][]float64, error) {
 	return out, nil
 }
 
-// ExplainedVariance returns, per retained component, the fraction of
-// total variance it captures. For a zero-variance dataset it returns
-// zeros.
-func (m *Model) ExplainedVariance() []float64 {
-	out := make([]float64, len(m.Variances))
-	if m.TotalVariance <= 0 {
-		return out
-	}
-	for i, v := range m.Variances {
-		out[i] = v / m.TotalVariance
-	}
-	return out
-}
-
 // FitTop computes the top-k principal components with power
 // iteration instead of a full Jacobi eigendecomposition — the right
 // tool when k is small and the feature count is large (the SOM's
 // initialization needs exactly two components of potentially
-// hundreds of standardized counters or method bits). TotalVariance
-// is still exact (it is the covariance trace, no decomposition
-// needed).
+// hundreds of standardized counters or method bits).
 func FitTop(rows [][]float64, k int, seed uint64) (*Model, error) {
 	if len(rows) < 2 {
 		return nil, errors.New("pca: need at least two observations")
@@ -131,9 +109,6 @@ func FitTop(rows [][]float64, k int, seed uint64) (*Model, error) {
 		Means:      means,
 		Components: make([]vecmath.Vector, k),
 		Variances:  make([]float64, k),
-	}
-	for i := 0; i < d; i++ {
-		m.TotalVariance += cov.At(i, i)
 	}
 	for i := 0; i < k; i++ {
 		m.Components[i] = eig.Vectors[i]

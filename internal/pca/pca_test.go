@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"hmeans/internal/rng"
+	"hmeans/internal/vecmath"
 )
 
 func almostEqual(a, b, tol float64) bool {
@@ -27,6 +28,17 @@ func line2D(n int, jitter float64, seed uint64) [][]float64 {
 	return rows
 }
 
+// totalVariance is the trace of the rows' covariance matrix: the
+// variance a full-rank basis would explain.
+func totalVariance(rows [][]float64) float64 {
+	cov, _ := vecmath.CovarianceMatrix(vecmath.FromRows(rows))
+	sum := 0.0
+	for i := 0; i < cov.Rows(); i++ {
+		sum += cov.At(i, i)
+	}
+	return sum
+}
+
 func TestFitRecoversLineDirection(t *testing.T) {
 	m, err := Fit(line2D(200, 0.01, 1), 2)
 	if err != nil {
@@ -38,9 +50,8 @@ func TestFitRecoversLineDirection(t *testing.T) {
 	if !almostEqual(math.Abs(c[0]), want0, 1e-2) || !almostEqual(math.Abs(c[1]), want1, 1e-2) {
 		t.Fatalf("first component = %v, want ±(%v, %v)", c, want0, want1)
 	}
-	ev := m.ExplainedVariance()
-	if ev[0] < 0.999 {
-		t.Fatalf("first component explains %v, want >0.999", ev[0])
+	if ev := m.Variances[0] / totalVariance(line2D(200, 0.01, 1)); ev < 0.999 {
+		t.Fatalf("first component explains %v, want >0.999", ev)
 	}
 }
 
@@ -90,9 +101,8 @@ func TestExplainedVarianceSumsBelowOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := m.ExplainedVariance()
-	if len(ev) != 1 || ev[0] <= 0 || ev[0] > 1 {
-		t.Fatalf("explained variance = %v, want single value in (0,1]", ev)
+	if ev := m.Variances[0] / totalVariance(rows); len(m.Variances) != 1 || ev <= 0 || ev > 1 {
+		t.Fatalf("explained variance = %v of %d components, want one value in (0,1]", ev, len(m.Variances))
 	}
 }
 
@@ -102,9 +112,9 @@ func TestZeroVarianceData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range m.ExplainedVariance() {
+	for _, v := range m.Variances {
 		if v != 0 {
-			t.Fatalf("explained variance of constant data = %v, want zeros", m.ExplainedVariance())
+			t.Fatalf("variances of constant data = %v, want zeros", m.Variances)
 		}
 	}
 	scores, err := m.Transform(rows)

@@ -94,33 +94,3 @@ func (r *Source) NormFloat64() float64 {
 		}
 	}
 }
-
-// Perm returns a pseudo-random permutation of [0, n) as a slice,
-// generated by the Fisher-Yates shuffle.
-func (r *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// Shuffle pseudo-randomizes the order of n elements using the provided
-// swap function, as in math/rand.Shuffle.
-func (r *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
-// Split derives an independent child Source. The child stream is a
-// deterministic function of the parent state, so experiment stages can
-// own private streams without coupling their consumption rates.
-func (r *Source) Split() *Source {
-	return New(r.Uint64())
-}

@@ -114,10 +114,10 @@ func TestSingleflightRunsOnce(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, leader, err := g.do(context.Background(), key(7), func() ([]byte, error) {
+			v, leader, err := g.do(context.Background(), key(7), func() ([]byte, bool, error) {
 				runs.Add(1)
 				<-release
-				return []byte("result"), nil
+				return []byte("result"), false, nil
 			})
 			if err != nil {
 				t.Errorf("do: %v", err)
@@ -152,15 +152,15 @@ func TestSingleflightFollowerDeadline(t *testing.T) {
 	g := newGroup()
 	release := make(chan struct{})
 	started := make(chan struct{})
-	go g.do(context.Background(), key(9), func() ([]byte, error) {
+	go g.do(context.Background(), key(9), func() ([]byte, bool, error) {
 		close(started)
 		<-release
-		return nil, nil
+		return nil, false, nil
 	})
 	<-started
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	_, leader, err := g.do(ctx, key(9), func() ([]byte, error) { return nil, nil })
+	_, leader, err := g.do(ctx, key(9), func() ([]byte, bool, error) { return nil, false, nil })
 	if leader || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("follower got leader=%v err=%v, want deadline error", leader, err)
 	}

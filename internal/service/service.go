@@ -168,7 +168,8 @@ func (s *Server) score(ctx context.Context, key cacheKey, req *Request, st *scor
 		s.count("service.cache.hit")
 		return raw, CacheHit, nil
 	}
-	raw, leader, err := s.group.do(ctx, key, func() (raw []byte, err error) {
+	hit := false
+	raw, leader, err := s.group.do(ctx, key, func() (raw []byte, left bool, err error) {
 		// A panic inside the flight must be converted to an error
 		// *here*, before group.do regains control: the leader's normal
 		// return is what closes the flight and wakes the coalesced
@@ -178,9 +179,17 @@ func (s *Server) score(ctx context.Context, key cacheKey, req *Request, st *scor
 		defer func() {
 			if v := recover(); v != nil {
 				s.count("service.panic")
-				raw, err = nil, &PanicError{Value: v, Stack: debug.Stack()}
+				raw, left, err = nil, false, &PanicError{Value: v, Stack: debug.Stack()}
 			}
 		}()
+		// A request that missed the cache just before the previous
+		// flight for key stored its result, and reached the group just
+		// after that flight closed, leads a new flight: serve the
+		// stored result instead of computing the key a second time.
+		if raw, ok := s.cache.get(key); ok {
+			hit = true
+			return raw, false, nil
+		}
 		var qStart time.Time
 		if st != nil {
 			qStart = time.Now()
@@ -189,7 +198,9 @@ func (s *Server) score(ctx context.Context, key cacheKey, req *Request, st *scor
 			if st != nil {
 				st.queueWait = time.Since(qStart)
 			}
-			return nil, err
+			// Short of a shed, acquire fails only when the leader's own
+			// context ends while it queues.
+			return nil, !errors.Is(err, ErrOverloaded), err
 		}
 		if st != nil {
 			st.queueWait = time.Since(qStart)
@@ -214,18 +225,21 @@ func (s *Server) score(ctx context.Context, key cacheKey, req *Request, st *scor
 			st.compute = time.Since(cStart)
 		}
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		raw, err = json.Marshal(resp)
 		if err != nil {
-			return nil, fmt.Errorf("service: encoding response: %w", err)
+			return nil, false, fmt.Errorf("service: encoding response: %w", err)
 		}
 		raw = append(raw, '\n')
 		s.cache.put(key, raw)
-		return raw, nil
+		return raw, false, nil
 	})
 	status := CacheCoalesced
-	if leader {
+	switch {
+	case hit:
+		status = CacheHit
+	case leader:
 		status = CacheMiss
 	}
 	if err != nil {

@@ -27,6 +27,9 @@ type call struct {
 	done chan struct{}
 	val  []byte
 	err  error
+	// left marks a flight that ended only because its leader's
+	// request context ended.
+	left bool
 }
 
 func newGroup() *group {
@@ -36,25 +39,37 @@ func newGroup() *group {
 // do runs fn for key, coalescing concurrent duplicates. It returns
 // fn's result, plus leader=false when the result came from another
 // caller's computation. fn runs exactly once per flight regardless of
-// how many callers join it.
-func (g *group) do(ctx context.Context, key cacheKey, fn func() ([]byte, error)) (val []byte, leader bool, err error) {
-	g.mu.Lock()
-	if c, ok := g.m[key]; ok {
+// how many callers join it. fn reports left=true when it gave up only
+// because ctx, the leader's request context, ended: the leader gets
+// that error, and each follower whose own context is still live runs
+// the flight again (leading a new one, or joining the one another
+// follower started) instead of inheriting an error that was not its
+// own.
+func (g *group) do(ctx context.Context, key cacheKey, fn func() (val []byte, left bool, err error)) (val []byte, leader bool, err error) {
+	for {
+		g.mu.Lock()
+		c, ok := g.m[key]
+		if !ok {
+			break
+		}
 		g.mu.Unlock()
 		g.followers.Add(1)
-		defer g.followers.Add(-1)
 		select {
 		case <-c.done:
-			return c.val, false, c.err
 		case <-ctx.Done():
+			g.followers.Add(-1)
 			return nil, false, ctx.Err()
+		}
+		g.followers.Add(-1)
+		if !c.left || ctx.Err() != nil {
+			return c.val, false, c.err
 		}
 	}
 	c := &call{done: make(chan struct{})}
 	g.m[key] = c
 	g.mu.Unlock()
 
-	c.val, c.err = fn()
+	c.val, c.left, c.err = fn()
 
 	g.mu.Lock()
 	delete(g.m, key)

@@ -3,7 +3,6 @@ package simbench
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // NewWorkload validates and builds a user-defined workload so that
@@ -11,7 +10,7 @@ import (
 // used for the built-in members ("should SPECjvm2007 also adopt these
 // two kernels?" is the consortium question this library exists to
 // answer quantitatively). Method domains must exist in the synthetic
-// method universe; see MethodDomainNames.
+// method universe.
 func NewWorkload(name string, suite SourceSuite, d Demand, domains []string) (Workload, error) {
 	if name == "" {
 		return Workload{}, errors.New("simbench: workload needs a name")
@@ -81,15 +80,4 @@ func ExtendSuite(base []Workload, additions ...Workload) ([]Workload, error) {
 		out = append(out, w)
 	}
 	return out, nil
-}
-
-// MethodDomainNames returns the names of every method domain in the
-// synthetic universe, for building custom workloads.
-func MethodDomainNames() []string {
-	out := make([]string, 0, len(methodDomains))
-	for name := range methodDomains {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -100,34 +100,6 @@ func TestExtendSuiteDoesNotAliasBase(t *testing.T) {
 	}
 }
 
-func TestMethodDomainNames(t *testing.T) {
-	names := MethodDomainNames()
-	if len(names) != len(methodDomains) {
-		t.Fatalf("%d names for %d domains", len(names), len(methodDomains))
-	}
-	if !sortIsSorted(names) {
-		t.Fatal("names not sorted")
-	}
-	found := false
-	for _, n := range names {
-		if n == "scimark.kernel" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("scimark.kernel missing")
-	}
-}
-
-func sortIsSorted(xs []string) bool {
-	for i := 1; i < len(xs); i++ {
-		if xs[i] < xs[i-1] {
-			return false
-		}
-	}
-	return true
-}
-
 // TestProposedAdoptionScenario is the end-to-end consortium question:
 // adding a sixth numeric kernel must deepen the SciMark redundancy
 // cluster, not diversify the suite.

@@ -105,20 +105,6 @@ func phaseModulation(f latentFactors, p Phase) latentFactors {
 	return f
 }
 
-// PhaseSchedule returns the phase of each of the campaign's samples
-// for w, a diagnostic for inspecting the synthetic time structure.
-func PhaseSchedule(w *Workload, samples int) []Phase {
-	out := make([]Phase, samples)
-	for s := range out {
-		t := 0.0
-		if samples > 1 {
-			t = float64(s) / float64(samples-1)
-		}
-		out[s] = PhaseAt(w, t, s)
-	}
-	return out
-}
-
 // SARTablePhased characterizes each workload with phase-resolved
 // vectors instead of whole-run averages: the samples are split into
 // early/middle/late thirds, each third averaged separately, and the

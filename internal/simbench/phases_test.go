@@ -42,7 +42,7 @@ func TestGCBurstsScaleWithAllocation(t *testing.T) {
 	// allocation-free numeric kernels.
 	gcCount := func(w *Workload) int {
 		n := 0
-		for _, p := range PhaseSchedule(w, 100) {
+		for _, p := range phaseSchedule(w, 100) {
 			if p == PhaseGC {
 				n++
 			}
@@ -60,10 +60,24 @@ func TestGCBurstsScaleWithAllocation(t *testing.T) {
 	}
 }
 
+// phaseSchedule returns the phase of each of a campaign's samples for
+// w, the way the SAR sampler walks a run.
+func phaseSchedule(w *Workload, samples int) []Phase {
+	out := make([]Phase, samples)
+	for s := range out {
+		t := 0.0
+		if samples > 1 {
+			t = float64(s) / float64(samples-1)
+		}
+		out[s] = PhaseAt(w, t, s)
+	}
+	return out
+}
+
 func TestPhaseScheduleDeterministic(t *testing.T) {
 	w := workloadByName(t, "DaCapo.hsqldb")
-	a := PhaseSchedule(w, 15)
-	b := PhaseSchedule(w, 15)
+	a := phaseSchedule(w, 15)
+	b := phaseSchedule(w, 15)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("phase schedule not deterministic")

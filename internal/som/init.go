@@ -9,7 +9,8 @@ import (
 )
 
 // initRandom seeds every unit weight from a Gaussian centred on the
-// data mean with the data's per-feature scale.
+// data mean with the data's per-feature scale: the fallback for
+// samples that cannot support initPCA's plane.
 func (m *Map) initRandom(samples []vecmath.Vector, r *rng.Source) {
 	mean := vecmath.NewVector(m.dim)
 	for _, s := range samples {
@@ -35,9 +36,9 @@ func (m *Map) initRandom(samples []vecmath.Vector, r *rng.Source) {
 // initPCA spans the grid linearly across the plane of the two major
 // principal components, the paper's initialization: unit (row, col)
 // starts at mean + u·√λ1·pc1 + v·√λ2·pc2 with u, v ∈ [−1, 1]. It
-// reports whether the initialization succeeded; failure (degenerate
-// data) leaves the weights untouched so the caller can fall back to
-// random initialization.
+// reports whether the initialization succeeded; failure (fewer than
+// three samples, 1-D input or zero variance) leaves the weights
+// untouched so the caller can fall back to random initialization.
 func (m *Map) initPCA(samples []vecmath.Vector) bool {
 	if len(samples) < 3 || m.dim < 2 {
 		return false

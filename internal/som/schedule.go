@@ -2,36 +2,11 @@ package som
 
 import "math"
 
-// Decay selects how the learning rate α(n) and neighbourhood radius
-// σ(n) shrink over training. Both must decrease monotonically (the
-// paper's requirement); each schedule maps the training progress
-// t = n/Steps ∈ [0, 1) to a multiplier in (0, 1].
-type Decay int
-
-const (
-	// DecayExponential is v(t) = v0 · exp(−t·ln(v0/vFinal)): smooth
-	// geometric annealing, the default.
-	DecayExponential Decay = iota
-	// DecayLinear is v(t) = v0 · (1 − t) + vFinal · t.
-	DecayLinear
-	// DecayInverse is v(t) = v0 / (1 + 9t): the 1/n-style schedule of
-	// Kohonen's original formulation.
-	DecayInverse
-)
-
-// String returns the schedule's name.
-func (d Decay) String() string {
-	switch d {
-	case DecayExponential:
-		return "exponential"
-	case DecayLinear:
-		return "linear"
-	case DecayInverse:
-		return "inverse"
-	default:
-		return "unknown"
-	}
-}
+// Training anneals the learning rate α(n) and the neighbourhood
+// radius σ(n) exponentially, both monotonically decreasing as the
+// paper requires: α from alpha0 and σ from half the larger grid side
+// down to their floors.
+const alpha0 = 0.5
 
 // floors keep the kernel non-degenerate at the end of training: the
 // radius must stay positive (σ→0 divides by zero in the kernel) and a
@@ -41,21 +16,14 @@ const (
 	sigmaFloor = 0.35
 )
 
-// value returns the annealed value at progress t ∈ [0, 1) given the
-// initial value v0 and the floor.
-func (d Decay) value(v0, floor, t float64) float64 {
+// anneal returns the value at training progress t = n/Steps ∈ [0, 1)
+// that starts at v0 and decays geometrically toward floor:
+// v(t) = v0 · exp(−t·ln(v0/floor)), never below floor.
+func anneal(v0, floor, t float64) float64 {
 	if v0 <= floor {
 		return floor
 	}
-	var v float64
-	switch d {
-	case DecayLinear:
-		v = v0*(1-t) + floor*t
-	case DecayInverse:
-		v = v0 / (1 + 9*t)
-	default: // DecayExponential
-		v = v0 * math.Exp(-t*math.Log(v0/floor))
-	}
+	v := v0 * math.Exp(-t*math.Log(v0/floor))
 	if v < floor {
 		return floor
 	}

@@ -35,51 +35,20 @@ type Config struct {
 	// presentations). If zero, 500 × number of units is used, a
 	// common heuristic from Kohonen's SOM_PAK.
 	Steps int
-	// Alpha0 is the initial learning-rate factor α(0). Zero means
-	// 0.5.
-	Alpha0 float64
-	// Sigma0 is the initial neighbourhood radius σ(0) in grid cells.
-	// Zero means half the larger grid dimension.
-	Sigma0 float64
-	// LearningDecay selects the α(n) schedule (default Exponential).
-	LearningDecay Decay
-	// RadiusDecay selects the σ(n) schedule (default Exponential).
-	RadiusDecay Decay
-	// Init selects weight initialization (default InitPCA, falling
-	// back to random when the data cannot support a PCA plane).
-	Init InitMode
-	// SigmaFinal is the neighbourhood radius at the end of training.
-	// Zero means the package floor (0.75). Larger values keep the
-	// weight surface smoother, which limits how much grid area a
-	// tight blob of samples can claim.
-	SigmaFinal float64
 	// Parallelism is ignored: training and placement run on one
 	// goroutine.
 	//
 	// Deprecated: kept only because perfbench/replay.go sets it; it
 	// goes with the next benchmark change.
 	Parallelism int
-	// Seed drives sample-selection order and random initialization.
+	// Seed drives sample-selection order and, when the samples cannot
+	// support a PCA plane, random initialization.
 	Seed uint64
 	// Obs receives training telemetry: a som.train span plus periodic
 	// som.step events. Nil falls back to the process-default
 	// observer; instrumentation never affects the trained weights.
 	Obs *obs.Observer
 }
-
-// InitMode selects the weight initialization strategy.
-type InitMode int
-
-const (
-	// InitPCA spans the grid across the plane of the two leading
-	// principal components (the paper's choice). Falls back to
-	// InitRandom when the inputs have fewer than two usable
-	// components (e.g. fewer than three samples).
-	InitPCA InitMode = iota
-	// InitRandom draws each weight from a small Gaussian around the
-	// data mean.
-	InitRandom
-)
 
 // GridFor returns a recommended grid shape for n samples using the
 // SOM Toolbox heuristic of ≈5√n units. Grids much larger than this
@@ -141,16 +110,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.Steps <= 0 {
 		out.Steps = 500 * out.Rows * out.Cols
-	}
-	if out.Alpha0 <= 0 {
-		out.Alpha0 = 0.5
-	}
-	if out.Sigma0 <= 0 {
-		big := out.Rows
-		if out.Cols > big {
-			big = out.Cols
-		}
-		out.Sigma0 = float64(big) / 2
 	}
 	return out
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"hmeans/internal/obs"
 	"hmeans/internal/rng"
 	"hmeans/internal/vecmath"
 )
@@ -47,8 +48,24 @@ func TestConfigDefaults(t *testing.T) {
 	if c.Steps != 500*100 {
 		t.Errorf("default steps = %d, want 50000", c.Steps)
 	}
-	if c.Alpha0 != 0.5 || c.Sigma0 != 5 {
-		t.Errorf("default alpha/sigma = %v/%v, want 0.5/5", c.Alpha0, c.Sigma0)
+	// The schedule starts at α(0) = 0.5 and σ(0) = half the larger
+	// grid side, as the first som.step checkpoint reports.
+	samples, _ := twoBlobs(5, 3, 5, 41)
+	col := obs.NewCollector()
+	if _, err := TrainCtx(context.Background(), Config{Rows: 3, Cols: 5, Steps: 64, Seed: 1, Obs: obs.New(col)}, samples); err != nil {
+		t.Fatal(err)
+	}
+	evs := col.Trace().Events
+	if len(evs) == 0 || evs[0].Name != "som.step" {
+		t.Fatalf("first event %v, want a som.step checkpoint", evs)
+	}
+	attrs := map[string]any{}
+	for _, a := range evs[0].Attrs {
+		attrs[a.Key] = a.Val
+	}
+	if attrs["step"] != 0 || attrs["alpha"] != 0.5 || attrs["sigma"] != 2.5 {
+		t.Errorf("first checkpoint step/alpha/sigma = %v/%v/%v, want 0/0.5/2.5",
+			attrs["step"], attrs["alpha"], attrs["sigma"])
 	}
 }
 
@@ -147,13 +164,15 @@ func TestBMUDimMismatchPanics(t *testing.T) {
 	m.BMU(vecmath.Vector{1, 2})
 }
 
+// TestTrainingReducesQuantizationError trains from random weights:
+// 1-D samples cannot support a PCA plane.
 func TestTrainingReducesQuantizationError(t *testing.T) {
-	samples, _ := twoBlobs(15, 5, 6, 11)
-	short, err := TrainCtx(context.Background(), Config{Rows: 6, Cols: 6, Steps: 30, Seed: 2, Init: InitRandom}, samples)
+	samples, _ := twoBlobs(15, 1, 6, 11)
+	short, err := TrainCtx(context.Background(), Config{Rows: 6, Cols: 6, Steps: 30, Seed: 2}, samples)
 	if err != nil {
 		t.Fatal(err)
 	}
-	long, err := TrainCtx(context.Background(), Config{Rows: 6, Cols: 6, Steps: 6000, Seed: 2, Init: InitRandom}, samples)
+	long, err := TrainCtx(context.Background(), Config{Rows: 6, Cols: 6, Steps: 6000, Seed: 2}, samples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,15 +270,30 @@ func TestUMatrixShapeAndPositivity(t *testing.T) {
 	}
 }
 
+// TestInitModes trains from each initialization: the PCA plane on
+// 4-D blobs, and the random fallback on the same blobs' first
+// coordinate, since 1-D samples cannot support a plane.
 func TestInitModes(t *testing.T) {
 	samples, _ := twoBlobs(10, 4, 6, 31)
-	for _, mode := range []InitMode{InitPCA, InitRandom} {
-		m, err := TrainCtx(context.Background(), Config{Rows: 5, Cols: 5, Steps: 2000, Seed: 10, Init: mode}, samples)
-		if err != nil {
-			t.Fatalf("init %v: %v", mode, err)
+	oneD := make([]vecmath.Vector, len(samples))
+	for i, s := range samples {
+		oneD[i] = s[:1]
+	}
+	for _, tc := range []struct {
+		name    string
+		samples []vecmath.Vector
+		pca     bool
+	}{{"pca", samples, true}, {"random", oneD, false}} {
+		cfg := Config{Rows: 5, Cols: 5, Steps: 2000, Seed: 10}
+		if got := newMap(cfg.Rows, cfg.Cols, len(tc.samples[0])).initPCA(tc.samples); got != tc.pca {
+			t.Fatalf("init %s: initPCA = %v, want %v", tc.name, got, tc.pca)
 		}
-		if m.QuantizationError(samples) > 3 {
-			t.Fatalf("init %v: poor final fit", mode)
+		m, err := TrainCtx(context.Background(), cfg, tc.samples)
+		if err != nil {
+			t.Fatalf("init %s: %v", tc.name, err)
+		}
+		if m.QuantizationError(tc.samples) > 3 {
+			t.Fatalf("init %s: poor final fit", tc.name)
 		}
 	}
 }
@@ -267,7 +301,7 @@ func TestInitModes(t *testing.T) {
 func TestPCAInitFallsBackOnTinyData(t *testing.T) {
 	// Two samples cannot support a PCA plane; TrainCtx must still work.
 	samples := []vecmath.Vector{{1, 2, 3}, {4, 5, 6}}
-	m, err := TrainCtx(context.Background(), Config{Rows: 3, Cols: 3, Steps: 300, Seed: 12, Init: InitPCA}, samples)
+	m, err := TrainCtx(context.Background(), Config{Rows: 3, Cols: 3, Steps: 300, Seed: 12}, samples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,40 +332,29 @@ func abs(x int) int {
 }
 
 func TestDecaySchedulesMonotone(t *testing.T) {
-	for _, d := range []Decay{DecayExponential, DecayLinear, DecayInverse} {
-		prev := math.Inf(1)
-		for i := 0; i <= 100; i++ {
-			t2 := float64(i) / 100
-			v := d.value(0.5, alphaFloor, t2)
-			if v > prev+1e-15 {
-				t.Fatalf("decay %v not monotone at t=%v: %v > %v", d, t2, v, prev)
-			}
-			if v < alphaFloor-1e-15 {
-				t.Fatalf("decay %v fell below floor at t=%v: %v", d, t2, v)
-			}
-			prev = v
+	prev := math.Inf(1)
+	for i := 0; i <= 100; i++ {
+		t2 := float64(i) / 100
+		v := anneal(alpha0, alphaFloor, t2)
+		if v > prev+1e-15 {
+			t.Fatalf("schedule not monotone at t=%v: %v > %v", t2, v, prev)
 		}
+		if v < alphaFloor-1e-15 {
+			t.Fatalf("schedule fell below floor at t=%v: %v", t2, v)
+		}
+		prev = v
 	}
 }
 
 func TestDecayStartsAtInitialValue(t *testing.T) {
-	for _, d := range []Decay{DecayExponential, DecayLinear, DecayInverse} {
-		if v := d.value(0.7, alphaFloor, 0); math.Abs(v-0.7) > 1e-12 {
-			t.Fatalf("decay %v at t=0 is %v, want 0.7", d, v)
-		}
+	if v := anneal(0.7, alphaFloor, 0); math.Abs(v-0.7) > 1e-12 {
+		t.Fatalf("schedule at t=0 is %v, want 0.7", v)
 	}
 }
 
 func TestDecayBelowFloorClamps(t *testing.T) {
-	if v := DecayLinear.value(0.005, alphaFloor, 0.5); v != alphaFloor {
+	if v := anneal(0.005, alphaFloor, 0.5); v != alphaFloor {
 		t.Fatalf("v0 below floor should clamp to floor, got %v", v)
-	}
-}
-
-func TestDecayString(t *testing.T) {
-	if DecayExponential.String() != "exponential" || DecayLinear.String() != "linear" ||
-		DecayInverse.String() != "inverse" || Decay(9).String() != "unknown" {
-		t.Fatal("Decay.String names wrong")
 	}
 }
 

@@ -41,7 +41,9 @@ func TrainCtx(ctx context.Context, cfg Config, samples []vecmath.Vector) (*Map, 
 	m := newMap(c.Rows, c.Cols, dim)
 	r := rng.New(c.Seed)
 
-	pcaInit := c.Init != InitRandom && m.initPCA(samples)
+	// The paper's PCA-plane initialization, with random weights only
+	// where the samples cannot support the plane (see initPCA).
+	pcaInit := m.initPCA(samples)
 	if !pcaInit {
 		m.initRandom(samples, r)
 	}
@@ -94,6 +96,7 @@ func (m *Map) trainSequential(ctx context.Context, c Config, samples []vecmath.V
 		}
 		o.Metrics().Counter("som.steps").Add(int64(c.Steps))
 	}
+	sigma0 := float64(max(c.Rows, c.Cols)) / 2
 	diff := vecmath.NewVector(m.dim) // scratch: x − w_i
 	for n := 0; n < c.Steps; n++ {
 		if n%cancelCheckSteps == 0 {
@@ -102,12 +105,8 @@ func (m *Map) trainSequential(ctx context.Context, c Config, samples []vecmath.V
 			}
 		}
 		t := float64(n) / float64(c.Steps)
-		alpha := c.LearningDecay.value(c.Alpha0, alphaFloor, t)
-		floor := c.SigmaFinal
-		if floor <= 0 {
-			floor = sigmaFloor
-		}
-		sigma := c.RadiusDecay.value(c.Sigma0, floor, t)
+		alpha := anneal(alpha0, alphaFloor, t)
+		sigma := anneal(sigma0, sigmaFloor, t)
 		if interval > 0 && n%interval == 0 {
 			o.Metrics().Gauge("som.alpha").Set(alpha)
 			o.Metrics().Gauge("som.sigma").Set(sigma)

@@ -87,7 +87,8 @@ func TestBootstrapErrors(t *testing.T) {
 
 func TestBootstrapCustomStatistic(t *testing.T) {
 	xs := []float64{5, 5, 5, 5}
-	iv, err := BootstrapCI(xs, 0.95, 100, 1, Median)
+	median := func(xs []float64) (float64, error) { return Quantile(xs, 0.5) }
+	iv, err := BootstrapCI(xs, 0.95, 100, 1, median)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,6 @@
 package stat
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Covariance returns the population covariance of paired samples
 // xs and ys, which must have equal, non-zero length.
@@ -38,43 +35,4 @@ func Pearson(xs, ys []float64) (float64, error) {
 	r := cov / (sx * sy)
 	// Guard rounding excursions outside [-1, 1].
 	return math.Max(-1, math.Min(1, r)), nil
-}
-
-// Spearman returns Spearman's rank correlation coefficient, i.e. the
-// Pearson correlation of the rank transforms, with mid-ranks for
-// ties. It is used to compare orderings produced by different scoring
-// metrics.
-func Spearman(xs, ys []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if len(xs) != len(ys) {
-		return 0, ErrDomain
-	}
-	return Pearson(Ranks(xs), Ranks(ys))
-}
-
-// Ranks returns the 1-based fractional ranks of xs (ties receive the
-// average of the ranks they span).
-func Ranks(xs []float64) []float64 {
-	n := len(xs)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return xs[idx[a]] < xs[idx[b]] })
-	ranks := make([]float64, n)
-	for i := 0; i < n; {
-		j := i
-		for j+1 < n && xs[idx[j+1]] == xs[idx[i]] {
-			j++
-		}
-		// Average rank for the tie group [i, j].
-		avg := (float64(i+1) + float64(j+1)) / 2
-		for k := i; k <= j; k++ {
-			ranks[idx[k]] = avg
-		}
-		i = j + 1
-	}
-	return ranks
 }

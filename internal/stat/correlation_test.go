@@ -40,26 +40,6 @@ func TestPearsonConstantRejected(t *testing.T) {
 	}
 }
 
-func TestRanksWithTies(t *testing.T) {
-	got := Ranks([]float64{10, 20, 20, 30})
-	want := []float64{1, 2.5, 2.5, 4}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Ranks = %v; want %v", got, want)
-		}
-	}
-}
-
-func TestSpearmanMonotone(t *testing.T) {
-	// Any strictly increasing transform gives Spearman exactly 1.
-	xs := []float64{1, 2, 3, 4, 5}
-	ys := []float64{1, 8, 27, 64, 125} // cube: non-linear but monotone
-	r, err := Spearman(xs, ys)
-	if err != nil || !almostEqual(r, 1, eps) {
-		t.Fatalf("Spearman(monotone) = %v, %v; want 1", r, err)
-	}
-}
-
 // Property: Pearson is bounded in [-1, 1] and symmetric.
 func TestPearsonProperties(t *testing.T) {
 	f := func(rawX, rawY []float64) bool {

@@ -21,21 +21,6 @@ func Variance(xs []float64) (float64, error) {
 	return sum / float64(len(xs)), nil
 }
 
-// SampleVariance returns the unbiased sample variance (divide by n-1).
-// It requires at least two observations.
-func SampleVariance(xs []float64) (float64, error) {
-	if len(xs) < 2 {
-		return 0, ErrEmpty
-	}
-	mean, _ := ArithmeticMean(xs)
-	sum := 0.0
-	for _, x := range xs {
-		d := x - mean
-		sum += d * d
-	}
-	return sum / float64(len(xs)-1), nil
-}
-
 // StdDev returns the population standard deviation of xs.
 func StdDev(xs []float64) (float64, error) {
 	v, err := Variance(xs)
@@ -73,12 +58,6 @@ func Max(xs []float64) (float64, error) {
 	return m, nil
 }
 
-// Median returns the median of xs (average of the two middle values
-// for even-length input). xs is not modified.
-func Median(xs []float64) (float64, error) {
-	return Quantile(xs, 0.5)
-}
-
 // Quantile returns the q-quantile of xs, q in [0, 1], using linear
 // interpolation between order statistics (type-7, the R/NumPy
 // default). xs is not modified.
@@ -112,21 +91,4 @@ func Range(xs []float64) (float64, error) {
 	}
 	hi, _ := Max(xs)
 	return hi - lo, nil
-}
-
-// CoefficientOfVariation returns the population standard deviation
-// divided by the arithmetic mean. The mean must be non-zero.
-func CoefficientOfVariation(xs []float64) (float64, error) {
-	mean, err := ArithmeticMean(xs)
-	if err != nil {
-		return 0, err
-	}
-	if mean == 0 {
-		return 0, ErrDomain
-	}
-	sd, err := StdDev(xs)
-	if err != nil {
-		return 0, err
-	}
-	return sd / mean, nil
 }

@@ -14,17 +14,6 @@ func TestVariance(t *testing.T) {
 	}
 }
 
-func TestSampleVariance(t *testing.T) {
-	got, err := SampleVariance([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	want := 32.0 / 7.0
-	if err != nil || !almostEqual(got, want, eps) {
-		t.Fatalf("SampleVariance = %v, %v; want %v", got, err, want)
-	}
-	if _, err := SampleVariance([]float64{1}); !errors.Is(err, ErrEmpty) {
-		t.Error("SampleVariance of one element should fail")
-	}
-}
-
 func TestStdDevConstant(t *testing.T) {
 	got, err := StdDev([]float64{3, 3, 3})
 	if err != nil || got != 0 {
@@ -45,15 +34,6 @@ func TestMinMaxRange(t *testing.T) {
 	}
 	if _, err := Range(nil); !errors.Is(err, ErrEmpty) {
 		t.Error("Range(nil) should fail")
-	}
-}
-
-func TestMedian(t *testing.T) {
-	if m, _ := Median([]float64{5, 1, 3}); m != 3 {
-		t.Errorf("odd median = %v, want 3", m)
-	}
-	if m, _ := Median([]float64{4, 1, 3, 2}); m != 2.5 {
-		t.Errorf("even median = %v, want 2.5", m)
 	}
 }
 
@@ -84,16 +64,6 @@ func TestQuantileDoesNotMutate(t *testing.T) {
 	_, _ = Quantile(xs, 0.5)
 	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
 		t.Fatalf("Quantile mutated its input: %v", xs)
-	}
-}
-
-func TestCoefficientOfVariation(t *testing.T) {
-	got, err := CoefficientOfVariation([]float64{10, 10, 10})
-	if err != nil || got != 0 {
-		t.Fatalf("CV of constant = %v, %v; want 0", got, err)
-	}
-	if _, err := CoefficientOfVariation([]float64{-1, 1}); !errors.Is(err, ErrDomain) {
-		t.Error("CV with zero mean should fail")
 	}
 }
 

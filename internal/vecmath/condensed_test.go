@@ -88,37 +88,32 @@ func TestCondensedPanics(t *testing.T) {
 }
 
 // TestCondensedDistanceMatrixMatchesDense proves the condensed build
-// produces bit-identical distances to the dense build for every
-// metric.
+// produces bit-identical distances to the dense build.
 func TestCondensedDistanceMatrixMatchesDense(t *testing.T) {
 	pts := condensedTestPoints(23, 4, 8)
-	for _, m := range []Metric{Euclidean, Manhattan, Chebyshev, Cosine} {
-		dense := DistanceMatrix(m, pts)
-		cm, err := CondensedDistanceMatrixCtx(context.Background(), m, pts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < len(pts); i++ {
-			for j := i + 1; j < len(pts); j++ {
-				if cm.At(i, j) != dense.At(i, j) {
-					t.Fatalf("%v: (%d,%d) %v != %v", m, i, j, cm.At(i, j), dense.At(i, j))
-				}
+	dense := DistanceMatrix(Euclidean, pts)
+	cm, err := CondensedDistanceMatrixCtx(context.Background(), Euclidean, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < len(pts); i++ {
+		for j := i + 1; j < len(pts); j++ {
+			if cm.At(i, j) != dense.At(i, j) {
+				t.Fatalf("(%d,%d) %v != %v", i, j, cm.At(i, j), dense.At(i, j))
 			}
 		}
 	}
 }
 
-// TestKernelMatchesDistance proves the hoisted metric kernels compute
-// exactly what the dispatching Distance computes.
+// TestKernelMatchesDistance proves the hoisted kernel computes exactly
+// what EuclideanDistance computes.
 func TestKernelMatchesDistance(t *testing.T) {
 	pts := condensedTestPoints(6, 5, 15)
-	for _, m := range []Metric{Euclidean, Manhattan, Chebyshev, Cosine} {
-		kern := m.Kernel()
-		for i := range pts {
-			for j := range pts {
-				if got, want := kern(pts[i], pts[j]), Distance(m, pts[i], pts[j]); got != want {
-					t.Fatalf("%v kernel(%d,%d) = %v, want %v", m, i, j, got, want)
-				}
+	kern := Euclidean.Kernel()
+	for i := range pts {
+		for j := range pts {
+			if got, want := kern(pts[i], pts[j]), EuclideanDistance(pts[i], pts[j]); got != want {
+				t.Fatalf("kernel(%d,%d) = %v, want %v", i, j, got, want)
 			}
 		}
 	}

@@ -7,44 +7,8 @@ import (
 )
 
 func TestDistanceValues(t *testing.T) {
-	v := Vector{0, 0}
-	w := Vector{3, 4}
-	cases := []struct {
-		m    Metric
-		want float64
-	}{
-		{Euclidean, 5},
-		{Manhattan, 7},
-		{Chebyshev, 4},
-	}
-	for _, c := range cases {
-		if got := Distance(c.m, v, w); !almostEqual(got, c.want, 1e-12) {
-			t.Errorf("%v distance = %v, want %v", c.m, got, c.want)
-		}
-	}
-}
-
-func TestCosineDistance(t *testing.T) {
-	if got := Distance(Cosine, Vector{1, 0}, Vector{2, 0}); !almostEqual(got, 0, 1e-12) {
-		t.Errorf("parallel cosine distance = %v, want 0", got)
-	}
-	if got := Distance(Cosine, Vector{1, 0}, Vector{0, 1}); !almostEqual(got, 1, 1e-12) {
-		t.Errorf("orthogonal cosine distance = %v, want 1", got)
-	}
-	if got := Distance(Cosine, Vector{1, 0}, Vector{-1, 0}); !almostEqual(got, 2, 1e-12) {
-		t.Errorf("antiparallel cosine distance = %v, want 2", got)
-	}
-	if got := Distance(Cosine, Vector{0, 0}, Vector{1, 1}); got != 1 {
-		t.Errorf("zero-vector cosine distance = %v, want 1", got)
-	}
-}
-
-func TestMetricString(t *testing.T) {
-	names := map[Metric]string{Euclidean: "euclidean", Manhattan: "manhattan", Chebyshev: "chebyshev", Cosine: "cosine", Metric(99): "unknown"}
-	for m, want := range names {
-		if m.String() != want {
-			t.Errorf("Metric(%d).String() = %q, want %q", m, m.String(), want)
-		}
+	if got := Euclidean.Kernel()(Vector{0, 0}, Vector{3, 4}); !almostEqual(got, 5, 1e-12) {
+		t.Errorf("euclidean distance = %v, want 5", got)
 	}
 }
 
@@ -76,30 +40,26 @@ func TestDistanceMatrixProperties(t *testing.T) {
 	}
 }
 
-// Property: metric axioms (symmetry, identity, triangle inequality)
-// for the three Minkowski metrics.
+// Property: metric axioms (symmetry, identity, triangle inequality).
 func TestMetricAxioms(t *testing.T) {
-	for _, m := range []Metric{Euclidean, Manhattan, Chebyshev} {
-		m := m
-		f := func(rawA, rawB, rawC []float64) bool {
-			a := cleanVec(rawA, 4)
-			b := cleanVec(rawB, 4)
-			c := cleanVec(rawC, 4)
-			dab := Distance(m, a, b)
-			dba := Distance(m, b, a)
-			dac := Distance(m, a, c)
-			dcb := Distance(m, c, b)
-			if !almostEqual(dab, dba, 1e-9) {
-				return false
-			}
-			if Distance(m, a, a) != 0 {
-				return false
-			}
-			return dab <= dac+dcb+1e-6
+	f := func(rawA, rawB, rawC []float64) bool {
+		a := cleanVec(rawA, 4)
+		b := cleanVec(rawB, 4)
+		c := cleanVec(rawC, 4)
+		dab := EuclideanDistance(a, b)
+		dba := EuclideanDistance(b, a)
+		dac := EuclideanDistance(a, c)
+		dcb := EuclideanDistance(c, b)
+		if !almostEqual(dab, dba, 1e-9) {
+			return false
 		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-			t.Fatalf("metric %v: %v", m, err)
+		if EuclideanDistance(a, a) != 0 {
+			return false
 		}
+		return dab <= dac+dcb+1e-6
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+		t.Fatal(err)
 	}
 }
 
