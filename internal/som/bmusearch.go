@@ -10,9 +10,9 @@ import (
 
 // bmuSearch selects the best-matching-unit search strategy of a
 // trained map: placement, HitMap and the quality measures. Training
-// itself always runs the brute scan, because its weights change at
-// every step. Both concrete strategies return identical results, so
-// the choice trades speed only.
+// does not use it: its weights change at every step, so it runs
+// bmuSeeded, which needs no index. All three searches return
+// bmuBrute's unit, so the choice trades speed only.
 type bmuSearch int
 
 const (
@@ -159,4 +159,79 @@ func (m *Map) bmuPruned(x vecmath.Vector) (unit int, sqDist float64) {
 		}
 	}
 	return bestU, best
+}
+
+// bmuBlock is the seeded search's abandon stride: a unit's running
+// sum is tested against the best after every bmuBlock coordinates.
+const bmuBlock = 8
+
+// bmuSeeded is training's BMU search: the partial-distance search of
+// vector quantization, seeded with a guess. The guess unit's full
+// squared distance is the first bound. Every other unit, in index
+// order, accumulates its squared distance in bmuBrute's element
+// order and is abandoned as soon as the running sum, tested every
+// bmuBlock coordinates, strictly exceeds the best so far; a unit that
+// completes wins on a smaller sum, or on an equal sum from a lower
+// index. The sums only grow, so an abandoned unit can neither beat
+// nor tie the best, and the winner is exactly bmuBrute's (DESIGN.md
+// §17). A guess whose distance is not finite is no bound; that query
+// goes to bmuBrute. coords counts the coordinates evaluated.
+func (m *Map) bmuSeeded(x vecmath.Vector, guess int) (unit, coords int) {
+	dim := m.dim
+	if len(x) != dim {
+		panic(fmt.Sprintf("som: input dim %d != map dim %d", len(x), dim))
+	}
+	flat := m.flat
+	best, bestDist := guess, 0.0
+	for i, w := range flat[guess*dim : guess*dim+dim] {
+		d := x[i] - w
+		bestDist += d * d
+	}
+	if !(bestDist < math.Inf(1)) {
+		unit, _ = m.bmuBrute(x)
+		return unit, len(flat) + dim
+	}
+	coords = dim
+	blocks := dim - dim%bmuBlock
+units:
+	for u, off := 0, 0; off < len(flat); u, off = u+1, off+dim {
+		if u == guess {
+			continue
+		}
+		w := flat[off : off+dim]
+		sum := 0.0
+		j := 0
+		for ; j < blocks; j += bmuBlock {
+			xb, wb := x[j:j+bmuBlock], w[j:j+bmuBlock]
+			d0 := xb[0] - wb[0]
+			sum += d0 * d0
+			d1 := xb[1] - wb[1]
+			sum += d1 * d1
+			d2 := xb[2] - wb[2]
+			sum += d2 * d2
+			d3 := xb[3] - wb[3]
+			sum += d3 * d3
+			d4 := xb[4] - wb[4]
+			sum += d4 * d4
+			d5 := xb[5] - wb[5]
+			sum += d5 * d5
+			d6 := xb[6] - wb[6]
+			sum += d6 * d6
+			d7 := xb[7] - wb[7]
+			sum += d7 * d7
+			if sum > bestDist {
+				coords += j + bmuBlock
+				continue units
+			}
+		}
+		for ; j < dim; j++ {
+			d := x[j] - w[j]
+			sum += d * d
+		}
+		coords += dim
+		if sum < bestDist || (sum == bestDist && u < best) {
+			best, bestDist = u, sum
+		}
+	}
+	return best, coords
 }

@@ -2,6 +2,7 @@ package som
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"testing"
 
@@ -60,6 +61,91 @@ func TestPrunedBMUMatchesBrute(t *testing.T) {
 					t.Fatalf("seed %d shape %v query %d: pruned (%d, %v), brute (%d, %v)",
 						seed, shape, qi, pu, pd, bu, bd)
 				}
+			}
+		}
+	}
+}
+
+// seededDims are the dimensions the seeded search is checked at: below,
+// at and just past one bmuBlock, a multiple of it (suite-500's 40),
+// and the case study's 194 counters, so whole blocks, a tail alone and
+// both together are covered.
+var seededDims = []int{1, 7, 8, 9, 40, 194}
+
+// TestSeededBMUMatchesBrute: from every possible guess, the seeded
+// search returns bmuBrute's unit on every query of the corpus —
+// random points, exact weight matches, near-ulp misses and duplicate
+// units — and evaluates no more coordinates than the guess plus a
+// full scan.
+func TestSeededBMUMatchesBrute(t *testing.T) {
+	for _, dim := range seededDims {
+		for seed := uint64(1); seed <= 2; seed++ {
+			m, queries := corpusMap(5, 4, dim, seed)
+			units := len(m.weights)
+			for g := 0; g < units; g++ {
+				for qi, q := range queries {
+					want, _ := m.bmuBrute(q)
+					got, coords := m.bmuSeeded(q, g)
+					if got != want || coords < dim || coords > (units+1)*dim {
+						t.Fatalf("dim %d seed %d guess %d query %d: seeded unit %d (%d coords), brute %d",
+							dim, seed, g, qi, got, coords, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSeededBMUPlantedDuplicates plants two copies of the guess's
+// weights, one at a lower index and one at a higher, so the guess
+// ties the query's best distance exactly. The brute scan returns the
+// lowest copy (or an earlier duplicate the corpus planted); the
+// seeded search must too, from the guess and from
+// either copy, which needs the abandon test to be strict and an equal
+// sum from a lower index to win.
+func TestSeededBMUPlantedDuplicates(t *testing.T) {
+	for _, dim := range seededDims {
+		base, queries := corpusMap(6, 5, dim, uint64(dim))
+		units := len(base.weights)
+		for g := 1; g < units-1; g++ {
+			m := newMap(base.rows, base.cols, dim)
+			copy(m.flat, base.flat)
+			lo, hi := g/2, (g+units)/2
+			copy(m.weights[lo], m.weights[g])
+			copy(m.weights[hi], m.weights[g])
+			near := m.weights[g].Clone()
+			near[dim-1] += 1e-13
+			qs := append([]vecmath.Vector{m.weights[g].Clone(), near}, queries[:20]...)
+			for qi, q := range qs {
+				want, d := m.bmuBrute(q)
+				if qi == 0 && (want > lo || d != 0) {
+					t.Fatalf("dim %d: brute scan picked %d at %v for a weight planted at %d, %d and %d", dim, want, d, lo, g, hi)
+				}
+				for _, guess := range []int{g, lo, hi, 0, units - 1} {
+					if got, _ := m.bmuSeeded(q, guess); got != want {
+						t.Fatalf("dim %d copies %d<%d<%d guess %d query %d: seeded %d, brute %d",
+							dim, lo, g, hi, guess, qi, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSeededBMUNonFinite: a query whose distance to the guess
+// overflows or is NaN gives no bound; the seeded search then returns
+// bmuBrute's unit, whichever unit the guess is.
+func TestSeededBMUNonFinite(t *testing.T) {
+	m, _ := corpusMap(4, 4, 9, 3)
+	for _, q := range []vecmath.Vector{
+		{1e200, 0, 0, 0, 0, 0, 0, 0, 0},
+		{math.NaN(), 0, 0, 0, 0, 0, 0, 0, 0},
+		{math.Inf(-1), 0, 0, 0, 0, 0, 0, 0, 1},
+	} {
+		want, _ := m.bmuBrute(q)
+		for g := range m.weights {
+			if got, _ := m.bmuSeeded(q, g); got != want {
+				t.Fatalf("query %v guess %d: seeded %d, brute %d", q, g, got, want)
 			}
 		}
 	}

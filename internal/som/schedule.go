@@ -18,12 +18,14 @@ const (
 
 // anneal returns the value at training progress t = n/Steps ∈ [0, 1)
 // that starts at v0 and decays geometrically toward floor:
-// v(t) = v0 · exp(−t·ln(v0/floor)), never below floor.
-func anneal(v0, floor, t float64) float64 {
+// v(t) = v0 · exp(−t·lnRatio), never below floor. lnRatio must be
+// ln(v0/floor); it depends on neither t nor the step, so training
+// computes it once per run.
+func anneal(v0, floor, lnRatio, t float64) float64 {
 	if v0 <= floor {
 		return floor
 	}
-	v := v0 * math.Exp(-t*math.Log(v0/floor))
+	v := v0 * math.Exp(-t*lnRatio)
 	if v < floor {
 		return floor
 	}

@@ -335,7 +335,7 @@ func TestDecaySchedulesMonotone(t *testing.T) {
 	prev := math.Inf(1)
 	for i := 0; i <= 100; i++ {
 		t2 := float64(i) / 100
-		v := anneal(alpha0, alphaFloor, t2)
+		v := anneal(alpha0, alphaFloor, math.Log(alpha0/alphaFloor), t2)
 		if v > prev+1e-15 {
 			t.Fatalf("schedule not monotone at t=%v: %v > %v", t2, v, prev)
 		}
@@ -347,13 +347,13 @@ func TestDecaySchedulesMonotone(t *testing.T) {
 }
 
 func TestDecayStartsAtInitialValue(t *testing.T) {
-	if v := anneal(0.7, alphaFloor, 0); math.Abs(v-0.7) > 1e-12 {
+	if v := anneal(0.7, alphaFloor, math.Log(0.7/alphaFloor), 0); math.Abs(v-0.7) > 1e-12 {
 		t.Fatalf("schedule at t=0 is %v, want 0.7", v)
 	}
 }
 
 func TestDecayBelowFloorClamps(t *testing.T) {
-	if v := anneal(0.005, alphaFloor, 0.5); v != alphaFloor {
+	if v := anneal(0.005, alphaFloor, math.Log(0.005/alphaFloor), 0.5); v != alphaFloor {
 		t.Fatalf("v0 below floor should clamp to floor, got %v", v)
 	}
 }

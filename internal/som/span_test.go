@@ -241,7 +241,8 @@ func TestFullRankSequentialUnchanged(t *testing.T) {
 
 // TestTinySampleSetsFallBackToRandomInit: below three samples the PCA
 // initialization fails, the map starts from random weights, and
-// training runs in the full dimension on the random-init path.
+// training runs in the full dimension on the random-init path, with
+// the weights of the brute-plus-AXPY oracle (trainOracle).
 func TestTinySampleSetsFallBackToRandomInit(t *testing.T) {
 	samples := []vecmath.Vector{{1, 0, 2, 0, 1}, {0, 3, 1, 1, 0}}
 	cfg := Config{Rows: 3, Cols: 3, Steps: 500, Seed: 9}
@@ -261,6 +262,13 @@ func TestTinySampleSetsFallBackToRandomInit(t *testing.T) {
 	}
 	if !equalMaps(t, got, want) {
 		t.Fatal("two-sample training differs from the random-init full-dimension loop")
+	}
+	oracle := newMap(c.Rows, c.Cols, 5)
+	ro := rng.New(c.Seed)
+	oracle.initRandom(samples, ro)
+	oracle.trainOracle(c, samples, ro)
+	if !equalMaps(t, got, oracle) {
+		t.Fatal("two-sample training differs from the brute-plus-AXPY loop")
 	}
 }
 

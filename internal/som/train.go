@@ -83,10 +83,14 @@ const cancelCheckSteps = 256
 // random sample is presented, its BMU located, and the BMU
 // neighbourhood pulled toward the sample with the Gaussian kernel
 // h_ci(n) = α(n)·exp(−‖r_c − r_i‖²/2σ²(n)).
-// When an observer is active a som.step event is emitted at 32
-// evenly spaced checkpoints recording the annealed learning rate and
-// radius — sequential training has no epochs, so checkpoints stand
-// in for them.
+// The BMU search is seeded with the unit the same sample won at its
+// previous presentation (bmuSeeded), which returns bmuBrute's unit
+// with less work. When an observer is active a som.step event is
+// emitted at 32 evenly spaced checkpoints recording the annealed
+// learning rate and radius — sequential training has no epochs, so
+// checkpoints stand in for them — and the run's work is counted:
+// som.bmu_coords, the coordinates the BMU searches evaluated, and
+// som.kernel_exps, the kernel's exp calls.
 func (m *Map) trainSequential(ctx context.Context, c Config, samples []vecmath.Vector, r *rng.Source, o *obs.Observer, sp *obs.Span) error {
 	interval := 0
 	if o.Active() {
@@ -97,33 +101,50 @@ func (m *Map) trainSequential(ctx context.Context, c Config, samples []vecmath.V
 		o.Metrics().Counter("som.steps").Add(int64(c.Steps))
 	}
 	sigma0 := float64(max(c.Rows, c.Cols)) / 2
-	diff := vecmath.NewVector(m.dim) // scratch: x − w_i
+	lnAlpha, lnSigma := math.Log(alpha0/alphaFloor), math.Log(sigma0/sigmaFloor)
+	// prev[i] is the unit sample i won at its last presentation, the
+	// seed of its next search. Any unit is a valid seed; all start at 0.
+	prev := make([]int, len(samples))
+	var coords, exps int
+	var err error
 	for n := 0; n < c.Steps; n++ {
 		if n%cancelCheckSteps == 0 {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("som: training cancelled at step %d of %d: %w", n, c.Steps, err)
+			if err = ctx.Err(); err != nil {
+				err = fmt.Errorf("som: training cancelled at step %d of %d: %w", n, c.Steps, err)
+				break
 			}
 		}
 		t := float64(n) / float64(c.Steps)
-		alpha := anneal(alpha0, alphaFloor, t)
-		sigma := anneal(sigma0, sigmaFloor, t)
+		alpha := anneal(alpha0, alphaFloor, lnAlpha, t)
+		sigma := anneal(sigma0, sigmaFloor, lnSigma, t)
 		if interval > 0 && n%interval == 0 {
 			o.Metrics().Gauge("som.alpha").Set(alpha)
 			o.Metrics().Gauge("som.sigma").Set(sigma)
 			sp.Event("som.step", obs.KV("step", n), obs.KV("alpha", alpha), obs.KV("sigma", sigma))
 		}
-		x := samples[r.Intn(len(samples))]
-		br, bc := m.BMU(x)
-		m.updateNeighbourhood(x, br, bc, alpha, sigma, diff)
+		i := r.Intn(len(samples))
+		x := samples[i]
+		u, k := m.bmuSeeded(x, prev[i])
+		prev[i] = u
+		coords += k
+		exps += m.updateNeighbourhood(x, u/m.cols, u%m.cols, alpha, sigma)
 	}
-	return nil
+	if o.Active() {
+		o.Metrics().Counter("som.bmu_coords").Add(int64(coords))
+		o.Metrics().Counter("som.kernel_exps").Add(int64(exps))
+	}
+	return err
 }
 
-// updateNeighbourhood applies the weight update around BMU (br, bc).
-// Units farther than cutoff·σ contribute a negligible kernel value
-// and are skipped; this bounds the work per step without changing
-// the result materially.
-func (m *Map) updateNeighbourhood(x vecmath.Vector, br, bc int, alpha, sigma float64, diff vecmath.Vector) {
+// updateNeighbourhood applies the weight update around BMU (br, bc)
+// and returns the number of kernel exp calls it made. Units farther
+// than cutoff·σ contribute a negligible kernel value and are skipped;
+// this bounds the work per step without changing the result
+// materially. Each weight moves in one pass, w[j] += h·(x[j] − w[j]),
+// rounding the difference, the product and the sum in that order: the
+// order of the tests' reference loop, whose weights training matches
+// bit for bit.
+func (m *Map) updateNeighbourhood(x vecmath.Vector, br, bc int, alpha, sigma float64) (exps int) {
 	const cutoff = 3.0
 	reach := int(math.Ceil(cutoff * sigma))
 	r0, r1 := maxInt(0, br-reach), minInt(m.rows-1, br+reach)
@@ -136,13 +157,13 @@ func (m *Map) updateNeighbourhood(x vecmath.Vector, br, bc int, alpha, sigma flo
 			if h < 1e-9 {
 				continue
 			}
-			w := m.weights[gr*m.cols+gc]
-			for j := range w {
-				diff[j] = x[j] - w[j]
+			w := m.weights[gr*m.cols+gc][:len(x)]
+			for j, xj := range x {
+				w[j] += h * (xj - w[j])
 			}
-			w.AXPYInPlace(h, diff)
 		}
 	}
+	return (r1 - r0 + 1) * (c1 - c0 + 1)
 }
 
 func maxInt(a, b int) int {
