@@ -187,7 +187,7 @@ func TestRequestIDFlag(t *testing.T) {
 
 // TestGatewayVerboseNamesReplica checks -v through a gateway: besides
 // the request ID and cache status, stderr names the replica that
-// served the bytes and the lease role the request took.
+// served the bytes and the coalescing role the request took.
 func TestGatewayVerboseNamesReplica(t *testing.T) {
 	replica := startDaemon(t)
 	gw, err := gateway.New(gateway.Config{Replicas: []string{replica}, Obs: obs.New()})

@@ -205,11 +205,12 @@ func serve(ctx context.Context, a serveArgs, stdout io.Writer) error {
 	hs := &http.Server{Handler: mux}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
-	fmt.Fprintf(stdout, "hmeansd %s listening on http://%s\n", obs.Version(), ln.Addr())
-
+	// Catch termination signals before announcing the address: a
+	// SIGTERM sent as soon as the address appears must drain, not kill.
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(sigc)
+	fmt.Fprintf(stdout, "hmeansd %s listening on http://%s\n", obs.Version(), ln.Addr())
 
 	// Periodic snapshots bound the cache warmth a crash can lose to
 	// one interval; each write is atomic, so a crash mid-write leaves

@@ -11,6 +11,7 @@ import (
 	"regexp"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -91,15 +92,27 @@ func TestVersionFlag(t *testing.T) {
 
 var addrLine = regexp.MustCompile(`listening on (http://[\d.:]+)`)
 
-// TestServeEndToEnd boots the daemon on an ephemeral port with a
-// -timeout shutdown, scores a request over real HTTP, and checks the
-// planned shutdown exits 0.
+// TestServeTimeoutShutdown: -timeout ends the daemon as a planned
+// shutdown, exit 0.
+func TestServeTimeoutShutdown(t *testing.T) {
+	var out syncBuffer
+	code, stderr := exec(t, &out, "-addr", "127.0.0.1:0", "-timeout", "100ms")
+	if code != 0 || stderr != "" {
+		t.Fatalf("exit %d, stderr %q after a planned -timeout shutdown", code, stderr)
+	}
+	if !strings.Contains(out.String(), "shut down") {
+		t.Fatalf("no shutdown line in %q", out.String())
+	}
+}
+
+// TestServeEndToEnd boots the daemon on an ephemeral port, scores a
+// request over real HTTP, and checks the SIGTERM shutdown exits 0.
 func TestServeEndToEnd(t *testing.T) {
 	var out syncBuffer
 	done := make(chan int, 1)
 	go func() {
 		code, stderr := exec(t, &out,
-			"-addr", "127.0.0.1:0", "-timeout", "3s", "-cache-size", "4")
+			"-addr", "127.0.0.1:0", "-cache-size", "4")
 		if stderr != "" {
 			t.Errorf("unexpected stderr: %s", stderr)
 		}
@@ -136,8 +149,9 @@ func TestServeEndToEnd(t *testing.T) {
 		t.Fatalf("metrics status %d", mresp.StatusCode)
 	}
 
+	terminate(t)
 	if code := <-done; code != 0 {
-		t.Fatalf("daemon exited %d after planned -timeout shutdown", code)
+		t.Fatalf("daemon exited %d after a SIGTERM", code)
 	}
 	if !strings.Contains(out.String(), "shut down") {
 		t.Fatalf("no shutdown line in %q", out.String())
@@ -157,7 +171,7 @@ func TestServeRequestTelemetry(t *testing.T) {
 	done := make(chan int, 1)
 	go func() {
 		code, stderr := exec(t, &out,
-			"-addr", "127.0.0.1:0", "-timeout", "3s", "-cache-size", "4",
+			"-addr", "127.0.0.1:0", "-cache-size", "4",
 			"-access-log", logPath, "-runtime-sample", "10ms",
 			"-obs.trace", tracePath)
 		if stderr != "" {
@@ -219,6 +233,7 @@ func TestServeRequestTelemetry(t *testing.T) {
 		}
 	}
 
+	terminate(t)
 	if code := <-done; code != 0 {
 		t.Fatalf("daemon exited %d", code)
 	}
@@ -286,7 +301,7 @@ func TestWarmRestartByteIdentical(t *testing.T) {
 	done1 := make(chan int, 1)
 	go func() {
 		code, stderr := exec(t, &out1,
-			"-addr", "127.0.0.1:0", "-timeout", "3s", "-cache-size", "8",
+			"-addr", "127.0.0.1:0", "-cache-size", "8",
 			"-snapshot", snap, "-snapshot.interval", "200ms", "-drain.timeout", "2s")
 		if stderr != "" {
 			t.Errorf("unexpected stderr: %s", stderr)
@@ -305,6 +320,7 @@ func TestWarmRestartByteIdentical(t *testing.T) {
 	if resp := mustGet(t, base+"/readyz"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("/readyz while serving: %d", resp.StatusCode)
 	}
+	terminate(t)
 	if code := <-done1; code != 0 {
 		t.Fatalf("first daemon exited %d", code)
 	}
@@ -318,7 +334,7 @@ func TestWarmRestartByteIdentical(t *testing.T) {
 	done2 := make(chan int, 1)
 	go func() {
 		code, stderr := exec(t, &out2,
-			"-addr", "127.0.0.1:0", "-timeout", "3s", "-cache-size", "8",
+			"-addr", "127.0.0.1:0", "-cache-size", "8",
 			"-snapshot", snap)
 		if stderr != "" {
 			t.Errorf("unexpected stderr: %s", stderr)
@@ -339,6 +355,7 @@ func TestWarmRestartByteIdentical(t *testing.T) {
 	if got := r2.Header.Get(service.HeaderDigest); got != digest {
 		t.Fatalf("warm-restart digest %q, want %q", got, digest)
 	}
+	terminate(t)
 	if code := <-done2; code != 0 {
 		t.Fatalf("second daemon exited %d", code)
 	}
@@ -352,6 +369,19 @@ func mustGet(t *testing.T, url string) *http.Response {
 	}
 	resp.Body.Close()
 	return resp
+}
+
+// terminate sends SIGTERM to the test process: serve catches it
+// before it prints its address and shuts down as planned.
+func terminate(t *testing.T) {
+	t.Helper()
+	p, err := os.FindProcess(os.Getpid())
+	if err == nil {
+		err = p.Signal(syscall.SIGTERM)
+	}
+	if err != nil {
+		t.Fatalf("sending SIGTERM: %v", err)
+	}
 }
 
 func waitForAddr(t *testing.T, out *syncBuffer) string {

@@ -11,13 +11,15 @@
 //	GET  /readyz     quorum-aggregated replica readiness
 //	GET  /ring       routing state: membership, arc shares, breakers
 //	GET  /version    build description
-//	GET  /metrics    gateway counters (routing, leases, failovers)
+//	GET  /metrics    gateway counters (routing, roles, failovers)
 //
 // Requests are routed by their SHA-256 content address over a
 // consistent-hash ring, so identical requests land on the same replica
 // and the fleet-wide cache behaves like one process's. Concurrent
-// identical requests are coalesced across replicas by a TTL leader
-// lease: one dispatch computes, everyone shares its bytes. A replica
+// identical requests are coalesced across replicas: one dispatch
+// computes, everyone shares its bytes. The dispatch does not follow
+// its clients, who may leave; -lease.ttl is its deadline, so a replica
+// that hangs fails by the gateway's clock and answers 504. A replica
 // that fails, sheds or drains is a routing event — its circuit breaker
 // opens, the ring walk fails over to the next candidate, and a
 // half-open probe re-admits it when it recovers. Responses are served
@@ -70,7 +72,7 @@ func run(args []string, stdout io.Writer) error {
 	var (
 		addr       = fs.String("addr", "127.0.0.1:8090", "listen address (host:port; :0 picks a free port)")
 		vnodes     = fs.Int("vnodes", gateway.DefaultVNodes, "virtual nodes per replica on the routing ring")
-		leaseTTL   = fs.Duration("lease.ttl", 30*time.Second, "cross-replica singleflight lease TTL; followers take over past it")
+		leaseTTL   = fs.Duration("lease.ttl", 30*time.Second, "deadline of one coalesced dispatch, failover and retries included; a replica still silent at it fails with 504")
 		retries    = fs.Int("retries", 1, "per-replica dispatch retries before failing over")
 		retryBase  = fs.Duration("retry.base", 50*time.Millisecond, "base backoff between per-replica retries")
 		seed       = fs.Uint64("seed", 1, "seed for retry jitter streams")
@@ -185,7 +187,7 @@ func serve(ctx context.Context, a serveArgs, stdout io.Writer) error {
 	}
 	mux := gw.Handler()
 	// One address to scrape, same as the replicas: /metrics carries the
-	// routing and lease counters.
+	// routing and coalescing-role counters.
 	obs.Or(a.obs).Register(mux)
 
 	ln, err := net.Listen("tcp", a.addr)
@@ -195,12 +197,13 @@ func serve(ctx context.Context, a serveArgs, stdout io.Writer) error {
 	hs := &http.Server{Handler: mux}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
-	fmt.Fprintf(stdout, "hmeansgw %s listening on http://%s (%d replicas)\n",
-		obs.Version(), ln.Addr(), len(a.replicas))
-
+	// Catch termination signals before announcing the address: a
+	// SIGTERM sent as soon as the address appears must drain, not kill.
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(sigc)
+	fmt.Fprintf(stdout, "hmeansgw %s listening on http://%s (%d replicas)\n",
+		obs.Version(), ln.Addr(), len(a.replicas))
 
 	select {
 	case err := <-errc:

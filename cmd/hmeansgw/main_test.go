@@ -6,9 +6,11 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"regexp"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -109,11 +111,24 @@ func scoreBody() string {
 		strings.Join(workloads, ","), strings.Join(rows, ","), strings.Join(scores, ","))
 }
 
+// TestServeTimeoutShutdown: -timeout ends the gateway as a planned
+// shutdown, exit 0.
+func TestServeTimeoutShutdown(t *testing.T) {
+	var out syncBuffer
+	code, stderr := exec(t, &out, "-addr", "127.0.0.1:0", "-timeout", "100ms", "-replica", "http://127.0.0.1:1")
+	if code != 0 || stderr != "" {
+		t.Fatalf("exit %d, stderr %q after a planned -timeout shutdown", code, stderr)
+	}
+	if !strings.Contains(out.String(), "shut down") {
+		t.Fatalf("no shutdown line in %q", out.String())
+	}
+}
+
 // TestServeEndToEnd boots two in-process replicas and the gateway
 // binary's serve loop over them, scores through the gateway, checks
 // the routed response is byte-identical to the home replica's direct
-// answer, inspects /ring and /readyz, and verifies the planned
-// -timeout shutdown exits 0.
+// answer, inspects /ring and /readyz, and verifies the SIGTERM
+// shutdown exits 0.
 func TestServeEndToEnd(t *testing.T) {
 	var replicas []*httptest.Server
 	for i := 0; i < 2; i++ {
@@ -127,7 +142,7 @@ func TestServeEndToEnd(t *testing.T) {
 	done := make(chan int, 1)
 	go func() {
 		code, stderr := exec(t, &out,
-			"-addr", "127.0.0.1:0", "-timeout", "3s",
+			"-addr", "127.0.0.1:0",
 			"-replica", replicas[0].URL, "-replica", replicas[1].URL)
 		if stderr != "" {
 			t.Errorf("unexpected stderr: %s", stderr)
@@ -178,8 +193,16 @@ func TestServeEndToEnd(t *testing.T) {
 		}
 	}
 
+	p, err := os.FindProcess(os.Getpid())
+	if err == nil {
+		// serve catches SIGTERM before it prints its address.
+		err = p.Signal(syscall.SIGTERM)
+	}
+	if err != nil {
+		t.Fatalf("sending SIGTERM: %v", err)
+	}
 	if code := <-done; code != 0 {
-		t.Fatalf("gateway exited %d after planned -timeout shutdown", code)
+		t.Fatalf("gateway exited %d after a SIGTERM", code)
 	}
 	if !strings.Contains(out.String(), "shut down") {
 		t.Fatalf("no shutdown line in %q", out.String())

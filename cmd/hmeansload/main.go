@@ -173,7 +173,7 @@ func run(args []string, stdout io.Writer) error {
 		if *selfRepl > 1 {
 			// Cluster mode: the load loop targets an in-process gateway
 			// over N replicas, exercising routing, failover and the
-			// cross-replica lease under the same schedule a single
+			// cross-replica coalescing under the same schedule a single
 			// daemon gets.
 			c, err := load.StartCluster(*selfRepl, selfCfg)
 			if err != nil {

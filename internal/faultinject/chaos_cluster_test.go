@@ -1,7 +1,7 @@
 // Cluster-level chaos: a seeded TCP chaos proxy sits between the
 // gateway and ONE of its replicas, while the other replica stays
-// clean. Every injected fault — dropped connections, truncated and
-// corrupted responses — must resolve through the gateway as a
+// clean. Every injected fault — dropped connections, stalls, truncated
+// and corrupted responses — must resolve through the gateway as a
 // retry-to-another-replica or a typed error: never a wrong score,
 // never a stranded singleflight follower. Runs with the rest of the
 // ChaosService suite under `make chaos-service`
@@ -23,10 +23,9 @@ import (
 )
 
 // startChaosCluster boots a clean replica, a chaotic replica (fronted
-// by a seeded proxy), and a gateway over both. The gateway's dispatch
-// client has keep-alives off (truncate/corrupt need one connection per
-// request) and a hard timeout so no fault can hang a dispatch.
-func startChaosCluster(t *testing.T, seed uint64, plan faultinject.ChaosPlan) (*gateway.Gateway, string, *faultinject.ChaosProxy, string) {
+// by a seeded proxy), and a gateway over both, configured by cfg with
+// the two replicas filled in.
+func startChaosCluster(t *testing.T, seed uint64, plan faultinject.ChaosPlan, cfg gateway.Config) (*gateway.Gateway, string, *faultinject.ChaosProxy, string) {
 	t.Helper()
 	clean := httptest.NewServer(service.New(service.Config{MaxInflight: 4, QueueDepth: 64, CacheSize: 64}).Handler())
 	t.Cleanup(clean.Close)
@@ -48,8 +47,21 @@ func startChaosCluster(t *testing.T, seed uint64, plan faultinject.ChaosPlan) (*
 		}
 	})
 
-	gw, err := gateway.New(gateway.Config{
-		Replicas:  []string{clean.URL, proxy.URL()},
+	cfg.Replicas = []string{clean.URL, proxy.URL()}
+	gw, err := gateway.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(gw.Handler())
+	t.Cleanup(ts.Close)
+	return gw, ts.URL, proxy, clean.URL
+}
+
+// retryingConfig is the gateway of the wire-fault cases: per-replica
+// retries, keep-alives off (truncate/corrupt need one connection per
+// request) and a hard client timeout so no fault can hang a dispatch.
+func retryingConfig(seed uint64) gateway.Config {
+	return gateway.Config{
 		Retries:   2,
 		RetryBase: time.Millisecond,
 		Seed:      seed,
@@ -61,13 +73,7 @@ func startChaosCluster(t *testing.T, seed uint64, plan faultinject.ChaosPlan) (*
 			Timeout:   2 * time.Second,
 			Transport: &http.Transport{DisableKeepAlives: true},
 		},
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	ts := httptest.NewServer(gw.Handler())
-	t.Cleanup(ts.Close)
-	return gw, ts.URL, proxy, clean.URL
 }
 
 // TestChaosServiceClusterEveryFaultResolves drives payloads through
@@ -77,8 +83,8 @@ func startChaosCluster(t *testing.T, seed uint64, plan faultinject.ChaosPlan) (*
 // reroutes work, it never loses or falsifies it.
 func TestChaosServiceClusterEveryFaultResolves(t *testing.T) {
 	_, gwURL, proxy, cleanURL := startChaosCluster(t, 17, faultinject.ChaosPlan{
-		DropPct: 25, TruncatePct: 20, CorruptPct: 20, // no stalls: keep the suite fast
-	})
+		DropPct: 25, TruncatePct: 20, CorruptPct: 20, // stalls have their own case
+	}, retryingConfig(17))
 
 	for i := 0; i < 10; i++ {
 		body := marshalRequest(t, chaosRequest(uint64(100+i)))
@@ -120,7 +126,7 @@ func TestChaosServiceClusterEveryFaultResolves(t *testing.T) {
 func TestChaosServiceClusterNoStrandedFollowers(t *testing.T) {
 	_, gwURL, proxy, cleanURL := startChaosCluster(t, 23, faultinject.ChaosPlan{
 		DropPct: 30, TruncatePct: 20, CorruptPct: 20,
-	})
+	}, retryingConfig(23))
 	body := marshalRequest(t, chaosRequest(4))
 	want := postDirect(t, cleanURL, body)
 
@@ -165,5 +171,84 @@ func TestChaosServiceClusterNoStrandedFollowers(t *testing.T) {
 		if !bytes.Equal(results[i], want) {
 			t.Fatalf("request %d: bytes differ from the direct answer", i)
 		}
+	}
+}
+
+// TestChaosServiceClusterStallResolvesByLeaseTTL stalls every
+// connection to the chaotic replica for several LeaseTTLs, behind a
+// gateway whose dispatch client has no timeout of its own (as hmeansgw
+// builds it). For a key homed there, the leader and a concurrent burst
+// of its followers must all end in one typed 504 from one dispatch,
+// by the gateway's clock; that failure takes the replica out of
+// rotation, so the next request for the key fails over to the clean
+// replica and gets the direct answer's bytes.
+func TestChaosServiceClusterStallResolvesByLeaseTTL(t *testing.T) {
+	const ttl = 200 * time.Millisecond
+	gw, gwURL, proxy, cleanURL := startChaosCluster(t, 29, faultinject.ChaosPlan{
+		SlowPct: 100, SlowDelay: 4 * ttl,
+	}, gateway.Config{LeaseTTL: ttl, BreakerThreshold: 1})
+
+	var body []byte
+	for seed := uint64(1); body == nil; seed++ {
+		req := chaosRequest(seed)
+		if gw.Ring().Candidates(req.CacheKey())[0] == proxy.URL() {
+			body = marshalRequest(t, req)
+		}
+	}
+	want := postDirect(t, cleanURL, body)
+
+	const burst = 6
+	var wg sync.WaitGroup
+	results := make([][]byte, burst)
+	codes := make([]int, burst)
+	errs := make([]error, burst)
+	start := time.Now()
+	for i := 0; i < burst; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, err := http.Post(gwURL+"/v1/score", "application/json", bytes.NewReader(body))
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			defer resp.Body.Close()
+			results[i], errs[i] = io.ReadAll(resp.Body)
+			codes[i] = resp.StatusCode
+		}(i)
+	}
+	wg.Wait()
+	if took, limit := time.Since(start), ttl+2*time.Second; took > limit {
+		t.Fatalf("the burst took %v, want under %v", took, limit)
+	}
+	for i := 0; i < burst; i++ {
+		if errs[i] != nil {
+			t.Fatalf("request %d: %v", i, errs[i])
+		}
+		if codes[i] != http.StatusGatewayTimeout || !bytes.Equal(results[i], results[0]) {
+			t.Fatalf("request %d: status %d (%s), want the burst's one 504", i, codes[i], results[i])
+		}
+	}
+	if !bytes.Contains(results[0], []byte(`"error":"context deadline exceeded"`)) {
+		t.Fatalf("504 body %s, want the typed deadline error", results[0])
+	}
+	if n := len(proxy.Schedule()); n != 1 {
+		t.Fatalf("the stalled replica saw %d connections, want one dispatch", n)
+	}
+
+	resp, err := http.Post(gwURL+"/v1/score", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || resp.Header.Get(gateway.HeaderReplica) != cleanURL {
+		t.Fatalf("after the stall: status %d from %q, want 200 from the clean replica %s", resp.StatusCode, resp.Header.Get(gateway.HeaderReplica), cleanURL)
+	}
+	if !bytes.Equal(raw, want) {
+		t.Fatal("the failover served different bytes than the direct answer")
 	}
 }

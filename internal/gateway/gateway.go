@@ -4,11 +4,12 @@
 // consistent-hash ring of replicas (cache affinity: each key has one
 // home replica, so the fleet-wide cache hit rate approaches a single
 // process's), coalesces identical in-flight requests across replicas
-// with a TTL leader lease on the content hash, and treats replica
-// failure as a routing event — breaker-open or draining replicas are
-// skipped on the ring walk, /readyz aggregates replica readiness into
-// a quorum answer, and a recovered replica re-enters rotation through
-// a half-open probe.
+// into one dispatch through the replicas' own coalescing group
+// (service.Group) with Config.LeaseTTL as that dispatch's deadline,
+// and treats replica failure as a routing event — breaker-open or
+// draining replicas are skipped on the ring walk, /readyz aggregates
+// replica readiness into a quorum answer, and a recovered replica
+// re-enters rotation through a half-open probe.
 //
 // The byte-identity contract survives the extra hop: the gateway
 // serves exactly the bytes the replica returned (digest-verified on
@@ -41,8 +42,8 @@ import (
 const (
 	// HeaderReplica names the replica that served the response.
 	HeaderReplica = "X-Hmeans-Replica"
-	// HeaderRoute reports the lease role this request took: leader,
-	// follower or takeover.
+	// HeaderRoute reports the coalescing role this request took:
+	// leader or follower.
 	HeaderRoute = "X-Hmeans-Route"
 )
 
@@ -60,10 +61,12 @@ type Config struct {
 	// VNodes is the per-replica virtual-node count; <= 0 takes
 	// DefaultVNodes.
 	VNodes int
-	// LeaseTTL bounds how long followers wait on a leader before
-	// taking over its lease; <= 0 defaults to 30s. It should exceed
-	// the slowest expected compute, or takeovers will duplicate work
-	// (harmlessly, but measurably).
+	// LeaseTTL is the deadline of one dispatch: the leader's walk over
+	// the ring, retries included, which it and its followers share;
+	// <= 0 defaults to 30s. The dispatch is detached from the clients,
+	// so a replica that has not answered by then fails by this clock,
+	// counts against its breaker and answers 504. Set it above the
+	// slowest expected compute.
 	LeaseTTL time.Duration
 	// Retries bounds per-replica dispatch retries (service.Remote's
 	// policy); < 0 means 0. Failover to the next ring candidate is
@@ -110,7 +113,7 @@ type Gateway struct {
 	cfg      Config
 	obs      *obs.Observer
 	ring     *Ring
-	leases   *leaseTable
+	flights  *service.Group[leaseResult]
 	aliases  *service.Aliases
 	breakers *resilience.BreakerSet
 	client   *http.Client
@@ -165,7 +168,7 @@ func New(cfg Config) (*Gateway, error) {
 		cfg:      cfg,
 		obs:      obs.Or(cfg.Obs),
 		ring:     ring,
-		leases:   newLeaseTable(cfg.LeaseTTL),
+		flights:  service.NewGroup[leaseResult](),
 		aliases:  service.NewAliases(service.DefaultCacheSize * len(cfg.Replicas)),
 		breakers: resilience.NewBreakerSet(cfg.BreakerThreshold, cfg.BreakerCooldown),
 		client:   client,
@@ -225,7 +228,7 @@ func (g *Gateway) Draining() bool { return g.draining.Load() }
 // as-is, because every replica would answer identically. A draining
 // replica trips its breaker outright (it told us it will refuse work
 // until restart); other failures count toward the threshold.
-func (g *Gateway) dispatch(ctx context.Context, key [32]byte, body []byte) leaseResult {
+func (g *Gateway) dispatch(ctx context.Context, key [32]byte, body []byte) (leaseResult, error) {
 	var lastErr error
 	for _, addr := range g.ring.Candidates(key) {
 		br := g.breakers.Get(addr)
@@ -236,14 +239,15 @@ func (g *Gateway) dispatch(ctx context.Context, key [32]byte, body []byte) lease
 		raw, hdr, err := g.backend(addr).Post(ctx, body)
 		if err == nil {
 			br.Record(false)
-			return leaseResult{raw: raw, status: hdr.Get(service.HeaderCache), replica: addr}
+			return leaseResult{raw: raw, status: hdr.Get(service.HeaderCache), replica: addr}, nil
 		}
 		if !service.RetryableUpstream(err) {
-			// The replica answered authoritatively (or our own context
-			// fired): not a replica-health event, and failing over
-			// would just repeat the same answer.
+			// The replica answered authoritatively, which is not a
+			// replica-health event, or the dispatch's deadline fired
+			// on it, which is; failing over would repeat the answer or
+			// outlive the deadline.
 			br.Record(ctx.Err() != nil)
-			return leaseResult{replica: addr, err: err}
+			return leaseResult{replica: addr}, err
 		}
 		if isDraining(err) {
 			g.count("gateway.replica.draining")
@@ -255,7 +259,7 @@ func (g *Gateway) dispatch(ctx context.Context, key [32]byte, body []byte) lease
 		lastErr = err
 	}
 	if ctx.Err() != nil {
-		return leaseResult{err: ctx.Err()}
+		return leaseResult{}, ctx.Err()
 	}
 	if lastErr == nil {
 		lastErr = ErrNoReplica
@@ -263,7 +267,7 @@ func (g *Gateway) dispatch(ctx context.Context, key [32]byte, body []byte) lease
 		lastErr = fmt.Errorf("%w (last: %v)", ErrNoReplica, lastErr)
 	}
 	g.count("gateway.unavailable")
-	return leaseResult{err: lastErr}
+	return leaseResult{}, lastErr
 }
 
 // isDraining recognizes a replica's drain refusal: hmeansd maps
@@ -326,7 +330,7 @@ func (g *Gateway) handleScore(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Read, hash and (unless these exact bytes were keyed before)
-	// decode, validate and key, before touching ring or lease: a
+	// decode, validate and key, before touching ring or flights: a
 	// malformed request must not consume routing state, and the
 	// gateway's 400 carries the same message a replica's would.
 	body, key, req, err := service.ReadRequest(w, r, g.cfg.MaxBodyBytes, g.aliases, nil)
@@ -344,17 +348,28 @@ func (g *Gateway) handleScore(w http.ResponseWriter, r *http.Request) {
 	}
 	sp.SetAttr("key", hex.EncodeToString(key[:8]))
 
-	ctx := service.WithRequestID(r.Context(), reqID)
-	res, role := g.leases.do(ctx, key, func(ctx context.Context) leaseResult {
-		return g.dispatch(ctx, key, body)
+	// A follower waits for as long as its own client does. The
+	// dispatch is detached from the leader's client, as a replica's
+	// compute is from its leader's: followers share it, and a client
+	// that leaves is no evidence against the replica. LeaseTTL bounds
+	// it instead, so a hung replica fails by the gateway's clock.
+	res, leader, err := g.flights.Do(r.Context(), key, func() (leaseResult, bool, error) {
+		ctx, cancel := context.WithTimeout(context.WithoutCancel(service.WithRequestID(r.Context(), reqID)), g.cfg.LeaseTTL)
+		defer cancel()
+		res, err := g.dispatch(ctx, key, body)
+		return res, false, err
 	})
+	role := RoleFollower
+	if leader {
+		role = RoleLeader
+	}
 	g.count("gateway.lease." + role)
 	sp.SetAttr("route", role)
 	sp.SetAttr("replica", res.replica)
-	if res.err != nil {
-		code := httpStatus(res.err)
-		service.WriteError(w, sp, code, res.err)
-		g.logAccess(r, reqID, code, res.replica, role, res.status, start, res.err)
+	if err != nil {
+		code := httpStatus(err)
+		service.WriteError(w, sp, code, err)
+		g.logAccess(r, reqID, code, res.replica, role, res.status, start, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -473,9 +488,9 @@ func (g *Gateway) handleReadyz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleRing dumps the routing state: membership, arc shares, breaker
-// states, live leases. This is the artifact cluster-smoke uploads —
-// when a smoke run fails, the ring state says where keys were being
-// routed at the time.
+// states, dispatches in flight (leases). This is the artifact
+// cluster-smoke uploads — when a smoke run fails, the ring state says
+// where keys were being routed at the time.
 func (g *Gateway) handleRing(w http.ResponseWriter, r *http.Request) {
 	arcs := g.ring.Arcs()
 	type arcJSON struct {
@@ -492,7 +507,7 @@ func (g *Gateway) handleRing(w http.ResponseWriter, r *http.Request) {
 	}{
 		VNodes:   g.ring.vnodes,
 		Quorum:   g.cfg.Quorum,
-		Leases:   g.leases.len(),
+		Leases:   g.flights.Len(),
 		Draining: g.Draining(),
 	}
 	replicas := g.ring.Replicas()

@@ -423,9 +423,9 @@ func (b *countingBackend) Post(ctx context.Context, body []byte) ([]byte, http.H
 	return []byte(`{"from":"` + b.addr + `"}`), cacheHeader(service.CacheMiss), nil
 }
 
-// TestGatewayCrossReplicaSingleflight is the lease proof at the HTTP
-// layer: a burst of identical requests produces exactly one backend
-// dispatch; everyone else follows the lease and gets the same bytes.
+// TestGatewayCrossReplicaSingleflight is the coalescing proof at the
+// HTTP layer: a burst of identical requests produces exactly one
+// backend dispatch; everyone else follows it and gets the same bytes.
 func TestGatewayCrossReplicaSingleflight(t *testing.T) {
 	o := obs.New()
 	backends := map[string]*countingBackend{}
@@ -470,7 +470,7 @@ func TestGatewayCrossReplicaSingleflight(t *testing.T) {
 	}
 	// Wait until the leader is inside the backend and the rest are
 	// parked as followers, then release everyone at once.
-	waitFor(t, func() bool { return gw.leases.waiting.Load() == burst-1 })
+	waitFor(t, func() bool { return gw.flights.Waiting() == burst-1 })
 	close(gate)
 	wg.Wait()
 
@@ -496,173 +496,228 @@ func TestGatewayCrossReplicaSingleflight(t *testing.T) {
 	}
 }
 
-// TestGatewayLeaseTakeoverByteIdentical drives the leader-death drill
-// through the full HTTP stack: the leader's backend hangs past the
-// lease TTL, a follower takes over, dispatches for itself, and gets
-// byte-identical bytes (content addressing makes both dispatches
-// agree). No follower is stranded.
-func TestGatewayLeaseTakeoverByteIdentical(t *testing.T) {
-	o := obs.New()
-	stuck := make(chan struct{})
-	var dialCount atomic.Int32
-	gw, err := New(Config{
-		Replicas: []string{"http://b0", "http://b1"},
-		LeaseTTL: 50 * time.Millisecond,
-		Obs:      o,
-		Dial: func(addr string) service.Backend {
-			return backendFunc(func(ctx context.Context, body []byte) ([]byte, http.Header, error) {
-				if dialCount.Add(1) == 1 {
-					// First dispatch: the doomed leader. Hang far past
-					// the TTL, then answer anyway.
-					select {
-					case <-stuck:
-					case <-ctx.Done():
-						return nil, nil, ctx.Err()
-					}
-				}
-				return []byte(`{"score":1}`), cacheHeader(service.CacheMiss), nil
-			})
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(gw.Handler())
-	t.Cleanup(ts.Close)
-
-	body, _ := json.Marshal(gwTestRequest(8))
-	type res struct {
-		raw  []byte
-		code int
-	}
-	leaderDone := make(chan res, 1)
-	go func() {
-		resp, err := http.Post(ts.URL+"/v1/score", "application/json", bytes.NewReader(body))
-		if err != nil {
-			leaderDone <- res{}
-			return
-		}
-		defer resp.Body.Close()
-		var buf bytes.Buffer
-		buf.ReadFrom(resp.Body)
-		leaderDone <- res{raw: buf.Bytes(), code: resp.StatusCode}
-	}()
-	waitFor(t, func() bool { return dialCount.Load() == 1 })
-
-	// The follower arrives while the leader hangs; past the TTL it
-	// takes over and answers without the leader.
-	resp, err := http.Post(ts.URL+"/v1/score", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var followerBuf bytes.Buffer
-	followerBuf.ReadFrom(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("takeover request: status %d, body %s", resp.StatusCode, followerBuf.Bytes())
-	}
-	if got := resp.Header.Get(HeaderRoute); got != RoleTakeover {
-		t.Fatalf("route = %q, want %q", got, RoleTakeover)
-	}
-
-	// Unstick the leader: its own request must still complete with the
-	// same bytes — nobody is stranded, nothing diverges.
-	close(stuck)
-	select {
-	case lr := <-leaderDone:
-		if lr.code != http.StatusOK {
-			t.Fatalf("stuck leader finished with status %d", lr.code)
-		}
-		if !bytes.Equal(lr.raw, followerBuf.Bytes()) {
-			t.Fatalf("leader bytes %s != takeover bytes %s", lr.raw, followerBuf.Bytes())
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("stuck leader never completed")
-	}
-	if o.Metrics().Counter("gateway.lease.takeover").Value() != 1 {
-		t.Fatal("takeover counter never moved")
-	}
+// routed is one client's view of a gateway response.
+type routed struct {
+	code  int
+	route string
+	raw   []byte
+	err   error
 }
 
-// TestGatewayFollowerOutlivesCancelledLeader: when a lease leader's
-// client leaves mid-dispatch, a parked follower whose own client is
-// still waiting dispatches itself (route takeover) and gets the
-// replica's answer, not the leader's context error.
-func TestGatewayFollowerOutlivesCancelledLeader(t *testing.T) {
-	var dispatches atomic.Int32
-	gw, err := New(Config{
-		Replicas: []string{"http://b0"},
-		LeaseTTL: time.Minute,
-		Dial: func(addr string) service.Backend {
-			return backendFunc(func(ctx context.Context, body []byte) ([]byte, http.Header, error) {
-				if dispatches.Add(1) == 1 {
-					// The leader's dispatch: held until its client leaves.
-					<-ctx.Done()
-					return nil, nil, ctx.Err()
-				}
-				return []byte(`{"score":1}`), cacheHeader(service.CacheMiss), nil
-			})
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(gw.Handler())
-	t.Cleanup(ts.Close)
-	body, _ := json.Marshal(gwTestRequest(9))
-
-	lctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	leaderDone := make(chan error, 1)
+// postAsync posts body to the gateway under ctx in the background.
+func postAsync(ctx context.Context, url string, body []byte) <-chan routed {
+	out := make(chan routed, 1)
 	go func() {
-		req, _ := http.NewRequestWithContext(lctx, http.MethodPost, ts.URL+"/v1/score", bytes.NewReader(body))
-		resp, err := http.DefaultClient.Do(req)
-		if err == nil {
-			resp.Body.Close()
-		}
-		leaderDone <- err
-	}()
-	waitFor(t, func() bool { return dispatches.Load() == 1 })
-
-	type result struct {
-		code  int
-		route string
-		raw   []byte
-		err   error
-	}
-	followerDone := make(chan result, 1)
-	go func() {
-		resp, err := http.Post(ts.URL+"/v1/score", "application/json", bytes.NewReader(body))
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, url+"/v1/score", bytes.NewReader(body))
 		if err != nil {
-			followerDone <- result{err: err}
+			out <- routed{err: err}
+			return
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			out <- routed{err: err}
 			return
 		}
 		defer resp.Body.Close()
 		raw, err := io.ReadAll(resp.Body)
-		followerDone <- result{resp.StatusCode, resp.Header.Get(HeaderRoute), raw, err}
+		out <- routed{resp.StatusCode, resp.Header.Get(HeaderRoute), raw, err}
 	}()
-	waitFor(t, func() bool { return gw.leases.waiting.Load() == 1 })
+	return out
+}
+
+// await receives from ch, failing the test if nothing arrives within
+// five seconds.
+func await[T any](t *testing.T, ch <-chan T, what string) T {
+	t.Helper()
+	select {
+	case v := <-ch:
+		return v
+	case <-time.After(5 * time.Second):
+		t.Fatalf("timed out waiting for %s", what)
+	}
+	var zero T
+	return zero
+}
+
+// serveWatched serves h and reports on left each request whose client
+// went away while h was still serving it, and on served each request
+// h finished. Both buffers hold more than any one test sends.
+func serveWatched(t *testing.T, h http.Handler) (url string, left, served <-chan struct{}) {
+	l, s := make(chan struct{}, 8), make(chan struct{}, 8)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		stop := context.AfterFunc(r.Context(), func() { l <- struct{}{} })
+		h.ServeHTTP(w, r)
+		stop()
+		s <- struct{}{}
+	}))
+	t.Cleanup(ts.Close)
+	return ts.URL, l, s
+}
+
+// gatedBackend is a healthy stub replica: each dispatch announces
+// itself on entered and answers once the test sends on release, or
+// fails with its context's error if that ends first.
+func gatedBackend(dispatches *atomic.Int32, entered, release chan struct{}) func(string) service.Backend {
+	return func(string) service.Backend {
+		return backendFunc(func(ctx context.Context, body []byte) ([]byte, http.Header, error) {
+			dispatches.Add(1)
+			entered <- struct{}{}
+			select {
+			case <-release:
+				return []byte(`{"score":1}`), cacheHeader(service.CacheMiss), nil
+			case <-ctx.Done():
+				return nil, nil, ctx.Err()
+			}
+		})
+	}
+}
+
+// TestGatewayDepartingClientsKeepBreakerClosed: a client that leaves
+// mid-dispatch is no evidence against the replica. Three leaders whose
+// clients leave while a healthy replica works leave its breaker
+// closed (threshold 3), and the next client that waits gets 200.
+func TestGatewayDepartingClientsKeepBreakerClosed(t *testing.T) {
+	var dispatches atomic.Int32
+	// Sized to the test's four dispatches.
+	entered, release := make(chan struct{}, 4), make(chan struct{}, 4)
+	gw, err := New(Config{Replicas: []string{"http://b0"}, Dial: gatedBackend(&dispatches, entered, release)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	url, left, served := serveWatched(t, gw.Handler())
+
+	for i := uint64(0); i < 3; i++ {
+		body, _ := json.Marshal(gwTestRequest(20 + i))
+		ctx, cancel := context.WithCancel(context.Background())
+		done := postAsync(ctx, url, body)
+		await(t, entered, "the leader's dispatch")
+		cancel()
+		if got := await(t, done, "the leader's client"); got.err == nil {
+			t.Fatalf("leader %d: cancelled client got status %d", i, got.code)
+		}
+		await(t, left, "the gateway to see the client leave")
+		release <- struct{}{}
+		await(t, served, "the leader's handler")
+	}
+	if got := gw.Breakers().Get("http://b0").State(); got != "closed" {
+		t.Fatalf("breaker %s after three departing clients, want closed", got)
+	}
+	release <- struct{}{}
+	resp, raw := postScore(t, url, gwTestRequest(23))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("waiting client: status %d, body %s", resp.StatusCode, raw)
+	}
+	if n := dispatches.Load(); n != 4 {
+		t.Fatalf("%d dispatches, want 4", n)
+	}
+}
+
+// TestGatewayFollowerSharesDepartedLeadersDispatch: when the leader's
+// client leaves, its dispatch goes on, and a follower whose client
+// waits gets the replica's bytes from that one dispatch.
+func TestGatewayFollowerSharesDepartedLeadersDispatch(t *testing.T) {
+	var dispatches atomic.Int32
+	entered, release := make(chan struct{}, 2), make(chan struct{})
+	gw, err := New(Config{Replicas: []string{"http://b0"}, Dial: gatedBackend(&dispatches, entered, release)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	url, left, _ := serveWatched(t, gw.Handler())
+	body, _ := json.Marshal(gwTestRequest(9))
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	leader := postAsync(ctx, url, body)
+	await(t, entered, "the leader's dispatch")
+	follower := postAsync(context.Background(), url, body)
+	waitFor(t, func() bool { return gw.flights.Waiting() == 1 })
 
 	cancel()
-	if err := <-leaderDone; err == nil {
-		t.Fatal("cancelled leader's request succeeded")
+	if got := await(t, leader, "the leader's client"); got.err == nil {
+		t.Fatalf("cancelled leader's client got status %d", got.code)
 	}
-	select {
-	case got := <-followerDone:
+	await(t, left, "the gateway to see the leader's client leave")
+	close(release)
+	got := await(t, follower, "the follower")
+	if got.err != nil {
+		t.Fatal(got.err)
+	}
+	if got.code != http.StatusOK || got.route != RoleFollower || string(got.raw) != `{"score":1}` {
+		t.Fatalf("follower: status %d, route %q, body %s; want 200, %q and the replica's bytes", got.code, got.route, got.raw, RoleFollower)
+	}
+	if n := dispatches.Load(); n != 1 {
+		t.Fatalf("%d dispatches, want 1", n)
+	}
+}
+
+// TestGatewayHungReplicaFailsByLeaseTTL: a replica that stops
+// answering fails by the gateway's own clock. The leader and its
+// follower both get 504 at LeaseTTL from one dispatch, the failure
+// opens the breaker, and once the cooldown has passed on the breaker
+// clock the half-open probe reaches the recovered replica and closes
+// it again.
+func TestGatewayHungReplicaFailsByLeaseTTL(t *testing.T) {
+	var dispatches atomic.Int32
+	var recovered atomic.Bool
+	entered, parked := make(chan struct{}, 1), make(chan struct{})
+	gw, err := New(Config{
+		Replicas:         []string{"http://b0"},
+		LeaseTTL:         50 * time.Millisecond,
+		BreakerThreshold: 1,
+		Dial: func(string) service.Backend {
+			return backendFunc(func(ctx context.Context, body []byte) ([]byte, http.Header, error) {
+				dispatches.Add(1)
+				if recovered.Load() {
+					return []byte(`{"score":1}`), cacheHeader(service.CacheMiss), nil
+				}
+				entered <- struct{}{}
+				<-ctx.Done()
+				// Keep the flight open until the follower has joined it.
+				<-parked
+				return nil, nil, ctx.Err()
+			})
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var elapsed atomic.Int64
+	base := time.Now()
+	gw.Breakers().SetClock(func() time.Time { return base.Add(time.Duration(elapsed.Load())) })
+	ts := httptest.NewServer(gw.Handler())
+	t.Cleanup(ts.Close)
+	body, _ := json.Marshal(gwTestRequest(10))
+
+	leader := postAsync(context.Background(), ts.URL, body)
+	await(t, entered, "the leader's dispatch")
+	follower := postAsync(context.Background(), ts.URL, body)
+	waitFor(t, func() bool { return gw.flights.Waiting() == 1 })
+	close(parked)
+	for who, ch := range map[string]<-chan routed{"leader": leader, "follower": follower} {
+		got := await(t, ch, "the "+who)
 		if got.err != nil {
 			t.Fatal(got.err)
 		}
-		if got.code != http.StatusOK {
-			t.Fatalf("follower: status %d, body %s", got.code, got.raw)
+		if got.code != http.StatusGatewayTimeout || !strings.Contains(string(got.raw), "deadline exceeded") {
+			t.Fatalf("%s: status %d, body %s; want a 504 deadline error", who, got.code, got.raw)
 		}
-		if got.route != RoleTakeover {
-			t.Fatalf("follower route = %q, want %q", got.route, RoleTakeover)
-		}
-		if string(got.raw) != `{"score":1}` {
-			t.Fatalf("follower body %s", got.raw)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("follower never answered")
+	}
+	if n := dispatches.Load(); n != 1 {
+		t.Fatalf("%d dispatches to the hung replica, want 1", n)
+	}
+	br := gw.Breakers().Get("http://b0")
+	if got := br.State(); got != "open" {
+		t.Fatalf("breaker %s after the deadline fired, want open", got)
+	}
+
+	recovered.Store(true)
+	elapsed.Store(int64(6 * time.Second)) // past the 5 s default cooldown
+	resp, raw := postScore(t, ts.URL, gwTestRequest(10))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("half-open probe: status %d, body %s", resp.StatusCode, raw)
+	}
+	if got := br.State(); got != "closed" {
+		t.Fatalf("breaker %s after a successful probe, want closed", got)
 	}
 	if n := dispatches.Load(); n != 2 {
 		t.Fatalf("%d dispatches, want 2", n)

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"log/slog"
 	"sync"
+	"testing"
+	"time"
 )
 
 // syncBuffer is a mutex-guarded bytes.Buffer: the replica's access log
@@ -27,4 +29,17 @@ func (b *syncBuffer) String() string {
 
 func newJSONLogger(w *syncBuffer) *slog.Logger {
 	return slog.New(slog.NewJSONHandler(w, nil))
+}
+
+// waitFor polls cond until it holds or the deadline passes.
+func waitFor(t *testing.T, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) {
+		if cond() {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatal("condition never held")
 }

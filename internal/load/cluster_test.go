@@ -101,7 +101,7 @@ func TestClusterUnderLoad(t *testing.T) {
 	if rep.ErrorRate != 0 {
 		t.Fatalf("error rate %v under a healthy cluster, want 0", rep.ErrorRate)
 	}
-	// The lease and routing tier actually saw the traffic.
+	// The gateway actually saw the traffic.
 	if o.Metrics().Counter("gateway.requests").Value() == 0 {
 		t.Fatal("gateway.requests never moved — load bypassed the gateway")
 	}

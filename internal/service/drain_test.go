@@ -122,9 +122,9 @@ func TestPanicBecomesTypedError(t *testing.T) {
 	srv.computeHook = func(*Request) {
 		close(entered)
 		// Panic only after a follower has joined the flight, so the
-		// test proves the recover happens inside the leader closure —
-		// an escape would strand this follower forever.
-		for srv.group.waiting() == 0 {
+		// test proves the recover happens inside the flight (Group.Do)
+		// — an escape would strand this follower forever.
+		for srv.group.Waiting() == 0 {
 			time.Sleep(time.Millisecond)
 		}
 		panic("kaboom")

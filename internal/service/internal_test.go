@@ -103,7 +103,7 @@ func TestLimiterContextCancelWhileQueued(t *testing.T) {
 }
 
 func TestSingleflightRunsOnce(t *testing.T) {
-	g := newGroup()
+	g := NewGroup[[]byte]()
 	var runs atomic.Int32
 	release := make(chan struct{})
 	const callers = 16
@@ -114,7 +114,7 @@ func TestSingleflightRunsOnce(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, leader, err := g.do(context.Background(), key(7), func() ([]byte, bool, error) {
+			v, leader, err := g.Do(context.Background(), key(7), func() ([]byte, bool, error) {
 				runs.Add(1)
 				<-release
 				return []byte("result"), false, nil
@@ -125,7 +125,7 @@ func TestSingleflightRunsOnce(t *testing.T) {
 			vals[i], leaders[i] = v, leader
 		}(i)
 	}
-	waitForCond(t, func() bool { return runs.Load() == 1 && g.waiting() == callers-1 }, "followers joined")
+	waitForCond(t, func() bool { return runs.Load() == 1 && g.Waiting() == callers-1 }, "followers joined")
 	close(release)
 	wg.Wait()
 	if runs.Load() != 1 {
@@ -143,16 +143,46 @@ func TestSingleflightRunsOnce(t *testing.T) {
 	if nLeaders != 1 {
 		t.Fatalf("%d leaders, want exactly 1", nLeaders)
 	}
-	if g.flights() != 0 {
-		t.Fatalf("flight leaked: %d", g.flights())
+	if g.Len() != 0 {
+		t.Fatalf("flight leaked: %d", g.Len())
+	}
+}
+
+// TestSingleflightDistinctKeysDoNotCoalesce pins that flights are
+// per key: concurrent callers on distinct keys each run fn.
+func TestSingleflightDistinctKeysDoNotCoalesce(t *testing.T) {
+	g := NewGroup[[]byte]()
+	var runs atomic.Int32
+	release := make(chan struct{})
+	const keys = 4
+	var wg sync.WaitGroup
+	for i := 0; i < keys; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, leader, err := g.Do(context.Background(), key(byte(i)), func() ([]byte, bool, error) {
+				runs.Add(1)
+				<-release
+				return []byte("x"), false, nil
+			})
+			if !leader || err != nil {
+				t.Errorf("key %d: leader=%v err=%v, want its own flight", i, leader, err)
+			}
+		}(i)
+	}
+	waitForCond(t, func() bool { return g.Len() == keys }, "one flight per key")
+	close(release)
+	wg.Wait()
+	if got := runs.Load(); got != keys {
+		t.Fatalf("fn ran %d times for %d distinct keys, want %d", got, keys, keys)
 	}
 }
 
 func TestSingleflightFollowerDeadline(t *testing.T) {
-	g := newGroup()
+	g := NewGroup[[]byte]()
 	release := make(chan struct{})
 	started := make(chan struct{})
-	go g.do(context.Background(), key(9), func() ([]byte, bool, error) {
+	go g.Do(context.Background(), key(9), func() ([]byte, bool, error) {
 		close(started)
 		<-release
 		return nil, false, nil
@@ -160,7 +190,7 @@ func TestSingleflightFollowerDeadline(t *testing.T) {
 	<-started
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	_, leader, err := g.do(ctx, key(9), func() ([]byte, bool, error) { return nil, false, nil })
+	_, leader, err := g.Do(ctx, key(9), func() ([]byte, bool, error) { return nil, false, nil })
 	if leader || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("follower got leader=%v err=%v, want deadline error", leader, err)
 	}

@@ -43,13 +43,13 @@ func TestFlightRechecksCache(t *testing.T) {
 	s.computeHook = func(*Request) { computed.Add(1) }
 	k := req.CacheKey()
 	release := make(chan struct{})
-	go s.group.do(context.Background(), k, func() ([]byte, bool, error) {
+	go s.group.Do(context.Background(), k, func() ([]byte, bool, error) {
 		<-release
 		return nil, true, context.Canceled
 	})
-	waitForCond(t, func() bool { return s.group.flights() == 1 }, "flight open")
+	waitForCond(t, func() bool { return s.group.Len() == 1 }, "flight open")
 	done := scoreAsync(s, context.Background(), req)
-	waitForCond(t, func() bool { return s.group.waiting() == 1 }, "request joined the flight")
+	waitForCond(t, func() bool { return s.group.Waiting() == 1 }, "request joined the flight")
 	s.cache.put(k, want)
 	close(release)
 	got := <-done
@@ -88,7 +88,7 @@ func TestFollowerOutlivesCancelledLeader(t *testing.T) {
 	leaderDone := scoreAsync(s, lctx, req)
 	waitForCond(t, func() bool { return s.Queued() == 1 }, "leader queued")
 	followerDone := scoreAsync(s, context.Background(), req)
-	waitForCond(t, func() bool { return s.group.waiting() == 1 }, "follower joined")
+	waitForCond(t, func() bool { return s.group.Waiting() == 1 }, "follower joined")
 
 	cancel()
 	if got := <-leaderDone; !errors.Is(got.err, context.Canceled) {

@@ -89,7 +89,7 @@ type Server struct {
 	obs     *obs.Observer
 	cache   *cache[[]byte]
 	aliases *Aliases
-	group   *group
+	group   *Group[[]byte]
 	lim     *limiter
 	// draining flips on BeginDrain: /readyz answers 503 and new
 	// scoring work is refused while admitted requests finish.
@@ -113,7 +113,7 @@ func New(cfg Config) *Server {
 		obs:     obs.Or(cfg.Obs),
 		cache:   newCache[[]byte](cfg.CacheSize),
 		aliases: NewAliases(cfg.CacheSize),
-		group:   newGroup(),
+		group:   NewGroup[[]byte](),
 		lim:     newLimiter(cfg.MaxInflight, cfg.QueueDepth),
 	}
 }
@@ -169,19 +169,7 @@ func (s *Server) score(ctx context.Context, key cacheKey, req *Request, st *scor
 		return raw, CacheHit, nil
 	}
 	hit := false
-	raw, leader, err := s.group.do(ctx, key, func() (raw []byte, left bool, err error) {
-		// A panic inside the flight must be converted to an error
-		// *here*, before group.do regains control: the leader's normal
-		// return is what closes the flight and wakes the coalesced
-		// followers, so a panic that escaped this closure would leave
-		// every follower waiting forever on a flight that no longer
-		// exists.
-		defer func() {
-			if v := recover(); v != nil {
-				s.count("service.panic")
-				raw, left, err = nil, false, &PanicError{Value: v, Stack: debug.Stack()}
-			}
-		}()
+	raw, leader, err := s.group.Do(ctx, key, func() (raw []byte, left bool, err error) {
 		// A request that missed the cache just before the previous
 		// flight for key stored its result, and reached the group just
 		// after that flight closed, leads a new flight: serve the
@@ -243,6 +231,10 @@ func (s *Server) score(ctx context.Context, key cacheKey, req *Request, st *scor
 		status = CacheMiss
 	}
 	if err != nil {
+		var pe *PanicError
+		if leader && errors.As(err, &pe) {
+			s.count("service.panic")
+		}
 		s.countErr(err)
 		return nil, status, err
 	}
@@ -446,8 +438,8 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	}
 	// Backstop panic recovery for everything outside the coalescing
 	// group (decode, validation, response writing). Panics inside a
-	// flight are converted by the leader closure itself — they must
-	// not unwind past group.do — so this recover is the rare path.
+	// flight are converted by Group.Do itself, which must close the
+	// flight for its followers, so this recover is the rare path.
 	defer func() {
 		if v := recover(); v != nil {
 			err := &PanicError{Value: v, Stack: debug.Stack()}

@@ -381,9 +381,9 @@ func TestScoreCoalescesDuplicates(t *testing.T) {
 		results <- result{r.Header.Get("X-Hmeans-Cache"), r.StatusCode, raw}
 	}
 	go do()
-	waitFor(t, func() bool { return srv.group.flights() == 1 && srv.Queued() == 1 }, "leader queued")
+	waitFor(t, func() bool { return srv.group.Len() == 1 && srv.Queued() == 1 }, "leader queued")
 	go do()
-	waitFor(t, func() bool { return srv.group.waiting() == 1 }, "follower joined the flight")
+	waitFor(t, func() bool { return srv.group.Waiting() == 1 }, "follower joined the flight")
 	srv.lim.release()
 
 	a, b := <-results, <-results

@@ -2,41 +2,45 @@ package service
 
 import (
 	"context"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
 
-// group coalesces duplicate in-flight computations: the first caller
+// Group coalesces duplicate in-flight computations: the first caller
 // for a key becomes the leader and runs fn; every caller that arrives
 // with the same key while the leader is running waits for the
-// leader's result instead of recomputing it. This is what makes a
-// burst of identical requests train the SOM exactly once.
+// leader's result instead of recomputing it. Both hops coalesce
+// through one: on a replica it is what makes a burst of identical
+// requests train the SOM exactly once, and the gateway sends one
+// dispatch per key however many clients ask.
 //
 // Unlike x/sync/singleflight, waiting is context-aware: a follower
 // whose request deadline fires stops waiting (and gets its context
 // error) while the leader's computation continues for the others.
-type group struct {
+type Group[V any] struct {
 	mu sync.Mutex
-	m  map[cacheKey]*call
+	m  map[[32]byte]*call[V]
 	// followers counts callers currently waiting on another caller's
-	// flight — observability for tests and the /metrics gauge.
+	// flight — observability for tests.
 	followers atomic.Int64
 }
 
-type call struct {
+type call[V any] struct {
 	done chan struct{}
-	val  []byte
+	val  V
 	err  error
 	// left marks a flight that ended only because its leader's
 	// request context ended.
 	left bool
 }
 
-func newGroup() *group {
-	return &group{m: make(map[cacheKey]*call)}
+// NewGroup returns an empty Group.
+func NewGroup[V any]() *Group[V] {
+	return &Group[V]{m: make(map[[32]byte]*call[V])}
 }
 
-// do runs fn for key, coalescing concurrent duplicates. It returns
+// Do runs fn for key, coalescing concurrent duplicates. It returns
 // fn's result, plus leader=false when the result came from another
 // caller's computation. fn runs exactly once per flight regardless of
 // how many callers join it. fn reports left=true when it gave up only
@@ -44,8 +48,10 @@ func newGroup() *group {
 // that error, and each follower whose own context is still live runs
 // the flight again (leading a new one, or joining the one another
 // follower started) instead of inheriting an error that was not its
-// own.
-func (g *group) do(ctx context.Context, key cacheKey, fn func() (val []byte, left bool, err error)) (val []byte, leader bool, err error) {
+// own. A panic in fn reaches the leader and every follower as a
+// *PanicError: the flight still closes, so no follower waits on it
+// forever.
+func (g *Group[V]) Do(ctx context.Context, key [32]byte, fn func() (val V, left bool, err error)) (val V, leader bool, err error) {
 	for {
 		g.mu.Lock()
 		c, ok := g.m[key]
@@ -58,18 +64,25 @@ func (g *group) do(ctx context.Context, key cacheKey, fn func() (val []byte, lef
 		case <-c.done:
 		case <-ctx.Done():
 			g.followers.Add(-1)
-			return nil, false, ctx.Err()
+			return val, false, ctx.Err()
 		}
 		g.followers.Add(-1)
 		if !c.left || ctx.Err() != nil {
 			return c.val, false, c.err
 		}
 	}
-	c := &call{done: make(chan struct{})}
+	c := &call[V]{done: make(chan struct{})}
 	g.m[key] = c
 	g.mu.Unlock()
 
-	c.val, c.left, c.err = fn()
+	func() {
+		defer func() {
+			if v := recover(); v != nil {
+				c.err = &PanicError{Value: v, Stack: debug.Stack()}
+			}
+		}()
+		c.val, c.left, c.err = fn()
+	}()
 
 	g.mu.Lock()
 	delete(g.m, key)
@@ -78,13 +91,13 @@ func (g *group) do(ctx context.Context, key cacheKey, fn func() (val []byte, lef
 	return c.val, true, c.err
 }
 
-// flights reports the number of in-flight computations.
-func (g *group) flights() int {
+// Len reports the number of in-flight computations.
+func (g *Group[V]) Len() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return len(g.m)
 }
 
-// waiting reports the number of callers waiting on another caller's
+// Waiting reports the number of callers waiting on another caller's
 // flight.
-func (g *group) waiting() int64 { return g.followers.Load() }
+func (g *Group[V]) Waiting() int64 { return g.followers.Load() }
