@@ -15,7 +15,11 @@ import (
 // (grid shape, training length, seed). Training always starts on the
 // plane of the two major principal components and anneals its
 // learning rate and radius exponentially. The zero value uses the
-// library defaults, including a grid sized to the sample count.
+// library defaults, including a grid sized to the sample count. Its
+// Starts field is the scoring daemon's table of prepared training
+// starts, one per suite, which lets a miss on a suite the daemon has
+// scored before skip the seed-free set-up; nil, the zero value,
+// prepares every run's start afresh and trains the same weights.
 type SOMConfig = som.Config
 
 // Interval is a two-sided confidence interval around a statistic.

@@ -243,10 +243,11 @@ func (g *Gateway) dispatch(ctx context.Context, key [32]byte, body []byte) (leas
 		}
 		if !service.RetryableUpstream(err) {
 			// The replica answered authoritatively, which is not a
-			// replica-health event, or the dispatch's deadline fired
-			// on it, which is; failing over would repeat the answer or
-			// outlive the deadline.
-			br.Record(ctx.Err() != nil)
+			// replica-health event, or a deadline fired on it, which
+			// is: the dispatch's own or, while that is still live,
+			// Config.Client's per-attempt Timeout. Failing over would
+			// repeat the answer or outlive the deadline.
+			br.Record(ctx.Err() != nil || errors.Is(err, context.DeadlineExceeded))
 			return leaseResult{replica: addr}, err
 		}
 		if isDraining(err) {

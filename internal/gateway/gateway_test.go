@@ -724,6 +724,57 @@ func TestGatewayHungReplicaFailsByLeaseTTL(t *testing.T) {
 	}
 }
 
+// TestGatewayClientTimeoutOpensBreaker: when Config.Client's own
+// Timeout fires on a hung replica while the dispatch deadline is still
+// live, the attempt is a replica failure. With threshold 1 the first
+// 504 opens that replica's breaker, as /ring reports.
+func TestGatewayClientTimeoutOpensBreaker(t *testing.T) {
+	release := make(chan struct{})
+	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/score" {
+			io.WriteString(w, "ok\n")
+			return
+		}
+		select {
+		case <-r.Context().Done():
+		case <-release:
+		}
+	}))
+	t.Cleanup(hung.Close)
+	t.Cleanup(func() { close(release) })
+	gw, err := New(Config{
+		Replicas:         []string{hung.URL},
+		BreakerThreshold: 1,
+		Client:           &http.Client{Timeout: 50 * time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(gw.Handler())
+	t.Cleanup(ts.Close)
+	resp, raw := postScore(t, ts.URL, gwTestRequest(1))
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("status %d, body %s; want 504", resp.StatusCode, raw)
+	}
+	ring, err := http.Get(ts.URL + "/ring")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ring.Body.Close()
+	var body struct {
+		Replicas []struct {
+			Replica string `json:"replica"`
+			Breaker string `json:"breaker"`
+		} `json:"replicas"`
+	}
+	if err := json.NewDecoder(ring.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	if len(body.Replicas) != 1 || body.Replicas[0].Breaker != "open" {
+		t.Fatalf("/ring replicas %+v after a client timeout, want the hung replica's breaker open", body.Replicas)
+	}
+}
+
 // backendFunc adapts a function to service.Backend.
 type backendFunc func(ctx context.Context, body []byte) ([]byte, http.Header, error)
 

@@ -52,7 +52,7 @@ func TestAliasHitMatchesDecodedHit(t *testing.T) {
 	if n := aliasHits.Value(); n != 0 {
 		t.Fatalf("re-spaced request hit an alias (%d); it must be decoded", n)
 	}
-	if n := srv.aliases.len(); n != 2 {
+	if n := srv.aliases.Len(); n != 2 {
 		t.Fatalf("%d aliases after two distinct bodies, want 2", n)
 	}
 	r3, aliased := postBody(t, ts.URL, body)
@@ -148,7 +148,7 @@ func TestAliasTableBounded(t *testing.T) {
 		if r, raw := postBody(t, ts.URL, respaced(body, i)); r.StatusCode != http.StatusOK {
 			t.Fatalf("body %d: status %d (%s)", i, r.StatusCode, raw)
 		}
-		if n := srv.aliases.len(); n > 2 {
+		if n := srv.aliases.Len(); n > 2 {
 			t.Fatalf("after %d bodies the alias table holds %d entries, CacheSize 2", i+1, n)
 		}
 	}
@@ -170,7 +170,7 @@ func TestBodyLimitCoversWholeBody(t *testing.T) {
 	if err := json.Unmarshal(raw, &werr); err != nil || werr.Error != "decoding request: http: request body too large" {
 		t.Fatalf("oversized body: error %q (%v)", werr.Error, err)
 	}
-	if n := srv.aliases.len(); n != 0 {
+	if n := srv.aliases.Len(); n != 0 {
 		t.Fatalf("rejected body left %d aliases", n)
 	}
 	if r, raw := postBody(t, ts.URL, body); r.StatusCode != http.StatusOK {

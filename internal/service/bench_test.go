@@ -2,11 +2,14 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 )
 
@@ -82,5 +85,41 @@ func BenchmarkCacheKeyCaseStudy(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchKey = req.CacheKey()
+	}
+}
+
+// BenchmarkServiceScoreMiss scores the paper's case study on a cache
+// miss through Server.Score, on either side of the SOM start table's
+// property (a repeated suite). suite=repeat changes only the SOM seed
+// at each iteration, so every miss after the first reuses the suite's
+// start. suite=fresh also moves one counter by one ulp at each
+// iteration, so no start is ever reused, and the arm measures what
+// keying the table costs traffic without the property.
+func BenchmarkServiceScoreMiss(b *testing.B) {
+	base := caseStudyRequest(b, 7)
+	for _, fresh := range []bool{false, true} {
+		name := "suite=repeat"
+		if fresh {
+			name = "suite=fresh"
+		}
+		b.Run(name, func(b *testing.B) {
+			srv := New(Config{CacheSize: DefaultCacheSize})
+			req := *base
+			req.Table.Rows = make([][]float64, len(base.Table.Rows))
+			for i, row := range base.Table.Rows {
+				req.Table.Rows[i] = slices.Clone(row)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				req.Config.Seed = uint64(i + 1)
+				if fresh {
+					req.Table.Rows[0][0] = math.Nextafter(req.Table.Rows[0][0], math.Inf(1))
+				}
+				if _, status, err := srv.Score(context.Background(), &req); err != nil || status != CacheMiss {
+					b.Fatalf("status %q, error %v; want a miss", status, err)
+				}
+			}
+		})
 	}
 }

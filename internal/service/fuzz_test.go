@@ -28,7 +28,7 @@ func FuzzRestoreSnapshot(f *testing.F) {
 	for i := 1; i <= 3; i++ {
 		var k cacheKey
 		k[0] = byte(i)
-		src.cache.put(k, bytes.Repeat([]byte{byte('a' + i)}, 20*i))
+		src.cache.Put(k, bytes.Repeat([]byte{byte('a' + i)}, 20*i))
 	}
 	var buf bytes.Buffer
 	if _, err := src.WriteSnapshot(&buf); err != nil {
@@ -119,13 +119,13 @@ func FuzzDecodeRequest(f *testing.F) {
 		for _, declared := range []int64{-1, int64(len(data)) + 64<<20} {
 			other := NewAliases(4)
 			k, oreq, oerr := readDeclared(other, data, declared)
-			if k != key || (oreq == nil) != (req == nil) || fmt.Sprint(oerr) != fmt.Sprint(err) || other.len() != aliases.len() {
+			if k != key || (oreq == nil) != (req == nil) || fmt.Sprint(oerr) != fmt.Sprint(err) || other.Len() != aliases.Len() {
 				t.Fatalf("declared length %d: key match %v, decoded %v (exact length %v), error %v (exact length %v), %d aliases (exact length %d)",
-					declared, k == key, oreq != nil, req != nil, oerr, err, other.len(), aliases.len())
+					declared, k == key, oreq != nil, req != nil, oerr, err, other.Len(), aliases.Len())
 			}
 		}
 		if err != nil {
-			if n := aliases.len(); n != 0 {
+			if n := aliases.Len(); n != 0 {
 				t.Fatalf("rejected body left %d aliases", n)
 			}
 			var br *BadRequestError

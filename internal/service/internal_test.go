@@ -16,52 +16,6 @@ func key(b byte) cacheKey {
 	return k
 }
 
-func TestCacheLRUEviction(t *testing.T) {
-	c := newCache[[]byte](2)
-	c.put(key(1), []byte("one"))
-	c.put(key(2), []byte("two"))
-	if _, ok := c.get(key(1)); !ok {
-		t.Fatal("key 1 evicted below capacity")
-	}
-	// key 1 was just used, so inserting key 3 must evict key 2.
-	c.put(key(3), []byte("three"))
-	if _, ok := c.get(key(2)); ok {
-		t.Fatal("LRU kept the least recently used entry")
-	}
-	if v, ok := c.get(key(1)); !ok || string(v) != "one" {
-		t.Fatalf("key 1 lost or corrupted: %q %v", v, ok)
-	}
-	if v, ok := c.get(key(3)); !ok || string(v) != "three" {
-		t.Fatalf("key 3 lost or corrupted: %q %v", v, ok)
-	}
-	if c.len() != 2 {
-		t.Fatalf("len = %d, want 2", c.len())
-	}
-}
-
-func TestCacheRefreshExistingKey(t *testing.T) {
-	c := newCache[[]byte](2)
-	c.put(key(1), []byte("a"))
-	c.put(key(1), []byte("b"))
-	if c.len() != 1 {
-		t.Fatalf("duplicate put grew the cache to %d entries", c.len())
-	}
-	if v, _ := c.get(key(1)); string(v) != "b" {
-		t.Fatalf("refresh kept the stale value %q", v)
-	}
-}
-
-func TestCacheDisabled(t *testing.T) {
-	c := newCache[[]byte](0)
-	c.put(key(1), []byte("x"))
-	if _, ok := c.get(key(1)); ok {
-		t.Fatal("disabled cache returned a value")
-	}
-	if c.len() != 0 {
-		t.Fatalf("disabled cache holds %d entries", c.len())
-	}
-}
-
 func TestLimiterImmediateAndQueueReject(t *testing.T) {
 	l := newLimiter(1, 1)
 	if err := l.acquire(context.Background()); err != nil {

@@ -50,7 +50,7 @@ func TestFlightRechecksCache(t *testing.T) {
 	waitForCond(t, func() bool { return s.group.Len() == 1 }, "flight open")
 	done := scoreAsync(s, context.Background(), req)
 	waitForCond(t, func() bool { return s.group.Waiting() == 1 }, "request joined the flight")
-	s.cache.put(k, want)
+	s.cache.Put(k, want)
 	close(release)
 	got := <-done
 	if got.err != nil || got.status != CacheHit {

@@ -19,7 +19,9 @@ import (
 
 	"hmeans/internal/cluster"
 	"hmeans/internal/core"
+	"hmeans/internal/lru"
 	"hmeans/internal/obs"
+	"hmeans/internal/som"
 )
 
 // DefaultQueueDepth is the -queue-depth default shared by cmd/hmeansd
@@ -36,6 +38,10 @@ const DefaultQueueDepth = 64
 // DefaultCacheSize aliases per replica, one for each result the fleet
 // caches at this default.
 const DefaultCacheSize = 128
+
+// startCapacity is the number of SOM training starts a server keeps
+// (som.Starts): under 60 KB each for the case study and suite-500.
+const startCapacity = 16
 
 // Config configures a scoring server. The zero value is usable:
 // worker pool sized to the CPU count, no queue, no cache, no compute
@@ -87,10 +93,15 @@ type Config struct {
 type Server struct {
 	cfg     Config
 	obs     *obs.Observer
-	cache   *cache[[]byte]
+	cache   *lru.Cache[[]byte]
 	aliases *Aliases
-	group   *Group[[]byte]
-	lim     *limiter
+	// starts holds the SOM training starts of the suites this server
+	// scored last, so a miss on a suite it has prepared — at a new SOM
+	// seed, against new scores or another k range — pays only for its
+	// seed's training.
+	starts *som.Starts
+	group  *Group[[]byte]
+	lim    *limiter
 	// draining flips on BeginDrain: /readyz answers 503 and new
 	// scoring work is refused while admitted requests finish.
 	draining atomic.Bool
@@ -111,8 +122,9 @@ func New(cfg Config) *Server {
 	return &Server{
 		cfg:     cfg,
 		obs:     obs.Or(cfg.Obs),
-		cache:   newCache[[]byte](cfg.CacheSize),
+		cache:   lru.New[[]byte](cfg.CacheSize),
 		aliases: NewAliases(cfg.CacheSize),
+		starts:  som.NewStarts(startCapacity),
 		group:   NewGroup[[]byte](),
 		lim:     newLimiter(cfg.MaxInflight, cfg.QueueDepth),
 	}
@@ -164,7 +176,7 @@ func (s *Server) Score(ctx context.Context, req *Request) ([]byte, string, error
 // compute time into it for the access log. A nil st (the dark path,
 // and every coalesced follower or cache hit) skips all clock reads.
 func (s *Server) score(ctx context.Context, key cacheKey, req *Request, st *scoreStats) ([]byte, string, error) {
-	if raw, ok := s.cache.get(key); ok {
+	if raw, ok := s.cache.Get(key); ok {
 		s.count("service.cache.hit")
 		return raw, CacheHit, nil
 	}
@@ -174,7 +186,7 @@ func (s *Server) score(ctx context.Context, key cacheKey, req *Request, st *scor
 		// flight for key stored its result, and reached the group just
 		// after that flight closed, leads a new flight: serve the
 		// stored result instead of computing the key a second time.
-		if raw, ok := s.cache.get(key); ok {
+		if raw, ok := s.cache.Get(key); ok {
 			hit = true
 			return raw, false, nil
 		}
@@ -220,7 +232,7 @@ func (s *Server) score(ctx context.Context, key cacheKey, req *Request, st *scor
 			return nil, false, fmt.Errorf("service: encoding response: %w", err)
 		}
 		raw = append(raw, '\n')
-		s.cache.put(key, raw)
+		s.cache.Put(key, raw)
 		return raw, false, nil
 	})
 	status := CacheCoalesced
@@ -254,6 +266,7 @@ func (s *Server) compute(ctx context.Context, req *Request) (*Response, error) {
 	}
 	cfg := req.pipelineConfig()
 	cfg.Obs = s.obs
+	cfg.SOM.Starts = s.starts
 	p, err := core.DetectClustersCtx(ctx, t, cfg)
 	if err != nil {
 		return nil, err
@@ -466,7 +479,7 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	// is still cached; otherwise the body is decoded again.
 	var raw []byte
 	body, key, req, err := ReadRequest(w, r, s.cfg.MaxBodyBytes, s.aliases, func(key cacheKey) (ok bool) {
-		raw, ok = s.cache.get(key)
+		raw, ok = s.cache.Get(key)
 		return ok
 	})
 	if err != nil {
@@ -536,7 +549,7 @@ func ReadRequest(w http.ResponseWriter, r *http.Request, maxBytes int64, aliases
 	}
 	body = buf.Bytes()
 	sum := sha256.Sum256(body)
-	if k, ok := aliases.get(sum); ok && (known == nil || known(k)) {
+	if k, ok := aliases.Get(sum); ok && (known == nil || known(k)) {
 		return body, k, nil, nil
 	}
 	req = new(Request)
@@ -549,7 +562,7 @@ func ReadRequest(w http.ResponseWriter, r *http.Request, maxBytes int64, aliases
 		return nil, key, nil, err
 	}
 	key = req.CacheKey()
-	aliases.put(sum, key)
+	aliases.Put(sum, key)
 	return body, key, req, nil
 }
 
@@ -625,7 +638,7 @@ func (s *Server) countErr(err error) {
 
 // CacheLen reports the number of cached responses (for tests and the
 // daemon's shutdown log line).
-func (s *Server) CacheLen() int { return s.cache.len() }
+func (s *Server) CacheLen() int { return s.cache.Len() }
 
 // Queued reports the number of requests waiting for a computation
 // slot.

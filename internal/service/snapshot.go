@@ -63,19 +63,19 @@ func (s *Server) WriteSnapshot(w io.Writer) (int, error) {
 	if _, err := bw.WriteString(SnapshotMagic); err != nil {
 		return 0, err
 	}
-	entries := s.cache.entries()
+	entries := s.cache.Entries()
 	var hdr [4]byte
 	for _, e := range entries {
-		binary.BigEndian.PutUint32(hdr[:], uint32(len(e.val)))
-		crc := crc32.ChecksumIEEE(e.key[:])
-		crc = crc32.Update(crc, crc32.IEEETable, e.val)
+		binary.BigEndian.PutUint32(hdr[:], uint32(len(e.Val)))
+		crc := crc32.ChecksumIEEE(e.Key[:])
+		crc = crc32.Update(crc, crc32.IEEETable, e.Val)
 		if _, err := bw.Write(hdr[:]); err != nil {
 			return 0, err
 		}
-		if _, err := bw.Write(e.key[:]); err != nil {
+		if _, err := bw.Write(e.Key[:]); err != nil {
 			return 0, err
 		}
-		if _, err := bw.Write(e.val); err != nil {
+		if _, err := bw.Write(e.Val); err != nil {
 			return 0, err
 		}
 		binary.BigEndian.PutUint32(hdr[:], crc)
@@ -177,7 +177,7 @@ func (s *Server) RestoreSnapshot(r io.Reader, logger *slog.Logger) (SnapshotStat
 			}
 			continue
 		}
-		s.cache.put(key, val)
+		s.cache.Put(key, val)
 		st.Restored++
 	}
 	if st.Truncated && logger != nil {

@@ -14,7 +14,7 @@ import (
 func snapServer(capacity, n int) *Server {
 	s := New(Config{CacheSize: capacity})
 	for i := 1; i <= n; i++ {
-		s.cache.put(key(byte(i)), []byte(strings.Repeat("v", i)+"-response\n"))
+		s.cache.Put(key(byte(i)), []byte(strings.Repeat("v", i)+"-response\n"))
 	}
 	return s
 }
@@ -44,8 +44,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("stats %+v, want 3 restored, clean", st)
 	}
 	for i := 1; i <= 3; i++ {
-		want, _ := src.cache.get(key(byte(i)))
-		got, ok := dst.cache.get(key(byte(i)))
+		want, _ := src.cache.Get(key(byte(i)))
+		got, ok := dst.cache.Get(key(byte(i)))
 		if !ok || !bytes.Equal(got, want) {
 			t.Fatalf("entry %d: got %q ok=%v, want %q", i, got, ok, want)
 		}
@@ -64,12 +64,12 @@ func TestSnapshotPreservesRecency(t *testing.T) {
 	if _, err := dst.RestoreSnapshot(bytes.NewReader(raw), nil); err != nil {
 		t.Fatal(err)
 	}
-	dst.cache.put(key(9), []byte("ninth\n"))
-	if _, ok := dst.cache.get(key(1)); ok {
+	dst.cache.Put(key(9), []byte("ninth\n"))
+	if _, ok := dst.cache.Get(key(1)); ok {
 		t.Fatal("oldest pre-restart entry survived the eviction — recency order was lost")
 	}
 	for _, k := range []byte{2, 3, 9} {
-		if _, ok := dst.cache.get(key(k)); !ok {
+		if _, ok := dst.cache.Get(key(k)); !ok {
 			t.Fatalf("entry %d missing after eviction", k)
 		}
 	}
@@ -94,12 +94,12 @@ func TestSnapshotSkipsCorruptRecord(t *testing.T) {
 	if st.Restored != 2 || st.Skipped != 1 || st.Truncated {
 		t.Fatalf("stats %+v, want 2 restored / 1 skipped", st)
 	}
-	if _, ok := dst.cache.get(key(1)); ok {
+	if _, ok := dst.cache.Get(key(1)); ok {
 		t.Fatal("corrupt record reached the cache — a poisoned response could be served")
 	}
 	for _, k := range []byte{2, 3} {
-		want, _ := src.cache.get(key(k))
-		got, ok := dst.cache.get(key(k))
+		want, _ := src.cache.Get(key(k))
+		got, ok := dst.cache.Get(key(k))
 		if !ok || !bytes.Equal(got, want) {
 			t.Fatalf("healthy record %d lost alongside the corrupt one", k)
 		}
@@ -123,7 +123,7 @@ func TestSnapshotTruncationStopsCleanly(t *testing.T) {
 	if !st.Truncated || st.Restored != 2 || st.Skipped != 0 {
 		t.Fatalf("stats %+v, want 2 restored and truncated", st)
 	}
-	if _, ok := dst.cache.get(key(3)); ok {
+	if _, ok := dst.cache.Get(key(3)); ok {
 		t.Fatal("torn record reached the cache")
 	}
 }
@@ -195,7 +195,7 @@ func TestSnapshotRestoreRespectsCapacity(t *testing.T) {
 		t.Fatalf("cache holds %d entries, capacity 2", dst.CacheLen())
 	}
 	for _, k := range []byte{3, 4} {
-		if _, ok := dst.cache.get(key(k)); !ok {
+		if _, ok := dst.cache.Get(key(k)); !ok {
 			t.Fatalf("most-recent entry %d evicted during restore", k)
 		}
 	}

@@ -44,10 +44,18 @@ type Config struct {
 	// Seed drives sample-selection order and, when the samples cannot
 	// support a PCA plane, random initialization.
 	Seed uint64
-	// Obs receives training telemetry: a som.train span plus periodic
-	// som.step events. Nil falls back to the process-default
-	// observer; instrumentation never affects the trained weights.
+	// Obs receives training telemetry: a som.train span with a
+	// som.start child, periodic som.step events, and the
+	// som.start.built / som.start.reused counters. Nil falls back to
+	// the process-default observer; instrumentation never affects the
+	// trained weights.
 	Obs *obs.Observer
+	// Starts, when non-nil, is a table of training starts shared
+	// across runs: a run on a grid and samples the table already
+	// holds reuses that start instead of recomputing the PCA plane and
+	// span projection, and trains bit-identical weights. Nil builds
+	// every run's start afresh.
+	Starts *Starts
 }
 
 // GridFor returns a recommended grid shape for n samples using the
@@ -118,25 +126,24 @@ func (c *Config) withDefaults() Config {
 // backing array per plane (weights, locations) plus the view headers.
 func newMap(rows, cols, dim int) *Map {
 	units := rows * cols
-	m := &Map{
-		rows:      rows,
-		cols:      cols,
-		dim:       dim,
-		flat:      make([]float64, units*dim),
-		weights:   make([]vecmath.Vector, units),
-		locations: make([]vecmath.Vector, units),
-	}
-	locFlat := make([]float64, units*2)
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			u := r*cols + c
-			m.weights[u] = vecmath.Vector(m.flat[u*dim : (u+1)*dim : (u+1)*dim])
-			loc := locFlat[u*2 : (u+1)*2 : (u+1)*2]
-			loc[0], loc[1] = float64(r), float64(c)
-			m.locations[u] = vecmath.Vector(loc)
-		}
+	m := &Map{rows: rows, cols: cols, dim: dim}
+	m.flat, m.weights = newPlane(units, dim)
+	_, m.locations = newPlane(units, 2)
+	for u, loc := range m.locations {
+		loc[0], loc[1] = float64(u/cols), float64(u%cols)
 	}
 	return m
+}
+
+// newPlane allocates units vectors of length width as views into one
+// contiguous backing array, which it also returns.
+func newPlane(units, width int) (flat []float64, views []vecmath.Vector) {
+	flat = make([]float64, units*width)
+	views = make([]vecmath.Vector, units)
+	for u := range views {
+		views[u] = vecmath.Vector(flat[u*width : (u+1)*width : (u+1)*width])
+	}
+	return flat, views
 }
 
 // Rows returns the grid height.

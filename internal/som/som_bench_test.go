@@ -2,6 +2,8 @@ package som
 
 import (
 	"context"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"hmeans/internal/vecmath"
@@ -55,24 +57,40 @@ func BenchmarkTrainSequentialCaseStudy(b *testing.B) {
 // BenchmarkTrainSequentialSuite500 trains the map the pipeline trains
 // for suite-500: 500 workloads × 40 standardized counters, full rank,
 // so the loop runs in the full dimension on the 12×10 grid for 60,000
-// steps. One warm-up call before the timer keeps one-off allocations
-// out of allocs/op at the one to three iterations -benchtime 50ms
-// allows; allocations the runtime makes after a collection can still
-// add a few to one sample, so the gate reads the minimum of five.
+// steps. A -benchtime 50ms sample times one iteration, so allocations
+// the runtime makes after a collection would show in allocs/op; it
+// reports the exact count of one more, untimed training instead
+// (exactAllocs).
 func BenchmarkTrainSequentialSuite500(b *testing.B) {
 	b.ReportAllocs()
 	samples := suite500Counters(b, 1)
 	rows, cols := GridFor(len(samples))
 	cfg := Config{Rows: rows, Cols: cols, Seed: 1}
-	if _, err := TrainCtx(context.Background(), cfg, samples); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	train := func() {
 		if _, err := TrainCtx(context.Background(), cfg, samples); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		train()
+	}
+	b.StopTimer()
+	b.ReportMetric(exactAllocs(train), "allocs/op")
+}
+
+// exactAllocs returns the heap allocations of one call of f, counted
+// with the collector off so that none the runtime makes after a
+// collection is charged to f: the count repeats exactly from run to
+// run.
+func exactAllocs(f func()) float64 {
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs - before.Mallocs)
 }
 
 func BenchmarkBMU(b *testing.B) {

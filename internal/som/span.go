@@ -1,11 +1,8 @@
 package som
 
 import (
-	"context"
 	"math"
 
-	"hmeans/internal/obs"
-	"hmeans/internal/rng"
 	"hmeans/internal/vecmath"
 )
 
@@ -96,29 +93,4 @@ func (b *spanBasis) lift(v, c vecmath.Vector) {
 	for k, q := range b.q {
 		v.AXPYInPlace(c[k], q)
 	}
-}
-
-// trainSequentialInSpan runs trainSequential on a map of len(b.q)-
-// dimensional coordinates: it projects the samples and m's initial
-// weights onto b, trains, and lifts every trained weight back into m.
-func (m *Map) trainSequentialInSpan(ctx context.Context, c Config, samples []vecmath.Vector, b *spanBasis, r *rng.Source, o *obs.Observer, sp *obs.Span) error {
-	rank := len(b.q)
-	pm := newMap(m.rows, m.cols, rank)
-	diff := vecmath.NewVector(m.dim)
-	for u, w := range m.weights {
-		b.project(pm.weights[u], w, diff)
-	}
-	flat := make([]float64, len(samples)*rank)
-	coords := make([]vecmath.Vector, len(samples))
-	for i, s := range samples {
-		coords[i] = vecmath.Vector(flat[i*rank : (i+1)*rank : (i+1)*rank])
-		b.project(coords[i], s, diff)
-	}
-	if err := pm.trainSequential(ctx, c, coords, r, o, sp); err != nil {
-		return err
-	}
-	for u, w := range m.weights {
-		b.lift(w, pm.weights[u])
-	}
-	return nil
 }

@@ -12,10 +12,12 @@ import (
 
 // TrainCtx builds and trains a map on the sample set according to
 // cfg. Samples must be non-empty and rectangular. The input slices are
-// read but never modified or retained. Training checks the context
-// every few hundred steps; on cancellation the partially trained map
-// is discarded and the context's error returned. A nil context never
-// fires.
+// read but never modified or retained. Training takes its start — the
+// seed-free PCA initialization and span projection, see Start — from
+// cfg.Starts, or builds it when the table holds none, then trains from
+// it with cfg's seed. Training checks the context every few hundred
+// steps; on cancellation the partially trained map is discarded and
+// the context's error returned. A nil context never fires.
 func TrainCtx(ctx context.Context, cfg Config, samples []vecmath.Vector) (*Map, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -38,40 +40,9 @@ func TrainCtx(ctx context.Context, cfg Config, samples []vecmath.Vector) (*Map, 
 		obs.KV("rows", c.Rows), obs.KV("cols", c.Cols),
 		obs.KV("samples", len(samples)), obs.KV("dim", dim))
 	defer sp.End()
-	m := newMap(c.Rows, c.Cols, dim)
-	r := rng.New(c.Seed)
-
-	// The paper's PCA-plane initialization, with random weights only
-	// where the samples cannot support the plane (see initPCA).
-	pcaInit := m.initPCA(samples)
-	if !pcaInit {
-		m.initRandom(samples, r)
-	}
-
-	// A PCA-initialized map starts inside the samples' affine span, so
-	// training can run on span coordinates (see spanBasis) whenever
-	// that span is narrower than the input. Random weights scatter
-	// across every dimension.
-	var span *spanBasis
-	if pcaInit {
-		span = newSpanBasis(samples, m.weights)
-	}
-	trainDim := dim
-	if span != nil {
-		trainDim = len(span.q)
-	}
-	sp.SetAttr("train_dim", trainDim)
-	var err error
-	if span != nil {
-		err = m.trainSequentialInSpan(ctx, c, samples, span, r, o, sp)
-	} else {
-		err = m.trainSequential(ctx, c, samples, r, o, sp)
-	}
-	if err != nil {
-		return nil, err
-	}
-	m.setBMUSearch(bmuSearchAuto)
-	return m, nil
+	st := c.Starts.start(c.Rows, c.Cols, samples, o, sp)
+	sp.SetAttr("train_dim", st.trainDim())
+	return st.train(ctx, c, samples, o, sp)
 }
 
 // cancelCheckSteps is the sequential-training cancellation stride:
