@@ -7,22 +7,15 @@ import (
 	"testing"
 )
 
-// goldenIDs lists the artifacts whose rendered output is pinned as a
-// regression snapshot. All are deterministic given the default
-// Config seeds. Regenerate with:
+// TestGoldenArtifacts pins every artifact's rendered output as a
+// regression snapshot, so a new artifact cannot land unpinned. All
+// are deterministic given the default Config seeds. Regenerate with:
 //
 //	UPDATE_GOLDEN=1 go test ./internal/experiments -run TestGolden
-var goldenIDs = []string{
-	"tableI", "tableII", "tableIII",
-	"fig3", "fig4", "tableIV",
-	"fig5", "fig6", "tableV",
-	"fig7", "fig8", "tableVI",
-}
-
 func TestGoldenArtifacts(t *testing.T) {
 	s := sharedSuite(t)
 	update := os.Getenv("UPDATE_GOLDEN") != ""
-	for _, id := range goldenIDs {
+	for _, id := range IDs() {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			e, ok := ByID(id)
