@@ -173,11 +173,11 @@ fuzz:
 	$(GO) test -fuzz FuzzRestoreSnapshot -fuzztime $(FUZZTIME) ./internal/service
 	$(GO) test -fuzz FuzzDecodeRequest -fuzztime $(FUZZTIME) ./internal/service
 
-# unreachable lists each library function that no cmd/ or examples/
-# binary links: every main is built with inlining off for the module's
-# packages, so a function a binary reaches keeps its own symbol in
-# `go tool nm`. Not a gate: a function only perfbench/ or tests call
-# shows up too, so read the list as leads for deletion.
+# unreachable lists each library function that no cmd/, examples/ or
+# perfbench/ binary links: every main is built with inlining off for
+# the module's packages, so a function a binary reaches keeps its own
+# symbol in `go tool nm`. Not a gate: a function only tests call shows
+# up too, so read the list as leads for deletion.
 unreachable:
 	sh scripts/unreachable.sh
 

@@ -78,13 +78,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 		retries    = fs.Int("retries", 0, "retry transient failures (429/503, network errors) up to this many times")
 		retryBase  = fs.Duration("retry.base", 100*time.Millisecond, "base backoff between retries (doubles per attempt, ±25% seeded jitter)")
 		retrySeed  = fs.Uint64("retry.seed", 2007, "seed for the retry jitter (deterministic schedules for scripted runs)")
+		version    = fs.Bool("version", false, "print version/build info and exit")
 	)
 	timeout := cliutil.RegisterTimeout(fs)
-	obsFlags := obs.RegisterFlags(fs)
 	if err := cliutil.Parse(fs, args); err != nil {
 		return err
 	}
-	if obsFlags.PrintVersion(stdout, "hmeansctl") {
+	if *version {
+		fmt.Fprintf(stdout, "hmeansctl %s\n", obs.Version())
 		return nil
 	}
 	if err := cliutil.ValidateMin("-retries", *retries, 0); err != nil {

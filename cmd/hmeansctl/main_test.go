@@ -334,17 +334,34 @@ func TestIntegrityMismatchIsTransport(t *testing.T) {
 	}
 }
 
-// TestRunRejectsRemovedHedgeFlag: -hedge is gone, so a script still
-// passing it fails as a usage mistake (exit 2) that names the flag,
-// before any request is sent.
-func TestRunRejectsRemovedHedgeFlag(t *testing.T) {
-	scoresPath, charsPath := writeInputs(t)
-	code, _, stderr := exec(t, "-addr", startDaemon(t), "-scores", scoresPath, "-chars", charsPath,
-		"-hedge", "20ms")
-	if code != 2 {
-		t.Fatalf("exit %d, want 2; stderr %q", code, stderr)
+// TestRunRejectsRemovedFlags: -hedge is gone, and the client never
+// started an observability session, so it registers none of the
+// -obs.* flags. A script still passing one fails as a usage mistake
+// (exit 2) that names the flag, before any request is sent.
+func TestRunRejectsRemovedFlags(t *testing.T) {
+	if code, stdout, stderr := exec(t, "-version"); code != 0 || !strings.HasPrefix(stdout, "hmeansctl ") {
+		t.Fatalf("-version: exit %d, stdout %q, stderr %q", code, stdout, stderr)
 	}
-	if !strings.Contains(stderr, "-hedge") {
-		t.Fatalf("stderr %q does not name the flag", stderr)
+	scoresPath, charsPath := writeInputs(t)
+	base := startDaemon(t)
+	dir := t.TempDir()
+	for _, flag := range [][]string{
+		{"-hedge", "20ms"},
+		{"-obs.http", "127.0.0.1:0"},
+		{"-obs.trace", filepath.Join(dir, "trace.jsonl")},
+		{"-obs.cpuprofile", filepath.Join(dir, "cpu.pprof")},
+		{"-obs.memprofile", filepath.Join(dir, "mem.pprof")},
+		{"-obs.detail"},
+	} {
+		t.Run(flag[0], func(t *testing.T) {
+			args := append([]string{"-addr", base, "-scores", scoresPath, "-chars", charsPath}, flag...)
+			code, _, stderr := exec(t, args...)
+			if code != 2 {
+				t.Fatalf("exit %d, want 2; stderr %q", code, stderr)
+			}
+			if !strings.Contains(stderr, flag[0]) {
+				t.Fatalf("stderr %q does not name the flag", stderr)
+			}
+		})
 	}
 }

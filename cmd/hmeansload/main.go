@@ -48,7 +48,7 @@ func main() {
 	}))
 }
 
-func run(args []string, stdout io.Writer) error {
+func run(args []string, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("hmeansload", flag.ContinueOnError)
 	var (
 		addr       = fs.String("addr", "", "base URL of a running hmeansd; empty boots a self-managed daemon for the run")
@@ -157,7 +157,11 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	defer sess.Close()
+	defer func() {
+		if cerr := sess.Close(); err == nil {
+			err = cerr
+		}
+	}()
 	ctx, cancel := cliutil.WithTimeout(*timeout)
 	defer cancel()
 

@@ -79,6 +79,19 @@ func TestVersionFlag(t *testing.T) {
 	}
 }
 
+// TestTraceFlushFailureFails: a trace that cannot be written out fails
+// the run (exit 1, naming the write), as it does in the other
+// commands, instead of exiting 0 without it.
+func TestTraceFlushFailureFails(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this platform")
+	}
+	code, _, stderr := exec(t, "-n", "10", "-obs.trace", "/dev/full")
+	if code != 1 || !strings.Contains(stderr, "/dev/full") {
+		t.Fatalf("exit %d, stderr %q; want 1 naming the failed write", code, stderr)
+	}
+}
+
 // TestSelfManagedRunPassesSLO is the load gate end to end through the
 // CLI: a self-managed daemon, a mixed open-loop run, a JSON artifact,
 // a table, and a passing -check — exit 0.

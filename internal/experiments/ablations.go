@@ -34,6 +34,7 @@ func (s *Suite) CompareLinkages() ([]LinkageComparison, error) {
 	if err != nil {
 		return nil, err
 	}
+	sci := s.sciMark()
 	var out []LinkageComparison
 	for _, l := range []cluster.Linkage{cluster.Complete, cluster.Single, cluster.Average, cluster.Ward} {
 		d, err := cluster.NewDendrogramOpts(p.Positions, vecmath.Euclidean, l, cluster.Options{})
@@ -48,11 +49,11 @@ func (s *Suite) CompareLinkages() ([]LinkageComparison, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, LinkageComparison{
-			Linkage:        l,
-			SciExclusiveKs: sciExclusiveList(d, s, s.Config.KMin, s.Config.KMax),
-			AgreementAtK6:  agree,
-		})
+		ks, err := oneClusterKs(d, sci, s.Config.KMin, s.Config.KMax)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, LinkageComparison{Linkage: l, SciExclusiveKs: ks, AgreementAtK6: agree})
 	}
 	return out, nil
 }
@@ -120,24 +121,25 @@ func (s *Suite) CompareReductions() ([]ReductionComparison, error) {
 		{"pca2", pcaPoints},
 		{"raw", vectors},
 	}
+	sci := s.sciMark()
 	var out []ReductionComparison
 	for _, v := range variants {
 		d, err := cluster.NewDendrogramOpts(v.points, vecmath.Euclidean, cluster.Complete, cluster.Options{})
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, ReductionComparison{
-			Name:           v.name,
-			SciExclusiveKs: sciExclusiveList(d, s, s.Config.KMin, s.Config.KMax),
-			SciMaxPairwise: sciSpread(v.points, s),
-		})
+		ks, err := oneClusterKs(d, sci, s.Config.KMin, s.Config.KMax)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, ReductionComparison{Name: v.name, SciExclusiveKs: ks, SciMaxPairwise: sciSpread(v.points, sci)})
 	}
 	return out, nil
 }
 
 // sciSpread returns max pairwise distance among SciMark members over
 // the mean pairwise distance of the whole suite.
-func sciSpread(points []vecmath.Vector, s *Suite) float64 {
+func sciSpread(points []vecmath.Vector, sci []bool) float64 {
 	var sciMax float64
 	var total float64
 	var pairs int
@@ -146,7 +148,7 @@ func sciSpread(points []vecmath.Vector, s *Suite) float64 {
 			d := vecmath.EuclideanDistance(points[i], points[j])
 			total += d
 			pairs++
-			if s.Workloads[i].Suite == "SciMark2" && s.Workloads[j].Suite == "SciMark2" && d > sciMax {
+			if sci[i] && sci[j] && d > sciMax {
 				sciMax = d
 			}
 		}

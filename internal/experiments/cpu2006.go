@@ -36,6 +36,23 @@ func (s *Suite) RenderCPU2006(w io.Writer) error {
 	if err != nil {
 		return err
 	}
+	res, err := s.hgmTable(p, speedA, speedB)
+	if err != nil {
+		return err
+	}
+	// The planted redundancy verdict sweeps k = 2..9, whatever the
+	// configured range.
+	codecs := make([]bool, len(ws))
+	for i := range ws {
+		switch ws[i].Name {
+		case "int.lzA", "int.lzB", "int.lzC":
+			codecs[i] = true
+		}
+	}
+	lz, err := oneClusterKs(p.Dendrogram, codecs, 2, 9)
+	if err != nil {
+		return err
+	}
 
 	if _, err := fmt.Fprintf(w, "%d native workloads, micro-independent characterization\n\n", len(ws)); err != nil {
 		return err
@@ -43,81 +60,12 @@ func (s *Suite) RenderCPU2006(w io.Writer) error {
 	if err := viz.SOMMap(w, p.Map, p.Workloads, p.Prepared.Vectors()); err != nil {
 		return err
 	}
-
-	plainA, err := core.PlainMean(core.Geometric, speedA)
-	if err != nil {
-		return err
-	}
-	plainB, err := core.PlainMean(core.Geometric, speedB)
-	if err != nil {
-		return err
-	}
-	t := viz.NewTable("", "A", "B", "ratio(=A/B)")
-	for k := s.Config.KMin; k <= s.Config.KMax && k <= len(ws); k++ {
-		a, err := p.ScoreAtK(core.Geometric, speedA, k)
-		if err != nil {
-			return err
-		}
-		b, err := p.ScoreAtK(core.Geometric, speedB, k)
-		if err != nil {
-			return err
-		}
-		if err := t.AddRowf(fmt.Sprintf("%d Clusters", k), "%.2f", a, b, a/b); err != nil {
-			return err
-		}
-	}
-	if err := t.AddRowf("Geometric Mean", "%.2f", plainA, plainB, plainA/plainB); err != nil {
-		return err
-	}
 	if _, err := fmt.Fprintln(w); err != nil {
 		return err
 	}
-	if err := t.Render(w); err != nil {
-		return err
-	}
-
-	// The planted redundancy verdict.
-	lz, err := lzCoagulationKs(p, ws)
-	if err != nil {
+	if err := res.render(w); err != nil {
 		return err
 	}
 	_, err = fmt.Fprintf(w, "\nLZ-codec adoption set {lzA lzB lzC} exclusive at k=%v — the\nmethodology flags planted redundancy in a non-Java suite too.\n", lz)
 	return err
-}
-
-// lzCoagulationKs lists cuts at which the three codecs form an
-// exclusive cluster.
-func lzCoagulationKs(p *core.Pipeline, ws []simbench.Workload) ([]int, error) {
-	lz := make([]bool, len(ws))
-	for i := range ws {
-		switch ws[i].Name {
-		case "int.lzA", "int.lzB", "int.lzC":
-			lz[i] = true
-		}
-	}
-	var out []int
-	for k := 2; k <= 9 && k <= len(ws); k++ {
-		c, err := p.ClusteringAtK(k)
-		if err != nil {
-			return nil, err
-		}
-		label := -1
-		for i, isLZ := range lz {
-			if isLZ {
-				label = c.Labels[i]
-				break
-			}
-		}
-		ok := true
-		for i, isLZ := range lz {
-			if isLZ != (c.Labels[i] == label) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			out = append(out, k)
-		}
-	}
-	return out, nil
 }

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 
+	"hmeans/internal/chars"
 	"hmeans/internal/core"
 	"hmeans/internal/simbench"
 	"hmeans/internal/som"
@@ -131,43 +132,36 @@ func (s *Suite) Pipeline(ch Characterization) (*core.Pipeline, error) {
 	if p, ok := s.pipelines[string(ch)]; ok {
 		return p, nil
 	}
-	cfg := core.PipelineConfig{SOM: som.Config{Seed: s.Config.SOMSeed}}
-	var (
-		p   *core.Pipeline
-		err error
-	)
-	switch ch {
-	case SARMachineA, SARMachineB:
-		m := s.A
-		if ch == SARMachineB {
-			m = s.B
-		}
-		tab, terr := simbench.SARTable(s.Workloads, m, simbench.SARSpec{Seed: s.Config.SARSeed})
-		if terr != nil {
-			return nil, terr
-		}
-		p, err = core.DetectClusters(tab, cfg)
-	case MethodBits:
-		tab, terr := simbench.HprofTable(s.Workloads)
-		if terr != nil {
-			return nil, terr
-		}
-		cfg.Kind = core.Bits
-		p, err = core.DetectClusters(tab, cfg)
-	case MicroIndep:
-		tab, terr := simbench.MicroIndepTable(s.Workloads)
-		if terr != nil {
-			return nil, terr
-		}
-		p, err = core.DetectClusters(tab, cfg)
-	default:
-		return nil, fmt.Errorf("experiments: unknown characterization %q", ch)
+	tab, kind, err := s.table(ch)
+	if err != nil {
+		return nil, err
 	}
+	p, err := core.DetectClusters(tab, core.PipelineConfig{Kind: kind, SOM: som.Config{Seed: s.Config.SOMSeed}})
 	if err != nil {
 		return nil, err
 	}
 	s.pipelines[string(ch)] = p
 	return p, nil
+}
+
+// table builds the raw characterization table of ch and names the
+// preprocessing recipe it needs.
+func (s *Suite) table(ch Characterization) (*chars.Table, core.CharKind, error) {
+	switch ch {
+	case SARMachineA:
+		tab, err := simbench.SARTable(s.Workloads, s.A, simbench.SARSpec{Seed: s.Config.SARSeed})
+		return tab, core.Counters, err
+	case SARMachineB:
+		tab, err := simbench.SARTable(s.Workloads, s.B, simbench.SARSpec{Seed: s.Config.SARSeed})
+		return tab, core.Counters, err
+	case MethodBits:
+		tab, err := simbench.HprofTable(s.Workloads)
+		return tab, core.Bits, err
+	case MicroIndep:
+		tab, err := simbench.MicroIndepTable(s.Workloads)
+		return tab, core.Counters, err
+	}
+	return nil, 0, fmt.Errorf("experiments: unknown characterization %q", ch)
 }
 
 // RenderTableI writes the suite-composition table (paper Table I).

@@ -160,19 +160,6 @@ func TestDegeneracyThroughPipeline(t *testing.T) {
 	}
 }
 
-func TestRenderersProduceOutput(t *testing.T) {
-	s := sharedSuite(t)
-	for _, e := range All() {
-		var sb strings.Builder
-		if err := e.Run(s, &sb); err != nil {
-			t.Fatalf("%s: %v", e.ID, err)
-		}
-		if sb.Len() == 0 {
-			t.Fatalf("%s produced no output", e.ID)
-		}
-	}
-}
-
 func TestRunAll(t *testing.T) {
 	s := sharedSuite(t)
 	var sb strings.Builder

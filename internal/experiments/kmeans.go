@@ -18,10 +18,7 @@ func (s *Suite) RenderKMeansComparison(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	sci := make([]bool, len(s.Workloads))
-	for i := range s.Workloads {
-		sci[i] = s.Workloads[i].Suite == "SciMark2"
-	}
+	sci := s.sciMark()
 	t := viz.NewTable("k", "agreement (hier vs k-means)", "k-means finds SciMark2")
 	for k := s.Config.KMin; k <= s.Config.KMax && k <= len(s.Workloads); k++ {
 		hier, err := p.Dendrogram.CutK(k)
@@ -38,7 +35,7 @@ func (s *Suite) RenderKMeansComparison(w io.Writer) error {
 		}
 		if err := t.AddRow(fmt.Sprintf("%d", k),
 			fmt.Sprintf("%.3f", agree),
-			yesNo(sciExclusiveIn(km.Assignment, sci))); err != nil {
+			yesNo(oneCluster(km.Assignment.Labels, sci))); err != nil {
 			return err
 		}
 	}
@@ -47,24 +44,6 @@ func (s *Suite) RenderKMeansComparison(w io.Writer) error {
 	}
 	_, err = fmt.Fprintln(w, "(both algorithms run on the same SOM positions; the paper's\nconclusion does not hinge on the hierarchical algorithm choice)")
 	return err
-}
-
-// sciExclusiveIn reports whether the SciMark members form an
-// exclusive cluster in the assignment.
-func sciExclusiveIn(a cluster.Assignment, sci []bool) bool {
-	label := -1
-	for i, isSci := range sci {
-		if isSci {
-			label = a.Labels[i]
-			break
-		}
-	}
-	for i, isSci := range sci {
-		if isSci != (a.Labels[i] == label) {
-			return false
-		}
-	}
-	return true
 }
 
 func yesNo(b bool) string {

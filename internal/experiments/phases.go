@@ -57,40 +57,8 @@ func (s *Suite) Phased() (PhasedResult, error) {
 	if res.SciExclusiveAveraged, err = s.SciMarkExclusiveKs(SARMachineA); err != nil {
 		return res, err
 	}
-	res.SciExclusivePhased = sciExclusiveList(phPipe.Dendrogram, s, s.Config.KMin, s.Config.KMax)
-	return res, nil
-}
-
-func sciExclusiveList(d *cluster.Dendrogram, s *Suite, kMin, kMax int) []int {
-	sci := make([]bool, len(s.Workloads))
-	for i := range s.Workloads {
-		sci[i] = s.Workloads[i].Suite == "SciMark2"
-	}
-	var out []int
-	for k := kMin; k <= kMax && k <= d.Len(); k++ {
-		a, err := d.CutK(k)
-		if err != nil {
-			continue
-		}
-		label := -1
-		for i, isSci := range sci {
-			if isSci {
-				label = a.Labels[i]
-				break
-			}
-		}
-		ok := true
-		for i, isSci := range sci {
-			if isSci != (a.Labels[i] == label) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			out = append(out, k)
-		}
-	}
-	return out
+	res.SciExclusivePhased, err = oneClusterKs(phPipe.Dendrogram, s.sciMark(), s.Config.KMin, s.Config.KMax)
+	return res, err
 }
 
 // RenderPhased writes the averaged-vs-phased comparison.

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -9,7 +8,6 @@ import (
 	"hmeans/internal/core"
 	"hmeans/internal/som"
 	"hmeans/internal/stat"
-	"hmeans/internal/vecmath"
 	"hmeans/internal/viz"
 )
 
@@ -40,36 +38,28 @@ func (s *Suite) Stability(ch Characterization, seeds int) (StabilityResult, erro
 	if seeds < 2 {
 		return res, fmt.Errorf("experiments: stability needs at least 2 seeds")
 	}
-	base, err := s.Pipeline(ch)
+	tab, kind, err := s.table(ch)
 	if err != nil {
 		return res, err
 	}
-	// Rebuild the pipeline from the already-prepared table so all
-	// seeds share identical preprocessing. DetectClusters would
-	// re-standardize the standardized table, so train directly.
-	vectors := base.Prepared.Vectors()
-	sci := make([]bool, len(s.Workloads))
-	for i := range s.Workloads {
-		sci[i] = s.Workloads[i].Suite == "SciMark2"
-	}
+	sci := s.sciMark()
 	var (
 		assignments []cluster.Assignment
 		exclusive   int
 	)
 	for seed := 0; seed < seeds; seed++ {
-		rows, cols := som.GridFor(len(vectors))
-		m, err := som.TrainCtx(context.Background(), som.Config{Rows: rows, Cols: cols, Seed: uint64(seed) + 1}, vectors)
+		p, err := core.DetectClusters(tab, core.PipelineConfig{Kind: kind, SOM: som.Config{Seed: uint64(seed) + 1}})
 		if err != nil {
 			return res, err
 		}
-		d, err := cluster.NewDendrogramOpts(m.Placements(vectors), vecmath.Euclidean, base.Dendrogram.Linkage(), cluster.Options{})
+		ks, err := oneClusterKs(p.Dendrogram, sci, s.Config.KMin, s.Config.KMax)
 		if err != nil {
 			return res, err
 		}
-		if sciExclusiveSomewhere(d, sci, s.Config.KMin, s.Config.KMax) {
+		if len(ks) > 0 {
 			exclusive++
 		}
-		a, err := d.CutK(6)
+		a, err := p.Dendrogram.CutK(6)
 		if err != nil {
 			return res, err
 		}
@@ -108,33 +98,6 @@ func (s *Suite) Stability(ch Characterization, seeds int) (StabilityResult, erro
 	hi, _ := stat.Max(res.RatioAtK6)
 	res.RatioSpread = hi - lo
 	return res, nil
-}
-
-func sciExclusiveSomewhere(d *cluster.Dendrogram, sci []bool, kMin, kMax int) bool {
-	for k := kMin; k <= kMax && k <= d.Len(); k++ {
-		a, err := d.CutK(k)
-		if err != nil {
-			continue
-		}
-		label := -1
-		for i, isSci := range sci {
-			if isSci {
-				label = a.Labels[i]
-				break
-			}
-		}
-		ok := true
-		for i, isSci := range sci {
-			if isSci != (a.Labels[i] == label) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return true
-		}
-	}
-	return false
 }
 
 // RenderStability writes the cross-seed stability report for all

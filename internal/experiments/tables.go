@@ -3,8 +3,8 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
 
+	"hmeans/internal/cluster"
 	"hmeans/internal/core"
 	"hmeans/internal/viz"
 )
@@ -89,30 +89,49 @@ type HGMTableResult struct {
 // mean of both machines' scores under the clustering from the given
 // characterization, for every k in the configured sweep.
 func (s *Suite) HGMTable(ch Characterization) (HGMTableResult, error) {
-	res := HGMTableResult{Characterization: ch}
 	p, err := s.Pipeline(ch)
+	if err != nil {
+		return HGMTableResult{Characterization: ch}, err
+	}
+	res, err := s.hgmTable(p, s.SpeedupsA, s.SpeedupsB)
+	res.Characterization = ch
+	return res, err
+}
+
+// hgmTable sweeps the hierarchical geometric means of the scores a
+// and b (machines A and B) over p's cuts in the configured range, on
+// one walk of the dendrogram with one Scorer for both machines.
+func (s *Suite) hgmTable(p *core.Pipeline, a, b []float64) (HGMTableResult, error) {
+	var (
+		res HGMTableResult
+		sc  core.Scorer
+	)
+	err := eachCut(p.Dendrogram, s.Config.KMin, s.Config.KMax, func(cut cluster.Assignment) error {
+		if err := sc.Reset(core.Clustering{Labels: cut.Labels, K: cut.K}); err != nil {
+			return err
+		}
+		hA, err := sc.Mean(core.Geometric, a)
+		if err != nil {
+			return err
+		}
+		hB, err := sc.Mean(core.Geometric, b)
+		if err != nil {
+			return err
+		}
+		members := make([][]string, cut.K)
+		for i, l := range cut.Labels {
+			members[l] = append(members[l], p.Workloads[i])
+		}
+		res.Rows = append(res.Rows, HGMRow{K: cut.K, A: hA, B: hB, Ratio: hA / hB, Members: members})
+		return nil
+	})
 	if err != nil {
 		return res, err
 	}
-	for k := s.Config.KMin; k <= s.Config.KMax && k <= len(s.Workloads); k++ {
-		a, err := p.ScoreAtK(core.Geometric, s.SpeedupsA, k)
-		if err != nil {
-			return res, err
-		}
-		b, err := p.ScoreAtK(core.Geometric, s.SpeedupsB, k)
-		if err != nil {
-			return res, err
-		}
-		members, err := p.ClusterMembers(k)
-		if err != nil {
-			return res, err
-		}
-		res.Rows = append(res.Rows, HGMRow{K: k, A: a, B: b, Ratio: a / b, Members: members})
-	}
-	if res.GMA, err = core.PlainMean(core.Geometric, s.SpeedupsA); err != nil {
+	if res.GMA, err = core.PlainMean(core.Geometric, a); err != nil {
 		return res, err
 	}
-	if res.GMB, err = core.PlainMean(core.Geometric, s.SpeedupsB); err != nil {
+	if res.GMB, err = core.PlainMean(core.Geometric, b); err != nil {
 		return res, err
 	}
 	res.GMRatio = res.GMA / res.GMB
@@ -125,6 +144,10 @@ func (s *Suite) RenderHGMTable(w io.Writer, ch Characterization) error {
 	if err != nil {
 		return err
 	}
+	return res.render(w)
+}
+
+func (res HGMTableResult) render(w io.Writer) error {
 	t := viz.NewTable("", "A", "B", "ratio(=A/B)")
 	for _, r := range res.Rows {
 		if err := t.AddRowf(fmt.Sprintf("%d Clusters", r.K), "%.2f", r.A, r.B, r.Ratio); err != nil {
@@ -145,38 +168,58 @@ func (s *Suite) SciMarkExclusiveKs(ch Characterization) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	sci := map[int]bool{}
+	return oneClusterKs(p.Dendrogram, s.sciMark(), s.Config.KMin, s.Config.KMax)
+}
+
+// sciMark marks the SciMark2 workloads, in workload order: the
+// adoption set the paper finds in a cluster of its own.
+func (s *Suite) sciMark() []bool {
+	set := make([]bool, len(s.Workloads))
 	for i := range s.Workloads {
-		if s.Workloads[i].Suite == "SciMark2" {
-			sci[i] = true
+		set[i] = s.Workloads[i].Suite == "SciMark2"
+	}
+	return set
+}
+
+// oneCluster reports whether the workloads marked in set form a
+// cluster of their own under labels: every one of them carries the
+// same label and no other workload carries it.
+func oneCluster(labels []int, set []bool) bool {
+	label := -1
+	for i, in := range set {
+		if in {
+			label = labels[i]
+			break
 		}
 	}
-	var out []int
-	for k := s.Config.KMin; k <= s.Config.KMax && k <= len(s.Workloads); k++ {
-		c, err := p.ClusteringAtK(k)
-		if err != nil {
-			return nil, err
-		}
-		// Find the label of the first SciMark member, then require
-		// the label set to be exactly the SciMark set.
-		var label = -1
-		for i := range s.Workloads {
-			if sci[i] {
-				label = c.Labels[i]
-				break
-			}
-		}
-		exclusive := true
-		for i, l := range c.Labels {
-			if sci[i] != (l == label) {
-				exclusive = false
-				break
-			}
-		}
-		if exclusive {
-			out = append(out, k)
+	for i, in := range set {
+		if in != (labels[i] == label) {
+			return false
 		}
 	}
-	sort.Ints(out)
-	return out, nil
+	return true
+}
+
+// oneClusterKs lists, in increasing k, the cuts of d into k in
+// [kMin, kMax] at which the workloads marked in set form a cluster of
+// their own.
+func oneClusterKs(d *cluster.Dendrogram, set []bool, kMin, kMax int) ([]int, error) {
+	var ks []int
+	err := eachCut(d, kMin, kMax, func(cut cluster.Assignment) error {
+		if oneCluster(cut.Labels, set) {
+			ks = append(ks, cut.K)
+		}
+		return nil
+	})
+	return ks, err
+}
+
+// eachCut is d.EachCut, except that an empty range [kMin, kMax] is no
+// cut at all rather than an error: a sweep over an empty configured
+// range lists nothing.
+func eachCut(d *cluster.Dendrogram, kMin, kMax int, fn func(cluster.Assignment) error) error {
+	if kMin > kMax {
+		return nil
+	}
+	return d.EachCut(kMin, kMax, fn)
 }

@@ -126,12 +126,20 @@ func TestRetryAfterHintWins(t *testing.T) {
 	}
 }
 
+// TestDoStopsOnContextCancel cancels once Do is in its first backoff:
+// the injected sleep signals that it was entered and then waits like
+// the real one, so the cancel cannot race the first attempt.
 func TestDoStopsOnContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	rt := NewRetryer(Policy{MaxRetries: 10, BaseDelay: time.Hour}, 1)
+	inBackoff := make(chan struct{})
+	rt.SetSleep(func(ctx context.Context, d time.Duration) bool {
+		close(inBackoff)
+		return sleepCtx(ctx, d)
+	})
 	calls := 0
 	go func() {
-		time.Sleep(10 * time.Millisecond)
+		<-inBackoff
 		cancel()
 	}()
 	err := rt.Do(ctx, func(context.Context) error {

@@ -2,7 +2,8 @@
 # unreachable.sh — list the library functions no binary links (run it
 # as `make unreachable`).
 #
-# Builds every main under cmd/ and examples/ with inlining off for the
+# Builds every main under cmd/ and examples/, and the benchmark's main
+# from its own module under perfbench/, with inlining off for the
 # module's own packages (-gcflags='hmeans/...=-l'), so every function
 # a binary reaches keeps its own text symbol, and collects the hmeans
 # text symbols of all of them with `go tool nm`. It then walks the
@@ -14,14 +15,16 @@
 # symbols are all named main.*.
 #
 # The list is a lead, not a verdict: a function reached only from
-# perfbench/ (its own module) or from tests shows up here too. The
-# last line is the count.
+# tests shows up here too. Every binary is written to a temporary
+# directory; nothing is written under perfbench/. The last line is the
+# count.
 set -eu
 
 dir=$(mktemp -d)
 trap 'rm -rf "$dir"' EXIT
 mkdir -p "$dir/bin"
 go build -gcflags='hmeans/...=-l' -o "$dir/bin/" ./cmd/... ./examples/...
+(cd perfbench && go build -gcflags='hmeans/...=-l' -o "$dir/bin/perfbench" .)
 
 for b in "$dir"/bin/*; do
 	go tool nm "$b"
