@@ -335,9 +335,10 @@ func TestIntegrityMismatchIsTransport(t *testing.T) {
 }
 
 // TestRunRejectsRemovedFlags: -hedge is gone, and the client never
-// started an observability session, so it registers none of the
-// -obs.* flags. A script still passing one fails as a usage mistake
-// (exit 2) that names the flag, before any request is sent.
+// started an observability session, so of that flag family it keeps
+// only -version. A script still passing -hedge or an -obs.* flag fails
+// as a usage mistake (exit 2) that names the flag, before any request
+// is sent.
 func TestRunRejectsRemovedFlags(t *testing.T) {
 	if code, stdout, stderr := exec(t, "-version"); code != 0 || !strings.HasPrefix(stdout, "hmeansctl ") {
 		t.Fatalf("-version: exit %d, stdout %q, stderr %q", code, stdout, stderr)
