@@ -68,7 +68,7 @@ trace:
 # refresh the baseline after an intentional performance change:
 # `make bench-baseline` on the reference hardware and commit
 # BENCH_BASELINE.json (see README "Benchmark regression gate").
-BENCH_PATTERN := ^(BenchmarkHGM|BenchmarkHAM|BenchmarkHHM|BenchmarkPlainGM|BenchmarkBMU|BenchmarkQuantizationError|BenchmarkCutK|BenchmarkSilhouette|BenchmarkQualitySweep|BenchmarkRecommendK|BenchmarkTrainSequentialCaseStudy|BenchmarkTrainSequentialSuite500|BenchmarkNewDendrogramSuiteScale|BenchmarkNewDendrogramLarge|BenchmarkServiceScoreDark|BenchmarkServiceScoreLogged|BenchmarkServiceScoreDecoded|BenchmarkServiceScoreCaseStudy|BenchmarkCacheKeyCaseStudy)$$
+BENCH_PATTERN := ^(BenchmarkHGM|BenchmarkHAM|BenchmarkHHM|BenchmarkPlainGM|BenchmarkBMU|BenchmarkQuantizationError|BenchmarkCutK|BenchmarkSilhouette|BenchmarkQualitySweep|BenchmarkRecommendK|BenchmarkTrainSequentialCaseStudy|BenchmarkTrainSequentialSuite500|BenchmarkNewDendrogramSuiteScale|BenchmarkNewDendrogramLarge|BenchmarkServiceScoreDark|BenchmarkServiceScoreLogged|BenchmarkServiceScoreDecoded|BenchmarkServiceScoreCaseStudy|BenchmarkServiceScoreMiss|BenchmarkCacheKeyCaseStudy)$$
 
 bench-json:
 	$(GO) test -bench '$(BENCH_PATTERN)' -benchmem -benchtime 50ms -count 5 -run '^$$' ./... | tee bench-raw.txt

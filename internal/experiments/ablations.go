@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -105,7 +106,11 @@ func (s *Suite) CompareReductions() ([]ReductionComparison, error) {
 	for i, v := range vectors {
 		rows[i] = v
 	}
-	pcaScores, _, err := pca.FitTransform(rows, 2)
+	model, err := pca.FitLeading(context.Background(), rows, 2)
+	if err != nil {
+		return nil, err
+	}
+	pcaScores, err := model.Transform(rows)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package pca
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -22,11 +23,11 @@ func randomRows(n, d int, seed uint64) [][]float64 {
 
 func TestFitTopMatchesFit(t *testing.T) {
 	rows := randomRows(30, 8, 3)
-	exact, err := Fit(rows, 2)
+	exact, err := Fit(context.Background(), rows, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := FitTop(rows, 2, 7)
+	fast, err := FitTop(context.Background(), rows, 2, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func TestFitTopMatchesFit(t *testing.T) {
 
 func TestFitTopTransform(t *testing.T) {
 	rows := line2D(100, 0.05, 9)
-	m, err := FitTop(rows, 1, 2)
+	m, err := FitTop(context.Background(), rows, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,13 +68,13 @@ func TestFitTopTransform(t *testing.T) {
 }
 
 func TestFitTopErrors(t *testing.T) {
-	if _, err := FitTop([][]float64{{1, 2}}, 1, 1); err == nil {
+	if _, err := FitTop(context.Background(), [][]float64{{1, 2}}, 1, 1); err == nil {
 		t.Error("single observation accepted")
 	}
-	if _, err := FitTop(randomRows(5, 3, 1), 4, 1); !errors.Is(err, ErrTooFewComponents) {
+	if _, err := FitTop(context.Background(), randomRows(5, 3, 1), 4, 1); !errors.Is(err, ErrTooFewComponents) {
 		t.Error("k > features accepted")
 	}
-	if _, err := FitTop(randomRows(5, 3, 1), 0, 1); !errors.Is(err, ErrTooFewComponents) {
+	if _, err := FitTop(context.Background(), randomRows(5, 3, 1), 0, 1); !errors.Is(err, ErrTooFewComponents) {
 		t.Error("k = 0 accepted")
 	}
 }

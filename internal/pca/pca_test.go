@@ -1,6 +1,7 @@
 package pca
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -39,8 +40,19 @@ func totalVariance(rows [][]float64) float64 {
 	return sum
 }
 
+// fitTransform fits a k-component model with Fit and projects the
+// training rows through it.
+func fitTransform(rows [][]float64, k int) ([][]float64, *Model, error) {
+	m, err := Fit(context.Background(), rows, k)
+	if err != nil {
+		return nil, nil, err
+	}
+	scores, err := m.Transform(rows)
+	return scores, m, err
+}
+
 func TestFitRecoversLineDirection(t *testing.T) {
-	m, err := Fit(line2D(200, 0.01, 1), 2)
+	m, err := Fit(context.Background(), line2D(200, 0.01, 1), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,20 +68,20 @@ func TestFitRecoversLineDirection(t *testing.T) {
 }
 
 func TestFitErrors(t *testing.T) {
-	if _, err := Fit([][]float64{{1, 2}}, 1); err == nil {
+	if _, err := Fit(context.Background(), [][]float64{{1, 2}}, 1); err == nil {
 		t.Error("single observation accepted")
 	}
-	if _, err := Fit([][]float64{{1, 2}, {3, 4}}, 3); !errors.Is(err, ErrTooFewComponents) {
+	if _, err := Fit(context.Background(), [][]float64{{1, 2}, {3, 4}}, 3); !errors.Is(err, ErrTooFewComponents) {
 		t.Error("k > features accepted")
 	}
-	if _, err := Fit([][]float64{{1, 2}, {3, 4}}, 0); !errors.Is(err, ErrTooFewComponents) {
+	if _, err := Fit(context.Background(), [][]float64{{1, 2}, {3, 4}}, 0); !errors.Is(err, ErrTooFewComponents) {
 		t.Error("k = 0 accepted")
 	}
 }
 
 func TestTransformCentersData(t *testing.T) {
 	rows := line2D(100, 0.5, 2)
-	scores, _, err := FitTransform(rows, 2)
+	scores, _, err := fitTransform(rows, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +98,7 @@ func TestTransformCentersData(t *testing.T) {
 }
 
 func TestTransformDimensionMismatch(t *testing.T) {
-	m, err := Fit([][]float64{{1, 2}, {3, 4}, {5, 7}}, 1)
+	m, err := Fit(context.Background(), [][]float64{{1, 2}, {3, 4}, {5, 7}}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +109,7 @@ func TestTransformDimensionMismatch(t *testing.T) {
 
 func TestExplainedVarianceSumsBelowOne(t *testing.T) {
 	rows := line2D(50, 2, 3)
-	m, err := Fit(rows, 1)
+	m, err := Fit(context.Background(), rows, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +120,7 @@ func TestExplainedVarianceSumsBelowOne(t *testing.T) {
 
 func TestZeroVarianceData(t *testing.T) {
 	rows := [][]float64{{1, 1}, {1, 1}, {1, 1}}
-	m, err := Fit(rows, 2)
+	m, err := Fit(context.Background(), rows, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +152,7 @@ func TestScoreVarianceMatchesEigenvalue(t *testing.T) {
 		for i := range rows {
 			rows[i] = []float64{r.NormFloat64(), r.NormFloat64() * 2, r.NormFloat64() * 0.5}
 		}
-		scores, m, err := FitTransform(rows, d)
+		scores, m, err := fitTransform(rows, d)
 		if err != nil {
 			return false
 		}
@@ -175,7 +187,7 @@ func TestFullRankPCAPreservesDistances(t *testing.T) {
 			rows[i][j] = r.NormFloat64() * 3
 		}
 	}
-	scores, _, err := FitTransform(rows, d)
+	scores, _, err := fitTransform(rows, d)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"testing"
 )
@@ -92,9 +94,13 @@ func BenchmarkCacheKeyCaseStudy(b *testing.B) {
 // miss through Server.Score, on either side of the SOM start table's
 // property (a repeated suite). suite=repeat changes only the SOM seed
 // at each iteration, so every miss after the first reuses the suite's
-// start. suite=fresh also moves one counter by one ulp at each
-// iteration, so no start is ever reused, and the arm measures what
-// keying the table costs traffic without the property.
+// start, as a replica's misses on a suite it has scored before do.
+// suite=fresh also moves one counter by one ulp at each iteration, so
+// no start is ever reused, and the arm measures what keying the table
+// costs traffic without the property. The timed loop leaves as many
+// results in the caches as it ran misses, so each arm reports the
+// exact allocations (exactAllocs) of a new server's second miss
+// instead: for suite=repeat, one from the start its first miss built.
 func BenchmarkServiceScoreMiss(b *testing.B) {
 	base := caseStudyRequest(b, 7)
 	for _, fresh := range []bool{false, true} {
@@ -103,23 +109,50 @@ func BenchmarkServiceScoreMiss(b *testing.B) {
 			name = "suite=fresh"
 		}
 		b.Run(name, func(b *testing.B) {
-			srv := New(Config{CacheSize: DefaultCacheSize})
-			req := *base
-			req.Table.Rows = make([][]float64, len(base.Table.Rows))
-			for i, row := range base.Table.Rows {
-				req.Table.Rows[i] = slices.Clone(row)
+			newServer := func() (*Server, *Request) {
+				req := *base
+				req.Table.Rows = make([][]float64, len(base.Table.Rows))
+				for i, row := range base.Table.Rows {
+					req.Table.Rows[i] = slices.Clone(row)
+				}
+				return New(Config{CacheSize: DefaultCacheSize}), &req
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				req.Config.Seed = uint64(i + 1)
+			miss := func(srv *Server, req *Request, seed uint64) {
+				req.Config.Seed = seed
 				if fresh {
 					req.Table.Rows[0][0] = math.Nextafter(req.Table.Rows[0][0], math.Inf(1))
 				}
-				if _, status, err := srv.Score(context.Background(), &req); err != nil || status != CacheMiss {
+				if _, status, err := srv.Score(context.Background(), req); err != nil || status != CacheMiss {
 					b.Fatalf("status %q, error %v; want a miss", status, err)
 				}
 			}
+			srv, req := newServer()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				miss(srv, req, uint64(i+1))
+			}
+			b.StopTimer()
+			srv, req = newServer()
+			miss(srv, req, 1)
+			b.ReportMetric(exactAllocs(func() { miss(srv, req, 2) }), "allocs/op")
 		})
 	}
+}
+
+// exactAllocs returns the heap allocations of one call of f, counted
+// with the collector off so that none the runtime makes after a
+// collection is charged to f: the count repeats exactly from run to
+// run. Two collections first empty every sync.Pool (a pooled object
+// survives one), so f allocates its pooled scorer and encoder state
+// afresh whatever the runs before it left there.
+func exactAllocs(f func()) float64 {
+	runtime.GC()
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs - before.Mallocs)
 }

@@ -1,6 +1,7 @@
 package som
 
 import (
+	"context"
 	"math"
 
 	"hmeans/internal/pca"
@@ -39,29 +40,25 @@ func (m *Map) initRandom(samples []vecmath.Vector, r *rng.Source) {
 // reports whether the initialization succeeded; failure (fewer than
 // three samples, 1-D input or zero variance) leaves the weights
 // untouched so the caller can fall back to random initialization.
-func (m *Map) initPCA(samples []vecmath.Vector) bool {
+// Once ctx has ended the PCA stops, and initPCA reports failure with
+// ctx's error: the caller must not take that for the samples' own
+// failure.
+func (m *Map) initPCA(ctx context.Context, samples []vecmath.Vector) (bool, error) {
 	if len(samples) < 3 || m.dim < 2 {
-		return false
+		return false, nil
 	}
 	rows := make([][]float64, len(samples))
 	for i, s := range samples {
 		rows[i] = s
 	}
-	// Power iteration extracts just the two components the plane
-	// needs — much cheaper than a full eigendecomposition when the
-	// characterization has hundreds of features. Fall back to the
-	// exact Jacobi path if it fails to converge (e.g. two leading
-	// eigenvalues nearly tied).
-	model, err := pca.FitTop(rows, 2, 0x50b0)
+	model, err := pca.FitLeading(ctx, rows, 2)
 	if err != nil {
-		if model, err = pca.Fit(rows, 2); err != nil {
-			return false
-		}
+		return false, ctx.Err()
 	}
 	s1 := math.Sqrt(model.Variances[0])
 	s2 := math.Sqrt(model.Variances[1])
 	if s1 == 0 {
-		return false
+		return false, nil
 	}
 	if s2 == 0 {
 		// Rank-1 data: stretch the second axis a little so units do
@@ -77,7 +74,7 @@ func (m *Map) initPCA(samples []vecmath.Vector) bool {
 			}
 		}
 	}
-	return true
+	return true, nil
 }
 
 // gridSpan maps index i of an n-long axis to [−1, 1].

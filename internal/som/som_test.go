@@ -285,7 +285,7 @@ func TestInitModes(t *testing.T) {
 		pca     bool
 	}{{"pca", samples, true}, {"random", oneD, false}} {
 		cfg := Config{Rows: 5, Cols: 5, Steps: 2000, Seed: 10}
-		if got := newMap(cfg.Rows, cfg.Cols, len(tc.samples[0])).initPCA(tc.samples); got != tc.pca {
+		if got, _ := newMap(cfg.Rows, cfg.Cols, len(tc.samples[0])).initPCA(context.Background(), tc.samples); got != tc.pca {
 			t.Fatalf("init %s: initPCA = %v, want %v", tc.name, got, tc.pca)
 		}
 		m, err := TrainCtx(context.Background(), cfg, tc.samples)

@@ -54,7 +54,7 @@ func pcaInitMap(tb testing.TB, cfg Config, samples []vecmath.Vector) *Map {
 	tb.Helper()
 	c := cfg.withDefaults()
 	m := newMap(c.Rows, c.Cols, len(samples[0]))
-	if !m.initPCA(samples) {
+	if ok, _ := m.initPCA(context.Background(), samples); !ok {
 		tb.Fatal("PCA initialization failed")
 	}
 	return m
@@ -248,7 +248,7 @@ func TestTinySampleSetsFallBackToRandomInit(t *testing.T) {
 	cfg := Config{Rows: 3, Cols: 3, Steps: 500, Seed: 9}
 	c := cfg.withDefaults()
 	want := newMap(c.Rows, c.Cols, 5)
-	if want.initPCA(samples) {
+	if ok, _ := want.initPCA(context.Background(), samples); ok {
 		t.Fatal("PCA initialization succeeded on two samples")
 	}
 	r := rng.New(c.Seed)

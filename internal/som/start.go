@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"math"
 
 	"hmeans/internal/lru"
@@ -39,15 +40,20 @@ type Start struct {
 }
 
 // newStart builds the start of a rows × cols map on samples, which
-// must be non-empty and rectangular.
-func newStart(rows, cols int, samples []vecmath.Vector) *Start {
+// must be non-empty and rectangular. Once ctx has ended the PCA stops
+// and newStart returns ctx's error and no start.
+func newStart(ctx context.Context, rows, cols int, samples []vecmath.Vector) (*Start, error) {
 	st := &Start{rows: rows, cols: cols, dim: len(samples[0])}
 	// initPCA needs the weight plane alone; the trained map gets its
 	// own (see train).
 	m := Map{rows: rows, cols: cols, dim: st.dim}
 	m.flat, m.weights = newPlane(rows*cols, st.dim)
-	if !m.initPCA(samples) {
-		return st
+	ok, err := m.initPCA(ctx, samples)
+	if err != nil {
+		return nil, fmt.Errorf("som: start cancelled: %w", err)
+	}
+	if !ok {
+		return st, nil
 	}
 	// A PCA-initialized map starts inside the samples' affine span, so
 	// training can run on span coordinates (see spanBasis) whenever
@@ -56,7 +62,7 @@ func newStart(rows, cols int, samples []vecmath.Vector) *Start {
 	st.span = newSpanBasis(samples, m.weights)
 	if st.span == nil {
 		st.init = m.flat
-		return st
+		return st, nil
 	}
 	rank := len(st.span.q)
 	st.init = make([]float64, len(m.weights)*rank)
@@ -70,7 +76,7 @@ func newStart(rows, cols int, samples []vecmath.Vector) *Start {
 		st.coords[i] = vecmath.Vector(flat[i*rank : (i+1)*rank : (i+1)*rank])
 		st.span.project(st.coords[i], s, diff)
 	}
-	return st
+	return st, nil
 }
 
 // trainDim is the dimension the step loop runs in from s: the span
@@ -130,10 +136,11 @@ func NewStarts(capacity int) *Starts {
 
 // start returns the start of a rows × cols map on samples: from t
 // when t holds one for the same grid and bits, else newly built and
-// stored. A nil t builds every time. With telemetry on it records a
-// som.start span under sp and counts som.start.built or
+// stored. A nil t builds every time. A build that ctx cuts short
+// returns its error and stores nothing. With telemetry on it records
+// a som.start span under sp and counts som.start.built or
 // som.start.reused.
-func (t *Starts) start(rows, cols int, samples []vecmath.Vector, o *obs.Observer, sp *obs.Span) *Start {
+func (t *Starts) start(ctx context.Context, rows, cols int, samples []vecmath.Vector, o *obs.Observer, sp *obs.Span) (*Start, error) {
 	ssp := sp.Child("som.start")
 	defer ssp.End()
 	var key lru.Key
@@ -144,10 +151,13 @@ func (t *Starts) start(rows, cols int, samples []vecmath.Vector, o *obs.Observer
 			if o.Active() {
 				o.Metrics().Counter("som.start.reused").Add(1)
 			}
-			return st
+			return st, nil
 		}
 	}
-	st := newStart(rows, cols, samples)
+	st, err := newStart(ctx, rows, cols, samples)
+	if err != nil {
+		return nil, err
+	}
 	if t != nil {
 		t.table.Put(key, st)
 	}
@@ -155,7 +165,7 @@ func (t *Starts) start(rows, cols int, samples []vecmath.Vector, o *obs.Observer
 	if o.Active() {
 		o.Metrics().Counter("som.start.built").Add(1)
 	}
-	return st
+	return st, nil
 }
 
 // startKey hashes the grid shape, the sample count and dimension, and

@@ -2,6 +2,7 @@ package som
 
 import (
 	"context"
+	"errors"
 	"math"
 	"slices"
 	"sync"
@@ -56,10 +57,10 @@ func TestStartReuseBitIdentical(t *testing.T) {
 	for i, s := range cases[2].samples {
 		rows[i] = s
 	}
-	if _, err := pca.FitTop(rows, 2, 0x50b0); err == nil {
+	if _, err := pca.FitTop(context.Background(), rows, 2, 0x50b0); err == nil {
 		t.Fatal("pca.FitTop converged on the two-blob input; it no longer exercises the pca.Fit fallback")
 	}
-	if newMap(3, 3, 5).initPCA(cases[3].samples) {
+	if ok, _ := newMap(3, 3, 5).initPCA(context.Background(), cases[3].samples); ok {
 		t.Fatal("PCA initialization succeeded on two samples")
 	}
 	o := obs.New()
@@ -110,7 +111,10 @@ func startBits(s *Start) [][]float64 {
 // the map leaves the start as it was.
 func TestStartUnchangedAndUnshared(t *testing.T) {
 	for _, tc := range startCases(t) {
-		st := newStart(tc.rows, tc.cols, tc.samples)
+		st, err := newStart(context.Background(), tc.rows, tc.cols, tc.samples)
+		if err != nil {
+			t.Fatal(err)
+		}
 		before := startBits(st)
 		for _, seed := range tc.seeds {
 			cfg := Config{Rows: tc.rows, Cols: tc.cols, Seed: seed}
@@ -237,7 +241,10 @@ func TestStartSize(t *testing.T) {
 		samples    []vecmath.Vector
 		rows, cols int
 	}{{"case study", counters, rows, cols}, {"suite-500", suite, srows, scols}} {
-		st := newStart(tc.rows, tc.cols, tc.samples)
+		st, err := newStart(context.Background(), tc.rows, tc.cols, tc.samples)
+		if err != nil {
+			t.Fatal(err)
+		}
 		floats := 0
 		for _, v := range startBits(st) {
 			floats += len(v)
@@ -289,5 +296,57 @@ func TestStartsConcurrentTraining(t *testing.T) {
 				t.Fatalf("round %d seed %d: concurrent training from the shared start differs", round, i+1)
 			}
 		}
+	}
+}
+
+// endingCtx is a context whose Err reports context.Canceled from its
+// (live+1)-th call on. It counts the calls.
+type endingCtx struct {
+	context.Context
+	live, polls int
+}
+
+func (c *endingCtx) Err() error {
+	c.polls++
+	if c.polls > c.live {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestStartBuildStopsOnEndedContext: on the two-blob input, where
+// pca.FitTop fails and the start falls back to pca.Fit's Jacobi, a
+// context that ended before the call, and one that ends inside the
+// Jacobi, each stop the start's build: TrainCtx returns the context's
+// error and the table stays empty. A live context then builds the
+// start and stores it.
+func TestStartBuildStopsOnEndedContext(t *testing.T) {
+	samples := benchSamples(14, 160)
+	rows := make([][]float64, len(samples))
+	for i, s := range samples {
+		rows[i] = s
+	}
+	// The power iteration's own polls, all of them before it fails.
+	top := &endingCtx{Context: context.Background(), live: math.MaxInt}
+	if _, err := pca.FitTop(top, rows, 2, 0x50b0); err == nil {
+		t.Fatal("pca.FitTop converged on the two-blob input; it no longer exercises the pca.Fit fallback")
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	table := NewStarts(4)
+	cfg := Config{Rows: 5, Cols: 4, Seed: 99, Starts: table}
+	for _, ctx := range []context.Context{cancelled, &endingCtx{Context: context.Background(), live: top.polls + 3}} {
+		if _, err := TrainCtx(ctx, cfg, samples); !errors.Is(err, context.Canceled) {
+			t.Fatalf("TrainCtx with an ended context returned %v, want context.Canceled", err)
+		}
+		if n := table.table.Len(); n != 0 {
+			t.Fatalf("the table holds %d starts after a cancelled build, want 0", n)
+		}
+	}
+	if _, err := TrainCtx(context.Background(), cfg, samples); err != nil {
+		t.Fatal(err)
+	}
+	if n := table.table.Len(); n != 1 {
+		t.Fatalf("the table holds %d starts after a build, want 1", n)
 	}
 }

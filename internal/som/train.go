@@ -15,9 +15,10 @@ import (
 // read but never modified or retained. Training takes its start — the
 // seed-free PCA initialization and span projection, see Start — from
 // cfg.Starts, or builds it when the table holds none, then trains from
-// it with cfg's seed. Training checks the context every few hundred
-// steps; on cancellation the partially trained map is discarded and
-// the context's error returned. A nil context never fires.
+// it with cfg's seed. Building a start polls the context inside its
+// PCA, and training checks it every few hundred steps; on cancellation
+// the start or the partially trained map is discarded and the
+// context's error returned. A nil context never fires.
 func TrainCtx(ctx context.Context, cfg Config, samples []vecmath.Vector) (*Map, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -40,7 +41,10 @@ func TrainCtx(ctx context.Context, cfg Config, samples []vecmath.Vector) (*Map, 
 		obs.KV("rows", c.Rows), obs.KV("cols", c.Cols),
 		obs.KV("samples", len(samples)), obs.KV("dim", dim))
 	defer sp.End()
-	st := c.Starts.start(c.Rows, c.Cols, samples, o, sp)
+	st, err := c.Starts.start(ctx, c.Rows, c.Cols, samples, o, sp)
+	if err != nil {
+		return nil, err
+	}
 	sp.SetAttr("train_dim", st.trainDim())
 	return st.train(ctx, c, samples, o, sp)
 }
@@ -76,6 +80,7 @@ func (m *Map) trainSequential(ctx context.Context, c Config, samples []vecmath.V
 	// prev[i] is the unit sample i won at its last presentation, the
 	// seed of its next search. Any unit is a valid seed; all start at 0.
 	prev := make([]int, len(samples))
+	kern := m.newKernelTable()
 	var coords, exps int
 	var err error
 	for n := 0; n < c.Steps; n++ {
@@ -98,7 +103,7 @@ func (m *Map) trainSequential(ctx context.Context, c Config, samples []vecmath.V
 		u, k := m.bmuSeeded(x, prev[i])
 		prev[i] = u
 		coords += k
-		exps += m.updateNeighbourhood(x, u/m.cols, u%m.cols, alpha, sigma)
+		exps += m.updateNeighbourhood(x, u/m.cols, u%m.cols, alpha, sigma, kern)
 	}
 	if o.Active() {
 		o.Metrics().Counter("som.bmu_coords").Add(int64(coords))
@@ -107,34 +112,78 @@ func (m *Map) trainSequential(ctx context.Context, c Config, samples []vecmath.V
 	return err
 }
 
+// newKernelTable returns the scratch table updateNeighbourhood fills
+// at every step: one entry per squared grid distance a map of m's
+// shape can have, 0 through (rows−1)² + (cols−1)².
+func (m *Map) newKernelTable() []float64 {
+	return make([]float64, (m.rows-1)*(m.rows-1)+(m.cols-1)*(m.cols-1)+1)
+}
+
 // updateNeighbourhood applies the weight update around BMU (br, bc)
 // and returns the number of kernel exp calls it made. Units farther
 // than cutoff·σ contribute a negligible kernel value and are skipped;
 // this bounds the work per step without changing the result
-// materially. Each weight moves in one pass, w[j] += h·(x[j] − w[j]),
-// rounding the difference, the product and the sum in that order: the
-// order of the tests' reference loop, whose weights training matches
-// bit for bit.
-func (m *Map) updateNeighbourhood(x vecmath.Vector, br, bc int, alpha, sigma float64) (exps int) {
+// materially.
+//
+// The step runs in two passes. The kernel depends on a unit only
+// through the integer d² = dr² + dc², so the first pass writes
+// kern[d²] once for every distinct d² in the clipped window, with the
+// tests' reference expression, and the exps run back to back instead
+// of each waiting behind a unit's weight update. The second pass moves
+// every weight of the window, w[j] += h·(x[j] − w[j]), four elements
+// at a time, rounding the difference, the product and the sum in that
+// order: the order of the tests' reference loop, whose weights
+// training matches bit for bit. kern is newKernelTable's scratch.
+func (m *Map) updateNeighbourhood(x vecmath.Vector, br, bc int, alpha, sigma float64, kern []float64) (exps int) {
 	const cutoff = 3.0
 	reach := int(math.Ceil(cutoff * sigma))
 	r0, r1 := maxInt(0, br-reach), minInt(m.rows-1, br+reach)
 	c0, c1 := maxInt(0, bc-reach), minInt(m.cols-1, bc+reach)
 	inv2s2 := 1 / (2 * sigma * sigma)
+	ra, ca := maxInt(br-r0, r1-br), maxInt(bc-c0, c1-bc)
+	kern = kern[:ra*ra+ca*ca+1]
+	// A kernel value is never negative, so −1 marks a distance not
+	// yet computed.
+	for i := range kern {
+		kern[i] = -1
+	}
+	for a := 0; a <= ra; a++ {
+		for b := 0; b <= ca; b++ {
+			if kern[a*a+b*b] >= 0 {
+				continue
+			}
+			dr, dc := float64(a), float64(b)
+			kern[a*a+b*b] = alpha * math.Exp(-(dr*dr+dc*dc)*inv2s2)
+			exps++
+		}
+	}
+	dim := m.dim
+	x = x[:dim]
+	quads := dim - dim%4
 	for gr := r0; gr <= r1; gr++ {
+		dr := gr - br
 		for gc := c0; gc <= c1; gc++ {
-			dr, dc := float64(gr-br), float64(gc-bc)
-			h := alpha * math.Exp(-(dr*dr+dc*dc)*inv2s2)
+			dc := gc - bc
+			h := kern[dr*dr+dc*dc]
 			if h < 1e-9 {
 				continue
 			}
-			w := m.weights[gr*m.cols+gc][:len(x)]
-			for j, xj := range x {
-				w[j] += h * (xj - w[j])
+			off := (gr*m.cols + gc) * dim
+			w := m.flat[off : off+dim : off+dim]
+			j := 0
+			for ; j < quads; j += 4 {
+				xq, wq := x[j:j+4:j+4], w[j:j+4:j+4]
+				wq[0] += h * (xq[0] - wq[0])
+				wq[1] += h * (xq[1] - wq[1])
+				wq[2] += h * (xq[2] - wq[2])
+				wq[3] += h * (xq[3] - wq[3])
+			}
+			for ; j < dim; j++ {
+				w[j] += h * (x[j] - w[j])
 			}
 		}
 	}
-	return (r1 - r0 + 1) * (c1 - c0 + 1)
+	return exps
 }
 
 func maxInt(a, b int) int {

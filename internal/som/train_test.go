@@ -182,8 +182,10 @@ func TestTrainWorkCounters(t *testing.T) {
 	if steps != 10000 || coords <= 0 || coords >= brute {
 		t.Fatalf("som.steps %d, som.bmu_coords %d; want 10000 steps and 0 < coords < %d", steps, coords, brute)
 	}
-	if exps < steps || exps > steps*int64(rows*cols) {
-		t.Fatalf("som.kernel_exps %d, want between %d and %d", exps, steps, steps*int64(rows*cols))
+	// One exp per distinct squared grid distance in each step's window:
+	// 9.75 a step, against 16.8 for one exp per unit of the window.
+	if exps != caseStudyKernelExps {
+		t.Fatalf("som.kernel_exps %d, want %d", exps, caseStudyKernelExps)
 	}
 	// A second run adds its own counts once.
 	if _, err := TrainCtx(context.Background(), cfg, samples); err != nil {
@@ -191,5 +193,93 @@ func TestTrainWorkCounters(t *testing.T) {
 	}
 	if got := o.Metrics().Counter("som.bmu_coords").Value(); got != 2*coords {
 		t.Fatalf("two runs recorded %d coordinates, want %d", got, 2*coords)
+	}
+	if got := o.Metrics().Counter("som.kernel_exps").Value(); got != 2*exps {
+		t.Fatalf("two runs recorded %d kernel exps, want %d", got, 2*exps)
+	}
+}
+
+// caseStudyKernelExps is som.kernel_exps for 10,000 steps on the case
+// study's counters at seed 1.
+const caseStudyKernelExps = 97522
+
+// updateOracle is trainOracle's neighbourhood update for one step: an
+// exp for every unit of the clipped window, then the difference pass
+// and the AXPY.
+func (m *Map) updateOracle(x vecmath.Vector, br, bc int, alpha, sigma float64) {
+	diff := vecmath.NewVector(m.dim)
+	reach := int(math.Ceil(3 * sigma))
+	inv2s2 := 1 / (2 * sigma * sigma)
+	for gr := max(0, br-reach); gr <= min(m.rows-1, br+reach); gr++ {
+		for gc := max(0, bc-reach); gc <= min(m.cols-1, bc+reach); gc++ {
+			dr, dc := float64(gr-br), float64(gc-bc)
+			h := alpha * math.Exp(-(dr*dr+dc*dc)*inv2s2)
+			if h < 1e-9 {
+				continue
+			}
+			w := m.weights[gr*m.cols+gc]
+			for j := range w {
+				diff[j] = x[j] - w[j]
+			}
+			w.AXPYInPlace(h, diff)
+		}
+	}
+}
+
+// distinctSquaredDistances counts the distinct (gr − br)² + (gc − bc)²
+// over the units of the step's clipped window.
+func distinctSquaredDistances(rows, cols, br, bc int, sigma float64) int {
+	reach := int(math.Ceil(3 * sigma))
+	seen := map[int]bool{}
+	for gr := max(0, br-reach); gr <= min(rows-1, br+reach); gr++ {
+		for gc := max(0, bc-reach); gc <= min(cols-1, bc+reach); gc++ {
+			seen[(gr-br)*(gr-br)+(gc-bc)*(gc-bc)] = true
+		}
+	}
+	return len(seen)
+}
+
+// TestUpdateNeighbourhoodEveryCell: at every BMU cell of the case
+// study's 5 × 4 grid and suite-500's 12 × 10, with σ at its floor, 1
+// and its start and α at its start and its floor, one two-pass update
+// moves a copy of a map's weights bit for bit as the per-unit-exp
+// update moves another, and makes one exp per distinct squared grid
+// distance in the clipped window. Dimensions 1, 12 and 42 give the
+// unrolled update a tail alone, whole blocks, and both. At σ's floor
+// the window's corners have kernel values below 1e-9, which both
+// updates skip.
+func TestUpdateNeighbourhoodEveryCell(t *testing.T) {
+	for _, g := range []struct{ rows, cols int }{{5, 4}, {12, 10}} {
+		sigma0 := float64(max(g.rows, g.cols)) / 2
+		for _, dim := range []int{1, 12, 42} {
+			r := rng.New(uint64(g.rows*100 + dim))
+			init := newMap(g.rows, g.cols, dim)
+			for j := range init.flat {
+				init.flat[j] = r.NormFloat64()
+			}
+			x := vecmath.NewVector(dim)
+			for j := range x {
+				x[j] = 3 * r.NormFloat64()
+			}
+			kern := init.newKernelTable()
+			got, want := newMap(g.rows, g.cols, dim), newMap(g.rows, g.cols, dim)
+			for _, sigma := range []float64{sigmaFloor, 1, sigma0} {
+				for _, alpha := range []float64{alpha0, alphaFloor} {
+					for u := 0; u < g.rows*g.cols; u++ {
+						br, bc := u/g.cols, u%g.cols
+						copy(got.flat, init.flat)
+						copy(want.flat, init.flat)
+						exps := got.updateNeighbourhood(x, br, bc, alpha, sigma, kern)
+						want.updateOracle(x, br, bc, alpha, sigma)
+						if !equalMaps(t, got, want) {
+							t.Fatalf("%d×%d grid, dim %d, σ %v, α %v, BMU (%d, %d): weights differ from the per-unit-exp update", g.rows, g.cols, dim, sigma, alpha, br, bc)
+						}
+						if d := distinctSquaredDistances(g.rows, g.cols, br, bc, sigma); exps != d {
+							t.Fatalf("%d×%d grid, σ %v, BMU (%d, %d): %d exps, want %d, one per distinct squared distance", g.rows, g.cols, sigma, br, bc, exps, d)
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package vecmath
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -12,7 +13,7 @@ import (
 func TestSymmetricEigenKnown(t *testing.T) {
 	// Eigenvalues of [[2,1],[1,2]] are 3 and 1.
 	a := FromRows([][]float64{{2, 1}, {1, 2}})
-	e, err := SymmetricEigen(a)
+	e, err := SymmetricEigen(context.Background(), a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +29,7 @@ func TestSymmetricEigenKnown(t *testing.T) {
 
 func TestSymmetricEigenDiagonal(t *testing.T) {
 	a := FromRows([][]float64{{5, 0, 0}, {0, -2, 0}, {0, 0, 3}})
-	e, err := SymmetricEigen(a)
+	e, err := SymmetricEigen(context.Background(), a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func TestSymmetricEigenDiagonal(t *testing.T) {
 
 func TestSymmetricEigenRejectsAsymmetric(t *testing.T) {
 	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	if _, err := SymmetricEigen(a); !errors.Is(err, ErrNotSymmetric) {
+	if _, err := SymmetricEigen(context.Background(), a); !errors.Is(err, ErrNotSymmetric) {
 		t.Fatalf("err = %v, want ErrNotSymmetric", err)
 	}
 }
@@ -65,7 +66,7 @@ func TestEigenReconstruction(t *testing.T) {
 	// A = V diag(λ) Vᵀ must reconstruct the original matrix.
 	for _, n := range []int{2, 3, 5, 8, 12} {
 		a := randomSymmetric(n, uint64(n))
-		e, err := SymmetricEigen(a)
+		e, err := SymmetricEigen(context.Background(), a)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -85,7 +86,7 @@ func TestEigenReconstruction(t *testing.T) {
 
 func TestEigenOrthonormal(t *testing.T) {
 	a := randomSymmetric(7, 99)
-	e, err := SymmetricEigen(a)
+	e, err := SymmetricEigen(context.Background(), a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestEigenTraceInvariant(t *testing.T) {
 	f := func(seed uint64) bool {
 		n := int(seed%6) + 2
 		a := randomSymmetric(n, seed)
-		e, err := SymmetricEigen(a)
+		e, err := SymmetricEigen(context.Background(), a)
 		if err != nil {
 			return false
 		}
@@ -128,7 +129,7 @@ func TestEigenTraceInvariant(t *testing.T) {
 func TestEigenSorted(t *testing.T) {
 	f := func(seed uint64) bool {
 		a := randomSymmetric(int(seed%5)+2, seed^0xabcdef)
-		e, err := SymmetricEigen(a)
+		e, err := SymmetricEigen(context.Background(), a)
 		if err != nil {
 			return false
 		}
@@ -141,5 +142,44 @@ func TestEigenSorted(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// endingCtx is a context whose Err reports context.Canceled from its
+// (live+1)-th call on. It counts the calls.
+type endingCtx struct {
+	context.Context
+	live, polls int
+}
+
+func (c *endingCtx) Err() error {
+	c.polls++
+	if c.polls > c.live {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestEigenSolversStopOnEndedContext: the Jacobi polls its context
+// before every row of rotations and the power iteration before every
+// iteration, so each returns the context's error at its first poll
+// when the context ended before the call, and at its next poll when it
+// ends mid-run.
+func TestEigenSolversStopOnEndedContext(t *testing.T) {
+	a := randomPSD(40, 3)
+	for name, solve := range map[string]func(context.Context) error{
+		"SymmetricEigen": func(ctx context.Context) error { _, err := SymmetricEigen(ctx, a); return err },
+		"TopEigen":       func(ctx context.Context) error { _, err := TopEigen(ctx, a, 2, 1); return err },
+	} {
+		full := &endingCtx{Context: context.Background(), live: math.MaxInt}
+		if err := solve(full); err != nil || full.polls <= 10 {
+			t.Fatalf("%s: %v after %d polls, want success after more than 10", name, err, full.polls)
+		}
+		for _, live := range []int{0, 10} {
+			ctx := &endingCtx{Context: context.Background(), live: live}
+			if err := solve(ctx); !errors.Is(err, context.Canceled) || ctx.polls != live+1 {
+				t.Fatalf("%s, context ending after %d polls: %v after %d polls, want context.Canceled after %d", name, live, err, ctx.polls, live+1)
+			}
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package vecmath
 
 import (
+	"context"
 	"math"
 
 	"hmeans/internal/rng"
@@ -17,8 +18,10 @@ import (
 // The matrix must be symmetric; eigenvalues of PSD matrices are
 // non-negative so largest-magnitude equals largest. Deflation
 // accumulates error with k, so this path is intended for small k
-// (the pipeline needs k = 2).
-func TopEigen(a *Matrix, k int, seed uint64) (*Eigen, error) {
+// (the pipeline needs k = 2). The context is polled before each
+// iteration; once it has ended the iteration stops and returns its
+// error.
+func TopEigen(ctx context.Context, a *Matrix, k int, seed uint64) (*Eigen, error) {
 	const (
 		maxIter = 1000
 		tol     = 1e-10
@@ -46,6 +49,9 @@ func TopEigen(a *Matrix, k int, seed uint64) (*Eigen, error) {
 		lambda := 0.0
 		converged := false
 		for iter := 0; iter < maxIter; iter++ {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 			norm := av.Norm()
 			if norm < 1e-300 {
 				// The deflated matrix annihilated the guess: the

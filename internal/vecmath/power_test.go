@@ -1,6 +1,7 @@
 package vecmath
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -24,11 +25,11 @@ func randomPSD(n int, seed uint64) *Matrix {
 func TestTopEigenMatchesJacobi(t *testing.T) {
 	for _, n := range []int{3, 6, 12, 25} {
 		a := randomPSD(n, uint64(n)*7)
-		full, err := SymmetricEigen(a)
+		full, err := SymmetricEigen(context.Background(), a)
 		if err != nil {
 			t.Fatal(err)
 		}
-		top, err := TopEigen(a, 2, 1)
+		top, err := TopEigen(context.Background(), a, 2, 1)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -47,7 +48,7 @@ func TestTopEigenMatchesJacobi(t *testing.T) {
 
 func TestTopEigenDiagonal(t *testing.T) {
 	a := FromRows([][]float64{{5, 0, 0}, {0, 2, 0}, {0, 0, 9}})
-	top, err := TopEigen(a, 2, 3)
+	top, err := TopEigen(context.Background(), a, 2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestTopEigenRankDeficient(t *testing.T) {
 			a.Set(i, j, 4*v[i]*v[j])
 		}
 	}
-	top, err := TopEigen(a, 2, 5)
+	top, err := TopEigen(context.Background(), a, 2, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestTopEigenMatchesReference(t *testing.T) {
 	for ii, a := range inputs {
 		for k := 1; k <= 3 && k <= a.Rows(); k++ {
 			for seed := uint64(0); seed < 5; seed++ {
-				got, gotErr := TopEigen(a, k, seed)
+				got, gotErr := TopEigen(context.Background(), a, k, seed)
 				want, wantErr := topEigenReference(a, k, seed)
 				if !errors.Is(gotErr, wantErr) || (gotErr == nil) != (wantErr == nil) {
 					t.Fatalf("input %d k=%d seed %d: error %v, reference %v", ii, k, seed, gotErr, wantErr)
@@ -190,14 +191,14 @@ func TestTopEigenMatchesReference(t *testing.T) {
 
 func TestTopEigenErrors(t *testing.T) {
 	asym := FromRows([][]float64{{1, 2}, {3, 4}})
-	if _, err := TopEigen(asym, 1, 1); !errors.Is(err, ErrNotSymmetric) {
+	if _, err := TopEigen(context.Background(), asym, 1, 1); !errors.Is(err, ErrNotSymmetric) {
 		t.Error("asymmetric matrix accepted")
 	}
 	a := randomPSD(3, 1)
-	if _, err := TopEigen(a, 0, 1); err == nil {
+	if _, err := TopEigen(context.Background(), a, 0, 1); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := TopEigen(a, 4, 1); err == nil {
+	if _, err := TopEigen(context.Background(), a, 4, 1); err == nil {
 		t.Error("k>n accepted")
 	}
 }
@@ -208,7 +209,7 @@ func BenchmarkTopEigen2VsJacobi(b *testing.B) {
 	b.Run("power-top2", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := TopEigen(a, 2, 1); err != nil {
+			if _, err := TopEigen(context.Background(), a, 2, 1); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -216,7 +217,7 @@ func BenchmarkTopEigen2VsJacobi(b *testing.B) {
 	b.Run("jacobi-full", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := SymmetricEigen(a); err != nil {
+			if _, err := SymmetricEigen(context.Background(), a); err != nil {
 				b.Fatal(err)
 			}
 		}
