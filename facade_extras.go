@@ -18,8 +18,11 @@ import (
 // library defaults, including a grid sized to the sample count. Its
 // Starts field is the scoring daemon's table of prepared training
 // starts, one per suite, which lets a miss on a suite the daemon has
-// scored before skip the seed-free set-up; nil, the zero value,
-// prepares every run's start afresh and trains the same weights.
+// scored before skip the seed-free set-up, and of kernel schedules,
+// one per grid and step count, which lets a miss on a grid it has
+// trained before read every step's kernel instead of computing it;
+// nil, the zero value, prepares every run's start and kernel afresh
+// and trains the same weights.
 type SOMConfig = som.Config
 
 // Interval is a two-sided confidence interval around a statistic.

@@ -57,3 +57,39 @@ func TestCacheDisabled(t *testing.T) {
 		t.Fatalf("disabled cache holds %d entries", c.Len())
 	}
 }
+
+// TestCacheSizedEviction: a sized table evicts least recently used
+// entries until the sizes fit its capacity, refreshing a key counts
+// its new size, and an entry larger than the capacity is not stored.
+func TestCacheSizedEviction(t *testing.T) {
+	c := NewSized[[]byte](10, func(v []byte) int { return len(v) })
+	c.Put(key(1), []byte("aaaa"))
+	c.Put(key(2), []byte("bbbb"))
+	if c.Len() != 2 || c.Size() != 8 {
+		t.Fatalf("len %d, size %d; want 2 and 8", c.Len(), c.Size())
+	}
+	// Key 1 is the least recently used: 4 + 4 + 3 > 10 evicts it.
+	c.Put(key(3), []byte("ccc"))
+	if _, ok := c.Get(key(1)); ok || c.Len() != 2 || c.Size() != 7 {
+		t.Fatalf("key 1 kept %v, len %d, size %d; want evicted, 2 and 7", ok, c.Len(), c.Size())
+	}
+	// Growing key 2 to 8 evicts key 3, and shrinking it frees the rest.
+	c.Put(key(2), []byte("bbbbbbbb"))
+	if _, ok := c.Get(key(3)); ok || c.Size() != 8 {
+		t.Fatalf("key 3 kept %v, size %d; want evicted and 8", ok, c.Size())
+	}
+	c.Put(key(2), []byte("b"))
+	if c.Size() != 1 {
+		t.Fatalf("size %d after shrinking key 2, want 1", c.Size())
+	}
+	// Too large for the table: stored nowhere, and nothing evicted.
+	c.Put(key(4), []byte("0123456789a"))
+	if _, ok := c.Get(key(4)); ok || c.Len() != 1 || c.Size() != 1 {
+		t.Fatalf("oversized entry stored %v, len %d, size %d; want not stored, 1 and 1", ok, c.Len(), c.Size())
+	}
+	// An entry of exactly the capacity is stored alone.
+	c.Put(key(5), []byte("0123456789"))
+	if v, ok := c.Get(key(5)); !ok || len(v) != 10 || c.Len() != 1 || c.Size() != 10 {
+		t.Fatalf("entry of the capacity: stored %v, len %d, size %d; want stored alone at 10", ok, c.Len(), c.Size())
+	}
+}

@@ -45,16 +45,20 @@ type Config struct {
 	// support a PCA plane, random initialization.
 	Seed uint64
 	// Obs receives training telemetry: a som.train span with a
-	// som.start child, periodic som.step events, and the
-	// som.start.built / som.start.reused counters. Nil falls back to
-	// the process-default observer; instrumentation never affects the
-	// trained weights.
+	// som.start child, periodic som.step events, the
+	// som.start.built / som.start.reused and som.schedule.built /
+	// som.schedule.reused counters, and the som.schedule.bytes gauge.
+	// Nil falls back to the process-default observer; instrumentation
+	// never affects the trained weights.
 	Obs *obs.Observer
-	// Starts, when non-nil, is a table of training starts shared
-	// across runs: a run on a grid and samples the table already
-	// holds reuses that start instead of recomputing the PCA plane and
-	// span projection, and trains bit-identical weights. Nil builds
-	// every run's start afresh.
+	// Starts, when non-nil, is a table of training starts and kernel
+	// schedules shared across runs: a run on a grid and samples the
+	// table already holds reuses that start instead of recomputing the
+	// PCA plane and span projection, and a run on a grid and step
+	// count it already holds reads that schedule instead of computing
+	// its kernel, and trains bit-identical weights. Nil builds every
+	// run's start afresh and computes its kernel a block of steps at a
+	// time.
 	Starts *Starts
 }
 

@@ -2,6 +2,7 @@ package som
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -77,6 +78,30 @@ func BenchmarkTrainSequentialSuite500(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(exactAllocs(train), "allocs/op")
+}
+
+// BenchmarkKernelSchedule times one shared build of a kernel schedule:
+// the case study's 5 × 4 grid at 10,000 steps and suite-500's 12 × 10
+// at 60,000, the work a replica's first training on a grid does so
+// that its later ones make no exp. It reports the exact allocations of
+// one more build (exactAllocs).
+func BenchmarkKernelSchedule(b *testing.B) {
+	for _, g := range []struct{ rows, cols, steps int }{{5, 4, 10000}, {12, 10, 60000}} {
+		b.Run(fmt.Sprintf("grid=%dx%d", g.rows, g.cols), func(b *testing.B) {
+			p := newKernelPlan(g.rows, g.cols, g.steps)
+			build := func() {
+				if s, err := buildSchedule(context.Background(), p); err != nil || s == nil {
+					b.Fatalf("schedule %v, error %v", s, err)
+				}
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				build()
+			}
+			b.StopTimer()
+			b.ReportMetric(exactAllocs(build), "allocs/op")
+		})
+	}
 }
 
 // exactAllocs returns the heap allocations of one call of f, counted

@@ -120,18 +120,26 @@ func (s *Start) train(ctx context.Context, c Config, samples []vecmath.Vector, o
 }
 
 // Starts is a bounded table of training starts, keyed by SHA-256 of
-// the grid shape and the samples' exact float64 bits, and safe for
+// the grid shape and the samples' exact float64 bits, and of kernel
+// schedules, keyed by the grid shape and the step count, safe for
 // concurrent use. Set in Config.Starts, it lets a later training on
 // the same grid and samples, at any seed, skip straight to its seed's
-// training. Two concurrent first trainings on one key may both build
-// a start; the two are bit-identical, so the table keeps either.
+// training, and a later training on the same grid and step count, on
+// any samples, read its kernel instead of computing it. Two concurrent
+// first trainings on one key may both build a start or a schedule;
+// the two are bit-identical, so the table keeps either.
 type Starts struct {
-	table *lru.Cache[*Start]
+	table     *lru.Cache[*Start]
+	schedules *lru.Cache[*schedule]
 }
 
-// NewStarts returns a table of at most capacity starts.
+// NewStarts returns a table of at most capacity starts, and of kernel
+// schedules of at most scheduleBytes in all.
 func NewStarts(capacity int) *Starts {
-	return &Starts{table: lru.New[*Start](capacity)}
+	return &Starts{
+		table:     lru.New[*Start](capacity),
+		schedules: lru.NewSized(scheduleBytes, (*schedule).bytes),
+	}
 }
 
 // start returns the start of a rows × cols map on samples: from t
@@ -166,6 +174,39 @@ func (t *Starts) start(ctx context.Context, rows, cols int, samples []vecmath.Ve
 		o.Metrics().Counter("som.start.built").Add(1)
 	}
 	return st, nil
+}
+
+// schedule returns the kernel schedule of p: from t when t holds one,
+// else newly built and stored. It returns nil, and training fills its
+// own schedule a block at a time, when t is nil or when the schedule
+// would take more than scheduleBytes. A build that ctx cuts short
+// returns its error and stores nothing. With telemetry on it counts
+// som.schedule.built or som.schedule.reused, adds a build's exps to
+// som.kernel_exps and sets som.schedule.bytes to the bytes of the
+// schedules t holds.
+func (t *Starts) schedule(ctx context.Context, p kernelPlan, o *obs.Observer) (*schedule, error) {
+	if t == nil {
+		return nil, nil
+	}
+	key := p.key()
+	if s, ok := t.schedules.Get(key); ok {
+		if o.Active() {
+			o.Metrics().Counter("som.schedule.reused").Add(1)
+		}
+		return s, nil
+	}
+	s, err := buildSchedule(ctx, p)
+	if s == nil {
+		return nil, err
+	}
+	t.schedules.Put(key, s)
+	if o.Active() {
+		m := o.Metrics()
+		m.Counter("som.schedule.built").Add(1)
+		m.Counter("som.kernel_exps").Add(int64(len(s.kern)))
+		m.Gauge("som.schedule.bytes").Set(float64(t.schedules.Size()))
+	}
+	return s, nil
 }
 
 // startKey hashes the grid shape, the sample count and dimension, and

@@ -47,10 +47,12 @@ func startCases(tb testing.TB) []startCase {
 	return cases
 }
 
-// TestStartReuseBitIdentical: training from a start the table already
-// holds, at a new seed, trains the weights TrainCtx trains without a
-// table, bit for bit. Each input builds its start once and reuses it
-// at every later seed.
+// TestStartReuseBitIdentical: training from a start and a kernel
+// schedule the table already holds, at a new seed, trains the weights
+// TrainCtx trains without a table, bit for bit. Each input trains
+// twice at every seed through the table: its first training builds
+// the start, and the first on its grid and step count the schedule,
+// and every later one reuses them.
 func TestStartReuseBitIdentical(t *testing.T) {
 	cases := startCases(t)
 	rows := make([][]float64, len(cases[2].samples))
@@ -65,7 +67,8 @@ func TestStartReuseBitIdentical(t *testing.T) {
 	}
 	o := obs.New()
 	table := NewStarts(len(cases))
-	var seeds int64
+	var trainings int64
+	plans := map[kernelPlan]bool{}
 	for _, tc := range cases {
 		for _, seed := range tc.seeds {
 			cfg := Config{Rows: tc.rows, Cols: tc.cols, Seed: seed}
@@ -74,20 +77,30 @@ func TestStartReuseBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			cfg.Starts, cfg.Obs = table, o
-			got, err := TrainCtx(context.Background(), cfg, tc.samples)
-			if err != nil {
-				t.Fatal(err)
+			for run := 1; run <= 2; run++ {
+				got, err := TrainCtx(context.Background(), cfg, tc.samples)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !equalMaps(t, got, want) {
+					t.Fatalf("%s seed %d, training %d through the table: weights differ from TrainCtx without a table", tc.name, seed, run)
+				}
+				trainings++
 			}
-			if !equalMaps(t, got, want) {
-				t.Fatalf("%s seed %d: weights from the table's start differ from TrainCtx without a table", tc.name, seed)
-			}
-			seeds++
+			c := cfg.withDefaults()
+			plans[newKernelPlan(c.Rows, c.Cols, c.Steps)] = true
 		}
 	}
-	built := o.Metrics().Counter("som.start.built").Value()
-	reused := o.Metrics().Counter("som.start.reused").Value()
-	if built != int64(len(cases)) || reused != seeds-built {
-		t.Fatalf("som.start.built %d, som.start.reused %d; want %d and %d", built, reused, len(cases), seeds-int64(len(cases)))
+	metrics := o.Metrics()
+	built := metrics.Counter("som.start.built").Value()
+	reused := metrics.Counter("som.start.reused").Value()
+	if built != int64(len(cases)) || reused != trainings-built {
+		t.Fatalf("som.start.built %d, som.start.reused %d; want %d and %d", built, reused, len(cases), trainings-int64(len(cases)))
+	}
+	built = metrics.Counter("som.schedule.built").Value()
+	reused = metrics.Counter("som.schedule.reused").Value()
+	if built != int64(len(plans)) || reused != trainings-built {
+		t.Fatalf("som.schedule.built %d, som.schedule.reused %d; want %d and %d", built, reused, len(plans), trainings-int64(len(plans)))
 	}
 }
 
@@ -261,8 +274,9 @@ func TestStartSize(t *testing.T) {
 }
 
 // TestStartsConcurrentTraining: concurrent trainings at different
-// seeds share one table's start and each trains the weights TrainCtx
-// trains without a table. Run it under the race detector.
+// seeds share one table's start and kernel schedule, which the first
+// round may build several times over, and each trains the weights
+// TrainCtx trains without a table. Run it under the race detector.
 func TestStartsConcurrentTraining(t *testing.T) {
 	samples := caseStudyCounters(t, 2)
 	rows, cols := GridFor(len(samples))
@@ -295,6 +309,9 @@ func TestStartsConcurrentTraining(t *testing.T) {
 			if !equalMaps(t, got[i], want[i]) {
 				t.Fatalf("round %d seed %d: concurrent training from the shared start differs", round, i+1)
 			}
+		}
+		if n := table.schedules.Len(); n != 1 {
+			t.Fatalf("round %d: the table holds %d kernel schedules, want 1", round, n)
 		}
 	}
 }

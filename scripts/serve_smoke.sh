@@ -8,8 +8,8 @@
 # service and the CLI must never disagree about a mean. Also checks
 # that a repeated request is answered from the cache with identical
 # bytes, that the same suite at another SOM seed reuses the suite's
-# SOM start and still matches the CLI, and validates the request trace
-# the daemon wrote.
+# SOM start and its grid's kernel schedule and still matches the CLI,
+# and validates the request trace the daemon wrote.
 #
 # On top of that it exercises the request-telemetry story end to end:
 # one X-Request-ID chosen by hmeansctl and one reported by hmeansload
@@ -78,33 +78,41 @@ case "$HGM" in
 esac
 echo "serve-smoke: service HGM matches batch CLI: $HGM"
 
-# start_count NAME: the daemon's som_start_NAME counter (0 until the
-# first SOM start is built or reused).
-start_count() {
-    n="$(curl -sf -H 'Accept: text/plain' "$ADDR/metrics" | sed -n "s/^som_start_$1 \([0-9]*\)$/\1/p")"
+# som_count TABLE NAME: the daemon's som_TABLE_NAME counter (0 until
+# the first SOM start or kernel schedule is built or reused).
+som_count() {
+    n="$(curl -sf -H 'Accept: text/plain' "$ADDR/metrics" | sed -n "s/^som_$1_$2 \([0-9]*\)$/\1/p")"
     echo "${n:-0}"
 }
 
 # A miss on a suite the daemon has prepared before — the same case
-# study at another SOM seed — reuses that suite's SOM start, builds
-# none, and still agrees with the batch CLI line for line. (It runs
+# study at another SOM seed — reuses that suite's SOM start and its
+# grid's kernel schedule, builds neither, and still agrees with the
+# batch CLI line for line. (It runs
 # before the cache-hit checks below, which make the k=6 result the
 # more recently used, so the load run further down evicts this one
 # first and the warm restart still finds the k=6 result.)
-BUILT_BEFORE="$(start_count built)"
-REUSED_BEFORE="$(start_count reused)"
+BUILT_BEFORE="$(som_count start built)"
+REUSED_BEFORE="$(som_count start reused)"
+SCHED_BUILT_BEFORE="$(som_count schedule built)"
+SCHED_REUSED_BEFORE="$(som_count schedule reused)"
 "$SMOKE_DIR/hmeans" -scores "$SMOKE_DIR/speedups.csv" -chars "$SMOKE_DIR/sar.csv" -k 6 -seed 11 \
     > "$SMOKE_DIR/batch-seed11.out"
 "$SMOKE_DIR/hmeansctl" -addr "$ADDR" -scores "$SMOKE_DIR/speedups.csv" -chars "$SMOKE_DIR/sar.csv" -k 6 -seed 11 \
     > "$SMOKE_DIR/service-seed11.out"
 diff -u "$SMOKE_DIR/batch-seed11.out" "$SMOKE_DIR/service-seed11.out" || {
     echo "serve-smoke: seed-11 service result diverges from the batch CLI" >&2; exit 1; }
-BUILT_AFTER="$(start_count built)"
-REUSED_AFTER="$(start_count reused)"
+BUILT_AFTER="$(som_count start built)"
+REUSED_AFTER="$(som_count start reused)"
 [ $((REUSED_AFTER - REUSED_BEFORE)) -eq 1 ] && [ $((BUILT_AFTER - BUILT_BEFORE)) -eq 0 ] || {
     echo "serve-smoke: seed-11 miss moved som_start_reused by $((REUSED_AFTER - REUSED_BEFORE)) and som_start_built by $((BUILT_AFTER - BUILT_BEFORE)), want 1 and 0" >&2
     exit 1; }
-echo "serve-smoke: a new SOM seed on a prepared suite reuses its start and matches the batch CLI"
+SCHED_BUILT_AFTER="$(som_count schedule built)"
+SCHED_REUSED_AFTER="$(som_count schedule reused)"
+[ $((SCHED_REUSED_AFTER - SCHED_REUSED_BEFORE)) -eq 1 ] && [ $((SCHED_BUILT_AFTER - SCHED_BUILT_BEFORE)) -eq 0 ] || {
+    echo "serve-smoke: seed-11 miss moved som_schedule_reused by $((SCHED_REUSED_AFTER - SCHED_REUSED_BEFORE)) and som_schedule_built by $((SCHED_BUILT_AFTER - SCHED_BUILT_BEFORE)), want 1 and 0" >&2
+    exit 1; }
+echo "serve-smoke: a new SOM seed on a prepared suite reuses its start and kernel schedule and matches the batch CLI"
 
 # alias_hits: the daemon's service_alias_hit counter (0 until the
 # first replay of a body it has keyed).
