@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race repeat vet fmt lint staticcheck bench bench-json bench-gate bench-baseline bench-pair memprofile trace chaos chaos-service fuzz serve-smoke cluster-smoke load-gate perfbench-check cover ci tidy-check unreachable
+.PHONY: all build test race repeat vet fmt lint staticcheck cross bench bench-json bench-gate bench-baseline bench-pair memprofile trace chaos chaos-service fuzz serve-smoke cluster-smoke load-gate perfbench-check cover ci tidy-check unreachable
 
 all: build
 
@@ -23,6 +23,14 @@ repeat:
 
 vet:
 	$(GO) vet ./...
+
+# cross mirrors the CI cross job: internal/som's weight update is
+# amd64 assembly with a Go fallback, so every other GOARCH must vet,
+# build, and compile the SOM tests without the assembly.
+cross:
+	GOARCH=arm64 $(GO) vet ./...
+	GOARCH=arm64 $(GO) test -c -o /dev/null ./internal/som
+	GOARCH=386 $(GO) build ./...
 
 # fmt rewrites; lint (used by CI) only checks.
 fmt:
@@ -68,7 +76,7 @@ trace:
 # refresh the baseline after an intentional performance change:
 # `make bench-baseline` on the reference hardware and commit
 # BENCH_BASELINE.json (see README "Benchmark regression gate").
-BENCH_PATTERN := ^(BenchmarkHGM|BenchmarkHAM|BenchmarkHHM|BenchmarkPlainGM|BenchmarkBMU|BenchmarkQuantizationError|BenchmarkCutK|BenchmarkSilhouette|BenchmarkQualitySweep|BenchmarkRecommendK|BenchmarkTrainSequentialCaseStudy|BenchmarkTrainSequentialSuite500|BenchmarkNewDendrogramSuiteScale|BenchmarkNewDendrogramLarge|BenchmarkServiceScoreDark|BenchmarkServiceScoreLogged|BenchmarkServiceScoreDecoded|BenchmarkServiceScoreCaseStudy|BenchmarkServiceScoreMiss|BenchmarkCacheKeyCaseStudy|BenchmarkKernelSchedule)$$
+BENCH_PATTERN := ^(BenchmarkHGM|BenchmarkHAM|BenchmarkHHM|BenchmarkPlainGM|BenchmarkBMU|BenchmarkQuantizationError|BenchmarkCutK|BenchmarkSilhouette|BenchmarkQualitySweep|BenchmarkRecommendK|BenchmarkTrainSequentialCaseStudy|BenchmarkTrainSequentialSuite500|BenchmarkNewDendrogramSuiteScale|BenchmarkNewDendrogramLarge|BenchmarkServiceScoreDark|BenchmarkServiceScoreLogged|BenchmarkServiceScoreDecoded|BenchmarkServiceScoreCaseStudy|BenchmarkServiceScoreMiss|BenchmarkCacheKeyCaseStudy|BenchmarkKernelSchedule|BenchmarkUpdateKernel)$$
 
 bench-json:
 	$(GO) test -bench '$(BENCH_PATTERN)' -benchmem -benchtime 50ms -count 5 -run '^$$' ./... | tee bench-raw.txt
@@ -167,15 +175,17 @@ chaos-service:
 	$(GO) test -race -count=1 -run ChaosService ./internal/faultinject/
 
 # fuzz smoke-runs every fuzz target (the CI fuzz-smoke job): the
-# serialization loaders, and the agglomeration loop against its scan
-# oracle. Go permits one -fuzz pattern per invocation, so one line per
-# target; raise FUZZTIME for a real fuzzing session.
+# serialization loaders, the agglomeration loop against its scan
+# oracle, and the SOM's AVX2 weight update against its Go loop. Go
+# permits one -fuzz pattern per invocation, so one line per target;
+# raise FUZZTIME for a real fuzzing session.
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -fuzz FuzzReadScores -fuzztime $(FUZZTIME) ./internal/dataio
 	$(GO) test -fuzz FuzzReadMatrix -fuzztime $(FUZZTIME) ./internal/dataio
 	$(GO) test -fuzz FuzzReadClusters -fuzztime $(FUZZTIME) ./internal/dataio
 	$(GO) test -fuzz FuzzLoadMap -fuzztime $(FUZZTIME) ./internal/som
+	$(GO) test -fuzz FuzzUpdateKernel -fuzztime $(FUZZTIME) ./internal/som
 	$(GO) test -fuzz FuzzLoadDendrogram -fuzztime $(FUZZTIME) ./internal/cluster
 	$(GO) test -fuzz FuzzAgglomerate -fuzztime $(FUZZTIME) ./internal/cluster
 	$(GO) test -fuzz FuzzRestoreSnapshot -fuzztime $(FUZZTIME) ./internal/service
@@ -189,4 +199,4 @@ fuzz:
 unreachable:
 	sh scripts/unreachable.sh
 
-ci: build lint tidy-check test race repeat chaos chaos-service fuzz bench trace bench-gate serve-smoke cluster-smoke load-gate perfbench-check cover
+ci: build lint cross tidy-check test race repeat chaos chaos-service fuzz bench trace bench-gate serve-smoke cluster-smoke load-gate perfbench-check cover

@@ -125,11 +125,11 @@ func (m *Map) trainSequential(ctx context.Context, c Config, samples []vecmath.V
 // update moves the weights of every unit within reach of BMU (br, bc),
 // on the grid, toward x: w[j] += h·(x[j] − w[j]), where
 // h = kern[slot[d²]] for the unit's squared grid distance
-// d² = dr² + dc² to the BMU (see schedule), rounding the difference,
-// the product and the sum in that order, the order of the tests'
-// reference loop, whose weights training matches bit for bit. A unit
-// whose h is below 1e-9 is skipped, as in that loop; near σ's floor
-// the window's corners are.
+// d² = dr² + dc² to the BMU (see schedule). A unit whose h is below
+// 1e-9 is skipped, as in the tests' reference loop; near σ's floor
+// the window's corners are. Each kept unit's weights move in one call
+// of the AVX2 kernel where the CPU has it (useAVX2), else of
+// updateGo; the two leave the same bits.
 func (m *Map) update(x vecmath.Vector, br, bc, reach int, kern []float64, slot []int) {
 	r0, r1 := max(0, br-reach), min(m.rows-1, br+reach)
 	c0, c1 := max(0, bc-reach), min(m.cols-1, bc+reach)
@@ -145,10 +145,32 @@ func (m *Map) update(x vecmath.Vector, br, bc, reach int, kern []float64, slot [
 			}
 			off := (gr*m.cols + gc) * dim
 			w := m.flat[off : off+dim : off+dim]
-			for j, xj := range x {
-				w[j] += h * (xj - w[j])
+			if useAVX2 {
+				updateAVX2(w, x, h)
+			} else {
+				updateGo(w, x, h)
 			}
 		}
+	}
+}
+
+// useAVX2 reports whether update runs the AVX2 kernel. On amd64 it is
+// set once, at init, from CPUID and XGETBV (update_amd64.go); it stays
+// false on every other GOARCH. Only tests change it, to run the Go
+// loop on a CPU that has AVX2.
+var useAVX2 bool
+
+// updateGo moves w toward x: w[j] += h·(x[j] − w[j]), rounding the
+// difference, the product and the sum in that order, the order of the
+// tests' reference loop, whose weights training matches bit for bit.
+// w must be at least as long as x. It is update's loop off amd64 and
+// on CPUs without AVX2, and the reference the AVX2 kernel's tests
+// compare with. On arm64 the compiler fuses the product and the sum
+// (FMADDD); on amd64 it never fuses them.
+func updateGo(w, x []float64, h float64) {
+	w = w[:len(x)]
+	for j, xj := range x {
+		w[j] += h * (xj - w[j])
 	}
 }
 

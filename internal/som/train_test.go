@@ -95,6 +95,26 @@ func stepLoopMatchesOracle(t *testing.T, cfg Config, init *Map, samples []vecmat
 	return equalMaps(t, got, want)
 }
 
+// eachKernel runs f as a subtest with each weight update this CPU can
+// run: the AVX2 kernel where update chose it, then the Go loop, which
+// it forces by clearing useAVX2 for the subtest.
+func eachKernel(t *testing.T, f func(t *testing.T)) {
+	t.Helper()
+	chosen := useAVX2
+	defer func() { useAVX2 = chosen }()
+	for _, avx2 := range []bool{true, false} {
+		if avx2 && !chosen {
+			continue
+		}
+		useAVX2 = avx2
+		name := "kernel=go"
+		if avx2 {
+			name = "kernel=avx2"
+		}
+		t.Run(name, f)
+	}
+}
+
 // spanProjection returns init and the samples in coordinates of the
 // samples' affine span: the vectors the step loop runs on when
 // training takes the span path.
@@ -125,17 +145,19 @@ func TestTrainMatchesOracleInSpan(t *testing.T) {
 	bits := caseStudyBits(t)
 	rows, cols := GridFor(len(bits))
 	bitsInit, bitsCoords := spanProjection(t, pcaInitMap(t, Config{Rows: rows, Cols: cols}, bits), bits)
-	for seed := uint64(1); seed <= 5; seed++ {
-		cfg := Config{Rows: rows, Cols: cols, Seed: seed}
-		counters := caseStudyCounters(t, seed)
-		init, coords := spanProjection(t, pcaInitMap(t, cfg, counters), counters)
-		if !stepLoopMatchesOracle(t, cfg, init, coords) {
-			t.Fatalf("counters seed %d: weights differ from the brute-plus-AXPY loop", seed)
+	eachKernel(t, func(t *testing.T) {
+		for seed := uint64(1); seed <= 5; seed++ {
+			cfg := Config{Rows: rows, Cols: cols, Seed: seed}
+			counters := caseStudyCounters(t, seed)
+			init, coords := spanProjection(t, pcaInitMap(t, cfg, counters), counters)
+			if !stepLoopMatchesOracle(t, cfg, init, coords) {
+				t.Fatalf("counters seed %d: weights differ from the brute-plus-AXPY loop", seed)
+			}
+			if !stepLoopMatchesOracle(t, cfg, bitsInit, bitsCoords) {
+				t.Fatalf("bits seed %d: weights differ from the brute-plus-AXPY loop", seed)
+			}
 		}
-		if !stepLoopMatchesOracle(t, cfg, bitsInit, bitsCoords) {
-			t.Fatalf("bits seed %d: weights differ from the brute-plus-AXPY loop", seed)
-		}
-	}
+	})
 }
 
 // TestTrainMatchesOracleFullDimension: the same in the full dimension,
@@ -155,11 +177,13 @@ func TestTrainMatchesOracleFullDimension(t *testing.T) {
 	if r := spanRank(init, samples); r != init.dim {
 		t.Fatalf("span rank %d of %d: suite-500 must train in the full dimension", r, init.dim)
 	}
-	for seed := uint64(1); seed <= seeds; seed++ {
-		if !stepLoopMatchesOracle(t, Config{Rows: rows, Cols: cols, Seed: seed}, init, samples) {
-			t.Fatalf("suite-500 seed %d: weights differ from the brute-plus-AXPY loop", seed)
+	eachKernel(t, func(t *testing.T) {
+		for seed := uint64(1); seed <= seeds; seed++ {
+			if !stepLoopMatchesOracle(t, Config{Rows: rows, Cols: cols, Seed: seed}, init, samples) {
+				t.Fatalf("suite-500 seed %d: weights differ from the brute-plus-AXPY loop", seed)
+			}
 		}
-	}
+	})
 }
 
 // TestTrainWorkCounters: with telemetry on, training records the
@@ -252,61 +276,65 @@ func (m *Map) updateOracle(x vecmath.Vector, br, bc int, alpha, sigma float64) {
 // farthest unit has a kernel value below 1e-9, which both updates
 // skip, and the last step. σ approaches its floor only as the step
 // count does, so that last step is the one nearest it. Dimensions 1,
-// 12 and 42 give the update a short and a long row.
+// 12 and 42 give the update a short and a long row: all tail, all
+// groups of four, and both, in the AVX2 kernel. It runs through each
+// kernel.
 func TestUpdateNeighbourhoodEveryCell(t *testing.T) {
-	for _, g := range []struct{ rows, cols, steps int }{{5, 4, 10000}, {12, 10, 60000}} {
-		s, err := buildSchedule(context.Background(), newKernelPlan(g.rows, g.cols, g.steps))
-		if err != nil || s == nil {
-			t.Fatalf("%d×%d grid: schedule %v, error %v", g.rows, g.cols, s, err)
-		}
-		// Each step's α, σ and reach as trainOracle computes them.
-		sigma0 := float64(max(g.rows, g.cols)) / 2
-		annealed := func(n int) (alpha, sigma float64, reach int) {
-			tn := float64(n) / float64(g.steps)
-			alpha = anneal(alpha0, alphaFloor, math.Log(alpha0/alphaFloor), tn)
-			sigma = anneal(sigma0, sigmaFloor, math.Log(sigma0/sigmaFloor), tn)
-			return alpha, sigma, int(math.Ceil(3 * sigma))
-		}
-		steps := []int{0}
-		skip := false
-		for n := 1; n < g.steps; n++ {
-			alpha, sigma, reach := annealed(n)
-			_, _, prev := annealed(n - 1)
-			ra, ca := min(reach, g.rows-1), min(reach, g.cols-1)
-			below := alpha*math.Exp(-float64(ra*ra+ca*ca)/(2*sigma*sigma)) < 1e-9
-			if reach != prev || below && !skip {
-				steps = append(steps, n)
-				skip = skip || below
+	eachKernel(t, func(t *testing.T) {
+		for _, g := range []struct{ rows, cols, steps int }{{5, 4, 10000}, {12, 10, 60000}} {
+			s, err := buildSchedule(context.Background(), newKernelPlan(g.rows, g.cols, g.steps))
+			if err != nil || s == nil {
+				t.Fatalf("%d×%d grid: schedule %v, error %v", g.rows, g.cols, s, err)
 			}
-		}
-		if !skip {
-			t.Fatalf("%d×%d grid: no step has a kernel value below 1e-9", g.rows, g.cols)
-		}
-		steps = append(steps, g.steps-1)
-		for _, dim := range []int{1, 12, 42} {
-			r := rng.New(uint64(g.rows*100 + dim))
-			init := newMap(g.rows, g.cols, dim)
-			for j := range init.flat {
-				init.flat[j] = r.NormFloat64()
+			// Each step's α, σ and reach as trainOracle computes them.
+			sigma0 := float64(max(g.rows, g.cols)) / 2
+			annealed := func(n int) (alpha, sigma float64, reach int) {
+				tn := float64(n) / float64(g.steps)
+				alpha = anneal(alpha0, alphaFloor, math.Log(alpha0/alphaFloor), tn)
+				sigma = anneal(sigma0, sigmaFloor, math.Log(sigma0/sigmaFloor), tn)
+				return alpha, sigma, int(math.Ceil(3 * sigma))
 			}
-			x := vecmath.NewVector(dim)
-			for j := range x {
-				x[j] = 3 * r.NormFloat64()
+			steps := []int{0}
+			skip := false
+			for n := 1; n < g.steps; n++ {
+				alpha, sigma, reach := annealed(n)
+				_, _, prev := annealed(n - 1)
+				ra, ca := min(reach, g.rows-1), min(reach, g.cols-1)
+				below := alpha*math.Exp(-float64(ra*ra+ca*ca)/(2*sigma*sigma)) < 1e-9
+				if reach != prev || below && !skip {
+					steps = append(steps, n)
+					skip = skip || below
+				}
 			}
-			got, want := newMap(g.rows, g.cols, dim), newMap(g.rows, g.cols, dim)
-			for _, n := range steps {
-				alpha, sigma, _ := annealed(n)
-				for u := 0; u < g.rows*g.cols; u++ {
-					br, bc := u/g.cols, u%g.cols
-					copy(got.flat, init.flat)
-					copy(want.flat, init.flat)
-					got.update(x, br, bc, s.reach[n], s.kern[s.off[n]:s.off[n+1]], s.slot)
-					want.updateOracle(x, br, bc, alpha, sigma)
-					if !equalMaps(t, got, want) {
-						t.Fatalf("%d×%d grid, dim %d, step %d (σ %v, α %v), BMU (%d, %d): weights differ from the per-unit-exp update", g.rows, g.cols, dim, n, sigma, alpha, br, bc)
+			if !skip {
+				t.Fatalf("%d×%d grid: no step has a kernel value below 1e-9", g.rows, g.cols)
+			}
+			steps = append(steps, g.steps-1)
+			for _, dim := range []int{1, 12, 42} {
+				r := rng.New(uint64(g.rows*100 + dim))
+				init := newMap(g.rows, g.cols, dim)
+				for j := range init.flat {
+					init.flat[j] = r.NormFloat64()
+				}
+				x := vecmath.NewVector(dim)
+				for j := range x {
+					x[j] = 3 * r.NormFloat64()
+				}
+				got, want := newMap(g.rows, g.cols, dim), newMap(g.rows, g.cols, dim)
+				for _, n := range steps {
+					alpha, sigma, _ := annealed(n)
+					for u := 0; u < g.rows*g.cols; u++ {
+						br, bc := u/g.cols, u%g.cols
+						copy(got.flat, init.flat)
+						copy(want.flat, init.flat)
+						got.update(x, br, bc, s.reach[n], s.kern[s.off[n]:s.off[n+1]], s.slot)
+						want.updateOracle(x, br, bc, alpha, sigma)
+						if !equalMaps(t, got, want) {
+							t.Fatalf("%d×%d grid, dim %d, step %d (σ %v, α %v), BMU (%d, %d): weights differ from the per-unit-exp update", g.rows, g.cols, dim, n, sigma, alpha, br, bc)
+						}
 					}
 				}
 			}
 		}
-	}
+	})
 }

@@ -16,8 +16,11 @@
 # each side's ns/op in every round, both sides' medians and quartiles
 # (nearest rank), the rounds the working tree won, and the median of
 # the per-round ratios working tree / base. Each run times its
-# benchmarks for the default -test.benchtime of 1s. It changes no file
-# outside .bench_build/benchpair/.
+# benchmarks for the default -test.benchtime of 1s. Before the rounds
+# it prints where each binary's linker placed the SOM step loop's hot
+# code, as the address mod 64 from `go tool nm -n`: the same source can
+# run 20–40% slower at another offset. It changes no file outside
+# .bench_build/benchpair/.
 set -euo pipefail
 
 : "${BASE:?set BASE to the revision to compare against}"
@@ -33,6 +36,19 @@ mkdir -p "$out/base"
 git -C "$root" archive "$BASE" | tar -x -C "$out/base"
 (cd "$out/base" && go test -c -o "$out/base.test" "./$PKG")
 (cd "$root" && go test -c -o "$out/head.test" "./$PKG")
+
+# Code placement: the offset mod 64 of the weight update, its AVX2
+# kernel and the seeded BMU search in each binary; a name the binary
+# lacks prints nothing. 256 is a multiple of 64, so the address's last
+# two hex digits decide the offset.
+for side in base head; do
+	go tool nm -n "$out/$side.test" | awk -v side="$side" '
+		$3 ~ /^hmeans\/internal\/som\.(\(\*Map\)\.update|\(\*Map\)\.bmuSeeded|updateAVX2(\.abi0)?)$/ {
+			a = tolower(substr($1, length($1) - 1))
+			off = (16 * (index("0123456789abcdef", substr(a, 1, 1)) - 1) + index("0123456789abcdef", substr(a, 2, 1)) - 1) % 64
+			printf "placement: %s %s at 0x%s, %d mod 64\n", side, $3, $1, off
+		}'
+done
 
 # run SIDE DIR ROUND appends "round side benchmark ns/op" lines.
 run() {
