@@ -139,14 +139,16 @@ func (s *schedule) bytes() int {
 
 // layout sets s's reach and offsets to those of steps [n0, n1) of p,
 // reusing their memory, and returns the number of entries the steps
-// hold. A window of reach r spans at most ra = min(r, rows−1) rows and
-// ca = min(r, cols−1) columns on either side of its BMU, so its
-// largest d² is ra² + ca², itself one of the grid's distances.
-func (s *schedule) layout(p kernelPlan, n0, n1 int) int {
+// hold. It stops after the first step that takes that number past
+// limit, and returns the number so far. A window of reach r spans at
+// most ra = min(r, rows−1) rows and ca = min(r, cols−1) columns on
+// either side of its BMU, so its largest d² is ra² + ca², itself one
+// of the grid's distances.
+func (s *schedule) layout(p kernelPlan, n0, n1, limit int) int {
 	s.first = n0
 	s.reach, s.off = s.reach[:0], append(s.off[:0], 0)
 	entries := 0
-	for n := n0; n < n1; n++ {
+	for n := n0; n < n1 && entries <= limit; n++ {
 		r := int(math.Ceil(cutoff * p.sigma(n)))
 		ra, ca := min(r, p.rows-1), min(r, p.cols-1)
 		entries += s.slot[ra*ra+ca*ca] + 1
@@ -179,7 +181,7 @@ func (s *schedule) fill(p kernelPlan, n0, n1 int) {
 // steps. The reach never grows with the step, so the first block is
 // the largest and later ones allocate nothing.
 func (s *schedule) block(p kernelPlan, n0, n1 int) int {
-	entries := s.layout(p, n0, n1)
+	entries := s.layout(p, n0, n1, math.MaxInt)
 	if cap(s.kern) < entries {
 		s.kern = make([]float64, entries)
 	}
@@ -189,13 +191,17 @@ func (s *schedule) block(p kernelPlan, n0, n1 int) int {
 }
 
 // buildSchedule returns the schedule of every step of p, or nil when
-// it would take more than scheduleBytes. It polls ctx once per block
-// of cancelCheckSteps steps; once ctx has ended it returns ctx's error
+// it would take more than scheduleBytes; its layout then stops at the
+// first step past that bound. It polls ctx once per block of
+// cancelCheckSteps steps; once ctx has ended it returns ctx's error
 // and no schedule.
 func buildSchedule(ctx context.Context, p kernelPlan) (*schedule, error) {
 	s := newSchedule(p, p.steps)
-	entries := s.layout(p, 0, p.steps)
-	if s.bytes()+8*entries > scheduleBytes {
+	// Its distances, slots, reaches, offsets and entries take 8 bytes
+	// each.
+	limit := scheduleBytes/8 - len(s.dist) - len(s.slot) - (2*p.steps + 1)
+	entries := s.layout(p, 0, p.steps, limit)
+	if entries > limit {
 		return nil, nil
 	}
 	s.kern = make([]float64, entries)

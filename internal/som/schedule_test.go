@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"hmeans/internal/obs"
@@ -103,9 +104,9 @@ func TestScheduleBuildStopsOnEndedContext(t *testing.T) {
 // than scheduleBytes. Three suite-500-sized schedules (12 × 10 grid,
 // about 17 MB each) do not fit together, so the third evicts the
 // first. A 40 × 40 grid trained for 25,000 steps, whose schedule alone
-// takes more, is never stored: its trainings fill their own blocks,
-// with the oracle's weights, and the table refuses the plan once, at
-// the first training, and remembers the refusal at the second.
+// takes more, is never stored: its build lays out its steps only up to
+// the first that passes the bound, and its training fills its own
+// blocks, with the oracle's weights.
 func TestSchedulesBounded(t *testing.T) {
 	r := rng.New(5)
 	samples := make([]vecmath.Vector, 24)
@@ -136,35 +137,36 @@ func TestSchedulesBounded(t *testing.T) {
 	}
 	big := newKernelPlan(40, 40, 25000)
 	s := newSchedule(big, big.steps)
-	entries := s.layout(big, 0, big.steps)
+	entries := s.layout(big, 0, big.steps, math.MaxInt)
 	if s.bytes()+8*entries <= scheduleBytes {
 		t.Fatalf("the 40×40 schedule takes %d bytes, not more than %d", s.bytes()+8*entries, scheduleBytes)
 	}
+	part := newSchedule(big, big.steps)
+	limit := scheduleBytes/8 - len(part.dist) - len(part.slot) - (2*big.steps + 1)
+	stop := part.layout(big, 0, big.steps, limit)
+	laid := len(part.reach)
+	if stop <= limit || laid == big.steps || part.off[laid-1] > limit || !slices.Equal(part.off, s.off[:laid+1]) {
+		t.Fatalf("the refused layout stopped after %d of %d steps at %d entries, not at the first step past %d", laid, big.steps, stop, limit)
+	}
 	cfg := Config{Rows: 40, Cols: 40, Steps: big.steps, Seed: 1, Starts: table, Obs: o}
-	held, size := table.schedules.Entries(), table.schedules.Size()
+	held := table.schedules.Entries()
+	exps := metrics.Counter("som.kernel_exps").Value()
+	got, err := TrainCtx(context.Background(), cfg, samples)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := pcaInitMap(t, cfg, samples)
 	want.trainOracle(cfg.withDefaults(), samples, rng.New(cfg.Seed))
-	for run := 1; run <= 2; run++ {
-		exps := metrics.Counter("som.kernel_exps").Value()
-		got, err := TrainCtx(context.Background(), cfg, samples)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !equalMaps(t, got, want) {
-			t.Fatalf("40×40 grid, training %d: weights from the per-run blocks differ from the oracle's", run)
-		}
-		if built := metrics.Counter("som.schedule.built").Value(); built != 3 {
-			t.Fatalf("som.schedule.built %d after training %d on an oversized grid, want 3", built, run)
-		}
-		if refused := metrics.Counter("som.schedule.refused").Value(); refused != 1 {
-			t.Fatalf("som.schedule.refused %d after training %d on an oversized grid, want 1", refused, run)
-		}
-		after := table.schedules.Entries()
-		if len(after) != len(held) || after[0].Val != held[0].Val || after[1].Val != held[1].Val || table.schedules.Size() != size {
-			t.Fatalf("training %d on an oversized grid changed the table's schedules", run)
-		}
-		if got := metrics.Counter("som.kernel_exps").Value() - exps; got != int64(entries) {
-			t.Fatalf("oversized training %d made %d kernel exps, want its blocks' %d", run, got, entries)
-		}
+	if !equalMaps(t, got, want) {
+		t.Fatal("40×40 grid: weights from the per-run blocks differ from the oracle's")
+	}
+	if built := metrics.Counter("som.schedule.built").Value(); built != 3 {
+		t.Fatalf("som.schedule.built %d after an oversized grid, want 3", built)
+	}
+	if after := table.schedules.Entries(); len(after) != len(held) || after[0].Val != held[0].Val || after[1].Val != held[1].Val {
+		t.Fatal("training an oversized grid changed the table's schedules")
+	}
+	if got := metrics.Counter("som.kernel_exps").Value() - exps; got != int64(entries) {
+		t.Fatalf("the oversized training made %d kernel exps, want its blocks' %d", got, entries)
 	}
 }

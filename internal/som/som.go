@@ -47,8 +47,7 @@ type Config struct {
 	// Obs receives training telemetry: a som.train span with a
 	// som.start child, periodic som.step events, the
 	// som.start.built / som.start.reused and som.schedule.built /
-	// som.schedule.reused / som.schedule.refused counters, and the
-	// som.schedule.bytes gauge.
+	// som.schedule.reused counters, and the som.schedule.bytes gauge.
 	// Nil falls back to the process-default observer; instrumentation
 	// never affects the trained weights.
 	Obs *obs.Observer

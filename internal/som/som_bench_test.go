@@ -3,7 +3,6 @@ package som
 import (
 	"context"
 	"fmt"
-	"math"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -106,44 +105,36 @@ func BenchmarkKernelSchedule(b *testing.B) {
 	}
 }
 
-// BenchmarkUpdateKernel times the weight update alone, with update's
-// choice of kernel: an op moves 64 units, about suite-500's units a
-// step (64.4), toward a sample, each with its own h, at the case
-// study's training dim (12 span coordinates) and suite-500's (40
-// counters). Ops alternate between two samples, so the weights keep
-// moving.
+// BenchmarkUpdateKernel times (*Map).update alone, the path training
+// takes, on an 8 × 8 grid at step 0 of its schedule: an op moves all
+// 64 units, about suite-500's units a step (64.4), toward a sample,
+// each with its own h, at the case study's training dim (12 span
+// coordinates) and suite-500's (40 counters). Ops alternate between
+// two samples, so the weights keep moving.
 func BenchmarkUpdateKernel(b *testing.B) {
 	for _, dim := range []int{12, 40} {
 		b.Run(fmt.Sprintf("dim=%d", dim), func(b *testing.B) {
-			const units = 64
+			const side = 8
 			r := rng.New(uint64(dim))
-			flat := make([]float64, units*dim)
-			for j := range flat {
-				flat[j] = r.NormFloat64()
+			m := newMap(side, side, dim)
+			for j := range m.flat {
+				m.flat[j] = r.NormFloat64()
 			}
-			var xs [2][]float64
+			var xs [2]vecmath.Vector
 			for i := range xs {
-				xs[i] = make([]float64, dim)
+				xs[i] = make(vecmath.Vector, dim)
 				for j := range xs[i] {
 					xs[i][j] = 3 * r.NormFloat64()
 				}
 			}
-			hs := make([]float64, units)
-			for u := range hs {
-				hs[u] = alpha0 * math.Exp(-float64(u)/16)
-			}
+			p := newKernelPlan(side, side, 500*side*side)
+			s := newSchedule(p, 1)
+			s.block(p, 0, 1)
+			kern := s.kern[s.off[0]:s.off[1]]
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				x := xs[i&1]
-				for u, h := range hs {
-					w := flat[u*dim : (u+1)*dim : (u+1)*dim]
-					if useAVX2 {
-						updateAVX2(w, x, h)
-					} else {
-						updateGo(w, x, h)
-					}
-				}
+				m.update(xs[i&1], 3, 4, s.reach[0], kern, s.slot)
 			}
 		})
 	}

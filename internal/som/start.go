@@ -131,15 +131,7 @@ func (s *Start) train(ctx context.Context, c Config, samples []vecmath.Vector, o
 type Starts struct {
 	table     *lru.Cache[*Start]
 	schedules *lru.Cache[*schedule]
-	// refused holds the keys of the last refusedPlans plans whose
-	// schedule would take more than scheduleBytes, so that a training
-	// on one lays out its steps once, not at every run.
-	refused *lru.Cache[struct{}]
 }
-
-// refusedPlans bounds the refused plans a table remembers: 32 bytes of
-// key each. A replica trains few grids.
-const refusedPlans = 16
 
 // NewStarts returns a table of at most capacity starts, and of kernel
 // schedules of at most scheduleBytes in all.
@@ -147,7 +139,6 @@ func NewStarts(capacity int) *Starts {
 	return &Starts{
 		table:     lru.New[*Start](capacity),
 		schedules: lru.NewSized(scheduleBytes, (*schedule).bytes),
-		refused:   lru.New[struct{}](refusedPlans),
 	}
 }
 
@@ -188,11 +179,9 @@ func (t *Starts) start(ctx context.Context, rows, cols int, samples []vecmath.Ve
 // schedule returns the kernel schedule of p: from t when t holds one,
 // else newly built and stored. It returns nil, and training fills its
 // own schedule a block at a time, when t is nil or when the schedule
-// would take more than scheduleBytes; t remembers such a refusal, so a
-// later training on p does not lay out its steps again. A build that
-// ctx cuts short returns its error and stores nothing. With telemetry
-// on it counts som.schedule.built, som.schedule.reused or, once per
-// refusal, som.schedule.refused, adds a build's exps to
+// would take more than scheduleBytes. A build that ctx cuts short
+// returns its error and stores nothing. With telemetry on it counts
+// som.schedule.built or som.schedule.reused, adds a build's exps to
 // som.kernel_exps and sets som.schedule.bytes to the bytes of the
 // schedules t holds.
 func (t *Starts) schedule(ctx context.Context, p kernelPlan, o *obs.Observer) (*schedule, error) {
@@ -206,19 +195,9 @@ func (t *Starts) schedule(ctx context.Context, p kernelPlan, o *obs.Observer) (*
 		}
 		return s, nil
 	}
-	if _, ok := t.refused.Get(key); ok {
-		return nil, nil
-	}
 	s, err := buildSchedule(ctx, p)
-	if err != nil {
-		return nil, err
-	}
 	if s == nil {
-		t.refused.Put(key, struct{}{})
-		if o.Active() {
-			o.Metrics().Counter("som.schedule.refused").Add(1)
-		}
-		return nil, nil
+		return nil, err
 	}
 	t.schedules.Put(key, s)
 	if o.Active() {
