@@ -219,7 +219,7 @@ func BenchmarkAblationReduction(b *testing.B) {
 	b.Run("pca2", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			model, err := pca.FitLeading(context.Background(), rows, 2)
+			model, err := pca.Fit(context.Background(), rows, 2)
 			if err != nil {
 				b.Fatal(err)
 			}

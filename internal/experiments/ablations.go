@@ -106,7 +106,7 @@ func (s *Suite) CompareReductions() ([]ReductionComparison, error) {
 	for i, v := range vectors {
 		rows[i] = v
 	}
-	model, err := pca.FitLeading(context.Background(), rows, 2)
+	model, err := pca.Fit(context.Background(), rows, 2)
 	if err != nil {
 		return nil, err
 	}

@@ -32,7 +32,7 @@ func line2D(n int, jitter float64, seed uint64) [][]float64 {
 // totalVariance is the trace of the rows' covariance matrix: the
 // variance a full-rank basis would explain.
 func totalVariance(rows [][]float64) float64 {
-	cov, _ := vecmath.CovarianceMatrix(vecmath.FromRows(rows))
+	cov, _, _ := vecmath.CovarianceMatrix(context.Background(), vecmath.FromRows(rows))
 	sum := 0.0
 	for i := 0; i < cov.Rows(); i++ {
 		sum += cov.At(i, i)
@@ -118,26 +118,24 @@ func TestExplainedVarianceSumsBelowOne(t *testing.T) {
 	}
 }
 
+// TestZeroVarianceData: constant rows span no direction, so Fit
+// returns no axis, and Transform gives every row an empty score row.
 func TestZeroVarianceData(t *testing.T) {
 	rows := [][]float64{{1, 1}, {1, 1}, {1, 1}}
 	m, err := Fit(context.Background(), rows, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range m.Variances {
-		if v != 0 {
-			t.Fatalf("variances of constant data = %v, want zeros", m.Variances)
-		}
+	if len(m.Basis) != 0 || m.Basis == nil || len(m.Axes) != 0 || len(m.Components) != 0 || len(m.Variances) != 0 {
+		t.Fatalf("constant data: basis %v, %d axes, %d components, variances %v; want an empty basis and no axis", m.Basis, len(m.Axes), len(m.Components), m.Variances)
 	}
 	scores, err := m.Transform(rows)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, row := range scores {
-		for _, s := range row {
-			if s != 0 {
-				t.Fatalf("constant data projected to non-zero score %v", s)
-			}
+		if len(row) != 0 {
+			t.Fatalf("constant data projected to scores %v, want none", row)
 		}
 	}
 }

@@ -14,8 +14,11 @@ import (
 // samples' span, which moves soft_placement positions in the last
 // bits. Version 3: suites above 128 workloads merge in the scan's
 // tie-break order instead of NN-chain's, which moves the dendrogram,
-// the cuts and the per-k means wherever merge heights tie.
-const canonicalVersion = "hmeansd-req/3"
+// the cuts and the per-k means wherever merge heights tie. Version 4:
+// the SOM's PCA plane comes from one Jacobi inside the samples' span,
+// which changes its rounding and can flip an axis's sign, so a map
+// may start, and train, as the mirror image of the one before.
+const canonicalVersion = "hmeansd-req/4"
 
 // CacheKey returns the content address of a request: the SHA-256 of
 // its canonical encoding. Two requests share a key exactly when the

@@ -212,7 +212,7 @@ func TestCacheKeyPinned(t *testing.T) {
 	req := caseStudyRequest(t, 7)
 	req.K = 4
 	key := req.CacheKey()
-	const want = "1dac7f39e0d7fd07f4e3a4ccc6b0071a87f8371ac26582b52caa3f4d29117c6a"
+	const want = "fab2524b9c0f8f249c88afea46ce7e8a612b451c7fb7bb034aa02b155c938eab"
 	if got := hex.EncodeToString(key[:]); got != want {
 		t.Fatalf("case-study cache key = %s, want %s", got, want)
 	}

@@ -3,10 +3,13 @@ package service
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"hmeans/internal/obs"
+	"hmeans/internal/rng"
 	"hmeans/internal/simbench"
 )
 
@@ -166,5 +169,33 @@ func TestConcurrentMissesShareStart(t *testing.T) {
 				t.Fatalf("round %d seed %d: response differs from a fresh server's", round, reqs[i].Config.Seed)
 			}
 		}
+	}
+}
+
+// TestScoreWideSuite: a fresh server scores 13 random workloads ×
+// 2,000 features, a suite with far more metrics than workloads, within
+// a 10 s deadline: the server's own, which bounds the computation a
+// request leads. The SOM start's PCA works inside the samples'
+// 12-dimensional span, so the feature count costs passes over the
+// rows, not a Jacobi on the 2,000 × 2,000 covariance.
+func TestScoreWideSuite(t *testing.T) {
+	const n, d = 13, 2000
+	r := rng.New(1)
+	req := &Request{Config: ConfigJSON{Seed: 1}, Scores: map[string][]float64{"A": make([]float64, n)}}
+	for j := 0; j < d; j++ {
+		req.Table.Features = append(req.Table.Features, fmt.Sprintf("f%04d", j))
+	}
+	for i := 0; i < n; i++ {
+		req.Table.Workloads = append(req.Table.Workloads, fmt.Sprintf("w%02d", i))
+		row := make([]float64, d)
+		for j := range row {
+			row[j] = r.NormFloat64() * float64(j%5+1)
+		}
+		req.Table.Rows = append(req.Table.Rows, row)
+		req.Scores["A"][i] = 1 + float64(i)/4
+	}
+	body, status, err := New(Config{Timeout: 10 * time.Second}).Score(context.Background(), req)
+	if err != nil || status != CacheMiss || len(body) == 0 {
+		t.Fatalf("Score returned %d bytes, status %q, error %v; want a miss's response", len(body), status, err)
 	}
 }

@@ -62,7 +62,7 @@ func TestScheduleKeyMisses(t *testing.T) {
 		{rows, cols, 10000}, {rows, cols, 10000}, {rows, cols, 3000}, {cols, rows, 3000}, {rows, cols, 3000},
 	} {
 		cfg := Config{Rows: tc.rows, Cols: tc.cols, Steps: tc.steps, Seed: 1, Starts: table}
-		init, coords := spanProjection(t, pcaInitMap(t, cfg, samples), samples)
+		init, coords := spanProjection(t, cfg, samples)
 		if !stepLoopMatchesOracle(t, cfg, init, coords) {
 			t.Fatalf("%d×%d grid, %d steps: weights from the table's schedule differ from the oracle's", tc.rows, tc.cols, tc.steps)
 		}

@@ -54,7 +54,7 @@ type Config struct {
 	// Starts, when non-nil, is a table of training starts and kernel
 	// schedules shared across runs: a run on a grid and samples the
 	// table already holds reuses that start instead of recomputing the
-	// PCA plane and span projection, and a run on a grid and step
+	// PCA plane and span coordinates, and a run on a grid and step
 	// count it already holds reads that schedule instead of computing
 	// its kernel, and trains bit-identical weights. Nil builds every
 	// run's start afresh and computes its kernel a block of steps at a

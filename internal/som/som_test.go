@@ -285,8 +285,8 @@ func TestInitModes(t *testing.T) {
 		pca     bool
 	}{{"pca", samples, true}, {"random", oneD, false}} {
 		cfg := Config{Rows: 5, Cols: 5, Steps: 2000, Seed: 10}
-		if got, _ := newMap(cfg.Rows, cfg.Cols, len(tc.samples[0])).initPCA(context.Background(), tc.samples); got != tc.pca {
-			t.Fatalf("init %s: initPCA = %v, want %v", tc.name, got, tc.pca)
+		if got := testStart(t, cfg, tc.samples).init != nil; got != tc.pca {
+			t.Fatalf("init %s: PCA start = %v, want %v", tc.name, got, tc.pca)
 		}
 		m, err := TrainCtx(context.Background(), cfg, tc.samples)
 		if err != nil {

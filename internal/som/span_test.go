@@ -47,15 +47,36 @@ func caseStudyBits(tb testing.TB) []vecmath.Vector {
 	return prepared.Vectors()
 }
 
-// pcaInitMap returns the untrained map TrainCtx starts from on its PCA
-// path. The initialization depends on the grid and the samples but not
-// on the seed, so tests build it once per sample set.
-func pcaInitMap(tb testing.TB, cfg Config, samples []vecmath.Vector) *Map {
+// testStart returns the start TrainCtx builds for cfg's grid on
+// samples. It depends on the grid and the samples but not on the
+// seed, so tests build it once per sample set.
+func testStart(tb testing.TB, cfg Config, samples []vecmath.Vector) *Start {
 	tb.Helper()
 	c := cfg.withDefaults()
-	m := newMap(c.Rows, c.Cols, len(samples[0]))
-	if ok, _ := m.initPCA(context.Background(), samples); !ok {
-		tb.Fatal("PCA initialization failed")
+	st, err := newStart(context.Background(), c.Rows, c.Cols, samples)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return st
+}
+
+// pcaInitMap returns the untrained map TrainCtx starts from on its PCA
+// path, in the full dimension: the start's initial weights, lifted out
+// of the span when the start has one.
+func pcaInitMap(tb testing.TB, cfg Config, samples []vecmath.Vector) *Map {
+	tb.Helper()
+	st := testStart(tb, cfg, samples)
+	if st.init == nil {
+		tb.Fatal("the samples took the random start")
+	}
+	m := newMap(st.rows, st.cols, st.dim)
+	if st.basis == nil {
+		copy(m.flat, st.init)
+		return m
+	}
+	r := len(st.basis)
+	for u, w := range m.weights {
+		st.lift(w, st.init[u*r:(u+1)*r])
 	}
 	return m
 }
@@ -75,13 +96,11 @@ func trainFullDim(tb testing.TB, cfg Config, init *Map, samples []vecmath.Vector
 	return m
 }
 
-// spanRank returns the rank the span path trains at from init, or the
-// full dimension when the span has full rank.
-func spanRank(init *Map, samples []vecmath.Vector) int {
-	if b := newSpanBasis(samples, init.weights); b != nil {
-		return len(b.q)
-	}
-	return init.dim
+// spanRank returns the rank the span path trains at on samples, or
+// the full dimension when the span has full rank.
+func spanRank(tb testing.TB, cfg Config, samples []vecmath.Vector) int {
+	tb.Helper()
+	return testStart(tb, cfg, samples).trainDim()
 }
 
 // assertSpanEquivalent checks a span-trained map against the
@@ -153,7 +172,7 @@ func TestSpanTrainingMatchesFullDimension(t *testing.T) {
 		// The five SciMark2 kernels share one method profile, so the
 		// bit vectors span fewer than n − 1 directions.
 		n, d := len(in.samples), len(in.samples[0])
-		if r := spanRank(in.init, in.samples); r > n-1 || r >= d {
+		if r := spanRank(t, grid, in.samples); r > n-1 || r >= d {
 			t.Fatalf("%s: span rank %d, want at most n-1 = %d and below d = %d", in.name, r, n-1, d)
 		}
 	}
@@ -186,7 +205,7 @@ func TestSpanTrainingClonedWorkload(t *testing.T) {
 		rows, cols := GridFor(len(samples))
 		cfg := Config{Rows: rows, Cols: cols, Seed: seed}
 		init := pcaInitMap(t, cfg, samples)
-		if r := spanRank(init, samples); r != len(base)-1 {
+		if r := spanRank(t, cfg, samples); r != len(base)-1 {
 			t.Fatalf("seed %d: span rank %d with clones, want %d", seed, r, len(base)-1)
 		}
 		got, err := TrainCtx(context.Background(), cfg, samples)
@@ -197,9 +216,11 @@ func TestSpanTrainingClonedWorkload(t *testing.T) {
 	}
 }
 
-// TestSpanTrainingCollinearSamples covers rank-1 data: the PCA
-// initialization's second axis then lies outside the samples' span,
-// and the basis must take it in as a direction of its own.
+// TestSpanTrainingCollinearSamples covers rank-1 data: samples on one
+// line span no plane, so the start takes random weights, as two
+// samples do, and training runs in the full dimension with the
+// weights of the random-init loop. A second direction makes a plane,
+// and the span path trains at r = 2.
 func TestSpanTrainingCollinearSamples(t *testing.T) {
 	dir := vecmath.Vector{1, -2, 0.5, 3, 0, 1.5, -1, 2}
 	var samples []vecmath.Vector
@@ -207,15 +228,35 @@ func TestSpanTrainingCollinearSamples(t *testing.T) {
 		samples = append(samples, vecmath.Vector{4, 4, 4, 4, 4, 4, 4, 4}.Add(dir.Scale(a)))
 	}
 	cfg := Config{Rows: 4, Cols: 3, Steps: 3000, Seed: 5}
-	init := pcaInitMap(t, cfg, samples)
-	if r := spanRank(init, samples); r != 2 {
-		t.Fatalf("span rank %d, want 2 (the samples' line plus the init's second axis)", r)
+	if st := testStart(t, cfg, samples); st.init != nil || st.basis != nil {
+		t.Fatalf("collinear samples: a start with %d initial weights and a %d-vector basis, want the random start", len(st.init), len(st.basis))
 	}
 	got, err := TrainCtx(context.Background(), cfg, samples)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSpanEquivalent(t, "collinear", got, trainFullDim(t, cfg, init, samples), samples)
+	c := cfg.withDefaults()
+	want := newMap(c.Rows, c.Cols, len(samples[0]))
+	r := rng.New(c.Seed)
+	want.initRandom(samples, r)
+	if err := want.trainSequential(context.Background(), c, samples, r, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if !equalMaps(t, got, want) {
+		t.Fatal("collinear training differs from the random-init full-dimension loop")
+	}
+
+	dir2 := vecmath.Vector{0, 1, 1, -1, 2, 0, 0.5, -2}
+	for i, b := range []float64{1, -1, 0.5, 2, -2, 0} {
+		samples[i] = samples[i].Add(dir2.Scale(b))
+	}
+	if r := spanRank(t, cfg, samples); r != 2 {
+		t.Fatalf("span rank %d on a plane, want 2", r)
+	}
+	if got, err = TrainCtx(context.Background(), cfg, samples); err != nil {
+		t.Fatal(err)
+	}
+	assertSpanEquivalent(t, "rank-2", got, trainFullDim(t, cfg, pcaInitMap(t, cfg, samples), samples), samples)
 }
 
 // TestFullRankSequentialUnchanged pins the n − 1 ≥ d case to the
@@ -226,8 +267,8 @@ func TestFullRankSequentialUnchanged(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		cfg := Config{Rows: 5, Cols: 4, Steps: 4000, Seed: seed}
 		init := pcaInitMap(t, cfg, samples)
-		if b := newSpanBasis(samples, init.weights); b != nil {
-			t.Fatalf("seed %d: full-rank samples gave a %d-vector basis", seed, len(b.q))
+		if b := testStart(t, cfg, samples).basis; b != nil {
+			t.Fatalf("seed %d: full-rank samples gave a %d-vector basis", seed, len(b))
 		}
 		got, err := TrainCtx(context.Background(), cfg, samples)
 		if err != nil {
@@ -247,10 +288,10 @@ func TestTinySampleSetsFallBackToRandomInit(t *testing.T) {
 	samples := []vecmath.Vector{{1, 0, 2, 0, 1}, {0, 3, 1, 1, 0}}
 	cfg := Config{Rows: 3, Cols: 3, Steps: 500, Seed: 9}
 	c := cfg.withDefaults()
-	want := newMap(c.Rows, c.Cols, 5)
-	if ok, _ := want.initPCA(context.Background(), samples); ok {
+	if st := testStart(t, cfg, samples); st.init != nil {
 		t.Fatal("PCA initialization succeeded on two samples")
 	}
+	want := newMap(c.Rows, c.Cols, 5)
 	r := rng.New(c.Seed)
 	want.initRandom(samples, r)
 	if err := want.trainSequential(context.Background(), c, samples, r, nil, nil); err != nil {
@@ -304,7 +345,7 @@ func TestSpanTrainingCancelled(t *testing.T) {
 	// training at step 1024.
 	cfg := Config{Rows: rows, Cols: cols, Seed: 1, Steps: 10000,
 		Obs: obs.New(cancelAtStep{step: 900, cancel: cancel})}
-	if r := spanRank(pcaInitMap(t, cfg, samples), samples); r >= len(samples[0]) {
+	if r := spanRank(t, cfg, samples); r >= len(samples[0]) {
 		t.Fatalf("span rank %d: the case study must take the span path", r)
 	}
 	m, err := TrainCtx(ctx, cfg, samples)

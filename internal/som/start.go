@@ -9,72 +9,88 @@ import (
 
 	"hmeans/internal/lru"
 	"hmeans/internal/obs"
+	"hmeans/internal/pca"
 	"hmeans/internal/rng"
 	"hmeans/internal/vecmath"
 )
 
 // Start is the part of a training run that comes before its first
 // draw from the seed's random generator: the paper's PCA-plane
-// initialization (initPCA) and, when the samples span fewer
-// dimensions than they have, the span basis and the span coordinates
-// of the samples and of the initial weights (newSpanBasis). It depends
-// on the grid shape and the samples alone, so one start serves every
-// SOM seed and step count. A start holds no reference to the samples
-// it was built from, shares no memory with any map trained from it,
-// and is never written after it is built, so concurrent trainings may
-// read one start.
+// initialization and, when the samples span fewer dimensions than they
+// have, the span basis and the samples' span coordinates, all from one
+// pca.Fit. It depends on the grid shape and the samples alone, so one
+// start serves every SOM seed and step count. A start holds no
+// reference to the samples it was built from, shares no memory with
+// any map trained from it, and is never written after it is built, so
+// concurrent trainings may read one start.
+//
+// The initial weights lie in the samples' affine span, and a
+// sequential update w ← w + h·(x − w) is an affine combination of a
+// weight and a sample, so the weights never leave it; an orthonormal
+// basis preserves every Euclidean distance inside it. Training on the
+// span coordinates is therefore the same algorithm as training on the
+// full vectors, in exact arithmetic: the same BMUs, the same updates,
+// the same random sample order.
 type Start struct {
 	rows, cols, dim int
 	// init holds the initial weights, unit u at
-	// init[u*w : (u+1)*w], where w is the span rank when span is
-	// non-nil and dim otherwise. It is nil when the samples cannot
-	// support the PCA plane; training then draws random weights from
-	// its seed (initRandom) and runs in the full dimension.
+	// init[u*w : (u+1)*w], where w is trainDim. It is nil when the
+	// samples span less than a plane; training then draws random
+	// weights from its seed (initRandom) and runs in the full
+	// dimension.
 	init []float64
-	// span is the basis of the samples' affine span, or nil when that
-	// span has full rank and training runs in the full dimension.
-	span *spanBasis
-	// coords holds the samples' span coordinates (views into one
-	// array); nil when span is nil.
+	// mean and basis are the samples' mean and an orthonormal basis of
+	// their centered span, and coords the samples' coordinates in it;
+	// all are nil when that span has full rank and training runs in
+	// the full dimension.
+	mean   vecmath.Vector
+	basis  []vecmath.Vector
 	coords []vecmath.Vector
 }
 
 // newStart builds the start of a rows × cols map on samples, which
-// must be non-empty and rectangular. Once ctx has ended the PCA stops
-// and newStart returns ctx's error and no start.
+// must be non-empty and rectangular. The map starts on the plane of
+// the samples' two major principal components: unit (row, col) at
+// mean + u·√λ₁·pc₁ + v·√λ₂·pc₂ with u, v ∈ [−1, 1], built directly in
+// the coordinates training runs in. Samples whose span has rank below
+// 2 take the random start. Once ctx has ended the PCA stops and
+// newStart returns ctx's error and no start.
 func newStart(ctx context.Context, rows, cols int, samples []vecmath.Vector) (*Start, error) {
 	st := &Start{rows: rows, cols: cols, dim: len(samples[0])}
-	// initPCA needs the weight plane alone; the trained map gets its
-	// own (see train).
-	m := Map{rows: rows, cols: cols, dim: st.dim}
-	m.flat, m.weights = newPlane(rows*cols, st.dim)
-	ok, err := m.initPCA(ctx, samples)
-	if err != nil {
+	// Fewer than three samples, or one feature, span at most a line.
+	if len(samples) < 3 || st.dim < 2 {
+		return st, nil
+	}
+	vs := make([][]float64, len(samples))
+	for i, s := range samples {
+		vs[i] = s
+	}
+	model, err := pca.Fit(ctx, vs, 2)
+	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("som: start cancelled: %w", err)
 	}
-	if !ok {
+	// A Fit that failed on non-finite sums has no plane either.
+	if err != nil || len(model.Axes) < 2 {
 		return st, nil
 	}
-	// A PCA-initialized map starts inside the samples' affine span, so
-	// training can run on span coordinates (see spanBasis) whenever
-	// that span is narrower than the input. Random weights scatter
-	// across every dimension.
-	st.span = newSpanBasis(samples, m.weights)
-	if st.span == nil {
-		st.init = m.flat
-		return st, nil
+	r, origin := st.dim, model.Means
+	if model.Basis != nil {
+		// The samples' mean is the origin of their span coordinates.
+		r, origin = len(model.Basis), vecmath.NewVector(len(model.Basis))
+		st.mean, st.basis, st.coords = model.Means, model.Basis, model.Coords
 	}
-	rank := len(st.span.q)
-	st.init = make([]float64, len(m.weights)*rank)
-	diff := vecmath.NewVector(st.dim)
-	for u, w := range m.weights {
-		st.span.project(st.init[u*rank:(u+1)*rank], w, diff)
-	}
-	flat := make([]float64, len(samples)*rank)
-	st.coords = make([]vecmath.Vector, len(samples))
-	for i, s := range samples {
-		st.coords[i] = vecmath.Vector(flat[i*rank : (i+1)*rank : (i+1)*rank])
-		st.span.project(st.coords[i], s, diff)
+	s1, s2 := math.Sqrt(model.Variances[0]), math.Sqrt(model.Variances[1])
+	pc1, pc2 := model.Axes[0], model.Axes[1]
+	st.init = make([]float64, rows*cols*r)
+	for gr := 0; gr < rows; gr++ {
+		for gc := 0; gc < cols; gc++ {
+			u, v := gridSpan(gr, rows), gridSpan(gc, cols)
+			unit := gr*cols + gc
+			w := st.init[unit*r : (unit+1)*r]
+			for j := range w {
+				w[j] = origin[j] + u*s1*pc1[j] + v*s2*pc2[j]
+			}
+		}
 	}
 	return st, nil
 }
@@ -82,10 +98,18 @@ func newStart(ctx context.Context, rows, cols int, samples []vecmath.Vector) (*S
 // trainDim is the dimension the step loop runs in from s: the span
 // rank on the span path, the input dimension otherwise.
 func (s *Start) trainDim() int {
-	if s.span != nil {
-		return len(s.span.q)
+	if s.basis != nil {
+		return len(s.basis)
 	}
 	return s.dim
+}
+
+// lift writes the vector mean + Σₖ c[k]·basis[k] into w.
+func (s *Start) lift(w, c vecmath.Vector) {
+	copy(w, s.mean)
+	for k, q := range s.basis {
+		w.AXPYInPlace(c[k], q)
+	}
 }
 
 // train runs the seeded part of TrainCtx from s: a fresh map, random
@@ -100,15 +124,15 @@ func (s *Start) train(ctx context.Context, c Config, samples []vecmath.Vector, o
 	case s.init == nil:
 		m.initRandom(samples, r)
 		err = m.trainSequential(ctx, c, samples, r, o, sp)
-	case s.span == nil:
+	case s.basis == nil:
 		copy(m.flat, s.init)
 		err = m.trainSequential(ctx, c, samples, r, o, sp)
 	default:
-		pm := newMap(s.rows, s.cols, len(s.span.q))
+		pm := newMap(s.rows, s.cols, len(s.basis))
 		copy(pm.flat, s.init)
 		if err = pm.trainSequential(ctx, c, s.coords, r, o, sp); err == nil {
 			for u, w := range m.weights {
-				s.span.lift(w, pm.weights[u])
+				s.lift(w, pm.weights[u])
 			}
 		}
 	}

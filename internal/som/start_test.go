@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"hmeans/internal/obs"
-	"hmeans/internal/pca"
 	"hmeans/internal/vecmath"
 )
 
@@ -23,12 +22,11 @@ type startCase struct {
 }
 
 // startCases covers every kind of start: the case study's counters
-// and bits (span path), suite-500 (full dimension), the two-blob input
-// on which pca.FitTop does not converge and initPCA falls back to
-// pca.Fit, and two samples, which cannot support a PCA plane (random
-// initialization). Suite-500 trains for seconds under the race
-// detector, which cannot check one goroutine's arithmetic anyway, so
-// it is left out there.
+// and bits (span path), suite-500 (full dimension), the two-blob input,
+// whose variances after the first nearly tie (span path), and two
+// samples, which cannot support a PCA plane (random initialization).
+// Suite-500 trains for seconds under the race detector, which cannot
+// check one goroutine's arithmetic anyway, so it is left out there.
 func startCases(tb testing.TB) []startCase {
 	tb.Helper()
 	counters, bits := caseStudyCounters(tb, 1), caseStudyBits(tb)
@@ -36,7 +34,7 @@ func startCases(tb testing.TB) []startCase {
 	cases := []startCase{
 		{"counters", counters, rows, cols, []uint64{1, 2, 3, 4, 5}},
 		{"bits", bits, rows, cols, []uint64{1, 2, 3, 4, 5}},
-		{"fit-fallback", benchSamples(14, 160), 5, 4, []uint64{99, 100}},
+		{"two-blob", benchSamples(14, 160), 5, 4, []uint64{99, 100}},
 		{"random-init", []vecmath.Vector{{1, 0, 2, 0, 1}, {0, 3, 1, 1, 0}}, 3, 3, []uint64{1, 2, 3}},
 	}
 	if !raceEnabled {
@@ -55,14 +53,7 @@ func startCases(tb testing.TB) []startCase {
 // and every later one reuses them.
 func TestStartReuseBitIdentical(t *testing.T) {
 	cases := startCases(t)
-	rows := make([][]float64, len(cases[2].samples))
-	for i, s := range cases[2].samples {
-		rows[i] = s
-	}
-	if _, err := pca.FitTop(context.Background(), rows, 2, 0x50b0); err == nil {
-		t.Fatal("pca.FitTop converged on the two-blob input; it no longer exercises the pca.Fit fallback")
-	}
-	if ok, _ := newMap(3, 3, 5).initPCA(context.Background(), cases[3].samples); ok {
+	if st := testStart(t, Config{Rows: 3, Cols: 3}, cases[3].samples); st.init != nil {
 		t.Fatal("PCA initialization succeeded on two samples")
 	}
 	o := obs.New()
@@ -106,15 +97,12 @@ func TestStartReuseBitIdentical(t *testing.T) {
 
 // startBits is a deep copy of every value a start holds.
 func startBits(s *Start) [][]float64 {
-	out := [][]float64{slices.Clone(s.init)}
-	if s.span != nil {
-		out = append(out, slices.Clone(s.span.mean))
-		for _, q := range s.span.q {
-			out = append(out, slices.Clone(q))
-		}
-		for _, c := range s.coords {
-			out = append(out, slices.Clone(c))
-		}
+	out := [][]float64{slices.Clone(s.init), slices.Clone(s.mean)}
+	for _, q := range s.basis {
+		out = append(out, slices.Clone(q))
+	}
+	for _, c := range s.coords {
+		out = append(out, slices.Clone(c))
 	}
 	return out
 }
@@ -264,7 +252,7 @@ func TestStartSize(t *testing.T) {
 		}
 		n, d, units, r := len(tc.samples), st.dim, tc.rows*tc.cols, st.trainDim()
 		bound := units * d
-		if st.span != nil {
+		if st.basis != nil {
 			bound = (r+1)*d + (units+n)*r
 		}
 		if floats > bound || 8*floats >= 60<<10 {
@@ -331,39 +319,45 @@ func (c *endingCtx) Err() error {
 	return nil
 }
 
-// TestStartBuildStopsOnEndedContext: on the two-blob input, where
-// pca.FitTop fails and the start falls back to pca.Fit's Jacobi, a
-// context that ended before the call, and one that ends inside the
-// Jacobi, each stop the start's build: TrainCtx returns the context's
-// error and the table stays empty. A live context then builds the
-// start and stores it.
+// TestStartBuildStopsOnEndedContext: building a start polls its
+// context once per sample in the Gram–Schmidt build and in the
+// coordinates, once per row of the coordinates' covariance and of each
+// sweep of Jacobi rotations, and once after the PCA. On the two-blob
+// input, a context that ended before the call, and one that ends at
+// any of those polls, each stop the build: TrainCtx returns the
+// context's error and the table stays empty. A live context then
+// builds the start and stores it.
 func TestStartBuildStopsOnEndedContext(t *testing.T) {
 	samples := benchSamples(14, 160)
-	rows := make([][]float64, len(samples))
-	for i, s := range samples {
-		rows[i] = s
+	cfg := Config{Rows: 5, Cols: 4, Seed: 99}
+	full := &endingCtx{Context: context.Background(), live: math.MaxInt}
+	if _, err := newStart(full, cfg.Rows, cfg.Cols, samples); err != nil {
+		t.Fatal(err)
 	}
-	// The power iteration's own polls, all of them before it fails.
-	top := &endingCtx{Context: context.Background(), live: math.MaxInt}
-	if _, err := pca.FitTop(top, rows, 2, 0x50b0); err == nil {
-		t.Fatal("pca.FitTop converged on the two-blob input; it no longer exercises the pca.Fit fallback")
+	// 14 samples, twice, and 13 rows of covariance come before the
+	// Jacobi's first poll.
+	if n := len(samples); full.polls <= 3*n-1 {
+		t.Fatalf("the build polled its context %d times, want more than %d", full.polls, 3*n-1)
 	}
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	table := NewStarts(4)
-	cfg := Config{Rows: 5, Cols: 4, Seed: 99, Starts: table}
-	for _, ctx := range []context.Context{cancelled, &endingCtx{Context: context.Background(), live: top.polls + 3}} {
+	ctxs := []context.Context{cancelled}
+	for live := 0; live < full.polls; live++ {
+		ctxs = append(ctxs, &endingCtx{Context: context.Background(), live: live})
+	}
+	cfg.Starts = NewStarts(4)
+	for i, ctx := range ctxs {
 		if _, err := TrainCtx(ctx, cfg, samples); !errors.Is(err, context.Canceled) {
-			t.Fatalf("TrainCtx with an ended context returned %v, want context.Canceled", err)
+			t.Fatalf("context %d: TrainCtx returned %v, want context.Canceled", i, err)
 		}
-		if n := table.table.Len(); n != 0 {
-			t.Fatalf("the table holds %d starts after a cancelled build, want 0", n)
+		if n := cfg.Starts.table.Len(); n != 0 {
+			t.Fatalf("context %d: the table holds %d starts after a cancelled build, want 0", i, n)
 		}
 	}
 	if _, err := TrainCtx(context.Background(), cfg, samples); err != nil {
 		t.Fatal(err)
 	}
-	if n := table.table.Len(); n != 1 {
+	if n := cfg.Starts.table.Len(); n != 1 {
 		t.Fatalf("the table holds %d starts after a build, want 1", n)
 	}
 }

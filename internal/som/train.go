@@ -12,7 +12,7 @@ import (
 // TrainCtx builds and trains a map on the sample set according to
 // cfg. Samples must be non-empty and rectangular. The input slices are
 // read but never modified or retained. Training takes its start — the
-// seed-free PCA initialization and span projection, see Start — from
+// seed-free PCA initialization and span coordinates, see Start — from
 // cfg.Starts, or builds it when the table holds none, then trains from
 // it with cfg's seed. Building a start polls the context inside its
 // PCA, and training checks it every few hundred steps; on cancellation

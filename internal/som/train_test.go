@@ -115,26 +115,18 @@ func eachKernel(t *testing.T, f func(t *testing.T)) {
 	}
 }
 
-// spanProjection returns init and the samples in coordinates of the
-// samples' affine span: the vectors the step loop runs on when
-// training takes the span path.
-func spanProjection(tb testing.TB, init *Map, samples []vecmath.Vector) (*Map, []vecmath.Vector) {
+// spanProjection returns the initial map and the samples in
+// coordinates of the samples' affine span: the vectors the step loop
+// runs on when training takes the span path.
+func spanProjection(tb testing.TB, cfg Config, samples []vecmath.Vector) (*Map, []vecmath.Vector) {
 	tb.Helper()
-	b := newSpanBasis(samples, init.weights)
-	if b == nil {
-		tb.Fatal("the samples span the full dimension")
+	st := testStart(tb, cfg, samples)
+	if st.init == nil || st.basis == nil {
+		tb.Fatal("the samples take the random start or span the full dimension")
 	}
-	pm := newMap(init.rows, init.cols, len(b.q))
-	scratch := vecmath.NewVector(init.dim)
-	for u, w := range init.weights {
-		b.project(pm.weights[u], w, scratch)
-	}
-	coords := make([]vecmath.Vector, len(samples))
-	for i, s := range samples {
-		coords[i] = vecmath.NewVector(len(b.q))
-		b.project(coords[i], s, scratch)
-	}
-	return pm, coords
+	pm := newMap(st.rows, st.cols, len(st.basis))
+	copy(pm.flat, st.init)
+	return pm, st.coords
 }
 
 // TestTrainMatchesOracleInSpan: on the case study's span coordinates —
@@ -144,12 +136,12 @@ func spanProjection(tb testing.TB, init *Map, samples []vecmath.Vector) (*Map, [
 func TestTrainMatchesOracleInSpan(t *testing.T) {
 	bits := caseStudyBits(t)
 	rows, cols := GridFor(len(bits))
-	bitsInit, bitsCoords := spanProjection(t, pcaInitMap(t, Config{Rows: rows, Cols: cols}, bits), bits)
+	bitsInit, bitsCoords := spanProjection(t, Config{Rows: rows, Cols: cols}, bits)
 	eachKernel(t, func(t *testing.T) {
 		for seed := uint64(1); seed <= 5; seed++ {
 			cfg := Config{Rows: rows, Cols: cols, Seed: seed}
 			counters := caseStudyCounters(t, seed)
-			init, coords := spanProjection(t, pcaInitMap(t, cfg, counters), counters)
+			init, coords := spanProjection(t, cfg, counters)
 			if !stepLoopMatchesOracle(t, cfg, init, coords) {
 				t.Fatalf("counters seed %d: weights differ from the brute-plus-AXPY loop", seed)
 			}
@@ -174,7 +166,7 @@ func TestTrainMatchesOracleFullDimension(t *testing.T) {
 		t.Fatalf("suite-500 grid %d×%d, want 12×10", rows, cols)
 	}
 	init := pcaInitMap(t, Config{Rows: rows, Cols: cols}, samples)
-	if r := spanRank(init, samples); r != init.dim {
+	if r := spanRank(t, Config{Rows: rows, Cols: cols}, samples); r != init.dim {
 		t.Fatalf("span rank %d of %d: suite-500 must train in the full dimension", r, init.dim)
 	}
 	eachKernel(t, func(t *testing.T) {
@@ -200,7 +192,7 @@ func TestTrainWorkCounters(t *testing.T) {
 	if _, err := TrainCtx(context.Background(), cfg, samples); err != nil {
 		t.Fatal(err)
 	}
-	trainDim := spanRank(pcaInitMap(t, cfg, samples), samples)
+	trainDim := spanRank(t, cfg, samples)
 	metrics := o.Metrics()
 	steps := metrics.Counter("som.steps").Value()
 	coords := metrics.Counter("som.bmu_coords").Value()

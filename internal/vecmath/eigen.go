@@ -25,11 +25,13 @@ type Eigen struct {
 
 // SymmetricEigen computes all eigenvalues and eigenvectors of the
 // symmetric matrix a using the cyclic Jacobi method. The input is not
-// modified. Jacobi is quadratic per sweep but the pipeline only ever
-// decomposes covariance matrices of at most a few hundred features,
-// where its unconditional stability beats fancier algorithms. The
-// context is polled before each row of a sweep's rotations; once it
-// has ended the decomposition stops and returns its error.
+// modified. A sweep costs O(n³): the pipeline decomposes the
+// covariance of the samples' span coordinates, whose order is at most
+// the smaller of the sample count less one and the feature count, and
+// at that size the Jacobi's unconditional stability beats fancier
+// algorithms. The context is polled before each row of a sweep's
+// rotations; once it has ended the decomposition stops and returns its
+// error.
 func SymmetricEigen(ctx context.Context, a *Matrix) (*Eigen, error) {
 	const maxSweeps = 100
 	if !a.IsSymmetric(1e-9) {

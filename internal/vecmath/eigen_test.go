@@ -161,15 +161,15 @@ func (c *endingCtx) Err() error {
 }
 
 // TestEigenSolversStopOnEndedContext: the Jacobi polls its context
-// before every row of rotations and the power iteration before every
-// iteration, so each returns the context's error at its first poll
-// when the context ended before the call, and at its next poll when it
-// ends mid-run.
+// before every row of rotations and CovarianceMatrix before every row
+// of the covariance, so each returns the context's error at its first
+// poll when the context ended before the call, and at its next poll
+// when it ends mid-run.
 func TestEigenSolversStopOnEndedContext(t *testing.T) {
-	a := randomPSD(40, 3)
+	a := randomSymmetric(40, 3)
 	for name, solve := range map[string]func(context.Context) error{
-		"SymmetricEigen": func(ctx context.Context) error { _, err := SymmetricEigen(ctx, a); return err },
-		"TopEigen":       func(ctx context.Context) error { _, err := TopEigen(ctx, a, 2, 1); return err },
+		"SymmetricEigen":   func(ctx context.Context) error { _, err := SymmetricEigen(ctx, a); return err },
+		"CovarianceMatrix": func(ctx context.Context) error { _, _, err := CovarianceMatrix(ctx, a); return err },
 	} {
 		full := &endingCtx{Context: context.Background(), live: math.MaxInt}
 		if err := solve(full); err != nil || full.polls <= 10 {

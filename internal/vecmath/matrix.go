@@ -1,6 +1,7 @@
 package vecmath
 
 import (
+	"context"
 	"fmt"
 	"math"
 )
@@ -109,18 +110,6 @@ func (m *Matrix) Mul(other *Matrix) *Matrix {
 	return out
 }
 
-// MulVec returns m × v as a Vector.
-func (m *Matrix) MulVec(v Vector) Vector {
-	if m.cols != len(v) {
-		panic(fmt.Sprintf("vecmath: cannot multiply %dx%d by vector of length %d", m.rows, m.cols, len(v)))
-	}
-	out := make(Vector, m.rows)
-	for i := 0; i < m.rows; i++ {
-		out[i] = m.Row(i).Dot(v)
-	}
-	return out
-}
-
 // IsSymmetric reports whether m is square and symmetric within tol.
 func (m *Matrix) IsSymmetric(tol float64) bool {
 	if m.rows != m.cols {
@@ -138,8 +127,10 @@ func (m *Matrix) IsSymmetric(tol float64) bool {
 
 // CovarianceMatrix returns the population covariance matrix of the
 // observation matrix obs, whose rows are observations and columns are
-// features, along with the column means.
-func CovarianceMatrix(obs *Matrix) (cov *Matrix, means Vector) {
+// features, along with the column means. The context is polled before
+// each row of the covariance; once it has ended the build stops and
+// returns its error.
+func CovarianceMatrix(ctx context.Context, obs *Matrix) (cov *Matrix, means Vector, err error) {
 	n, d := obs.rows, obs.cols
 	means = make(Vector, d)
 	for j := 0; j < d; j++ {
@@ -151,6 +142,9 @@ func CovarianceMatrix(obs *Matrix) (cov *Matrix, means Vector) {
 	}
 	cov = NewMatrix(d, d)
 	for a := 0; a < d; a++ {
+		if err := ctx.Err(); err != nil {
+			return nil, nil, err
+		}
 		for b := a; b < d; b++ {
 			sum := 0.0
 			for i := 0; i < n; i++ {
@@ -161,5 +155,5 @@ func CovarianceMatrix(obs *Matrix) (cov *Matrix, means Vector) {
 			cov.Set(b, a, c)
 		}
 	}
-	return cov, means
+	return cov, means, nil
 }

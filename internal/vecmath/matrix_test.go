@@ -1,6 +1,7 @@
 package vecmath
 
 import (
+	"context"
 	"testing"
 )
 
@@ -100,14 +101,6 @@ func TestMulIdentity(t *testing.T) {
 	}
 }
 
-func TestMulVec(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	got := a.MulVec(Vector{1, 1})
-	if got[0] != 3 || got[1] != 7 {
-		t.Fatalf("MulVec = %v, want [3 7]", got)
-	}
-}
-
 func TestMulShapeMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -135,7 +128,10 @@ func TestIsSymmetric(t *testing.T) {
 func TestCovarianceMatrix(t *testing.T) {
 	// Two perfectly correlated features.
 	obs := FromRows([][]float64{{1, 2}, {2, 4}, {3, 6}})
-	cov, means := CovarianceMatrix(obs)
+	cov, means, err := CovarianceMatrix(context.Background(), obs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !almostEqual(means[0], 2, 1e-12) || !almostEqual(means[1], 4, 1e-12) {
 		t.Fatalf("means = %v", means)
 	}

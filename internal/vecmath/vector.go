@@ -102,16 +102,6 @@ func (v Vector) Dot(w Vector) float64 {
 // Norm returns the Euclidean (L2) norm of v.
 func (v Vector) Norm() float64 { return math.Sqrt(v.Dot(v)) }
 
-// Normalize returns v scaled to unit L2 norm. A zero vector is
-// returned unchanged.
-func (v Vector) Normalize() Vector {
-	n := v.Norm()
-	if n == 0 {
-		return v.Clone()
-	}
-	return v.Scale(1 / n)
-}
-
 func assertSameLen(v, w Vector) {
 	if len(v) != len(w) {
 		panic(fmt.Sprintf("vecmath: dimension mismatch %d vs %d", len(v), len(w)))

@@ -47,14 +47,6 @@ func TestVectorNorm(t *testing.T) {
 	if v.Norm() != 5 {
 		t.Errorf("Norm = %v, want 5", v.Norm())
 	}
-	u := v.Normalize()
-	if !almostEqual(u.Norm(), 1, 1e-12) {
-		t.Errorf("Normalize norm = %v, want 1", u.Norm())
-	}
-	z := Vector{0, 0}
-	if got := z.Normalize(); got[0] != 0 || got[1] != 0 {
-		t.Errorf("Normalize(zero) = %v, want zero", got)
-	}
 }
 
 func TestAXPYInPlace(t *testing.T) {
