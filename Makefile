@@ -76,7 +76,7 @@ trace:
 # refresh the baseline after an intentional performance change:
 # `make bench-baseline` on the reference hardware and commit
 # BENCH_BASELINE.json (see README "Benchmark regression gate").
-BENCH_PATTERN := ^(BenchmarkHGM|BenchmarkHAM|BenchmarkHHM|BenchmarkPlainGM|BenchmarkBMU|BenchmarkQuantizationError|BenchmarkCutK|BenchmarkSilhouette|BenchmarkQualitySweep|BenchmarkRecommendK|BenchmarkTrainSequentialCaseStudy|BenchmarkTrainSequentialSuite500|BenchmarkTrainSequentialSuiteScale|BenchmarkNewDendrogramSuiteScale|BenchmarkNewDendrogramLarge|BenchmarkServiceScoreDark|BenchmarkServiceScoreLogged|BenchmarkServiceScoreDecoded|BenchmarkServiceScoreCaseStudy|BenchmarkServiceScoreMiss|BenchmarkCacheKeyCaseStudy|BenchmarkKernelSchedule|BenchmarkUpdateKernel)$$
+BENCH_PATTERN := ^(BenchmarkHGM|BenchmarkHAM|BenchmarkHHM|BenchmarkPlainGM|BenchmarkBMU|BenchmarkQuantizationError|BenchmarkCutK|BenchmarkSilhouette|BenchmarkQualitySweep|BenchmarkSweep|BenchmarkRecommendK|BenchmarkTrainSequentialCaseStudy|BenchmarkTrainSequentialSuite500|BenchmarkTrainSequentialSuiteScale|BenchmarkNewDendrogramSuiteScale|BenchmarkNewDendrogramLarge|BenchmarkServiceScoreDark|BenchmarkServiceScoreLogged|BenchmarkServiceScoreDecoded|BenchmarkServiceScoreCaseStudy|BenchmarkServiceScoreMiss|BenchmarkCacheKeyCaseStudy|BenchmarkKernelSchedule|BenchmarkUpdateKernel)$$
 
 bench-json:
 	$(GO) test -bench '$(BENCH_PATTERN)' -benchmem -benchtime 50ms -count 5 -run '^$$' ./... | tee bench-raw.txt
@@ -176,8 +176,9 @@ chaos-service:
 
 # fuzz smoke-runs every fuzz target (the CI fuzz-smoke job): the
 # serialization loaders, the agglomeration loop against its scan
-# oracle, the SOM's AVX2 weight update against its Go loop, and the
-# PCA against its d × d Jacobi oracle. Go
+# oracle, the means sweep against its pointwise oracle, the SOM's AVX2
+# weight update against its Go loop, and the PCA against its d × d
+# Jacobi oracle. Go
 # permits one -fuzz pattern per invocation, so one line per target;
 # raise FUZZTIME for a real fuzzing session.
 FUZZTIME ?= 20s
@@ -190,6 +191,7 @@ fuzz:
 	$(GO) test -fuzz FuzzFit -fuzztime $(FUZZTIME) ./internal/pca
 	$(GO) test -fuzz FuzzLoadDendrogram -fuzztime $(FUZZTIME) ./internal/cluster
 	$(GO) test -fuzz FuzzAgglomerate -fuzztime $(FUZZTIME) ./internal/cluster
+	$(GO) test -fuzz FuzzSweep -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -fuzz FuzzRestoreSnapshot -fuzztime $(FUZZTIME) ./internal/service
 	$(GO) test -fuzz FuzzDecodeRequest -fuzztime $(FUZZTIME) ./internal/service
 

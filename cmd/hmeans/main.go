@@ -171,13 +171,13 @@ func score(ctx context.Context, a scoreArgs, stdout io.Writer) error {
 		}
 		return nil
 	}
+	sweep, err := p.ScoreSweep(mean, aligned, 2, len(aligned))
+	if err != nil {
+		return err
+	}
 	t := viz.NewTable("k", "hierarchical", "plain")
 	for kk := 2; kk <= len(aligned); kk++ {
-		h, err := p.ScoreAtK(mean, aligned, kk)
-		if err != nil {
-			return err
-		}
-		if err := t.AddRowf(fmt.Sprintf("%d", kk), "%.4f", h, plain); err != nil {
+		if err := t.AddRowf(fmt.Sprintf("%d", kk), "%.4f", sweep[kk], plain); err != nil {
 			return err
 		}
 	}

@@ -65,12 +65,13 @@ func (a Assignment) Sizes() []int {
 }
 
 // CutK cuts the dendrogram so that exactly k clusters remain: the
-// last k−1 merges are undone. k must lie in [1, n].
+// last k−1 merges are undone. k must lie in [1, n]. The labels are the
+// walk's (EachCut) at k.
 func (d *Dendrogram) CutK(k int) (Assignment, error) {
 	if k < 1 || k > d.n {
 		return Assignment{}, &CutError{K: k, N: d.n, Reason: "cluster count outside [1, n]"}
 	}
-	return d.assignment(d.n - k), nil
+	return Assignment{Labels: d.newCutWalk(k).labels, K: k}, nil
 }
 
 // CutDistance cuts the dendrogram at the given merging distance:
@@ -85,45 +86,10 @@ func (d *Dendrogram) CutDistance(maxDist float64) Assignment {
 		}
 	}
 	// Merge heights are non-decreasing for the metric linkages, so
-	// the first `applied` merges are exactly those below the cut.
-	return d.assignment(applied)
-}
-
-// assignment applies the first `applied` merges and labels the
-// resulting clusters canonically.
-func (d *Dendrogram) assignment(applied int) Assignment {
-	parent := make([]int, d.n+applied)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	for s := 0; s < applied; s++ {
-		m := d.merges[s]
-		created := d.n + s
-		parent[find(m.A)] = created
-		parent[find(m.B)] = created
-	}
-	labels := make([]int, d.n)
-	rootLabel := map[int]int{}
-	next := 0
-	for leaf := 0; leaf < d.n; leaf++ {
-		root := find(leaf)
-		l, ok := rootLabel[root]
-		if !ok {
-			l = next
-			rootLabel[root] = l
-			next++
-		}
-		labels[leaf] = l
-	}
-	return Assignment{Labels: labels, K: next}
+	// the first `applied` merges are exactly those below the cut, and
+	// n − applied lies in [1, n].
+	a, _ := d.CutK(d.n - applied)
+	return a
 }
 
 // KAtDistance returns how many clusters a cut at maxDist produces.

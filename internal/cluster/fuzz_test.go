@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -68,11 +69,13 @@ func FuzzLoadDendrogram(f *testing.F) {
 				t.Fatalf("CutK(%d) produced %d clusters", k, a.K)
 			}
 		}
-		// The walk must agree with CutK on every accepted tree; it
-		// derives cluster sizes from the tree, because Merge.Size is
-		// not validated.
+		// The walk, and so CutK, must agree with the union-find oracle
+		// on every accepted tree; it derives cluster sizes from the
+		// tree, because Merge.Size is not validated.
 		assertEachCutMatchesCutK(t, d, 1, maxK)
-		d.CutDistance(0)
+		if got, want := d.CutDistance(0), d.assignment(mergesAtOrBelow(d, 0)); !slices.Equal(got.Labels, want.Labels) {
+			t.Fatalf("CutDistance(0) = %v, union-find %v", got, want)
+		}
 		// Round trip: what Save emits must load back equal.
 		var buf bytes.Buffer
 		if err := d.Save(&buf); err != nil {

@@ -6,6 +6,44 @@ import (
 	"hmeans/internal/vecmath"
 )
 
+// assignment is the definition CutK's and EachCut's labels must
+// reproduce: it applies the first `applied` merges with a union-find
+// and labels the resulting clusters in the order of their lowest
+// leaves.
+func (d *Dendrogram) assignment(applied int) Assignment {
+	parent := make([]int, d.n+applied)
+	for i := range parent {
+		parent[i] = i
+	}
+	find := func(x int) int {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	for s := 0; s < applied; s++ {
+		m := d.merges[s]
+		created := d.n + s
+		parent[find(m.A)] = created
+		parent[find(m.B)] = created
+	}
+	labels := make([]int, d.n)
+	rootLabel := map[int]int{}
+	next := 0
+	for leaf := 0; leaf < d.n; leaf++ {
+		root := find(leaf)
+		l, ok := rootLabel[root]
+		if !ok {
+			l = next
+			rootLabel[root] = l
+			next++
+		}
+		labels[leaf] = l
+	}
+	return Assignment{Labels: labels, K: next}
+}
+
 // scanMerges is the O(n³) nearest-pair scan, the definition of the
 // merge order fromCondensed must reproduce bit for bit: every step
 // merges the first strictly minimal active pair in row-major order —

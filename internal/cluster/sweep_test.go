@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"hmeans/internal/rng"
@@ -122,9 +123,9 @@ func TestQualitySweepMatchesPointwise(t *testing.T) {
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
-// TestEachCutMatchesCutK checks the walk's labels against CutK at
-// every k, canonical order included, and that the walk reuses one
-// label slice.
+// TestEachCutMatchesCutK checks the walk's labels against the
+// union-find oracle at every k, canonical order included, and that
+// the walk reuses one label slice.
 func TestEachCutMatchesCutK(t *testing.T) {
 	for seed := uint64(1); seed <= 60; seed++ {
 		pts := sweepSuite(seed)
@@ -142,8 +143,53 @@ func TestEachCutMatchesCutK(t *testing.T) {
 	}
 }
 
+// TestCutKMatchesUnionFind checks CutK, which starts a walk at k,
+// against the union-find oracle at every k of seeded suites with tied
+// heights under every linkage, and CutDistance at every merge height.
+func TestCutKMatchesUnionFind(t *testing.T) {
+	suites := 300
+	if testing.Short() || raceEnabled {
+		suites = 40
+	}
+	for seed := uint64(1); seed <= uint64(suites); seed++ {
+		pts := sweepSuite(seed)
+		n := len(pts)
+		for _, l := range allLinkages {
+			d, err := NewDendrogramOpts(pts, vecmath.Euclidean, l, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := 1; k <= n; k++ {
+				got, err := d.CutK(k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := d.assignment(n - k); got.K != k || !slices.Equal(got.Labels, want.Labels) {
+					t.Fatalf("seed %d n=%d %v: CutK(%d) = %v, union-find %v", seed, n, l, k, got, want)
+				}
+			}
+			for _, m := range d.Merges() {
+				if got, want := d.CutDistance(m.Distance), d.assignment(mergesAtOrBelow(d, m.Distance)); !slices.Equal(got.Labels, want.Labels) {
+					t.Fatalf("seed %d n=%d %v: CutDistance(%v) = %v, union-find %v", seed, n, l, m.Distance, got, want)
+				}
+			}
+		}
+	}
+}
+
+// mergesAtOrBelow counts the merges CutDistance(maxDist) applies.
+func mergesAtOrBelow(d *Dendrogram, maxDist float64) int {
+	applied := 0
+	for _, m := range d.Merges() {
+		if m.Distance <= maxDist {
+			applied++
+		}
+	}
+	return applied
+}
+
 // assertEachCutMatchesCutK walks [kMin, kMax] and compares every cut
-// with CutK's.
+// with CutK's and with the union-find oracle's.
 func assertEachCutMatchesCutK(t *testing.T, d *Dendrogram, kMin, kMax int) {
 	t.Helper()
 	next := max(kMin, 1)
@@ -153,17 +199,16 @@ func assertEachCutMatchesCutK(t *testing.T, d *Dendrogram, kMin, kMax int) {
 			return fmt.Errorf("visited k=%d, want %d", a.K, next)
 		}
 		next++
-		want, err := d.CutK(a.K)
+		want := d.assignment(d.Len() - a.K)
+		if want.K != a.K || !slices.Equal(a.Labels, want.Labels) {
+			return fmt.Errorf("k=%d: labels %v, union-find %v (k=%d)", a.K, a.Labels, want.Labels, want.K)
+		}
+		cut, err := d.CutK(a.K)
 		if err != nil {
 			return err
 		}
-		if len(a.Labels) != len(want.Labels) {
-			return fmt.Errorf("k=%d: %d labels, want %d", a.K, len(a.Labels), len(want.Labels))
-		}
-		for i, l := range want.Labels {
-			if a.Labels[i] != l {
-				return fmt.Errorf("k=%d: labels %v, CutK %v", a.K, a.Labels, want.Labels)
-			}
+		if !slices.Equal(cut.Labels, a.Labels) {
+			return fmt.Errorf("k=%d: labels %v, CutK %v", a.K, a.Labels, cut.Labels)
 		}
 		if first == nil {
 			first = &a.Labels[0]

@@ -106,23 +106,24 @@ func (d *Dendrogram) newCutWalk(k int) *cutWalk {
 		}
 	}
 	// Clusters take labels in the order of their lowest leaves; each
-	// group is filled in ascending leaf order.
+	// group is filled in ascending leaf order, start serving as the
+	// group's fill cursor until every leaf is placed.
 	for i := range w.start {
 		w.start[i] = -1
 	}
-	fill := make([]int, nodes)
 	next := 0
 	for leaf := 0; leaf < n; leaf++ {
 		c := up[leaf]
 		if w.start[c] < 0 {
-			w.start[c], fill[c] = next, next
+			w.start[c] = next
 			next += w.size[c]
 			w.byLabel = append(w.byLabel, c)
 		}
-		w.order[fill[c]] = leaf
-		fill[c]++
+		w.order[w.start[c]] = leaf
+		w.start[c]++
 	}
 	for l, c := range w.byLabel {
+		w.start[c] -= w.size[c]
 		for _, x := range w.members(c) {
 			w.labels[x] = l
 		}

@@ -29,14 +29,9 @@ type KRecommendation struct {
 // with two score vectors, prefer RecommendK.
 func (p *Pipeline) RecommendKQuality(kMin, kMax int) (KRecommendation, error) {
 	var rec KRecommendation
-	if kMin < 2 {
-		kMin = 2
-	}
-	if n := p.Dendrogram.Len(); kMax > n {
-		kMax = n
-	}
-	if kMin > kMax {
-		return rec, fmt.Errorf("core: empty recommendation range [%d, %d]", kMin, kMax)
+	kMin, kMax, err := p.candidates(kMin, kMax)
+	if err != nil {
+		return rec, err
 	}
 	sp := p.obs.StartSpan("kselect", obs.KV("k_min", kMin), obs.KV("k_max", kMax),
 		obs.KV("quality_only", true))
@@ -57,6 +52,16 @@ func (p *Pipeline) RecommendKQuality(kMin, kMax int) (KRecommendation, error) {
 	return rec, nil
 }
 
+// candidates clamps a recommendation range to [2, n] and rejects an
+// empty one.
+func (p *Pipeline) candidates(kMin, kMax int) (int, int, error) {
+	kMin, kMax = max(kMin, 2), min(kMax, p.Dendrogram.Len())
+	if kMin > kMax {
+		return 0, 0, fmt.Errorf("core: empty recommendation range [%d, %d]", kMin, kMax)
+	}
+	return kMin, kMax, nil
+}
+
 // RecommendK mechanizes the paper's Section V-B.1 judgment: pick the
 // cluster count where (1) the clustering is geometrically sound
 // (silhouette on the reduced positions) and (2) "the fluctuation of
@@ -66,24 +71,57 @@ func (p *Pipeline) RecommendKQuality(kMin, kMax int) (KRecommendation, error) {
 //
 // The ratio at k is the hierarchical mean of kind over scoresA divided
 // by the one over scoresB, as ScoreAtK computes them, for every k in
-// [kMin-1, kMax+1] within [1, n]; one walk of the dendrogram's cuts
-// (cluster.Dendrogram.EachCut) with one Scorer yields them all, with no
-// per-k cut or means spans. The geometry comes from one QualitySweep.
-//
-// The combined criterion ranks candidates by silhouette and breaks
-// near-ties (within tol of the best silhouette) toward the smallest
-// ratio damping, and toward the smaller k on equal damping.
+// [kMin-1, kMax+1] within [1, n]. One Sweep yields them all, with no
+// per-k cut or means spans; RankK then decides.
 func (p *Pipeline) RecommendK(kind MeanKind, scoresA, scoresB []float64, kMin, kMax int) (KRecommendation, error) {
 	var rec KRecommendation
-	if kMin < 2 {
-		kMin = 2
+	if err := kind.check(); err != nil {
+		return rec, err
 	}
-	n := p.Dendrogram.Len()
-	if kMax > n {
-		kMax = n
+	kMin, kMax, err := p.candidates(kMin, kMax)
+	if err != nil {
+		return rec, err
 	}
-	if kMin > kMax {
-		return rec, fmt.Errorf("core: empty recommendation range [%d, %d]", kMin, kMax)
+	if scoresA, err = p.AlignScores(scoresA); err != nil {
+		return rec, err
+	}
+	if scoresB, err = p.AlignScores(scoresB); err != nil {
+		return rec, err
+	}
+	ratio := make([]float64, p.Dendrogram.Len()+1)
+	err = p.Sweep([][]float64{scoresA, scoresB}, kMin-1, kMax+1, func(cut cluster.Assignment, means []Means) error {
+		b := means[1][kind]
+		if b <= 0 {
+			return errors.New("core: non-positive score ratio denominator")
+		}
+		ratio[cut.K] = means[0][kind] / b
+		return nil
+	})
+	if err != nil {
+		return rec, err
+	}
+	return p.RankK(ratio, kMin, kMax)
+}
+
+// RankK is RecommendK's decision, made from ratios already swept:
+// ratio[k] is the A/B score ratio at the k-cluster cut for every k in
+// [kMin-1, kMax+1] within [1, n], after kMin and kMax are clamped to
+// [2, n]. It runs one QualitySweep over the candidates and damps the
+// ratio: a candidate's damping is the mean absolute change of the
+// ratio from k to k−1 and to k+1. It then ranks candidates by
+// silhouette and breaks near-ties (within tol of the best silhouette)
+// toward the smallest damping, and toward the smaller k on equal
+// damping. The service reads the ratio off the Sweep that fills its
+// response, so a miss makes one walk of the cuts for means.
+func (p *Pipeline) RankK(ratio []float64, kMin, kMax int) (KRecommendation, error) {
+	var rec KRecommendation
+	kMin, kMax, err := p.candidates(kMin, kMax)
+	if err != nil {
+		return rec, err
+	}
+	hi := min(kMax+1, p.Dendrogram.Len())
+	if len(ratio) <= hi {
+		return rec, fmt.Errorf("core: %d ratios for cluster counts up to %d", len(ratio), hi)
 	}
 	sp := p.obs.StartSpan("kselect", obs.KV("k_min", kMin), obs.KV("k_max", kMax))
 	defer sp.End()
@@ -92,63 +130,14 @@ func (p *Pipeline) RecommendK(kind MeanKind, scoresA, scoresB []float64, kMin, k
 		return rec, err
 	}
 	rec.Quality = quality
-
-	// Ratio per k over the extended range [kMin-1, kMax+1] so the
-	// damping of edge candidates is well defined. One walk of the
-	// dendrogram and one Scorer serve every k; the means equal
-	// ScoreAtK's bit for bit.
-	lo, hi := kMin-1, kMax+1
-	if lo < 1 {
-		lo = 1
-	}
-	if hi > n {
-		hi = n
-	}
-	if scoresA, err = p.AlignScores(scoresA); err != nil {
-		return rec, err
-	}
-	if scoresB, err = p.AlignScores(scoresB); err != nil {
-		return rec, err
-	}
-	ratio := make([]float64, hi-lo+1)
-	var sc Scorer
-	err = p.Dendrogram.EachCut(lo, hi, func(cut cluster.Assignment) error {
-		if err := sc.Reset(Clustering{Labels: cut.Labels, K: cut.K}); err != nil {
-			return err
-		}
-		a, err := sc.Mean(kind, scoresA)
-		if err != nil {
-			return err
-		}
-		b, err := sc.Mean(kind, scoresB)
-		if err != nil {
-			return err
-		}
-		if b <= 0 {
-			return errors.New("core: non-positive score ratio denominator")
-		}
-		ratio[cut.K-lo] = a / b
-		return nil
-	})
-	if err != nil {
-		return rec, err
-	}
 	rec.RatioDamping = make(map[int]float64)
 	for k := kMin; k <= kMax; k++ {
-		var sum float64
-		var terms int
-		r := ratio[k-lo]
-		if k-1 >= lo {
-			sum += math.Abs(r - ratio[k-1-lo])
+		damp, terms := math.Abs(ratio[k]-ratio[k-1]), 1.0
+		if k < hi {
+			damp += math.Abs(ratio[k] - ratio[k+1])
 			terms++
 		}
-		if k+1 <= hi {
-			sum += math.Abs(r - ratio[k+1-lo])
-			terms++
-		}
-		if terms > 0 {
-			rec.RatioDamping[k] = sum / float64(terms)
-		}
+		rec.RatioDamping[k] = damp / terms
 	}
 
 	// Rank: silhouette first; within tol of the best, least damping.
@@ -164,11 +153,7 @@ func (p *Pipeline) RecommendK(kind MeanKind, scoresA, scoresB []float64, kMin, k
 		if q.Silhouette < bestSil-tol {
 			continue
 		}
-		d, ok := rec.RatioDamping[q.K]
-		if !ok {
-			d = math.Inf(1)
-		}
-		if d < bestDamp {
+		if d := rec.RatioDamping[q.K]; d < bestDamp {
 			bestK, bestDamp = q.K, d
 		}
 	}

@@ -53,6 +53,14 @@ func (k MeanKind) String() string {
 	}
 }
 
+// check rejects a MeanKind outside the three families.
+func (k MeanKind) check() error {
+	if k < Geometric || k > Harmonic {
+		return fmt.Errorf("core: unknown mean kind %d", int(k))
+	}
+	return nil
+}
+
 func (k MeanKind) plain(xs []float64) (float64, error) {
 	switch k {
 	case Geometric:
@@ -62,7 +70,7 @@ func (k MeanKind) plain(xs []float64) (float64, error) {
 	case Harmonic:
 		return stat.HarmonicMean(xs)
 	default:
-		return 0, fmt.Errorf("core: unknown mean kind %d", int(k))
+		return 0, k.check()
 	}
 }
 

@@ -323,9 +323,12 @@ func (p *Pipeline) ScoreAtK(kind MeanKind, scores []float64, k int) (float64, er
 
 // ScoreSweep computes the hierarchical mean for every k in
 // [kMin, kMax] (clamped to the valid range), the sweep of the paper's
-// Tables IV–VI, on one walk of the dendrogram's cuts. Each value
-// equals ScoreAtK's. The returned map is keyed by k.
+// Tables IV–VI, on one Sweep. Each value equals ScoreAtK's. The
+// returned map is keyed by k.
 func (p *Pipeline) ScoreSweep(kind MeanKind, scores []float64, kMin, kMax int) (map[int]float64, error) {
+	if err := kind.check(); err != nil {
+		return nil, err
+	}
 	if kMin > kMax {
 		return nil, fmt.Errorf("core: empty sweep range [%d, %d]", kMin, kMax)
 	}
@@ -334,16 +337,8 @@ func (p *Pipeline) ScoreSweep(kind MeanKind, scores []float64, kMin, kMax int) (
 		return nil, err
 	}
 	out := make(map[int]float64)
-	var sc Scorer
-	err = p.Dendrogram.EachCut(kMin, kMax, func(cut cluster.Assignment) error {
-		if err := sc.Reset(Clustering{Labels: cut.Labels, K: cut.K}); err != nil {
-			return err
-		}
-		s, err := sc.Mean(kind, scores)
-		if err != nil {
-			return err
-		}
-		out[cut.K] = s
+	err = p.Sweep([][]float64{scores}, kMin, kMax, func(cut cluster.Assignment, means []Means) error {
+		out[cut.K] = means[0][kind]
 		return nil
 	})
 	if err != nil {

@@ -9,9 +9,8 @@ import "fmt"
 // every cluster with the inner mean and combines the representatives
 // — allocating nothing on the happy path. This is the steady-state
 // scoring kernel: one Scorer per clustering serves any number of
-// score vectors and all three mean families, which is exactly the
-// shape of the service's k-sweep (reset per k, three means per score
-// vector).
+// score vectors and all three mean families. Sweep re-plans one per
+// cut; HierarchicalMean builds one per call.
 //
 // Mean is read-only over the plan, but the gather buffer is shared
 // scratch: a Scorer must not be used from multiple goroutines
@@ -40,8 +39,7 @@ func NewScorer(c Clustering) (*Scorer, error) {
 }
 
 // Reset re-plans the Scorer for a new clustering, reusing every
-// buffer whose capacity suffices — a pooled Scorer cycling through a
-// k-sweep stops allocating once it has seen the largest k. The
+// buffer whose capacity suffices: Sweep sizes them for k = n once. The
 // validation and its error messages match HierarchicalMean's
 // historical label checks exactly.
 func (s *Scorer) Reset(c Clustering) error {
@@ -78,12 +76,6 @@ func (s *Scorer) Reset(c Clustering) error {
 	s.n, s.k = n, k
 	return nil
 }
-
-// N returns the number of workloads the Scorer was planned for.
-func (s *Scorer) N() int { return s.n }
-
-// K returns the number of clusters.
-func (s *Scorer) K() int { return s.k }
 
 // Mean computes the hierarchical mean of the given family over the
 // scores, partitioned by the Scorer's clustering. It is

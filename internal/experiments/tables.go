@@ -100,33 +100,21 @@ func (s *Suite) HGMTable(ch Characterization) (HGMTableResult, error) {
 
 // hgmTable sweeps the hierarchical geometric means of the scores a
 // and b (machines A and B) over p's cuts in the configured range, on
-// one walk of the dendrogram with one Scorer for both machines.
-func (s *Suite) hgmTable(p *core.Pipeline, a, b []float64) (HGMTableResult, error) {
-	var (
-		res HGMTableResult
-		sc  core.Scorer
-	)
-	err := eachCut(p.Dendrogram, s.Config.KMin, s.Config.KMax, func(cut cluster.Assignment) error {
-		if err := sc.Reset(core.Clustering{Labels: cut.Labels, K: cut.K}); err != nil {
-			return err
-		}
-		hA, err := sc.Mean(core.Geometric, a)
+// one core.Sweep for both machines. An empty range lists no row.
+func (s *Suite) hgmTable(p *core.Pipeline, a, b []float64) (res HGMTableResult, err error) {
+	if s.Config.KMin <= s.Config.KMax {
+		err = p.Sweep([][]float64{a, b}, s.Config.KMin, s.Config.KMax, func(cut cluster.Assignment, means []core.Means) error {
+			hA, hB := means[0][core.Geometric], means[1][core.Geometric]
+			members := make([][]string, cut.K)
+			for i, l := range cut.Labels {
+				members[l] = append(members[l], p.Workloads[i])
+			}
+			res.Rows = append(res.Rows, HGMRow{K: cut.K, A: hA, B: hB, Ratio: hA / hB, Members: members})
+			return nil
+		})
 		if err != nil {
-			return err
+			return res, err
 		}
-		hB, err := sc.Mean(core.Geometric, b)
-		if err != nil {
-			return err
-		}
-		members := make([][]string, cut.K)
-		for i, l := range cut.Labels {
-			members[l] = append(members[l], p.Workloads[i])
-		}
-		res.Rows = append(res.Rows, HGMRow{K: cut.K, A: hA, B: hB, Ratio: hA / hB, Members: members})
-		return nil
-	})
-	if err != nil {
-		return res, err
 	}
 	if res.GMA, err = core.PlainMean(core.Geometric, a); err != nil {
 		return res, err
@@ -202,24 +190,17 @@ func oneCluster(labels []int, set []bool) bool {
 
 // oneClusterKs lists, in increasing k, the cuts of d into k in
 // [kMin, kMax] at which the workloads marked in set form a cluster of
-// their own.
+// their own. An empty range lists nothing.
 func oneClusterKs(d *cluster.Dendrogram, set []bool, kMin, kMax int) ([]int, error) {
+	if kMin > kMax {
+		return nil, nil
+	}
 	var ks []int
-	err := eachCut(d, kMin, kMax, func(cut cluster.Assignment) error {
+	err := d.EachCut(kMin, kMax, func(cut cluster.Assignment) error {
 		if oneCluster(cut.Labels, set) {
 			ks = append(ks, cut.K)
 		}
 		return nil
 	})
 	return ks, err
-}
-
-// eachCut is d.EachCut, except that an empty range [kMin, kMax] is no
-// cut at all rather than an error: a sweep over an empty configured
-// range lists nothing.
-func eachCut(d *cluster.Dendrogram, kMin, kMax int, fn func(cluster.Assignment) error) error {
-	if kMin > kMax {
-		return nil
-	}
-	return d.EachCut(kMin, kMax, fn)
 }

@@ -184,11 +184,15 @@ func writeSweep(w io.Writer, in *Input) error {
 		return err
 	}
 	t := viz.NewTable("clusters", "hierarchical", "vs plain")
-	for k := in.KMin; k <= in.KMax && k <= len(in.Workloads); k++ {
-		h, err := in.Pipeline.ScoreAtK(in.Kind, in.Scores, k)
-		if err != nil {
+	kMin, kMax := max(in.KMin, 1), min(in.KMax, len(in.Workloads))
+	var sweep map[int]float64
+	if kMin <= kMax {
+		if sweep, err = in.Pipeline.ScoreSweep(in.Kind, in.Scores, kMin, kMax); err != nil {
 			return err
 		}
+	}
+	for k := kMin; k <= kMax; k++ {
+		h := sweep[k]
 		if err := t.AddRow(fmt.Sprintf("%d", k),
 			fmt.Sprintf("%.3f", h),
 			fmt.Sprintf("%+.1f%%", 100*(h/plain-1))); err != nil {

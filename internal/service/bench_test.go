@@ -144,8 +144,8 @@ func BenchmarkServiceScoreMiss(b *testing.B) {
 // with the collector off so that none the runtime makes after a
 // collection is charged to f: the count repeats exactly from run to
 // run. Two collections first empty every sync.Pool (a pooled object
-// survives one), so f allocates its pooled scorer and encoder state
-// afresh whatever the runs before it left there.
+// survives one), so f allocates its pooled encoder state afresh
+// whatever the runs before it left there.
 func exactAllocs(f func()) float64 {
 	runtime.GC()
 	runtime.GC()

@@ -13,7 +13,6 @@ import (
 	"net/http"
 	"runtime"
 	"runtime/debug"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -277,19 +276,19 @@ func (s *Server) compute(ctx context.Context, req *Request) (*Response, error) {
 	}
 	n := len(p.Workloads)
 	names := req.vectorNames()
-	aligned := make(map[string][]float64, len(names))
-	for _, name := range names {
-		v, err := p.AlignScores(req.Scores[name])
+	aligned := make([][]float64, len(names))
+	for v, name := range names {
+		scores, err := p.AlignScores(req.Scores[name])
 		if err != nil {
 			return nil, badRequestf("score vector %q: %v", name, err)
 		}
-		for i, x := range v {
+		for i, x := range scores {
 			if !(x > 0) || x > maxFinite {
 				return nil, badRequestf("score vector %q: workload %s has non-positive or non-finite score %v (all three mean families need positive finite scores)",
 					name, p.Workloads[i], x)
 			}
 		}
-		aligned[name] = v
+		aligned[v] = scores
 	}
 
 	resp := &Response{
@@ -304,25 +303,41 @@ func (s *Server) compute(ctx context.Context, req *Request) (*Response, error) {
 		resp.Quarantined = append(resp.Quarantined, QuarantineJSON{Workload: q.Workload, Index: q.Index, Reason: q.Reason})
 	}
 
+	// One sweep over [kMin−1, kMax+1] fills the response's means and
+	// the ratio of the first two vectors' HGMs (sorted by name, so the
+	// choice is deterministic) whose damping RankK reads: the miss
+	// walks its cuts for means once. With fewer than two vectors there
+	// is no ratio, and the recommendation rests on geometry alone.
 	kMin, kMax := req.sweepRange(n)
 	recommended := 1
-	if kMax >= 2 && kMin <= kMax {
-		if len(names) >= 2 {
-			// Two or more machines: the paper's full criterion,
-			// silhouette plus ratio damping of the first two vectors
-			// (sorted by name, so the choice is deterministic).
-			rec, err := p.RecommendK(core.Geometric, aligned[names[0]], aligned[names[1]], kMin, kMax)
-			if err != nil {
-				return nil, err
+	if kMin <= kMax {
+		ratio := make([]float64, n+1)
+		err := p.Sweep(aligned, kMin-1, kMax+1, func(cut cluster.Assignment, means []core.Means) error {
+			if len(means) >= 2 {
+				ratio[cut.K] = means[0][core.Geometric] / means[1][core.Geometric]
 			}
-			recommended = rec.K
-		} else {
-			rec, err := p.RecommendKQuality(kMin, kMax)
-			if err != nil {
-				return nil, err
+			if cut.K < kMin || cut.K > kMax {
+				return nil
 			}
-			recommended = rec.K
+			for v, m := range means {
+				resp.Means = append(resp.Means, KMeans{K: cut.K, Vector: names[v],
+					HGM: m[core.Geometric], HAM: m[core.Arithmetic], HHM: m[core.Harmonic]})
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
+		var rec core.KRecommendation
+		if len(names) >= 2 {
+			rec, err = p.RankK(ratio, kMin, kMax)
+		} else {
+			rec, err = p.RecommendKQuality(kMin, kMax)
+		}
+		if err != nil {
+			return nil, err
+		}
+		recommended = rec.K
 	}
 	resp.RecommendedK = recommended
 
@@ -339,48 +354,15 @@ func (s *Server) compute(ctx context.Context, req *Request) (*Response, error) {
 		return nil, err
 	}
 	resp.Cut = CutJSON{K: cutK, Labels: cut.Labels, Members: members}
-
-	// One walk of the dendrogram's cuts and one pooled scorer serve the
-	// whole sweep: the walk relabels in place from k to k+1, Reset
-	// re-plans the scorer per k and each Mean call is allocation-free,
-	// so the k×vectors×3 mean evaluations of a cache-miss request cost
-	// O(results) allocations, not O(evaluations).
-	if kMin <= kMax {
-		sc := scorerPool.Get().(*core.Scorer)
-		defer scorerPool.Put(sc)
-		err := p.Dendrogram.EachCut(kMin, kMax, func(cut cluster.Assignment) error {
-			if err := sc.Reset(core.Clustering{Labels: cut.Labels, K: cut.K}); err != nil {
-				return err
-			}
-			for _, name := range names {
-				m := KMeans{K: cut.K, Vector: name}
-				var err error
-				if m.HGM, err = sc.Mean(core.Geometric, aligned[name]); err != nil {
-					return err
-				}
-				if m.HAM, err = sc.Mean(core.Arithmetic, aligned[name]); err != nil {
-					return err
-				}
-				if m.HHM, err = sc.Mean(core.Harmonic, aligned[name]); err != nil {
-					return err
-				}
-				resp.Means = append(resp.Means, m)
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	for _, name := range names {
+	for v, name := range names {
 		pm := PlainMeans{Vector: name}
-		if pm.GM, err = core.PlainMean(core.Geometric, aligned[name]); err != nil {
+		if pm.GM, err = core.PlainMean(core.Geometric, aligned[v]); err != nil {
 			return nil, err
 		}
-		if pm.AM, err = core.PlainMean(core.Arithmetic, aligned[name]); err != nil {
+		if pm.AM, err = core.PlainMean(core.Arithmetic, aligned[v]); err != nil {
 			return nil, err
 		}
-		if pm.HM, err = core.PlainMean(core.Harmonic, aligned[name]); err != nil {
+		if pm.HM, err = core.PlainMean(core.Harmonic, aligned[v]); err != nil {
 			return nil, err
 		}
 		resp.Plain = append(resp.Plain, pm)
@@ -391,11 +373,6 @@ func (s *Server) compute(ctx context.Context, req *Request) (*Response, error) {
 // maxFinite rejects +Inf while keeping every finite float64: x >
 // maxFinite is true only for +Inf (NaN fails the x > 0 test).
 const maxFinite = 1.7976931348623157e308
-
-// scorerPool recycles hierarchical-mean scorers across requests; a
-// scorer retains only its gather plan and scratch buffers, never
-// request data, so pooling is safe.
-var scorerPool = sync.Pool{New: func() any { return new(core.Scorer) }}
 
 func positionsJSON(p *core.Pipeline) [][]float64 {
 	out := make([][]float64, len(p.Positions))

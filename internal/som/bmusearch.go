@@ -8,37 +8,6 @@ import (
 	"hmeans/internal/vecmath"
 )
 
-// bmuSearch selects the best-matching-unit search strategy of a
-// trained map: placement, HitMap and the quality measures. Training
-// does not use it: its weights change at every step, so it runs
-// bmuSeeded, which needs no index. All three searches return
-// bmuBrute's unit, so the choice trades speed only.
-type bmuSearch int
-
-const (
-	// bmuSearchAuto, the only mode production code uses, picks per
-	// map: the brute scan below bmuPruneMinUnits units, the pruned
-	// search at or above it.
-	bmuSearchAuto bmuSearch = iota
-	// bmuSearchBrute forces the flat scan over every unit — the
-	// reference the pruned search is proven against.
-	bmuSearchBrute
-	// bmuSearchPruned forces the triangle-inequality pruned search:
-	// units sorted by weight-vector norm, expanded outward from the
-	// query's norm, each side abandoned once (‖x‖−‖w‖)² — a lower
-	// bound on ‖x−w‖² — exceeds the best distance found. Exact: it
-	// returns the same unit as the brute scan on every query,
-	// including the lowest-index tie-break.
-	bmuSearchPruned
-)
-
-// bmuPruneMinUnits is the unit count at which bmuSearchAuto switches
-// from the brute scan to the pruned search. Below it the whole weight
-// array fits in a few cache lines and the sort/binary-search overhead
-// of the index buys nothing; the paper's ~5√n grid heuristic crosses
-// it around n ≈ 160 samples.
-const bmuPruneMinUnits = 64
-
 // bmuIndex is the pruned search's precomputed view of a frozen weight
 // array: unit norms ascending, with the owning unit of each entry.
 // Weights mutate during training, so the index is built once training
@@ -74,22 +43,6 @@ func (m *Map) buildBMUIndex() *bmuIndex {
 	return &bmuIndex{norms: norms, ids: ids}
 }
 
-// setBMUSearch selects the BMU search strategy for subsequent queries
-// (Position, Placements, the quality measures) on the now-frozen
-// weights, building or dropping the pruned index as needed.
-// bmuSearchAuto picks the pruned search at bmuPruneMinUnits units or
-// more.
-func (m *Map) setBMUSearch(mode bmuSearch) {
-	if mode == bmuSearchAuto && len(m.weights) >= bmuPruneMinUnits {
-		mode = bmuSearchPruned
-	}
-	if mode == bmuSearchPruned {
-		m.index = m.buildBMUIndex()
-	} else {
-		m.index = nil
-	}
-}
-
 // bmuPruneBound is the pruning threshold for the current best squared
 // distance: a side of the norm-sorted expansion is abandoned when its
 // norm gap squared exceeds it. In exact arithmetic gap² ≤ ‖x−w‖²
@@ -103,12 +56,17 @@ func bmuPruneBound(best, xSq float64) float64 {
 	return best*(1+1e-9) + 1e-12*(1+xSq)
 }
 
-// bmuPruned is the exact pruned BMU search; see bmuSearchPruned. The
-// candidate distance loop is byte-for-byte the brute scan's
+// bmuPruned is the triangle-inequality pruned BMU search of a trained
+// map: units sorted by weight-vector norm, expanded outward from the
+// query's norm, each side abandoned once (‖x‖−‖w‖)² — a lower bound
+// on ‖x−w‖² — exceeds the best distance found. It is exact: it
+// returns bmuBrute's unit on every query, lowest-index tie-break
+// included. The candidate distance loop is byte-for-byte the brute scan's
 // arithmetic, so any unit both paths evaluate gets the identical
 // squared distance; the comparison accepts a tie only from a
 // lower-index unit, reproducing the brute scan's first-minimal
-// winner.
+// winner. A query whose norm or every distance is not finite goes to
+// bmuBrute.
 func (m *Map) bmuPruned(x vecmath.Vector) (unit int, sqDist float64) {
 	dim := m.dim
 	if len(x) != dim {
@@ -118,6 +76,11 @@ func (m *Map) bmuPruned(x vecmath.Vector) (unit int, sqDist float64) {
 	xSq := 0.0
 	for _, v := range x {
 		xSq += v * v
+	}
+	if !(xSq < math.Inf(1)) {
+		// A NaN or overflowing norm orders nothing; the norm search
+		// needs a finite one.
+		return m.bmuBrute(x)
 	}
 	xn := math.Sqrt(xSq)
 	norms, ids, flat := idx.norms, idx.ids, m.flat
@@ -157,6 +120,10 @@ func (m *Map) bmuPruned(x vecmath.Vector) (unit int, sqDist float64) {
 		if sum < best || (sum == best && u < bestU) {
 			bestU, best = u, sum
 		}
+	}
+	if bestU < 0 {
+		// Every distance overflowed, so no unit beat the initial +Inf.
+		return m.bmuBrute(x)
 	}
 	return bestU, best
 }

@@ -46,14 +46,20 @@ func corpusMap(rows, cols, dim int, seed uint64) (*Map, []vecmath.Vector) {
 
 // TestPrunedBMUMatchesBrute is the satellite property test: on every
 // query of the seeded corpus — random points, exact weight matches,
-// near-ulp misses, duplicate units — the pruned search must return
-// the same unit AND the same squared distance as the brute scan,
-// lowest-index tie-break included.
+// near-ulp misses, duplicate units — and on queries whose distances
+// all overflow or are NaN, the pruned search must return the same
+// unit AND the same squared distance as the brute scan, lowest-index
+// tie-break included.
 func TestPrunedBMUMatchesBrute(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		for _, shape := range [][3]int{{9, 7, 5}, {16, 16, 12}, {3, 4, 2}} {
 			m, queries := corpusMap(shape[0], shape[1], shape[2], seed)
-			m.setBMUSearch(bmuSearchPruned)
+			m.index = m.buildBMUIndex()
+			for _, v := range []float64{1e200, -1e200, math.Inf(1), math.NaN()} {
+				q := vecmath.NewVector(shape[2])
+				q[0] = v
+				queries = append(queries, q)
+			}
 			for qi, q := range queries {
 				bu, bd := m.bmuBrute(q)
 				pu, pd := m.bmuPruned(q)
@@ -63,6 +69,22 @@ func TestPrunedBMUMatchesBrute(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestPrunedBMUAllDistancesOverflow: a query of finite norm whose
+// distance to every unit overflows leaves the pruned search without a
+// candidate; it must still answer the brute scan's unit 0.
+func TestPrunedBMUAllDistancesOverflow(t *testing.T) {
+	m := newMap(2, 2, 2)
+	for _, w := range m.weights {
+		w[0] = -1e154
+	}
+	m.index = m.buildBMUIndex()
+	q := vecmath.Vector{1.3e154, 0}
+	bu, bd := m.bmuBrute(q)
+	if pu, pd := m.bmuPruned(q); pu != bu || pd != bd {
+		t.Fatalf("pruned (%d, %v), brute (%d, %v)", pu, pd, bu, bd)
 	}
 }
 
@@ -151,54 +173,41 @@ func TestSeededBMUNonFinite(t *testing.T) {
 	}
 }
 
-// TestTrainedMapIdenticalAcrossExactModes proves the search modes
-// interchangeable for the queries production makes: a trained map of
-// at least bmuPruneMinUnits units serves placement, HitMap and
-// quantization error through the pruned index, and each must equal
-// the brute scan's answer exactly.
+// TestTrainedMapIdenticalAcrossExactModes proves the two searches
+// interchangeable for the queries production makes: every trained map
+// — the case study's 5 × 4 grid, suite-500's 12 × 10 and a 2 × 2 —
+// serves placement, HitMap and quantization error through the pruned
+// index, and each must equal the brute scan's answer exactly.
 func TestTrainedMapIdenticalAcrossExactModes(t *testing.T) {
 	samples := benchSamples(160, 8)
-	for seed := uint64(1); seed <= 5; seed++ {
-		m, err := TrainCtx(context.Background(), Config{Rows: 12, Cols: 10, Steps: 12000, Seed: seed}, samples)
-		if err != nil {
-			t.Fatal(err)
+	for _, grid := range [][2]int{{12, 10}, {5, 4}, {2, 2}} {
+		for seed := uint64(1); seed <= 5; seed++ {
+			m, err := TrainCtx(context.Background(), Config{Rows: grid[0], Cols: grid[1], Steps: 12000, Seed: seed}, samples)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.index == nil {
+				t.Fatalf("%v seed %d: trained map has no pruned index", grid, seed)
+			}
+			type answers struct {
+				places []vecmath.Vector
+				hits   [][]int
+				qe     float64
+			}
+			query := func(index *bmuIndex) answers {
+				m.index = index
+				return answers{m.Placements(samples), m.HitMap(samples), m.QuantizationError(samples)}
+			}
+			pruned, brute := query(m.index), query(nil)
+			if !reflect.DeepEqual(pruned.places, brute.places) {
+				t.Fatalf("%v seed %d: pruned placements differ from brute", grid, seed)
+			}
+			if !reflect.DeepEqual(pruned.hits, brute.hits) {
+				t.Fatalf("%v seed %d: pruned hit map %v, brute %v", grid, seed, pruned.hits, brute.hits)
+			}
+			if pruned.qe != brute.qe {
+				t.Fatalf("%v seed %d: pruned quantization error %v, brute %v", grid, seed, pruned.qe, brute.qe)
+			}
 		}
-		if m.index == nil {
-			t.Fatalf("seed %d: trained %d-unit map has no pruned index", seed, len(m.weights))
-		}
-		type answers struct {
-			places []vecmath.Vector
-			hits   [][]int
-			qe     float64
-		}
-		query := func(mode bmuSearch) answers {
-			m.setBMUSearch(mode)
-			return answers{m.Placements(samples), m.HitMap(samples), m.QuantizationError(samples)}
-		}
-		pruned, brute := query(bmuSearchPruned), query(bmuSearchBrute)
-		if !reflect.DeepEqual(pruned.places, brute.places) {
-			t.Fatalf("seed %d: pruned placements differ from brute", seed)
-		}
-		if !reflect.DeepEqual(pruned.hits, brute.hits) {
-			t.Fatalf("seed %d: pruned hit map %v, brute %v", seed, pruned.hits, brute.hits)
-		}
-		if pruned.qe != brute.qe {
-			t.Fatalf("seed %d: pruned quantization error %v, brute %v", seed, pruned.qe, brute.qe)
-		}
-	}
-}
-
-// TestSetBMUSearchAutoPolicy pins the auto threshold: small grids
-// stay brute (no index), large grids get the pruned index.
-func TestSetBMUSearchAutoPolicy(t *testing.T) {
-	small := newMap(5, 4, 3)
-	small.setBMUSearch(bmuSearchAuto)
-	if small.index != nil {
-		t.Fatal("small grid built the pruned index, want the brute scan")
-	}
-	big := newMap(8, 8, 3)
-	big.setBMUSearch(bmuSearchAuto)
-	if big.index == nil {
-		t.Fatal("big grid has no pruned index, want the pruned search")
 	}
 }

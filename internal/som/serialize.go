@@ -29,7 +29,9 @@ func (m *Map) Save(w io.Writer) error {
 	return enc.Encode(out)
 }
 
-// Load reads a map saved with Save.
+// Load reads a map saved with Save. Its weights are not validated, so
+// unlike a trained map it has no pruned search index: every BMU query
+// on it runs the brute scan.
 func Load(r io.Reader) (*Map, error) {
 	var in mapJSON
 	dec := json.NewDecoder(r)

@@ -101,10 +101,10 @@ type Map struct {
 	// locations[u] is the fixed grid location vector of unit u; views
 	// into one contiguous backing array like the weights.
 	locations []vecmath.Vector
-	// index is the pruned search's norm-sorted view of the weights;
-	// non-nil exactly while the pruned search is selected AND the
-	// weights are frozen. Training builds it after the last weight
-	// update. Nil selects the brute scan.
+	// index is the pruned search's norm-sorted view of the weights.
+	// Training builds it after the last weight update, for every map
+	// it returns; a map read by Load has none. Nil selects the brute
+	// scan.
 	index *bmuIndex
 }
 
@@ -177,8 +177,8 @@ func (m *Map) BMU(x vecmath.Vector) (row, col int) {
 }
 
 // bmu returns the best matching unit's index and its squared
-// Euclidean distance to x. It dispatches on the map's selected
-// search; brute and pruned return identical results, see bmuSearch.
+// Euclidean distance to x: the pruned search on a trained map, the
+// brute scan on a loaded one. Both return the same unit.
 func (m *Map) bmu(x vecmath.Vector) (unit int, sqDist float64) {
 	if m.index != nil {
 		return m.bmuPruned(x)

@@ -92,7 +92,7 @@ func trainFullDim(tb testing.TB, cfg Config, init *Map, samples []vecmath.Vector
 	if err := m.trainSequential(context.Background(), c, samples, rng.New(c.Seed), nil, nil); err != nil {
 		tb.Fatal(err)
 	}
-	m.setBMUSearch(bmuSearchAuto)
+	m.index = m.buildBMUIndex()
 	return m
 }
 

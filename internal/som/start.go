@@ -139,7 +139,7 @@ func (s *Start) train(ctx context.Context, c Config, samples []vecmath.Vector, o
 	if err != nil {
 		return nil, err
 	}
-	m.setBMUSearch(bmuSearchAuto)
+	m.index = m.buildBMUIndex()
 	return m, nil
 }
 
