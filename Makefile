@@ -76,7 +76,7 @@ trace:
 # refresh the baseline after an intentional performance change:
 # `make bench-baseline` on the reference hardware and commit
 # BENCH_BASELINE.json (see README "Benchmark regression gate").
-BENCH_PATTERN := ^(BenchmarkHGM|BenchmarkHAM|BenchmarkHHM|BenchmarkPlainGM|BenchmarkBMU|BenchmarkQuantizationError|BenchmarkCutK|BenchmarkSilhouette|BenchmarkQualitySweep|BenchmarkSweep|BenchmarkRecommendK|BenchmarkTrainSequentialCaseStudy|BenchmarkTrainSequentialSuite500|BenchmarkTrainSequentialSuiteScale|BenchmarkNewDendrogramSuiteScale|BenchmarkNewDendrogramLarge|BenchmarkServiceScoreDark|BenchmarkServiceScoreLogged|BenchmarkServiceScoreDecoded|BenchmarkServiceScoreCaseStudy|BenchmarkServiceScoreMiss|BenchmarkCacheKeyCaseStudy|BenchmarkKernelSchedule|BenchmarkUpdateKernel)$$
+BENCH_PATTERN := ^(BenchmarkHGM|BenchmarkHAM|BenchmarkHHM|BenchmarkPlainGM|BenchmarkBMU|BenchmarkQuantizationError|BenchmarkCutK|BenchmarkSilhouette|BenchmarkQualitySweep|BenchmarkSweep|BenchmarkRecommendK|BenchmarkTrainSequentialCaseStudy|BenchmarkTrainSequentialSuite500|BenchmarkTrainSequentialSuiteScale|BenchmarkNewDendrogramSuiteScale|BenchmarkNewDendrogramLarge|BenchmarkServiceScoreDark|BenchmarkServiceScoreLogged|BenchmarkServiceScoreDecoded|BenchmarkServiceScoreCaseStudy|BenchmarkServiceScoreMiss|BenchmarkCacheKeyCaseStudy|BenchmarkKernelSchedule|BenchmarkUpdateKernel|BenchmarkBMUSeeded)$$
 
 bench-json:
 	$(GO) test -bench '$(BENCH_PATTERN)' -benchmem -benchtime 50ms -count 5 -run '^$$' ./... | tee bench-raw.txt
@@ -188,6 +188,7 @@ fuzz:
 	$(GO) test -fuzz FuzzReadClusters -fuzztime $(FUZZTIME) ./internal/dataio
 	$(GO) test -fuzz FuzzLoadMap -fuzztime $(FUZZTIME) ./internal/som
 	$(GO) test -fuzz FuzzUpdateKernel -fuzztime $(FUZZTIME) ./internal/som
+	$(GO) test -fuzz FuzzBMUKernel -fuzztime $(FUZZTIME) ./internal/som
 	$(GO) test -fuzz FuzzFit -fuzztime $(FUZZTIME) ./internal/pca
 	$(GO) test -fuzz FuzzLoadDendrogram -fuzztime $(FUZZTIME) ./internal/cluster
 	$(GO) test -fuzz FuzzAgglomerate -fuzztime $(FUZZTIME) ./internal/cluster

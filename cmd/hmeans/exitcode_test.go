@@ -21,6 +21,7 @@ func exec(t *testing.T, args ...string) (code int, stdout, stderr string) {
 func TestExitCodes(t *testing.T) {
 	scores := writeTemp(t, "scores.csv", "workload,score\na,4\nb,3.9\nc,1\nd,0.5\n")
 	nanScores := writeTemp(t, "nan-scores.csv", "workload,score\na,4\nb,NaN\nc,1\nd,0.5\n")
+	zeroScores := writeTemp(t, "zero-scores.csv", "workload,score\na,4\nb,0\nc,1\nd,0.5\n")
 	chars := writeTemp(t, "chars.csv",
 		"workload,f1,f2\na,9,1\nb,9.1,1.1\nc,2,8\nd,1,9\n")
 	nanChars := writeTemp(t, "nan-chars.csv",
@@ -77,6 +78,20 @@ func TestExitCodes(t *testing.T) {
 			t.Fatalf("no invalid-input prefix in %q", stderr)
 		}
 	})
+
+	// A zero score is refused before any computation, for every mean
+	// family, as a data error naming the score.
+	for _, mean := range []string{"geometric", "arithmetic", "harmonic"} {
+		t.Run("zero score is 3 with the "+mean+" mean", func(t *testing.T) {
+			code, _, stderr := exec(t, "-scores", zeroScores, "-chars", chars, "-mean", mean)
+			if code != 3 {
+				t.Fatalf("exit %d, want 3; stderr: %s", code, stderr)
+			}
+			if !strings.Contains(stderr, "invalid input") || !strings.Contains(stderr, "score 1: non-positive value (0)") {
+				t.Fatalf("stderr %q should be an invalid-input error naming score 1", stderr)
+			}
+		})
+	}
 
 	t.Run("non-finite characterization is 3", func(t *testing.T) {
 		code, _, stderr := exec(t, "-scores", scores, "-chars", nanChars)

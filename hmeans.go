@@ -149,6 +149,10 @@ func DetectClustersCtx(ctx context.Context, table *Table, cfg PipelineConfig) (*
 // ErrNonFinite marks input containing NaN or ±Inf values.
 var ErrNonFinite = core.ErrNonFinite
 
+// ErrNonPositive marks a score of zero or below, which no mean family
+// accepts.
+var ErrNonPositive = core.ErrNonPositive
+
 // ErrZeroVariance marks a characterization left featureless by
 // preprocessing: nothing varies, so nothing can be clustered.
 var ErrZeroVariance = core.ErrZeroVariance
@@ -165,7 +169,8 @@ type Quarantine = core.Quarantine
 // of a characterization table, or nil when the table is clean.
 func ValidateTable(t *Table) error { return core.ValidateTable(t) }
 
-// ValidateScores returns a *DataError for the first non-finite score.
+// ValidateScores returns a *DataError for the first non-finite or
+// non-positive score, wrapping ErrNonFinite or ErrNonPositive.
 func ValidateScores(scores []float64) error { return core.ValidateScores(scores) }
 
 // RedundancyImpact quantifies score drift under workload cloning.

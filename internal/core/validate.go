@@ -12,6 +12,11 @@ import (
 // that cannot participate in standardization or distance computation.
 var ErrNonFinite = errors.New("non-finite value")
 
+// ErrNonPositive marks a score of zero or below: scores are times or
+// rates, and such a value has no place in a ratio or a geometric or
+// harmonic mean.
+var ErrNonPositive = errors.New("non-positive value")
+
 // ErrZeroVariance marks a characterization whose preprocessing
 // discarded every feature: nothing varies, so nothing can be
 // clustered.
@@ -77,12 +82,16 @@ func ValidateTable(t *chars.Table) error {
 }
 
 // ValidateScores returns a *DataError for the first non-finite or
-// non-positive score. Scores are times or rates: a zero or negative
-// value breaks every ratio and geometric mean downstream.
+// non-positive score, wrapping ErrNonFinite or ErrNonPositive. Scores
+// are times or rates: a zero or negative value breaks every ratio and
+// geometric mean downstream.
 func ValidateScores(scores []float64) error {
 	for i, v := range scores {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return &DataError{Index: i, Value: v, Err: ErrNonFinite}
+		}
+		if v <= 0 {
+			return &DataError{Index: i, Value: v, Err: ErrNonPositive}
 		}
 	}
 	return nil

@@ -51,6 +51,15 @@ func TestValidateScores(t *testing.T) {
 	if !errors.As(err, &de) || de.Index != 1 {
 		t.Fatalf("error %v does not locate score 1", err)
 	}
+	for _, v := range []float64{0, math.Copysign(0, -1), -2, -math.SmallestNonzeroFloat64} {
+		err := ValidateScores([]float64{1, 2, v})
+		if !errors.Is(err, ErrNonPositive) || !errors.As(err, &de) || de.Index != 2 || de.Value != v {
+			t.Fatalf("score %v: error %v, want ErrNonPositive at score 2", v, err)
+		}
+	}
+	if err := ValidateScores([]float64{math.SmallestNonzeroFloat64, math.MaxFloat64}); err != nil {
+		t.Fatalf("the smallest and largest positive scores: %v", err)
+	}
 }
 
 // TestDetectClustersRejectsNonFinite: without quarantine, poisoned

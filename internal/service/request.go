@@ -161,8 +161,10 @@ type QuarantineJSON struct {
 }
 
 // Validate checks everything about a Request that can be rejected
-// before any computation: table shape, score vector alignment and
-// finiteness, sweep bounds. Violations are *BadRequestError (→ 400).
+// before any computation: table shape, score vector alignment, the
+// scores' finiteness and sign (outside quarantine mode, which drops
+// the scores of quarantined workloads in compute and checks the rest
+// there), sweep bounds. Violations are *BadRequestError (→ 400).
 func (r *Request) Validate() error {
 	n := len(r.Table.Workloads)
 	if n == 0 {

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -324,6 +325,36 @@ func TestScoreBadRequests(t *testing.T) {
 			t.Fatalf("status = %d, want 405", resp.StatusCode)
 		}
 	})
+}
+
+// TestNonPositiveScoreRefusedBeforeCompute: a zero or negative score
+// is a 400 from Request.Validate, which names the score and never
+// reaches the pipeline; in quarantine mode Validate leaves scores to
+// compute, whose own check still refuses it with a 400.
+func TestNonPositiveScoreRefusedBeforeCompute(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	var computed atomic.Int64
+	srv.computeHook = func(*Request) { computed.Add(1) }
+	for _, v := range []float64{0, math.Copysign(0, -1), -1.5} {
+		req := testRequest(1)
+		req.Scores["B"][3] = v
+		r, body := postScore(t, ts.URL, req)
+		if r.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), `score vector \"B\": core: score 3: non-positive value`) {
+			t.Fatalf("score %v: status %d, body %s; want 400 naming score 3 of B", v, r.StatusCode, body)
+		}
+	}
+	if n := computed.Load(); n != 0 {
+		t.Fatalf("%d refused requests reached compute, want 0", n)
+	}
+	req := testRequest(1)
+	req.Config.Quarantine = true
+	req.Scores["B"][3] = 0
+	if r, body := postScore(t, ts.URL, req); r.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "non-positive or non-finite score") {
+		t.Fatalf("quarantine mode: status %d, body %s; want compute's 400", r.StatusCode, body)
+	}
+	if n := computed.Load(); n != 1 {
+		t.Fatalf("the quarantine-mode request reached compute %d times, want 1", n)
+	}
 }
 
 func TestScoreDeadline504(t *testing.T) {

@@ -3,6 +3,7 @@ package som
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"hmeans/internal/vecmath"
@@ -142,7 +143,11 @@ const bmuBlock = 8
 // index. The sums only grow, so an abandoned unit can neither beat
 // nor tie the best, and the winner is exactly bmuBrute's (DESIGN.md
 // §17). A guess whose distance is not finite is no bound; that query
-// goes to bmuBrute. coords counts the coordinates evaluated.
+// goes to bmuBrute. coords counts the coordinates summed: the
+// guess's, and each other unit's up to its abandon test or its end.
+// Where the CPU has AVX2, at dims of 4 and more on maps of 4 units and
+// more, the other units go eight at a time through bmuAVX2
+// (bmuEight), and coords counts the lane-coordinates it summed.
 func (m *Map) bmuSeeded(x vecmath.Vector, guess int) (unit, coords int) {
 	dim := m.dim
 	if len(x) != dim {
@@ -157,6 +162,10 @@ func (m *Map) bmuSeeded(x vecmath.Vector, guess int) (unit, coords int) {
 	if !(bestDist < math.Inf(1)) {
 		unit, _ = m.bmuBrute(x)
 		return unit, len(flat) + dim
+	}
+	if useAVX2 && dim >= 4 && len(flat) >= 4*dim {
+		unit, coords = m.bmuEight(x, guess, bestDist)
+		return unit, dim + coords
 	}
 	coords = dim
 	blocks := dim - dim%bmuBlock
@@ -201,4 +210,73 @@ units:
 		}
 	}
 	return best, coords
+}
+
+// bmuEight is bmuSeeded's scan of the units other than the guess, from
+// the guess's squared distance best, on a map of at least 4 units and
+// a dim of at least 4: groups of eight units in index order, each
+// summed by one bmuAVX2 call against the best distance found before
+// the group. That bound is never below the one the Go loop tests a
+// unit against, so the kernel drops only units the Go loop drops and
+// the winner is the same (DESIGN.md §17). The last group ends at the
+// last unit, so that every unit runs in the kernel and every read
+// stays inside m.flat; its lanes that repeat a unit an earlier group
+// or its own lanes 0–3 visited are dropped from the start, as is the
+// guess's lane in every group. Each lane the kernel leaves live adds
+// the last dim mod 4 squares in element order and then takes the best
+// on a smaller sum, or on an equal sum from a lower index. coords
+// counts the lane-coordinates summed.
+func (m *Map) bmuEight(x vecmath.Vector, guess int, best float64) (unit, coords int) {
+	dim, flat := m.dim, m.flat
+	units := len(flat) / dim
+	tail := dim &^ 3
+	unit = guess
+	var sums [8]float64
+	for u := 0; u < units; u += 8 {
+		// Lanes 0–3 hold units a…a+3 and lanes 4–7 units b…b+3.
+		a, b, live := u, u+4, uint64(0xff)
+		if u+8 > units {
+			a, b, live = max(units-8, 0), units-4, 0
+			for l := range 8 {
+				if v := laneUnit(a, b, l); v >= u && (l < 4 || v >= a+4) {
+					live |= 1 << l
+				}
+			}
+		}
+		if d := uint(guess - a); d < 4 {
+			live &^= 1 << d
+		}
+		if d := uint(guess - b); d < 4 {
+			live &^= 1 << (4 + d)
+		}
+		if live == 0 {
+			continue
+		}
+		left, k := bmuAVX2(&sums, x, flat[a*dim:(b+4)*dim], (b-a)*dim, best, live)
+		coords += k
+		for ; left != 0; left &= left - 1 {
+			l := bits.TrailingZeros64(left)
+			v := laneUnit(a, b, l)
+			sum := sums[l]
+			w := flat[v*dim : v*dim+dim]
+			for j := tail; j < dim; j++ {
+				d := x[j] - w[j]
+				sum += d * d
+			}
+			coords += dim - tail
+			if sum < best || (sum == best && v < unit) {
+				unit, best = v, sum
+			}
+		}
+	}
+	return unit, coords
+}
+
+// laneUnit is the unit in lane l of a bmuAVX2 group whose lanes 0–3
+// hold units a…a+3 and lanes 4–7 units b…b+3.
+func laneUnit(a, b, l int) int {
+	if l < 4 {
+		return a + l
+	}
+	return b + l - 4
 }

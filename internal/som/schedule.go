@@ -104,14 +104,10 @@ type schedule struct {
 	kern       []float64
 }
 
-// newSchedule returns an empty schedule for p's grid with room for
-// the reach and offsets of steps steps.
-func newSchedule(p kernelPlan, steps int) *schedule {
-	s := &schedule{
-		slot:  make([]int, (p.rows-1)*(p.rows-1)+(p.cols-1)*(p.cols-1)+1),
-		reach: make([]int, 0, steps),
-		off:   make([]int, 0, steps+1),
-	}
+// newSchedule returns an empty schedule for p's grid: its distances
+// and slots, with no step laid out.
+func newSchedule(p kernelPlan) *schedule {
+	s := &schedule{slot: make([]int, (p.rows-1)*(p.rows-1)+(p.cols-1)*(p.cols-1)+1)}
 	distinct := 0
 	for a := range p.rows {
 		for b := range p.cols {
@@ -137,41 +133,60 @@ func (s *schedule) bytes() int {
 	return 8 * (len(s.dist) + len(s.slot) + len(s.reach) + len(s.off) + len(s.kern))
 }
 
-// layout sets s's reach and offsets to those of steps [n0, n1) of p,
-// reusing their memory, and returns the number of entries the steps
-// hold. It stops after the first step that takes that number past
-// limit, and returns the number so far. A window of reach r spans at
-// most ra = min(r, rows−1) rows and ca = min(r, cols−1) columns on
-// either side of its BMU, so its largest d² is ra² + ca², itself one
-// of the grid's distances.
-func (s *schedule) layout(p kernelPlan, n0, n1, limit int) int {
-	s.first = n0
-	s.reach, s.off = s.reach[:0], append(s.off[:0], 0)
+// window returns the reach ⌈cutoff·σ⌉ of a step whose radius is
+// sigma, and the number of entries the step holds. A window of reach r
+// spans at most ra = min(r, rows−1) rows and ca = min(r, cols−1)
+// columns on either side of its BMU, so its largest d² is ra² + ca²,
+// itself one of the grid's distances.
+func (s *schedule) window(p kernelPlan, sigma float64) (reach, entries int) {
+	r := int(math.Ceil(cutoff * sigma))
+	ra, ca := min(r, p.rows-1), min(r, p.cols-1)
+	return r, s.slot[ra*ra+ca*ca] + 1
+}
+
+// size returns the number of entries steps [n0, n1) of p hold, without
+// allocating. It stops after the first step that takes that number
+// past limit, and returns the number so far.
+func (s *schedule) size(p kernelPlan, n0, n1, limit int) int {
 	entries := 0
 	for n := n0; n < n1 && entries <= limit; n++ {
-		r := int(math.Ceil(cutoff * p.sigma(n)))
-		ra, ca := min(r, p.rows-1), min(r, p.cols-1)
-		entries += s.slot[ra*ra+ca*ca] + 1
-		s.reach = append(s.reach, r)
-		s.off = append(s.off, entries)
+		_, k := s.window(p, p.sigma(n))
+		entries += k
 	}
 	return entries
 }
 
-// fill computes the entries of steps [n0, n1), which s's layout
-// covers and kern has room for. An entry is the tests' reference
-// expression with its operand order: d² = dr² + dc² is a small
-// integer, exact in float64, so float64(d²) has the bits of
-// dr*dr + dc*dc and every entry the bits of the per-unit kernel.
+// reset empties s for a run of steps that starts at step first, with
+// room for the reach and offsets of steps steps and for entries
+// entries, reusing its memory where it has room.
+func (s *schedule) reset(first, steps, entries int) {
+	if cap(s.reach) < steps {
+		s.reach, s.off = make([]int, 0, steps), make([]int, 0, steps+1)
+	}
+	if cap(s.kern) < entries {
+		s.kern = make([]float64, entries)
+	}
+	s.first, s.reach, s.off, s.kern = first, s.reach[:0], append(s.off[:0], 0), s.kern[:entries]
+}
+
+// fill appends steps [n0, n1) of p to s, which has room for them: each
+// step's reach, the offset past its entries, and its entries. An entry
+// is the tests' reference expression with its operand order:
+// d² = dr² + dc² is a small integer, exact in float64, so float64(d²)
+// has the bits of dr*dr + dc*dc and every entry the bits of the
+// per-unit kernel.
 func (s *schedule) fill(p kernelPlan, n0, n1 int) {
 	for n := n0; n < n1; n++ {
 		alpha, sigma := p.alpha(n), p.sigma(n)
 		inv2s2 := 1 / (2 * sigma * sigma)
-		i := n - s.first
-		kern := s.kern[s.off[i]:s.off[i+1]]
-		for k, d2 := range s.dist[:len(kern)] {
-			kern[k] = alpha * math.Exp(-float64(d2)*inv2s2)
+		r, k := s.window(p, sigma)
+		off := s.off[len(s.off)-1]
+		kern := s.kern[off : off+k]
+		for j, d2 := range s.dist[:k] {
+			kern[j] = alpha * math.Exp(-float64(d2)*inv2s2)
 		}
+		s.reach = append(s.reach, r)
+		s.off = append(s.off, off+k)
 	}
 }
 
@@ -181,30 +196,28 @@ func (s *schedule) fill(p kernelPlan, n0, n1 int) {
 // steps. The reach never grows with the step, so the first block is
 // the largest and later ones allocate nothing.
 func (s *schedule) block(p kernelPlan, n0, n1 int) int {
-	entries := s.layout(p, n0, n1, math.MaxInt)
-	if cap(s.kern) < entries {
-		s.kern = make([]float64, entries)
-	}
-	s.kern = s.kern[:entries]
+	entries := s.size(p, n0, n1, math.MaxInt)
+	s.reset(n0, n1-n0, entries)
 	s.fill(p, n0, n1)
 	return entries
 }
 
 // buildSchedule returns the schedule of every step of p, or nil when
-// it would take more than scheduleBytes; its layout then stops at the
-// first step past that bound. It polls ctx once per block of
-// cancelCheckSteps steps; once ctx has ended it returns ctx's error
-// and no schedule.
+// it would take more than scheduleBytes. It sizes the schedule before
+// it allocates a step, so a plan it refuses allocates its grid's
+// distances and slots alone, and sizes its steps only up to the first
+// past the bound. It polls ctx once per block of cancelCheckSteps
+// steps; once ctx has ended it returns ctx's error and no schedule.
 func buildSchedule(ctx context.Context, p kernelPlan) (*schedule, error) {
-	s := newSchedule(p, p.steps)
+	s := newSchedule(p)
 	// Its distances, slots, reaches, offsets and entries take 8 bytes
 	// each.
 	limit := scheduleBytes/8 - len(s.dist) - len(s.slot) - (2*p.steps + 1)
-	entries := s.layout(p, 0, p.steps, limit)
+	entries := s.size(p, 0, p.steps, limit)
 	if entries > limit {
 		return nil, nil
 	}
-	s.kern = make([]float64, entries)
+	s.reset(0, p.steps, entries)
 	for n := 0; n < p.steps; n += cancelCheckSteps {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("som: kernel schedule cancelled at step %d of %d: %w", n, p.steps, err)

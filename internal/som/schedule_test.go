@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
-	"slices"
+	"runtime"
 	"testing"
 
 	"hmeans/internal/obs"
@@ -27,7 +27,7 @@ func TestScheduleBlocksMatchShared(t *testing.T) {
 		if len(shared.reach) != g.steps || shared.off[g.steps] != len(shared.kern) {
 			t.Fatalf("%d×%d, %d steps: %d reaches and %d entries, want %d and %d", g.rows, g.cols, g.steps, len(shared.reach), shared.off[g.steps], g.steps, len(shared.kern))
 		}
-		own := newSchedule(p, cancelCheckSteps)
+		own := newSchedule(p)
 		entries := 0
 		for n0 := 0; n0 < g.steps; n0 += cancelCheckSteps {
 			n1 := min(n0+cancelCheckSteps, g.steps)
@@ -104,8 +104,10 @@ func TestScheduleBuildStopsOnEndedContext(t *testing.T) {
 // than scheduleBytes. Three suite-500-sized schedules (12 × 10 grid,
 // about 17 MB each) do not fit together, so the third evicts the
 // first. A 40 × 40 grid trained for 25,000 steps, whose schedule alone
-// takes more, is never stored: its build lays out its steps only up to
-// the first that passes the bound, and its training fills its own
+// takes more, is never stored: its build sizes its steps only up to
+// the first that passes the bound and lays out none of them, so a
+// refused build makes at most 3 allocations of 64 KiB, there and at
+// the grid's default 800,000 steps; its training fills its own
 // blocks, with the oracle's weights.
 func TestSchedulesBounded(t *testing.T) {
 	r := rng.New(5)
@@ -136,17 +138,37 @@ func TestSchedulesBounded(t *testing.T) {
 		return
 	}
 	big := newKernelPlan(40, 40, 25000)
-	s := newSchedule(big, big.steps)
-	entries := s.layout(big, 0, big.steps, math.MaxInt)
-	if s.bytes()+8*entries <= scheduleBytes {
-		t.Fatalf("the 40×40 schedule takes %d bytes, not more than %d", s.bytes()+8*entries, scheduleBytes)
+	s := newSchedule(big)
+	limit := scheduleBytes/8 - len(s.dist) - len(s.slot) - (2*big.steps + 1)
+	entries, past := 0, -1
+	for n := range big.steps {
+		entries += s.size(big, n, n+1, math.MaxInt)
+		if past < 0 && entries > limit {
+			past = entries
+		}
 	}
-	part := newSchedule(big, big.steps)
-	limit := scheduleBytes/8 - len(part.dist) - len(part.slot) - (2*big.steps + 1)
-	stop := part.layout(big, 0, big.steps, limit)
-	laid := len(part.reach)
-	if stop <= limit || laid == big.steps || part.off[laid-1] > limit || !slices.Equal(part.off, s.off[:laid+1]) {
-		t.Fatalf("the refused layout stopped after %d of %d steps at %d entries, not at the first step past %d", laid, big.steps, stop, limit)
+	if bytes := 8 * (len(s.dist) + len(s.slot) + 2*big.steps + 1 + entries); bytes <= scheduleBytes {
+		t.Fatalf("the 40×40 schedule takes %d bytes, not more than %d", bytes, scheduleBytes)
+	}
+	if stop := s.size(big, 0, big.steps, limit); stop != past {
+		t.Fatalf("the refused plan's size stopped at %d entries, not at the first step past %d (%d)", stop, limit, past)
+	}
+	// A refused plan allocates its grid's distances and slots and no
+	// step: at the grid's default 800,000 steps, reaches and offsets
+	// for every step would take 12.8 MB.
+	for _, steps := range []int{big.steps, 800000} {
+		p := newKernelPlan(40, 40, steps)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs := testing.AllocsPerRun(5, func() {
+			if s, err := buildSchedule(context.Background(), p); s != nil || err != nil {
+				t.Fatalf("40×40 grid, %d steps: schedule %v, error %v; want neither", steps, s, err)
+			}
+		})
+		runtime.ReadMemStats(&after)
+		if perRun := (after.TotalAlloc - before.TotalAlloc) / 6; allocs > 3 || perRun > 64<<10 {
+			t.Fatalf("40×40 grid, %d steps: a refused build made %v allocations of %d bytes, want at most 3 of 64 KiB", steps, allocs, perRun)
+		}
 	}
 	cfg := Config{Rows: 40, Cols: 40, Steps: big.steps, Seed: 1, Starts: table, Obs: o}
 	held := table.schedules.Entries()

@@ -129,7 +129,7 @@ func BenchmarkUpdateKernel(b *testing.B) {
 				}
 			}
 			p := newKernelPlan(side, side, 500*side*side)
-			s := newSchedule(p, 1)
+			s := newSchedule(p)
 			s.block(p, 0, 1)
 			kern := s.kern[s.off[0]:s.off[1]]
 			b.ReportAllocs()
@@ -138,6 +138,33 @@ func BenchmarkUpdateKernel(b *testing.B) {
 				m.update(xs[i&1], 3, 4, s.reach[0], kern, s.slot)
 			}
 		})
+	}
+}
+
+// BenchmarkBMUSeeded times training's BMU search alone on suite-500's
+// trained map, 12 × 10 units at 40 dims: an op searches each of the
+// 500 samples from the unit it won at its last search, as training
+// does, so that unit is the first bound and usually the winner. One
+// untimed pass sets every sample's first guess. It runs whichever
+// search training runs: the AVX2 kernel where the CPU has it.
+func BenchmarkBMUSeeded(b *testing.B) {
+	samples := suite500Counters(b, 1)
+	rows, cols := GridFor(len(samples))
+	m, err := TrainCtx(context.Background(), Config{Rows: rows, Cols: cols, Seed: 1}, samples)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prev := make([]int, len(samples))
+	search := func() {
+		for i, x := range samples {
+			prev[i], _ = m.bmuSeeded(x, prev[i])
+		}
+	}
+	search()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		search()
 	}
 }
 

@@ -66,9 +66,14 @@ const cancelCheckSteps = 256
 // som.step event is emitted at 32 evenly spaced checkpoints recording
 // the annealed learning rate and radius — sequential training has no
 // epochs, so checkpoints stand in for them — and the run's work is
-// counted: som.bmu_coords, the coordinates the BMU searches
-// evaluated, and som.kernel_exps, the kernel's exp calls, which a
-// shared schedule makes once, when it is built.
+// counted: som.bmu_coords, the coordinates the BMU searches summed,
+// and som.kernel_exps, the kernel's exp calls, which a shared schedule
+// makes once, when it is built. A search counts its guess's
+// coordinates, then each other unit's up to the abandon test that
+// drops it or to its end. Where the AVX2 search runs, those are the
+// lane-coordinates it summed for the lanes still live: it tests a
+// group of eight units against the best distance found before the
+// group, so it counts at least as many as the Go loop.
 func (m *Map) trainSequential(ctx context.Context, c Config, samples []vecmath.Vector, r *rng.Source, o *obs.Observer, sp *obs.Span) error {
 	interval := 0
 	if o.Active() {
@@ -85,7 +90,7 @@ func (m *Map) trainSequential(ctx context.Context, c Config, samples []vecmath.V
 	}
 	shared := ks != nil
 	if !shared {
-		ks = newSchedule(p, cancelCheckSteps)
+		ks = newSchedule(p)
 	}
 	// prev[i] is the unit sample i won at its last presentation, the
 	// seed of its next search. Any unit is a valid seed; all start at 0.
@@ -154,10 +159,10 @@ func (m *Map) update(x vecmath.Vector, br, bc, reach int, kern []float64, slot [
 	}
 }
 
-// useAVX2 reports whether update runs the AVX2 kernel. On amd64 it is
-// set once, at init, from CPUID and XGETBV (update_amd64.go); it stays
-// false on every other GOARCH. Only tests change it, to run the Go
-// loop on a CPU that has AVX2.
+// useAVX2 reports whether update and bmuSeeded run their AVX2
+// kernels. On amd64 it is set once, at init, from CPUID and XGETBV
+// (update_amd64.go); it stays false on every other GOARCH. Only tests
+// change it, to run the Go loops on a CPU that has AVX2.
 var useAVX2 bool
 
 // updateGo moves w toward x: w[j] += h·(x[j] − w[j]), rounding the

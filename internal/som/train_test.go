@@ -95,9 +95,9 @@ func stepLoopMatchesOracle(t *testing.T, cfg Config, init *Map, samples []vecmat
 	return equalMaps(t, got, want)
 }
 
-// eachKernel runs f as a subtest with each weight update this CPU can
-// run: the AVX2 kernel where update chose it, then the Go loop, which
-// it forces by clearing useAVX2 for the subtest.
+// eachKernel runs f as a subtest with each path this CPU can run: the
+// AVX2 weight update and BMU search where useAVX2 chose them, then the
+// Go loops, which it forces by clearing useAVX2 for the subtest.
 func eachKernel(t *testing.T, f func(t *testing.T)) {
 	t.Helper()
 	chosen := useAVX2

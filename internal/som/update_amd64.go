@@ -10,6 +10,25 @@ package som
 //go:noescape
 func updateAVX2(w, x []float64, h float64)
 
+// bmuAVX2 sums the squared distances from x to eight units of the
+// unit-major weights w at once, for bmuSeeded: lanes 0–3 hold the
+// units that start at w[0], w[dim], w[2·dim] and w[3·dim], and lanes
+// 4–7 those that start at w[boff] and then every dim, where dim is
+// len(x). Each lane adds its unit's squares in element order with
+// VSUBPD x − w, VMULPD and VADDPD, no fused multiply-add, so its sum
+// has the bits of the Go loop's over the same coordinates. It sums
+// the first dim − dim mod 4 coordinates and leaves the rest to the
+// caller. Lanes whose bit in live is clear are dropped from the
+// start. After every bmuBlock coordinates a lane whose sum is greater
+// than bound is dropped (a NaN sum is not), and the call returns once
+// every lane is. It stores the eight sums, which hold meaning for the
+// lanes still live only, and returns their mask and the number of
+// coordinates it summed in lanes that were live when it summed them.
+// w must hold boff + 4·dim values. It runs only where useAVX2 is set.
+//
+//go:noescape
+func bmuAVX2(sums *[8]float64, x, w []float64, boff int, bound float64, live uint64) (left uint64, coords int)
+
 // cpuid returns the registers CPUID leaves for leaf and subleaf sub.
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 

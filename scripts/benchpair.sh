@@ -37,13 +37,13 @@ git -C "$root" archive "$BASE" | tar -x -C "$out/base"
 (cd "$out/base" && go test -c -o "$out/base.test" "./$PKG")
 (cd "$root" && go test -c -o "$out/head.test" "./$PKG")
 
-# Code placement: the offset mod 64 of the weight update, its AVX2
-# kernel and the seeded BMU search in each binary; a name the binary
+# Code placement: the offset mod 64 of the weight update, the seeded
+# BMU search and their AVX2 kernels in each binary; a name the binary
 # lacks prints nothing. 256 is a multiple of 64, so the address's last
 # two hex digits decide the offset.
 for side in base head; do
 	go tool nm -n "$out/$side.test" | awk -v side="$side" '
-		$3 ~ /^hmeans\/internal\/som\.(\(\*Map\)\.update|\(\*Map\)\.bmuSeeded|updateAVX2(\.abi0)?)$/ {
+		$3 ~ /^hmeans\/internal\/som\.(\(\*Map\)\.update|\(\*Map\)\.bmuSeeded|updateAVX2(\.abi0)?|bmuAVX2(\.abi0)?)$/ {
 			a = tolower(substr($1, length($1) - 1))
 			off = (16 * (index("0123456789abcdef", substr(a, 1, 1)) - 1) + index("0123456789abcdef", substr(a, 2, 1)) - 1) % 64
 			printf "placement: %s %s at 0x%s, %d mod 64\n", side, $3, $1, off
